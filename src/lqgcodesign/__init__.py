@@ -22,7 +22,6 @@ from .analysis import (
 from .kalman import (
     CovarianceTrajectory,
     ObjectiveCache,
-    WhitenedSensor,
     cost_offset,
     kappa_bar,
     logdet_objective,
@@ -99,7 +98,6 @@ __all__ = [
     "SensorSuite",
     "SimulationRecord",
     "ValidationError",
-    "WhitenedSensor",
     "baseline_logdet",
     "baseline_random",
     "budget_certificate",

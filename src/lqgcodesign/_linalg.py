@@ -15,25 +15,12 @@ class NumericalError(RuntimeError):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T) / 2."""
-    return 0.5 * (a + a.T)
+    """Return (A + A^T) / 2, per matrix for a stack of matrices."""
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def min_eigenvalue(a: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(a))[0])
-
-
-def max_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(a))[-1])
-
-
-def sym_condition(a: np.ndarray) -> float:
-    """Condition number of a symmetric matrix; inf when not positive definite."""
-    eigs = np.linalg.eigvalsh(symmetrize(a))
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
 
 
 def general_condition(a: np.ndarray) -> float:

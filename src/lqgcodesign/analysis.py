@@ -171,7 +171,7 @@ def ratio_lower_bound(
 
     flag_norm = True
     for s in suite:
-        for m in cache.whitened(s.id).matrices:
+        for m in cache.whitened(s.id):
             if abs(float(np.sum(m * m)) - 1.0) > _PASS_TOL:
                 flag_norm = False
                 break
@@ -204,7 +204,7 @@ def ratio_lower_bound(
     sensed_lo = math.inf
     sensed_hi = -math.inf
     for s in suite:
-        mats = cache.whitened(s.id).matrices
+        mats = cache.whitened(s.id)
         for t in range(scenario.horizon):
             m = mats[t]
             on_full = symmetrize(m @ full.posteriors[t] @ m.T)

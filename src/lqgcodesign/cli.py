@@ -195,14 +195,14 @@ def _run_method(scenario, sol, cache, problem: str, method: str, args) -> Select
         raise ValueError(f"method {method!r} applies only to budget selection")
     if method == "greedy":
         if problem == "budget":
-            return greedy_budget(scenario, sol, cache, threads=args.threads)
-        return greedy_mincost(scenario, sol, cache, threads=args.threads)
+            return greedy_budget(scenario, sol, cache)
+        return greedy_mincost(scenario, sol, cache)
     if method == "oracle":
         if problem == "budget":
             return oracle_budget(scenario, sol, cache, max_sensors=args.oracle_cap)
         return oracle_mincost(scenario, sol, cache, max_sensors=args.oracle_cap)
     if method == "logdet":
-        return baseline_logdet(scenario, sol, cache, threads=args.threads)
+        return baseline_logdet(scenario, sol, cache)
     if method == "random":
         mandatory = _parse_ids(getattr(args, "mandatory", "") or "")
         return baseline_random(scenario, sol, mandatory, seed=args.seed, cache=cache)
@@ -336,9 +336,9 @@ def cmd_bound(args) -> int:
     sol = solve_riccati(scenario.system, scenario.weights)
     cache = ObjectiveCache(scenario, sol)
     if args.problem == "budget":
-        report = greedy_budget(scenario, sol, cache, threads=args.threads)
+        report = greedy_budget(scenario, sol, cache)
     else:
-        report = greedy_mincost(scenario, sol, cache, threads=args.threads)
+        report = greedy_mincost(scenario, sol, cache)
     gamma_exact, gamma_bound, cert = _certify(
         scenario, sol, cache, report, args.problem, args.ratio_cap, args.oracle_cap,
     )
@@ -439,13 +439,11 @@ def _add_common_output(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_caps_and_threads(parser) -> None:
+def _add_caps(parser) -> None:
     parser.add_argument("--ratio-cap", type=int, default=RATIO_CAP,
                         help="largest ground set enumerated for the exact ratio")
     parser.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
                         help="largest ground set enumerated by the brute-force oracle")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="concurrent gain evaluations per greedy iteration")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -493,11 +491,11 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=("greedy", "oracle", "logdet", "random", "all"))
             p.add_argument("--mandatory", default="",
                            help="ids always included by the random baseline")
+            p.add_argument("--seed", type=int, default=0)
         else:
             p.add_argument("--kappa", type=float, default=None)
             p.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
-        p.add_argument("--seed", type=int, default=0)
-        _add_caps_and_threads(p)
+        _add_caps(p)
         _add_common_output(p)
         p.set_defaults(func=cmd_select, problem=problem)
 
@@ -511,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mandatory", default="")
     p_sim.add_argument("--runs", type=int, default=100)
     p_sim.add_argument("--seed", type=int, default=0)
-    _add_caps_and_threads(p_sim)
+    _add_caps(p_sim)
     _add_common_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -530,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--budget", type=float, default=None)
         else:
             p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0)
-        _add_caps_and_threads(p)
+        _add_caps(p)
         p.add_argument("--out", default=None)
         p.set_defaults(func=cmd_bound, problem=problem)
 
@@ -549,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--methods", default="greedy,logdet,random,all")
     p_sweep.add_argument("--runs", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
-    _add_caps_and_threads(p_sweep)
+    _add_caps(p_sweep)
     _add_common_output(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 

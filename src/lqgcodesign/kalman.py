@@ -10,6 +10,8 @@ measurement update is a single additive term Cbar' Cbar per sensor:
     prior[t+1] = A[t] post[t] A[t]' + W[t]
 
 The empty selection performs the identity update, never inverting anything.
+Per-step matrices are stacked along a leading time axis: a sensor's whitened
+wiring is a (T, p, n) array, its information a (T, n, n) array.
 
 Two scalar functionals of the trajectory drive sensor selection:
 
@@ -30,51 +32,61 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NumericalError, inv_sqrt_pd, sym_inverse, symmetrize
-from .model import Scenario, Sensor
+from .model import Scenario, Sensor, SensorSuite
 from .riccati import RiccatiSolution
 
 _SINGULAR_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WhitenedSensor:
-    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t] of one sensor."""
-
-    id: int
-    matrices: tuple[np.ndarray, ...] = field(repr=False)
-
-    @property
-    def info_matrices(self) -> tuple[np.ndarray, ...]:
-        """Additive information contributions Cbar[t]' Cbar[t]."""
-        return tuple(symmetrize(m.T @ m) for m in self.matrices)
+def whiten_sensor(sensor: Sensor) -> np.ndarray:
+    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n)."""
+    return np.stack([inv_sqrt_pd(v, floor=_SINGULAR_TOL) @ c
+                     for c, v in zip(sensor.C, sensor.V)])
 
 
-def whiten_sensor(sensor: Sensor) -> WhitenedSensor:
-    """Fold the noise covariance into the wiring via its inverse square root."""
-    mats = tuple(inv_sqrt_pd(v, floor=_SINGULAR_TOL) @ c for c, v in zip(sensor.C, sensor.V))
-    return WhitenedSensor(id=sensor.id, matrices=mats)
+def _information(white: np.ndarray) -> np.ndarray:
+    """Additive information contributions Cbar[t]' Cbar[t], shape (T, n, n)."""
+    return symmetrize(np.swapaxes(white, -1, -2) @ white)
 
 
 @dataclass(frozen=True)
 class CovarianceTrajectory:
-    """Prediction and filtering covariances, indexed 0..horizon-1."""
+    """Prediction and filtering covariances, stacked as (T, n, n) arrays."""
 
-    priors: tuple[np.ndarray, ...] = field(repr=False)
-    posteriors: tuple[np.ndarray, ...] = field(repr=False)
+    priors: np.ndarray = field(repr=False)
+    posteriors: np.ndarray = field(repr=False)
 
     @property
     def horizon(self) -> int:
         return len(self.priors)
 
 
-def _propagate(system, info_seq) -> CovarianceTrajectory:
-    """Run the recursion given per-step added information (None for none)."""
-    priors = []
-    posts = []
+def _chosen_ids(suite: SensorSuite, ids) -> list[int]:
+    """The distinct ids of a selection in ascending order, each validated."""
+    chosen = sorted(set(int(i) for i in ids))
+    for i in chosen:
+        suite.sensor(i)
+    return chosen
+
+
+def _summed_information(system, infos) -> np.ndarray | None:
+    """Sum per-sensor (T, n, n) information in the given order; None if empty."""
+    total = None
+    for info in infos:
+        if total is None:
+            total = np.zeros((system.horizon, system.state_dim, system.state_dim))
+        total += info
+    return None if total is None else symmetrize(total)
+
+
+def _propagate(system, info: np.ndarray | None) -> CovarianceTrajectory:
+    """Run the recursion given summed per-step information (None for none)."""
+    T, n = system.horizon, system.state_dim
+    priors = np.empty((T, n, n))
+    posts = np.empty((T, n, n))
     prior = system.sigma_init
-    for t in range(system.horizon):
-        priors.append(prior)
-        info = info_seq[t] if info_seq is not None else None
+    for t in range(T):
+        priors[t] = prior
         if info is None:
             post = prior
         else:
@@ -83,28 +95,19 @@ def _propagate(system, info_seq) -> CovarianceTrajectory:
                     f"prediction covariance singular at time index {t}; "
                     "a positive definite W regularizes it"
                 )
-            post = sym_inverse(sym_inverse(prior) + info)
-        posts.append(post)
-        if t + 1 < system.horizon:
+            post = sym_inverse(sym_inverse(prior) + info[t])
+        posts[t] = post
+        if t + 1 < T:
             A, W = system.A[t], system.W[t]
             prior = symmetrize(A @ post @ A.T + W)
-    return CovarianceTrajectory(priors=tuple(priors), posteriors=tuple(posts))
-
-
-def _info_sequence(whitened: dict[int, WhitenedSensor], ids, horizon: int):
-    chosen = sorted(set(int(i) for i in ids))
-    if not chosen:
-        return None
-    per_sensor = [whitened[i].info_matrices for i in chosen]
-    return [symmetrize(sum(mats[t] for mats in per_sensor)) for t in range(horizon)]
+    return CovarianceTrajectory(priors=priors, posteriors=posts)
 
 
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     """Covariance trajectory under the given sensor set (any iterable of ids)."""
-    chosen = sorted(set(int(i) for i in ids))
-    whitened = {i: whiten_sensor(scenario.suite.sensor(i)) for i in chosen}
-    info_seq = _info_sequence(whitened, chosen, scenario.horizon)
-    return _propagate(scenario.system, info_seq)
+    suite = scenario.suite
+    infos = (_information(whiten_sensor(suite.sensor(i))) for i in _chosen_ids(suite, ids))
+    return _propagate(scenario.system, _summed_information(scenario.system, infos))
 
 
 def sensing_objective(sol: RiccatiSolution, traj: CovarianceTrajectory) -> float:
@@ -170,10 +173,8 @@ def logdet_objective(traj: CovarianceTrajectory) -> float:
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
-    Whitened information matrices are precomputed once per scenario; each
-    distinct sensor set is propagated at most once per functional.  Reads
-    and writes are idempotent, so concurrent gain evaluations may share an
-    instance.
+    The information bank, shape (m, T, n, n), is filled once per scenario;
+    each distinct sensor set is propagated at most once per functional.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -181,41 +182,39 @@ class ObjectiveCache:
             raise ValueError("solution horizon does not match scenario horizon")
         self.scenario = scenario
         self.sol = sol
-        self._whitened = {s.id: whiten_sensor(s) for s in scenario.suite}
-        self._info = {i: w.info_matrices for i, w in self._whitened.items()}
+        T, n = scenario.horizon, scenario.state_dim
+        self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
+        self._bank = np.empty((len(self._whitened), T, n, n))
+        for i, white in enumerate(self._whitened):
+            self._bank[i] = _information(white)
         self._f: dict[frozenset[int], float] = {}
         self._logdet: dict[frozenset[int], float] = {}
         self.offset = cost_offset(scenario, sol)
 
-    @property
-    def ground_set(self) -> tuple[int, ...]:
-        return self.scenario.suite.ids
-
-    def whitened(self, sensor_id: int) -> WhitenedSensor:
+    def whitened(self, sensor_id: int) -> np.ndarray:
         return self._whitened[sensor_id]
 
     def trajectory(self, ids) -> CovarianceTrajectory:
-        chosen = frozenset(int(i) for i in ids)
-        for i in chosen:
-            self.scenario.suite.sensor(i)
-        if not chosen:
-            info_seq = None
-        else:
-            per_sensor = [self._info[i] for i in sorted(chosen)]
-            info_seq = [
-                symmetrize(sum(mats[t] for mats in per_sensor))
-                for t in range(self.scenario.horizon)
-            ]
-        return _propagate(self.scenario.system, info_seq)
+        system = self.scenario.system
+        chosen = _chosen_ids(self.scenario.suite, ids)
+        return _propagate(system, _summed_information(system, (self._bank[i] for i in chosen)))
+
+    def _memoized(self, memo: dict, functional, ids) -> float:
+        key = frozenset(int(i) for i in ids)
+        hit = memo.get(key)
+        if hit is None:
+            hit = functional(self.trajectory(key))
+            if not np.isfinite(hit):
+                raise NumericalError(
+                    f"objective of sensor set {sorted(key)} is not finite ({hit}); "
+                    "the covariance recursion overflowed"
+                )
+            memo[key] = hit
+        return hit
 
     def f(self, ids) -> float:
         """Memoized sensing objective of the set."""
-        key = frozenset(int(i) for i in ids)
-        hit = self._f.get(key)
-        if hit is None:
-            hit = sensing_objective(self.sol, self.trajectory(key))
-            self._f[key] = hit
-        return hit
+        return self._memoized(self._f, lambda traj: sensing_objective(self.sol, traj), ids)
 
     def g(self, ids) -> float:
         """Memoized full LQG cost of the set."""
@@ -223,12 +222,7 @@ class ObjectiveCache:
 
     def logdet(self, ids) -> float:
         """Memoized log-volume objective of the set."""
-        key = frozenset(int(i) for i in ids)
-        hit = self._logdet.get(key)
-        if hit is None:
-            hit = logdet_objective(self.trajectory(key))
-            self._logdet[key] = hit
-        return hit
+        return self._memoized(self._logdet, logdet_objective, ids)
 
     def kappa_bar(self) -> float:
         return kappa_bar(self.scenario, self.sol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import frozen, min_eigenvalue
+from ._linalg import block_diag, frozen, min_eigenvalue
 
 SYMMETRY_TOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -363,15 +363,7 @@ def stack_sensors(suite: SensorSuite, ids, t: int) -> tuple[np.ndarray, np.ndarr
         blocks_v.append(s.V[t])
     if not blocks_c:
         return np.zeros((0, n)), np.zeros((0, 0))
-    C = np.vstack(blocks_c)
-    size = sum(b.shape[0] for b in blocks_v)
-    V = np.zeros((size, size))
-    ofs = 0
-    for b in blocks_v:
-        k = b.shape[0]
-        V[ofs:ofs + k, ofs:ofs + k] = b
-        ofs += k
-    return C, V
+    return np.vstack(blocks_c), block_diag(blocks_v)
 
 
 def set_cost(suite: SensorSuite, ids) -> float:

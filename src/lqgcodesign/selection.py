@@ -12,17 +12,11 @@ drop per unit cost.  All argmax/argmin ties resolve to the smallest sensor
 id, so every routine is a pure function of its inputs.  A free sensor
 (cost 0) with positive gain rates as infinitely efficient and is admitted
 before anything else, in id order; free sensors can never violate a budget.
-
-Gain evaluations within one sweep iteration are independent and may be
-computed concurrently (``threads`` > 1); the reduction happens over the
-candidate list in id order, so the outcome does not depend on thread
-scheduling.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +24,6 @@ import numpy as np
 from .kalman import ObjectiveCache
 from .model import Scenario, set_cost
 from .riccati import RiccatiSolution
-
-_ZERO = 1e-12
 
 
 class InfeasibleError(RuntimeError):
@@ -104,15 +96,9 @@ def _rate(gain: float, cost: float) -> float:
     return math.inf if gain > 0.0 else 0.0
 
 
-def _gain_table(objective, base_ids: frozenset, base_value: float,
-                candidates: list[int], threads: int):
+def _gain_table(objective, base_ids: frozenset, base_value: float, candidates: list[int]):
     """Objective drop for each candidate addition, in candidate order."""
-    supersets = [base_ids | {a} for a in candidates]
-    if threads > 1 and len(supersets) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(objective, supersets))
-    else:
-        values = [objective(s) for s in supersets]
+    values = [objective(base_ids | {a}) for a in candidates]
     return [(a, base_value - v, v) for a, v in zip(candidates, values)]
 
 
@@ -132,7 +118,7 @@ def _require_budget(scenario: Scenario) -> float:
     return scenario.budget
 
 
-def _greedy_budget_core(scenario, cache, objective, threads):
+def _greedy_budget_core(scenario, objective):
     """Shared budget sweep: best singleton versus efficiency-greedy set."""
     budget = _require_budget(scenario)
     costs = {s.id: s.cost for s in scenario.suite}
@@ -157,7 +143,7 @@ def _greedy_budget_core(scenario, cache, objective, threads):
     remaining = list(ids)
     iterations = []
     while remaining and cost_acc <= budget:
-        table = _gain_table(objective, chosen, chosen_value, remaining, threads)
+        table = _gain_table(objective, chosen, chosen_value, remaining)
         a, rate, gain, value = _pick_best_rate(table, costs)
         chosen = chosen | {a}
         chosen_value = value
@@ -188,7 +174,7 @@ def _greedy_budget_core(scenario, cache, objective, threads):
 
 
 def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
-                  cache: ObjectiveCache | None = None, threads: int = 1) -> SelectionReport:
+                  cache: ObjectiveCache | None = None) -> SelectionReport:
     """Efficiency-greedy sweep under the budget, guarded by the best singleton.
 
     Returns whichever of the greedy set and the best affordable singleton
@@ -199,7 +185,7 @@ def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
     """
     cache = cache or ObjectiveCache(scenario, sol)
     final, final_value, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache, cache.f, threads
+        scenario, cache.f
     )
     return SelectionReport(
         method="greedy",
@@ -215,7 +201,7 @@ def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
 
 
 def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
-                   cache: ObjectiveCache | None = None, threads: int = 1) -> SelectionReport:
+                   cache: ObjectiveCache | None = None) -> SelectionReport:
     """Efficiency-greedy sweep that stops once the LQG cost cap is met.
 
     Starts empty and keeps adding the best gain-per-cost sensor while the
@@ -231,7 +217,7 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     remaining = sorted(costs)
     iterations = []
     while remaining and value > cap:
-        table = _gain_table(cache.f, chosen, value, remaining, threads)
+        table = _gain_table(cache.f, chosen, value, remaining)
         a, rate, gain, value = _pick_best_rate(table, costs)
         chosen = chosen | {a}
         remaining.remove(a)
@@ -342,7 +328,7 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
 
 
 def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
-                    cache: ObjectiveCache | None = None, threads: int = 1) -> SelectionReport:
+                    cache: ObjectiveCache | None = None) -> SelectionReport:
     """Budget sweep driven by the average log-volume of the filtering error.
 
     Identical mechanics to ``greedy_budget`` (singleton guard, rollback of a
@@ -352,7 +338,7 @@ def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
     """
     cache = cache or ObjectiveCache(scenario, sol)
     final, _, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache, cache.logdet, threads
+        scenario, cache.logdet
     )
     value = cache.f(final)
     return SelectionReport(

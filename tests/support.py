@@ -40,6 +40,17 @@ def scalar_one_sensor_scenario() -> lq.Scenario:
     return lq.Scenario(system=scalar_system(), suite=suite, weights=scalar_weights())
 
 
+def overflowing_scenario_dict() -> dict:
+    """Scalar plant growing by 1e10 per step: unsensed, the covariance overflows."""
+    data = scalar_scenario_dict()
+    data.update(horizon=40, A=[[1e10]])
+    return data
+
+
+def overflowing_scenario() -> lq.Scenario:
+    return lq.scenario_from_dict(overflowing_scenario_dict())
+
+
 def scalar_scenario_dict() -> dict:
     """JSON form of the two-sensor scalar scenario, using broadcast matrices."""
     return {

@@ -122,6 +122,15 @@ def test_malformed_file_exits_1(tmp_path):
     assert main(["cost", "--scenario", str(path), "--set", "0"]) == 1
 
 
+def test_overflowing_objective_exits_1(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(support.overflowing_scenario_dict()))
+    assert main(["cost", "--scenario", str(path), "--set", ""]) == 1
+    assert "not finite" in capsys.readouterr().err
+    assert main(["select", "budget", "--scenario", str(path), "--budget", "1"]) == 1
+    assert "not finite" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_1(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     code = main(["select", "budget", "--scenario", str(source), "--frobnicate"])

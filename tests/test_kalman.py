@@ -71,8 +71,9 @@ def test_whitening_preserves_information():
         V = support.random_psd(rng, p, ridge=0.3)
         sensor = lq.Sensor.time_invariant(0, C, V, 1.0, 2)
         white = lq.whiten_sensor(sensor)
+        assert white.shape == (2, p, n)
         for t in range(2):
-            np.testing.assert_allclose(white.info_matrices[t],
+            np.testing.assert_allclose(white[t].T @ white[t],
                                        C.T @ np.linalg.inv(V) @ C, atol=1e-9)
 
 
@@ -198,6 +199,38 @@ def test_unknown_ids_rejected():
     scenario = support.scalar_two_sensor_scenario()
     with pytest.raises(lq.ValidationError):
         lq.propagate_covariance(scenario, (0, 7))
+
+
+def test_cache_and_direct_trajectories_identical():
+    # both entry points run the one recursion on the same summed information
+    for seed in range(10):
+        scenario, sol, cache = support.solved(support.random_scenario(seed + 1300))
+        rng = np.random.default_rng(seed)
+        ids = tuple(i for i in scenario.suite.ids if rng.random() < 0.6)
+        cached = cache.trajectory(ids)
+        direct = lq.propagate_covariance(scenario, ids)
+        n = scenario.state_dim
+        assert cached.priors.shape == (scenario.horizon, n, n)
+        np.testing.assert_array_equal(cached.priors, direct.priors)
+        np.testing.assert_array_equal(cached.posteriors, direct.posteriors)
+
+
+def test_zero_sensor_suite():
+    base = support.random_scenario(77)
+    scenario = lq.Scenario(system=base.system,
+                           suite=lq.SensorSuite(sensors=(), state_dim=base.state_dim),
+                           weights=base.weights, budget=1.0)
+    scenario, sol, cache = support.solved(scenario)
+    identity = lq.propagate_covariance(scenario, ())
+    assert cache.f(()) == lq.sensing_objective(sol, identity)
+    np.testing.assert_array_equal(cache.trajectory(()).posteriors, identity.priors)
+    assert lq.greedy_budget(scenario, sol, cache).chosen == ()
+
+
+def test_overflowing_objective_raises():
+    scenario, sol, cache = support.solved(support.overflowing_scenario())
+    with pytest.raises(lq.NumericalError, match="not finite"):
+        cache.f(())
 
 
 def test_cache_consistent_with_direct_evaluation():

@@ -280,16 +280,6 @@ def test_evaluate_set():
         lq.evaluate_set(scenario, sol, (9,), cache)
 
 
-def test_threaded_gain_table_matches_serial():
-    scenario, sol, cache = support.solved(
-        support.random_scenario(4242, max_sensors=8, with_budget=True))
-    serial = lq.greedy_budget(scenario, sol, cache, threads=1)
-    threaded = lq.greedy_budget(scenario, sol, lq.ObjectiveCache(scenario, sol),
-                                threads=4)
-    assert serial.chosen == threaded.chosen
-    assert serial.objective_f == pytest.approx(threaded.objective_f, abs=1e-12)
-
-
 def test_iteration_chain_consistent():
     for seed in range(10):
         scenario, sol, cache = support.solved(
