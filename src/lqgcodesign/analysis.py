@@ -110,8 +110,8 @@ def exact_supermodularity_ratio(
             f"{max_sensors}; raise max_sensors explicitly to override"
         )
     cache = cache or ObjectiveCache(scenario, sol)
-    values = [cache.f(frozenset(i for i in range(count) if mask >> i & 1))
-              for mask in range(1 << count)]
+    values = cache.f_many(tuple(i for i in range(count) if mask >> i & 1)
+                          for mask in range(1 << count))
     best_ratio = None
     best_witness = None
     for bmask in range(1 << count):

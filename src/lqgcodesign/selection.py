@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import ObjectiveCache
+from .kalman import ObjectiveCache, _mask_ids
 from .model import Scenario, set_cost
 from .riccati import RiccatiSolution
 
@@ -96,9 +96,9 @@ def _rate(gain: float, cost: float) -> float:
     return math.inf if gain > 0.0 else 0.0
 
 
-def _gain_table(objective, base_ids: frozenset, base_value: float, candidates: list[int]):
-    """Objective drop for each candidate addition, in candidate order."""
-    values = [objective(base_ids | {a}) for a in candidates]
+def _gain_table(objective_many, base_ids: frozenset, base_value: float, candidates: list[int]):
+    """Objective drop for each candidate addition, in candidate order, from one call."""
+    values = objective_many([base_ids | {a} for a in candidates])
     return [(a, base_value - v, v) for a, v in zip(candidates, values)]
 
 
@@ -118,21 +118,21 @@ def _require_budget(scenario: Scenario) -> float:
     return scenario.budget
 
 
-def _greedy_budget_core(scenario, objective):
+def _greedy_budget_core(scenario, objective_many):
     """Shared budget sweep: best singleton versus efficiency-greedy set."""
     budget = _require_budget(scenario)
     costs = {s.id: s.cost for s in scenario.suite}
     ids = sorted(costs)
     empty = frozenset()
-    base_value = objective(empty)
+    affordable = [i for i in ids if costs[i] <= budget]
+    base_value, *single_values = objective_many(
+        [empty, *(frozenset({i}) for i in affordable)])
 
     single_id = None
     single_value = math.inf
-    for i in ids:
-        if costs[i] <= budget:
-            value = objective(frozenset({i}))
-            if value < single_value:
-                single_id, single_value = i, value
+    for i, value in zip(affordable, single_values):
+        if value < single_value:
+            single_id, single_value = i, value
     singleton = empty if single_id is None else frozenset({single_id})
     if single_id is None:
         single_value = base_value
@@ -143,7 +143,7 @@ def _greedy_budget_core(scenario, objective):
     remaining = list(ids)
     iterations = []
     while remaining and cost_acc <= budget:
-        table = _gain_table(objective, chosen, chosen_value, remaining)
+        table = _gain_table(objective_many, chosen, chosen_value, remaining)
         a, rate, gain, value = _pick_best_rate(table, costs)
         chosen = chosen | {a}
         chosen_value = value
@@ -159,7 +159,7 @@ def _greedy_budget_core(scenario, objective):
     if cost_acc > budget:
         removed = iterations[-1].added
         chosen = chosen - {removed}
-        chosen_value = objective(chosen)
+        chosen_value = objective_many([chosen])[0]
         cost_acc = set_cost(scenario.suite, chosen)
 
     if chosen_value <= single_value:
@@ -185,7 +185,7 @@ def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
     """
     cache = cache or ObjectiveCache(scenario, sol)
     final, final_value, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache.f
+        scenario, cache.f_many
     )
     return SelectionReport(
         method="greedy",
@@ -217,7 +217,7 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     remaining = sorted(costs)
     iterations = []
     while remaining and value > cap:
-        table = _gain_table(cache.f, chosen, value, remaining)
+        table = _gain_table(cache.f_many, chosen, value, remaining)
         a, rate, gain, value = _pick_best_rate(table, costs)
         chosen = chosen | {a}
         remaining.remove(a)
@@ -257,10 +257,6 @@ def _require_enumerable(scenario: Scenario, max_sensors: int) -> int:
     return count
 
 
-def _mask_ids(mask: int) -> tuple[int, ...]:
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
                   cache: ObjectiveCache | None = None, max_sensors: int = 20) -> SelectionReport:
     """Exhaustive minimum of the sensing objective over affordable sets.
@@ -272,14 +268,11 @@ def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
     count = _require_enumerable(scenario, max_sensors)
     cache = cache or ObjectiveCache(scenario, sol)
     costs = [s.cost for s in scenario.suite]
-    best_ids = ()
-    best_value = cache.f(frozenset())
-    for mask in range(1, 1 << count):
-        cost = sum(costs[i] for i in range(count) if mask >> i & 1)
-        if cost > budget:
-            continue
-        ids = _mask_ids(mask)
-        value = cache.f(frozenset(ids))
+    affordable = [ids for ids in map(_mask_ids, range(1 << count))
+                  if sum(costs[i] for i in ids) <= budget]
+    values = cache.f_many(affordable)
+    best_ids, best_value = (), values[0]    # mask 0 fits any nonnegative budget
+    for ids, value in zip(affordable[1:], values[1:]):
         if value < best_value or (value == best_value and ids < best_ids):
             best_ids, best_value = ids, value
     return SelectionReport(
@@ -304,11 +297,10 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
     cap = cache.kappa_bar()
     costs = [s.cost for s in scenario.suite]
     best = None
-    for mask in range(1 << count):
-        ids = _mask_ids(mask)
-        value = cache.f(frozenset(ids))
+    for mask, value in enumerate(cache.f_many(map(_mask_ids, range(1 << count)))):
         if value > cap:
             continue
+        ids = _mask_ids(mask)
         cost = sum(costs[i] for i in ids)
         key = (cost, value, ids)
         if best is None or key < best:
@@ -338,7 +330,7 @@ def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
     """
     cache = cache or ObjectiveCache(scenario, sol)
     final, _, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache.logdet
+        scenario, cache.logdet_many
     )
     value = cache.f(final)
     return SelectionReport(

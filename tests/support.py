@@ -51,6 +51,17 @@ def overflowing_scenario() -> lq.Scenario:
     return lq.scenario_from_dict(overflowing_scenario_dict())
 
 
+def singular_prediction_scenario() -> lq.Scenario:
+    """Zero process noise and a nilpotent map: the prior at time index 1 is 0."""
+    system = lq.LtvSystem(horizon=2, state_dim=1, A=[[0.0]], B=[[1.0]],
+                          W=[[0.0]], sigma_init=[[1.0]])
+    weights = lq.LqgWeights(horizon=2, Q=[[1.0]], R=[[1.0]])
+    sensor = lq.Sensor.time_invariant(0, [[1.0]], [[1.0]], 1.0, 2)
+    return lq.Scenario(system=system,
+                       suite=lq.SensorSuite(sensors=(sensor,), state_dim=1),
+                       weights=weights)
+
+
 def scalar_scenario_dict() -> dict:
     """JSON form of the two-sensor scalar scenario, using broadcast matrices."""
     return {
@@ -246,3 +257,78 @@ def solved(scenario: lq.Scenario):
     """Convenience bundle: (scenario, solution, cache)."""
     sol = lq.solve_riccati(scenario.system, scenario.weights)
     return scenario, sol, lq.ObjectiveCache(scenario, sol)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _sym_inverse(a: np.ndarray) -> np.ndarray:
+    return _sym(np.linalg.inv(_sym(a)))
+
+
+class ReferenceCache(lq.ObjectiveCache):
+    """ObjectiveCache whose values come from the serial two-inverse recursion.
+
+    This is the evaluator the batched single-solve recursion replaced: one
+    set at a time, the chosen sensors' information summed in ascending id
+    order and the update post = inv(inv(prior) + J).  Selection routines
+    driven by it are the reference for the differential tests.
+    """
+
+    def __init__(self, scenario: lq.Scenario, sol):
+        super().__init__(scenario, sol)
+        self._ref_info = [_sym(np.swapaxes(w, -1, -2) @ w) for w in self._whitened]
+        self._ref_f: dict = {}
+        self._ref_logdet: dict = {}
+
+    def posteriors(self, ids) -> list[np.ndarray]:
+        system = self.scenario.system
+        T, n = system.horizon, system.state_dim
+        info = None
+        for i in sorted(set(int(i) for i in ids)):
+            if info is None:
+                info = np.zeros((T, n, n))
+            info += self._ref_info[i]
+        info = None if info is None else _sym(info)
+        posts = []
+        prior = system.sigma_init
+        for t in range(T):
+            if info is None:
+                post = prior
+            else:
+                if float(np.linalg.eigvalsh(prior)[0]) < 1e-12:
+                    raise lq.NumericalError(f"prediction covariance singular at time index {t}")
+                post = _sym_inverse(_sym_inverse(prior) + info[t])
+            posts.append(post)
+            prior = _sym(system.A[t] @ post @ system.A[t].T + system.W[t])
+        return posts
+
+    def _f_one(self, ids) -> float:
+        total = 0.0
+        for theta, post in zip(self.sol.theta, self.posteriors(ids)):
+            total += float(np.sum(theta * post))
+        return total
+
+    def _logdet_one(self, ids) -> float:
+        total = 0.0
+        for t, post in enumerate(self.posteriors(ids)):
+            sign, logabs = np.linalg.slogdet(post)
+            if sign <= 0.0 or float(np.linalg.eigvalsh(post)[0]) <= 0.0:
+                raise lq.NumericalError(f"filtering covariance not positive definite at time index {t}")
+            total += float(logabs)
+        return total / self.scenario.horizon
+
+    @staticmethod
+    def _memo(memo: dict, one, sets) -> list[float]:
+        keys = [frozenset(int(i) for i in ids) for ids in sets]
+        for key in keys:
+            if key not in memo:
+                memo[key] = one(key)
+        return [memo[key] for key in keys]
+
+    def f_many(self, sets) -> list[float]:
+        return self._memo(self._ref_f, self._f_one, sets)
+
+    def logdet_many(self, sets) -> list[float]:
+        return self._memo(self._ref_logdet, self._logdet_one, sets)

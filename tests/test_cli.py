@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,13 +126,28 @@ def test_malformed_file_exits_1(tmp_path):
     assert main(["cost", "--scenario", str(path), "--set", "0"]) == 1
 
 
-def test_overflowing_objective_exits_1(tmp_path, capsys):
+def test_overflowing_objective_exits_1(tmp_path):
+    # a fresh interpreter, so numpy warnings print to stderr as a user sees them
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(support.overflowing_scenario_dict()))
-    assert main(["cost", "--scenario", str(path), "--set", ""]) == 1
-    assert "not finite" in capsys.readouterr().err
-    assert main(["select", "budget", "--scenario", str(path), "--budget", "1"]) == 1
-    assert "not finite" in capsys.readouterr().err
+    env = {**os.environ, "PYTHONPATH": str(Path(lq.__file__).parents[1])}
+    for argv in (["cost", "--set", ""], ["select", "budget", "--budget", "1"]):
+        proc = subprocess.run([sys.executable, "-m", "lqgcodesign", *argv, "--scenario", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("lqgcodesign: error:")
+        assert "not finite" in lines[0]
+
+
+def test_overflowing_ratio_bound_exits_1(tmp_path, capsys):
+    # the spectral bound reads trajectories, not memoized objectives
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(support.overflowing_scenario_dict()))
+    assert main(["ratio", "--scenario", str(path), "--ratio-cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_flag_exits_1(tmp_path, capsys):

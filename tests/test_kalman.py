@@ -184,13 +184,7 @@ def test_logdet_monotone():
 
 def test_singular_prediction_raises():
     # zero process noise and a nilpotent map flatten the covariance
-    system = lq.LtvSystem(horizon=2, state_dim=1, A=[[0.0]], B=[[1.0]],
-                          W=[[0.0]], sigma_init=[[1.0]])
-    weights = lq.LqgWeights(horizon=2, Q=[[1.0]], R=[[1.0]])
-    sensor = lq.Sensor.time_invariant(0, [[1.0]], [[1.0]], 1.0, 2)
-    scenario = lq.Scenario(system=system,
-                           suite=lq.SensorSuite(sensors=(sensor,), state_dim=1),
-                           weights=weights)
+    scenario = support.singular_prediction_scenario()
     with pytest.raises(lq.NumericalError, match="time index 1"):
         lq.propagate_covariance(scenario, (0,))
 
