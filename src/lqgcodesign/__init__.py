@@ -24,7 +24,6 @@ from .kalman import (
     ObjectiveCache,
     cost_offset,
     kappa_bar,
-    logdet_objective,
     optimal_lqg_cost,
     propagate_covariance,
     sensing_objective,
@@ -111,7 +110,6 @@ __all__ = [
     "greedy_mincost",
     "kappa_bar",
     "load_scenario",
-    "logdet_objective",
     "mincost_certificate",
     "monte_carlo",
     "optimal_lqg_cost",

@@ -39,7 +39,10 @@ RATIO_CAP = 8
 
 @dataclass(frozen=True)
 class RatioWitness:
-    """Nested pair and sensor attaining the minimum marginal-gain ratio."""
+    """Nested pair and sensor attaining the minimum marginal-gain ratio.
+
+    Its fields are the keys of ``witness`` in the ``ratio`` command's JSON.
+    """
 
     subset: tuple[int, ...]
     superset: tuple[int, ...]
@@ -51,7 +54,11 @@ class RatioWitness:
 
 @dataclass(frozen=True)
 class BoundHypotheses:
-    """Applicability flags of the spectral ratio bound."""
+    """Applicability flags of the spectral ratio bound.
+
+    Its fields, plus ``applicable``, are the keys of ``hypotheses`` in the
+    ``ratio`` command's JSON.
+    """
 
     theta_sum_pd: bool
     normalized_sensors: bool
@@ -64,12 +71,15 @@ class BoundHypotheses:
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Exact ratio (when enumerable), spectral bound, and its hypotheses."""
+    """Exact ratio (when enumerable), spectral bound, and its hypotheses.
+
+    Its fields are the keys of the ``ratio`` command's JSON document.
+    """
 
     exact: float | None
     witness: RatioWitness | None
     lower_bound: float | None
-    hypotheses: BoundHypotheses | None
+    hypotheses: BoundHypotheses
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,8 @@ class CertificateRecord:
 
     ``passed`` is None when the certificate is undefined for the instance
     (no optimum supplied, or a zero ratio in the cost-capped case); that is
-    reported, not treated as a failure.
+    reported, not treated as a failure.  Its fields are the keys of
+    ``certificate`` in the ``bound`` command's JSON.
     """
 
     kind: str
@@ -169,48 +180,39 @@ def ratio_lower_bound(
     theta_lo, theta_hi = float(theta_eigs[0]), float(theta_eigs[-1])
     flag_theta = theta_lo > _PD_TOL
 
-    flag_norm = True
-    for s in suite:
-        for m in cache.whitened(s.id):
-            if abs(float(np.sum(m * m)) - 1.0) > _PASS_TOL:
-                flag_norm = False
-                break
-        if not flag_norm:
-            break
+    flag_norm = not any(
+        (np.abs(np.sum(cache.whitened(s.id) ** 2, axis=(1, 2)) - 1.0) > _PASS_TOL).any()
+        for s in suite
+    )
 
     full = cache.trajectory(suite.ids)
     empty = cache.trajectory(())
-    flag_trace = True
-    empty_hi = []
-    for post in empty.posteriors:
-        eigs = np.linalg.eigvalsh(post)
-        hi = float(eigs[-1])
-        empty_hi.append(hi)
-        if float(np.trace(post)) > hi * hi + _PASS_TOL:
-            flag_trace = False
+    empty_hi = np.linalg.eigvalsh(empty.posteriors)[:, -1]
+    empty_trace = np.trace(empty.posteriors, axis1=1, axis2=2)
     hypotheses = BoundHypotheses(
         theta_sum_pd=flag_theta,
         normalized_sensors=flag_norm,
-        trace_dominated=flag_trace,
+        trace_dominated=not (empty_trace > empty_hi * empty_hi + _PASS_TOL).any(),
     )
     if len(suite) == 0 or theta_hi <= 0.0:
         return None, hypotheses
 
-    full_lo = min(float(np.linalg.eigvalsh(post)[0]) for post in full.posteriors)
-    empty_peak = max(empty_hi)
+    full_lo = float(np.linalg.eigvalsh(full.posteriors)[:, 0].min())
+    empty_peak = float(empty_hi.max())
     if empty_peak <= 0.0:
         return None, hypotheses
 
+    # each sensor's whitened information seen through the full and the empty
+    # posteriors, one (T, p, p) stack per sensor
     sensed_lo = math.inf
     sensed_hi = -math.inf
     for s in suite:
-        mats = cache.whitened(s.id)
-        for t in range(scenario.horizon):
-            m = mats[t]
-            on_full = symmetrize(m @ full.posteriors[t] @ m.T)
-            on_empty = symmetrize(m @ empty.posteriors[t] @ m.T)
-            sensed_lo = min(sensed_lo, float(np.linalg.eigvalsh(on_full)[0]))
-            sensed_hi = max(sensed_hi, float(np.linalg.eigvalsh(on_empty)[-1]))
+        m = cache.whitened(s.id)
+        mt = np.swapaxes(m, -1, -2)
+        on_full = np.linalg.eigvalsh(symmetrize(m @ full.posteriors @ mt))
+        on_empty = np.linalg.eigvalsh(symmetrize(m @ empty.posteriors @ mt))
+        sensed_lo = min(sensed_lo, float(on_full[:, 0].min()))
+        sensed_hi = max(sensed_hi, float(on_empty[:, -1].max()))
 
     value = (theta_lo / theta_hi)
     value *= (full_lo * full_lo) / (empty_peak * empty_peak)
@@ -222,7 +224,12 @@ def ratio_report(
     scenario: Scenario, sol: RiccatiSolution,
     cache: ObjectiveCache | None = None, max_sensors: int = RATIO_CAP,
 ) -> RatioReport:
-    """Exact ratio when the ground set is enumerable, plus the spectral bound."""
+    """Exact ratio when the ground set is enumerable, plus the spectral bound.
+
+    The one place that decides which ratio a certificate can use: ``exact``
+    and ``witness`` are None above ``max_sensors``, and ``lower_bound``
+    holds only when ``hypotheses.applicable``.
+    """
     cache = cache or ObjectiveCache(scenario, sol)
     if len(scenario.suite) <= max_sensors:
         exact, witness = exact_supermodularity_ratio(scenario, sol, cache, max_sensors)

@@ -19,17 +19,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 
 from ._linalg import NumericalError
-from .analysis import (
-    RATIO_CAP,
-    budget_certificate,
-    exact_supermodularity_ratio,
-    mincost_certificate,
-    ratio_lower_bound,
-)
+from .analysis import RATIO_CAP, budget_certificate, mincost_certificate, ratio_report
 from .kalman import ObjectiveCache
 from .model import ValidationError, load_scenario, save_scenario
 from .riccati import solve_riccati
@@ -46,14 +41,8 @@ from .selection import (
 )
 from .simulate import build_formation_scenario, build_uav_scenario, monte_carlo
 
-COLUMNS = (
-    "scenario_id", "method", "horizon", "budget_or_kappa", "selected_set",
-    "set_cost", "objective_f", "analytical_g", "empirical_mean",
-    "empirical_stderr", "runs", "gamma_exact", "gamma_bound",
-    "cert_lhs", "cert_rhs", "cert_pass",
-)
-
 ORACLE_CAP = 20
+METHODS = ("greedy", "oracle", "logdet", "random", "all")
 
 
 @dataclass(frozen=True)
@@ -78,6 +67,9 @@ class ResultRow:
     cert_pass: bool | None = None
 
 
+COLUMNS = tuple(f.name for f in fields(ResultRow))
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -98,14 +90,7 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def rows_to_json(rows: list[ResultRow]) -> str:
-    payload = []
-    for row in rows:
-        entry = {}
-        for name in COLUMNS:
-            value = getattr(row, name)
-            entry[name] = list(value) if isinstance(value, tuple) else value
-        payload.append(entry)
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps([asdict(row) for row in rows], indent=2) + "\n"
 
 
 def _emit_rows(rows: list[ResultRow], fmt: str, out: str | None) -> None:
@@ -125,20 +110,14 @@ def _emit_json(payload, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _parse_ids(text: str) -> tuple[int, ...]:
-    if text is None:
-        return ()
-    cleaned = text.replace(",", ";")
-    parts = [p.strip() for p in cleaned.split(";") if p.strip()]
-    return tuple(int(p) for p in parts)
+def _parse_list(text: str, kind) -> list:
+    """The non-blank comma-separated items of ``text``, each converted by ``kind``."""
+    return [kind(p) for p in text.split(",") if p.strip()]
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
-
-
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_ids(text: str | None) -> tuple[int, ...]:
+    """Sensor ids separated by semicolons or commas."""
+    return tuple(_parse_list((text or "").replace(";", ","), int))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -149,27 +128,43 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _certify(scenario, sol, cache, report: SelectionReport, problem: str,
-             ratio_cap: int, oracle_cap: int):
-    """Ratio values and certificate fields for a greedy report, where enumerable."""
-    gamma_exact = None
-    cert = None
-    if len(scenario.suite) <= ratio_cap:
-        gamma_exact, _ = exact_supermodularity_ratio(scenario, sol, cache, ratio_cap)
-        g_empty = cache.g(())
-        if problem == "budget":
-            ref = oracle_budget(scenario, sol, cache, max_sensors=oracle_cap)
-            cert = budget_certificate(report, gamma_exact, g_empty, g_star=ref.lqg_cost_g)
-        else:
-            ref = oracle_mincost(scenario, sol, cache, max_sensors=oracle_cap)
-            cert = mincost_certificate(report, gamma_exact, g_empty, b_star=ref.cost)
-    bound, hypotheses = ratio_lower_bound(scenario, sol, cache)
-    gamma_bound = bound if (bound is not None and hypotheses.applicable) else None
-    return gamma_exact, gamma_bound, cert
+def _solved(scenario):
+    """The scenario's Riccati solution and a fresh objective cache over it."""
+    sol = solve_riccati(scenario.system, scenario.weights)
+    return sol, ObjectiveCache(scenario, sol)
+
+
+def _certificate(cache, report: SelectionReport, problem: str, gamma: float, reference=None):
+    """Certificate of a greedy report at ratio ``gamma``, against the oracle's report if given."""
+    g_empty = cache.g(())
+    if problem == "budget":
+        return budget_certificate(report, gamma, g_empty,
+                                  g_star=None if reference is None else reference.lqg_cost_g)
+    return mincost_certificate(report, gamma, g_empty,
+                               b_star=None if reference is None else reference.cost)
+
+
+def _certify(scenario, sol, cache, report: SelectionReport, problem: str, args):
+    """(gamma_exact, gamma_bound, certificate) of a greedy report; all None for other methods.
+
+    The certificate needs the exact ratio.  It is checked against the
+    brute-force optimum only when the ground set is within ``--oracle-cap``.
+    """
+    if report.method != "greedy":
+        return None, None, None
+    ratio = ratio_report(scenario, sol, cache, args.ratio_cap)
+    gamma_bound = ratio.lower_bound if ratio.hypotheses.applicable else None
+    if ratio.exact is None:
+        return None, gamma_bound, None
+    reference = None
+    if len(scenario.suite) <= args.oracle_cap:
+        reference = _run_method(scenario, sol, cache, problem, "oracle", args)
+    return ratio.exact, gamma_bound, _certificate(cache, report, problem, ratio.exact, reference)
 
 
 def _selection_row(scenario_id, scenario, report: SelectionReport,
-                   summary=None, gamma_exact=None, gamma_bound=None, cert=None) -> ResultRow:
+                   summary=None, certified=(None, None, None)) -> ResultRow:
+    gamma_exact, gamma_bound, cert = certified
     return ResultRow(
         scenario_id=scenario_id,
         method=report.method,
@@ -190,7 +185,8 @@ def _selection_row(scenario_id, scenario, report: SelectionReport,
     )
 
 
-def _run_method(scenario, sol, cache, problem: str, method: str, args) -> SelectionReport:
+def _run_method(scenario, sol, cache, problem: str, method: str, args,
+                mandatory=()) -> SelectionReport:
     if problem == "mincost" and method not in ("greedy", "oracle"):
         raise ValueError(f"method {method!r} applies only to budget selection")
     if method == "greedy":
@@ -204,7 +200,6 @@ def _run_method(scenario, sol, cache, problem: str, method: str, args) -> Select
     if method == "logdet":
         return baseline_logdet(scenario, sol, cache)
     if method == "random":
-        mandatory = _parse_ids(getattr(args, "mandatory", "") or "")
         return baseline_random(scenario, sol, mandatory, seed=args.seed, cache=cache)
     if method == "all":
         return evaluate_set(scenario, sol, scenario.suite.ids, cache, method="all")
@@ -257,8 +252,7 @@ def cmd_riccati(args) -> int:
 
 def cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    sol = solve_riccati(scenario.system, scenario.weights)
-    cache = ObjectiveCache(scenario, sol)
+    sol, cache = _solved(scenario)
     report = evaluate_set(scenario, sol, _parse_ids(args.set), cache)
     row = _selection_row(Path(args.scenario).stem, scenario, report)
     _emit_rows([row], args.format, args.out)
@@ -267,16 +261,11 @@ def cmd_cost(args) -> int:
 
 def cmd_select(args) -> int:
     scenario = _scenario_with_constraint(args, args.problem)
-    sol = solve_riccati(scenario.system, scenario.weights)
-    cache = ObjectiveCache(scenario, sol)
-    report = _run_method(scenario, sol, cache, args.problem, args.method, args)
-    gamma_exact = gamma_bound = cert = None
-    if args.method == "greedy":
-        gamma_exact, gamma_bound, cert = _certify(
-            scenario, sol, cache, report, args.problem, args.ratio_cap, args.oracle_cap,
-        )
-    row = _selection_row(Path(args.scenario).stem, scenario, report,
-                         gamma_exact=gamma_exact, gamma_bound=gamma_bound, cert=cert)
+    sol, cache = _solved(scenario)
+    report = _run_method(scenario, sol, cache, args.problem, args.method, args,
+                         _parse_ids(getattr(args, "mandatory", None)))
+    certified = _certify(scenario, sol, cache, report, args.problem, args)
+    row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
     _emit_rows([row], args.format, args.out)
     return 0
 
@@ -284,15 +273,14 @@ def cmd_select(args) -> int:
 def cmd_simulate(args) -> int:
     if args.set is not None:
         scenario = load_scenario(args.scenario)
-        sol = solve_riccati(scenario.system, scenario.weights)
-        cache = ObjectiveCache(scenario, sol)
+        sol, cache = _solved(scenario)
         report = evaluate_set(scenario, sol, _parse_ids(args.set), cache)
     else:
         problem = "mincost" if args.kappa is not None else "budget"
         scenario = _scenario_with_constraint(args, problem)
-        sol = solve_riccati(scenario.system, scenario.weights)
-        cache = ObjectiveCache(scenario, sol)
-        report = _run_method(scenario, sol, cache, problem, args.method, args)
+        sol, cache = _solved(scenario)
+        report = _run_method(scenario, sol, cache, problem, args.method, args,
+                             _parse_ids(args.mandatory))
     summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
                           base_seed=args.seed, method=report.method, cache=cache)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
@@ -302,57 +290,25 @@ def cmd_simulate(args) -> int:
 
 def cmd_ratio(args) -> int:
     scenario = load_scenario(args.scenario)
-    sol = solve_riccati(scenario.system, scenario.weights)
-    cache = ObjectiveCache(scenario, sol)
-    payload = {}
-    if len(scenario.suite) <= args.ratio_cap:
-        exact, witness = exact_supermodularity_ratio(scenario, sol, cache, args.ratio_cap)
-        payload["exact"] = exact
-        payload["witness"] = None if witness is None else {
-            "subset": list(witness.subset),
-            "superset": list(witness.superset),
-            "sensor": witness.sensor,
-            "subset_gain": witness.subset_gain,
-            "superset_gain": witness.superset_gain,
-            "ratio": witness.ratio,
-        }
-    else:
-        payload["exact"] = None
-        payload["witness"] = None
-    bound, hypotheses = ratio_lower_bound(scenario, sol, cache)
-    payload["lower_bound"] = bound
-    payload["hypotheses"] = {
-        "theta_sum_pd": hypotheses.theta_sum_pd,
-        "normalized_sensors": hypotheses.normalized_sensors,
-        "trace_dominated": hypotheses.trace_dominated,
-        "applicable": hypotheses.applicable,
-    }
+    report = ratio_report(scenario, *_solved(scenario), args.ratio_cap)
+    payload = asdict(report)
+    payload["hypotheses"]["applicable"] = report.hypotheses.applicable
     _emit_json(payload, args.out)
     return 0
 
 
 def cmd_bound(args) -> int:
     scenario = _scenario_with_constraint(args, args.problem)
-    sol = solve_riccati(scenario.system, scenario.weights)
-    cache = ObjectiveCache(scenario, sol)
-    if args.problem == "budget":
-        report = greedy_budget(scenario, sol, cache)
-    else:
-        report = greedy_mincost(scenario, sol, cache)
-    gamma_exact, gamma_bound, cert = _certify(
-        scenario, sol, cache, report, args.problem, args.ratio_cap, args.oracle_cap,
-    )
+    sol, cache = _solved(scenario)
+    report = _run_method(scenario, sol, cache, args.problem, "greedy", args)
+    gamma_exact, gamma_bound, cert = _certify(scenario, sol, cache, report, args.problem, args)
     if cert is None:
         if gamma_bound is None:
             raise ValueError(
                 f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
                 f"{args.ratio_cap} and the spectral bound hypotheses fail; no certificate"
             )
-        g_empty = cache.g(())
-        if args.problem == "budget":
-            cert = budget_certificate(report, gamma_bound, g_empty)
-        else:
-            cert = mincost_certificate(report, gamma_bound, g_empty)
+        cert = _certificate(cache, report, args.problem, gamma_bound)
     payload = {
         "problem": args.problem,
         "method": report.method,
@@ -362,74 +318,52 @@ def cmd_bound(args) -> int:
         "analytical_g": report.lqg_cost_g,
         "gamma_exact": gamma_exact,
         "gamma_bound": gamma_bound,
-        "certificate": {
-            "kind": cert.kind,
-            "gamma": cert.gamma,
-            "lhs": cert.lhs,
-            "rhs": cert.rhs,
-            "passed": cert.passed,
-            "cap_satisfied": cert.cap_satisfied,
-            "note": cert.note,
-        },
+        "certificate": asdict(cert),
     }
     _emit_json(payload, args.out)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    allowed = {"greedy", "oracle", "logdet", "random", "all"}
-    unknown = set(methods) - allowed
+    methods = _parse_list(args.methods, str.strip)
+    unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    horizons = _parse_int_list(args.horizon)
-    budgets = _parse_float_list(args.budgets)
+    horizons = _parse_list(args.horizon, int)
+    budgets = _parse_list(args.budgets, float)
     if not horizons or not budgets:
         raise ValueError("sweep needs at least one horizon and one budget")
+    formation = args.family == "formation"
+    sizes = _parse_list(args.agents, int) if formation else [args.landmarks]
+    if not sizes:
+        raise ValueError("sweep needs at least one agent count")
+    if args.runs < 0:
+        raise ValueError("runs must be at least 0 (0 skips the Monte Carlo columns)")
     if args.mode is None:
-        args.mode = "homogeneous" if args.family == "formation" else "uniform"
+        args.mode = "homogeneous" if formation else "uniform"
     rows: list[ResultRow] = []
-    if args.family == "formation":
-        agent_counts = _parse_int_list(args.agents)
-        grid = [("formation", a, T) for a in agent_counts for T in horizons]
-    else:
-        grid = [("uav", args.landmarks, T) for T in horizons]
-    for family, size, horizon in grid:
-        if family == "formation":
-            scenario_base = build_formation_scenario(
-                agents=size, horizon=horizon, mode=args.mode, seed=args.seed,
-            )
+    for size, horizon in product(sizes, horizons):
+        if formation:
+            base = build_formation_scenario(agents=size, horizon=horizon, mode=args.mode,
+                                            seed=args.seed)
             scenario_id = f"formation-a{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = tuple(range(size))
         else:
-            scenario_base = build_uav_scenario(
-                landmarks=size, horizon=horizon, cost_mode=args.mode, seed=args.seed,
-            )
+            base = build_uav_scenario(landmarks=size, horizon=horizon, cost_mode=args.mode,
+                                      seed=args.seed)
             scenario_id = f"uav-l{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = (0,)
-        sol = solve_riccati(scenario_base.system, scenario_base.weights)
-        cache = ObjectiveCache(scenario_base, sol)
+        sol, cache = _solved(base)
         for budget in budgets:
-            scenario = replace(scenario_base, budget=budget)
+            scenario = replace(base, budget=budget)
             for method in methods:
-                if method == "random":
-                    report = baseline_random(scenario, sol, mandatory,
-                                             seed=args.seed, cache=cache)
-                else:
-                    report = _run_method(scenario, sol, cache, "budget", method, args)
+                report = _run_method(scenario, sol, cache, "budget", method, args, mandatory)
                 summary = None
                 if args.runs > 0:
                     summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
                                           base_seed=args.seed, method=method, cache=cache)
-                gamma_exact = gamma_bound = cert = None
-                if method == "greedy":
-                    gamma_exact, gamma_bound, cert = _certify(
-                        scenario, sol, cache, report, "budget",
-                        args.ratio_cap, args.oracle_cap,
-                    )
-                rows.append(_selection_row(scenario_id, scenario, report, summary=summary,
-                                           gamma_exact=gamma_exact, gamma_bound=gamma_bound,
-                                           cert=cert))
+                certified = _certify(scenario, sol, cache, report, "budget", args)
+                rows.append(_selection_row(scenario_id, scenario, report, summary, certified))
     _emit_rows(rows, args.format, args.out)
     return 0
 
@@ -487,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=True)
         if problem == "budget":
             p.add_argument("--budget", type=float, default=None)
-            p.add_argument("--method", default="greedy",
-                           choices=("greedy", "oracle", "logdet", "random", "all"))
+            p.add_argument("--method", default="greedy", choices=METHODS)
             p.add_argument("--mandatory", default="",
                            help="ids always included by the random baseline")
             p.add_argument("--seed", type=int, default=0)
@@ -502,8 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo closed-loop cost of a set")
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--set", default=None, help="explicit sensor ids; overrides --method")
-    p_sim.add_argument("--method", default="greedy",
-                       choices=("greedy", "oracle", "logdet", "random", "all"))
+    p_sim.add_argument("--method", default="greedy", choices=METHODS)
     p_sim.add_argument("--budget", type=float, default=None)
     p_sim.add_argument("--kappa", type=float, default=None)
     p_sim.add_argument("--mandatory", default="")
@@ -564,10 +496,7 @@ def main(argv=None) -> int:
     except InfeasibleError as exc:
         print(f"lqgcodesign: infeasible: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, NumericalError, ValueError) as exc:
-        print(f"lqgcodesign: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, NumericalError, ValueError, OSError) as exc:
         print(f"lqgcodesign: error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NumericalError, inv_sqrt_pd, symmetrize
-from .model import Scenario, Sensor, SensorSuite
+from .model import Scenario, Sensor, chosen_ids
 from .riccati import RiccatiSolution
 
 _SINGULAR_TOL = 1e-12
@@ -81,14 +81,6 @@ class CovarianceTrajectory:
     @property
     def horizon(self) -> int:
         return len(self.priors)
-
-
-def _chosen_ids(suite: SensorSuite, ids) -> list[int]:
-    """The distinct ids of a selection in ascending order, each validated."""
-    chosen = sorted(set(int(i) for i in ids))
-    for i in chosen:
-        suite.sensor(i)
-    return chosen
 
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
@@ -177,7 +169,7 @@ def _trajectory(system, bank: np.ndarray, rows) -> CovarianceTrajectory:
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     """Covariance trajectory under the given sensor set (any iterable of ids)."""
     suite = scenario.suite
-    chosen = _chosen_ids(suite, ids)
+    chosen = chosen_ids(suite, ids)
     bank = _information_bank([whiten_sensor(suite.sensor(i)) for i in chosen],
                              scenario.horizon, scenario.state_dim)
     return _trajectory(scenario.system, bank, range(len(chosen)))
@@ -244,15 +236,6 @@ def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
     return scenario.kappa - cost_offset(scenario, sol)
 
 
-def logdet_objective(traj: CovarianceTrajectory) -> float:
-    """Average log-volume of the filtering covariances.
-
-    The classic sensing surrogate: (1/T) sum_t log det post[t].  Requires
-    strictly positive definite posteriors.
-    """
-    return float(_logdet_values(traj.posteriors[:, None], traj.horizon)[0])
-
-
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
@@ -278,8 +261,8 @@ class ObjectiveCache:
         return self._whitened[sensor_id]
 
     def trajectory(self, ids) -> CovarianceTrajectory:
-        chosen = _chosen_ids(self.scenario.suite, ids)
-        return _trajectory(self.scenario.system, self._bank, chosen)
+        return _trajectory(self.scenario.system, self._bank,
+                           chosen_ids(self.scenario.suite, ids))
 
     def _key(self, ids) -> int:
         """Bit mask of a sensor set; an unknown id raises ``ValidationError``."""

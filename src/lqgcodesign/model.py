@@ -344,6 +344,14 @@ class Scenario:
         return self.system.state_dim
 
 
+def chosen_ids(suite: SensorSuite, ids) -> tuple[int, ...]:
+    """The distinct ids of a selection in ascending order, each checked by ``suite.sensor``."""
+    chosen = set(int(i) for i in ids)
+    for i in chosen:
+        suite.sensor(i)
+    return tuple(sorted(chosen))
+
+
 def stack_sensors(suite: SensorSuite, ids, t: int) -> tuple[np.ndarray, np.ndarray]:
     """Stack the selected sensors' step-t wiring and noise, ascending by id.
 
@@ -351,12 +359,11 @@ def stack_sensors(suite: SensorSuite, ids, t: int) -> tuple[np.ndarray, np.ndarr
     block-diagonal joint noise covariance.  The empty selection yields a
     0-row C and a 0 x 0 V.
     """
-    chosen = sorted(set(int(i) for i in ids))
     n = suite.state_dim
     blocks_c = []
     blocks_v = []
-    for i in chosen:
-        s = suite.sensor(i)
+    for i in chosen_ids(suite, ids):
+        s = suite.sensors[i]
         if not 0 <= t < s.horizon:
             raise ValidationError(f"time index {t} out of range for sensor {i}")
         blocks_c.append(s.C[t])
@@ -372,7 +379,7 @@ def set_cost(suite: SensorSuite, ids) -> float:
     Summation runs in ascending id order so the value never depends on the
     order in which a set was assembled.
     """
-    return float(sum(suite.sensor(i).cost for i in sorted(set(int(i) for i in ids))))
+    return float(sum(suite.sensors[i].cost for i in chosen_ids(suite, ids)))
 
 
 _TOP_KEYS = {

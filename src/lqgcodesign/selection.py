@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kalman import ObjectiveCache, _mask_ids
-from .model import Scenario, set_cost
+from .model import Scenario, chosen_ids, set_cost
 from .riccati import RiccatiSolution
 
 
@@ -358,9 +358,7 @@ def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: i
     """
     budget = _require_budget(scenario)
     cache = cache or ObjectiveCache(scenario, sol)
-    chosen = set(int(i) for i in mandatory)
-    for i in chosen:
-        scenario.suite.sensor(i)
+    chosen = set(chosen_ids(scenario.suite, mandatory))
     cost_acc = set_cost(scenario.suite, chosen)
     if cost_acc > budget:
         raise ValueError(
@@ -392,13 +390,11 @@ def evaluate_set(scenario: Scenario, sol: RiccatiSolution, ids,
                  cache: ObjectiveCache | None = None, method: str = "set") -> SelectionReport:
     """Report the objectives of an explicitly given sensor set."""
     cache = cache or ObjectiveCache(scenario, sol)
-    chosen = frozenset(int(i) for i in ids)
-    for i in chosen:
-        scenario.suite.sensor(i)
+    chosen = chosen_ids(scenario.suite, ids)
     value = cache.f(chosen)
     return SelectionReport(
         method=method,
-        chosen=tuple(sorted(chosen)),
+        chosen=chosen,
         objective_f=value,
         lqg_cost_g=value + cache.offset,
         cost=set_cost(scenario.suite, chosen),

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._linalg import block_diag, frozen, psd_sqrt, sym_inverse
 from .kalman import ObjectiveCache, optimal_lqg_cost, propagate_covariance
-from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite
+from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids
 from .riccati import RiccatiSolution
 
 
@@ -64,9 +64,7 @@ class ClosedLoopSimulator:
             raise ValueError("solution horizon does not match scenario horizon")
         self.scenario = scenario
         self.sol = sol
-        self.chosen = tuple(sorted(set(int(i) for i in ids)))
-        for i in self.chosen:
-            scenario.suite.sensor(i)
+        self.chosen = chosen_ids(scenario.suite, ids)
         self.traj = propagate_covariance(scenario, self.chosen)
         sys_ = scenario.system
         T = sys_.horizon

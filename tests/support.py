@@ -332,3 +332,35 @@ class ReferenceCache(lq.ObjectiveCache):
 
     def logdet_many(self, sets) -> list[float]:
         return self._memo(self._ref_logdet, self._logdet_one, sets)
+
+
+def reference_ratio_lower_bound(scenario: lq.Scenario, sol, cache):
+    """The spectral bound and its three flags, one step and one matrix at a time.
+
+    This is the per-step loop the stacked ``ratio_lower_bound`` replaced; it
+    does the same arithmetic in the same order, so the two agree exactly.
+    """
+    suite = scenario.suite
+    theta_eigs = np.linalg.eigvalsh(_sym(sum(sol.theta[t] for t in range(sol.horizon))))
+    theta_lo, theta_hi = float(theta_eigs[0]), float(theta_eigs[-1])
+    flags = [theta_lo > 1e-9]
+    flags.append(all(abs(float(np.sum(m * m)) - 1.0) <= 1e-9
+                     for s in suite for m in cache.whitened(s.id)))
+    full = cache.trajectory(suite.ids).posteriors
+    empty = cache.trajectory(()).posteriors
+    empty_hi = [float(np.linalg.eigvalsh(post)[-1]) for post in empty]
+    flags.append(all(float(np.trace(post)) <= hi * hi + 1e-9
+                     for post, hi in zip(empty, empty_hi)))
+    empty_peak = max(empty_hi)
+    if len(suite) == 0 or theta_hi <= 0.0 or empty_peak <= 0.0:
+        return None, flags
+    full_lo = min(float(np.linalg.eigvalsh(post)[0]) for post in full)
+    sensed_lo, sensed_hi = np.inf, -np.inf
+    for s in suite:
+        for t, m in enumerate(cache.whitened(s.id)):
+            sensed_lo = min(sensed_lo, float(np.linalg.eigvalsh(_sym(m @ full[t] @ m.T))[0]))
+            sensed_hi = max(sensed_hi, float(np.linalg.eigvalsh(_sym(m @ empty[t] @ m.T))[-1]))
+    value = theta_lo / theta_hi
+    value *= (full_lo * full_lo) / (empty_peak * empty_peak)
+    value *= (1.0 + sensed_lo) / (2.0 + sensed_hi)
+    return min(max(value, 0.0), 1.0), flags

@@ -113,6 +113,19 @@ def test_spectral_bound_below_exact_ratio():
         assert 0.0 < bound <= 1.0
 
 
+def test_spectral_bound_matches_the_per_step_reference():
+    scenarios = [support.random_scenario(seed) for seed in range(40)]
+    scenarios += [support.normalized_bound_scenario(seed) for seed in range(4)]
+    scenarios += [lq.build_formation_scenario(2, 6, "heterogeneous", 1),
+                  lq.build_uav_scenario(2, 6, "heterogeneous", 1)]
+    for scenario in scenarios:
+        scenario, sol, cache = support.solved(scenario)
+        bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+        flags = [hypotheses.theta_sum_pd, hypotheses.normalized_sensors,
+                 hypotheses.trace_dominated]
+        assert (bound, flags) == support.reference_ratio_lower_bound(scenario, sol, cache)
+
+
 def test_ratio_report_bundles_both():
     scenario, sol, cache = support.solved(support.scalar_one_sensor_scenario())
     report = lq.ratio_report(scenario, sol, cache)

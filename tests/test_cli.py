@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -221,6 +222,105 @@ def test_bound_budget_subcommand(tmp_path, capsys):
     assert payload["gamma_exact"] == pytest.approx(1.0, abs=1e-9)
 
 
+def _json_of(capsys, argv):
+    assert main(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def _solved_file(path):
+    scenario = lq.load_scenario(path)
+    sol = lq.solve_riccati(scenario.system, scenario.weights)
+    return scenario, sol, lq.ObjectiveCache(scenario, sol)
+
+
+def _hypotheses_json(hypotheses):
+    return {"theta_sum_pd": hypotheses.theta_sum_pd,
+            "normalized_sensors": hypotheses.normalized_sensors,
+            "trace_dominated": hypotheses.trace_dominated,
+            "applicable": hypotheses.applicable}
+
+
+def test_ratio_json_on_the_exact_path(tmp_path, capsys):
+    source = _write_scalar(tmp_path)
+    scenario, sol, cache = _solved_file(source)
+    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    assert _json_of(capsys, ["ratio", "--scenario", str(source)]) == {
+        "exact": 1.0,
+        "witness": {"subset": [], "superset": [], "sensor": 0,
+                    "subset_gain": 0.25, "superset_gain": 0.25, "ratio": 1.0},
+        "lower_bound": bound,
+        "hypotheses": _hypotheses_json(hypotheses),
+    }
+    assert hypotheses.applicable is False
+
+
+def test_ratio_json_above_the_cap(tmp_path, capsys):
+    source = _write_scalar(tmp_path)
+    scenario, sol, cache = _solved_file(source)
+    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    payload = _json_of(capsys, ["ratio", "--scenario", str(source), "--ratio-cap", "1"])
+    assert payload == {"exact": None, "witness": None, "lower_bound": bound,
+                       "hypotheses": _hypotheses_json(hypotheses)}
+
+
+def _bound_json(report, problem, gamma_exact, gamma_bound, certificate):
+    return {
+        "problem": problem, "method": "greedy", "selected_set": list(report.chosen),
+        "set_cost": report.cost, "objective_f": report.objective_f,
+        "analytical_g": report.lqg_cost_g, "gamma_exact": gamma_exact,
+        "gamma_bound": gamma_bound, "certificate": certificate,
+    }
+
+
+def test_bound_json_on_the_exact_path(tmp_path, capsys):
+    source = _write_scalar(tmp_path)
+    scenario, sol, cache = _solved_file(source)
+    report = lq.greedy_budget(scenario, sol, cache)
+    rhs = lq.budget_certificate(report, 1.0, cache.g(())).rhs
+    payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source)])
+    assert payload == _bound_json(report, "budget", 1.0, None, {
+        "kind": "budget", "gamma": 1.0, "lhs": 1.0, "rhs": rhs, "passed": True,
+        "cap_satisfied": None, "note": None,
+    })
+
+
+def test_bound_json_on_the_spectral_path(tmp_path, capsys):
+    # the spectral hypotheses hold, and a ratio cap of 0 rules out the exact ratio
+    scenario, sol, cache = support.solved(support.normalized_bound_scenario(7))
+    kappa = 0.5 * (cache.g(()) + cache.g(scenario.suite.ids))
+    source = tmp_path / "normalized.json"
+    lq.save_scenario(replace(scenario, budget=2.0, kappa=kappa), source)
+    scenario, sol, cache = _solved_file(source)
+    gamma, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    assert hypotheses.applicable
+    budget = lq.greedy_budget(scenario, sol, cache)
+    payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), "--ratio-cap", "0"])
+    assert payload == _bound_json(budget, "budget", None, gamma, {
+        "kind": "budget", "gamma": gamma, "lhs": None,
+        "rhs": lq.budget_certificate(budget, gamma, cache.g(())).rhs,
+        "passed": None, "cap_satisfied": None, "note": None,
+    })
+    mincost = lq.greedy_mincost(scenario, sol, cache)
+    assert mincost.chosen
+    payload = _json_of(capsys, ["bound", "mincost", "--scenario", str(source), "--ratio-cap", "0"])
+    assert payload == _bound_json(mincost, "mincost", None, gamma, {
+        "kind": "mincost", "gamma": gamma, "lhs": mincost.cost, "rhs": None, "passed": None,
+        "cap_satisfied": True, "note": "no reference optimum supplied",
+    })
+
+
+def test_bound_without_certificate_exits_1(tmp_path, capsys):
+    # above the ratio cap, and the scalar sensors are not unit-gain
+    source = _write_scalar(tmp_path)
+    assert main(["bound", "budget", "--scenario", str(source), "--ratio-cap", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "lqgcodesign: error: ground set of 2 sensors exceeds the ratio cap 1 "
+        "and the spectral bound hypotheses fail; no certificate\n"
+    )
+
+
 def test_bound_mincost_subcommand(tmp_path, capsys):
     source = _write_scalar(tmp_path, kappa=0.7)
     code = main(["bound", "mincost", "--scenario", str(source)])
@@ -304,3 +404,53 @@ def test_stdout_when_no_out_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     header = out.splitlines()[0]
     assert header == ",".join(COLUMNS)
+
+
+def test_certificate_without_oracle_reference_above_the_oracle_cap(tmp_path, capsys):
+    # the ground set is within the ratio cap but above the oracle cap: the
+    # certificate keeps its ratio side and leaves the optimum side undefined
+    source = _write_scalar(tmp_path, kappa=0.7)
+    caps = ("--ratio-cap", "2", "--oracle-cap", "1")
+    row = _select_row(tmp_path, source, "budget", "greedy", extra=caps)
+    assert float(row["gamma_exact"]) == pytest.approx(1.0, abs=1e-9)
+    assert float(row["cert_rhs"]) == pytest.approx(1.0 - np.exp(-1.0), abs=1e-12)
+    assert row["cert_lhs"] == "" and row["cert_pass"] == ""
+    payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), *caps])
+    assert payload["certificate"]["lhs"] is None
+    assert payload["certificate"]["passed"] is None
+    payload = _json_of(capsys, ["bound", "mincost", "--scenario", str(source), *caps])
+    assert payload["certificate"]["note"] == "no reference optimum supplied"
+    assert payload["certificate"]["cap_satisfied"] is True
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", "formation", "--agents", "2", "--horizon", "4",
+                 "--budgets", "2", "--methods", "greedy", "--runs", "0",
+                 "--ratio-cap", "4", "--oracle-cap", "3", "--out", str(out)]) == 0
+    (row,) = _read_rows(out)
+    assert row["gamma_exact"] != "" and row["cert_rhs"] != ""
+    assert row["cert_lhs"] == "" and row["cert_pass"] == ""
+
+
+def _sweep_args(**flags):
+    args = {"--agents": "2", "--horizon": "4", "--budgets": "2", "--methods": "greedy,all",
+            "--runs": "2", **flags}
+    return ["sweep", "--scenario", "formation", *(x for pair in args.items() for x in pair)]
+
+
+def test_sweep_rejects_negative_runs(capsys):
+    assert main(_sweep_args(**{"--runs": "-3"})) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("lqgcodesign: error: runs must be at least 0")
+    # zero runs is valid and leaves the Monte Carlo columns empty
+    assert main(_sweep_args(**{"--runs": "0"})) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 2
+    assert all(r["runs"] == "" and r["empirical_mean"] == "" for r in rows)
+
+
+@pytest.mark.parametrize("agents", ["", ",", " , "])
+def test_sweep_rejects_an_empty_agent_list(capsys, agents):
+    assert main(_sweep_args(**{"--agents": agents})) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "lqgcodesign: error: sweep needs at least one agent count\n"
