@@ -45,11 +45,6 @@ def inv_sqrt_pd(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
     return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
 
 
-def sym_inverse(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric matrix, symmetrized against roundoff drift."""
-    return symmetrize(np.linalg.inv(symmetrize(a)))
-
-
 def block_diag(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     """Square block-diagonal assembly of square blocks."""
     size = sum(b.shape[0] for b in blocks)

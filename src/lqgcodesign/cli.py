@@ -134,32 +134,31 @@ def _solved(scenario):
     return sol, ObjectiveCache(scenario, sol)
 
 
-def _certificate(cache, report: SelectionReport, problem: str, gamma: float, reference=None):
-    """Certificate of a greedy report at ratio ``gamma``, against the oracle's report if given."""
-    g_empty = cache.g(())
-    if problem == "budget":
-        return budget_certificate(report, gamma, g_empty,
-                                  g_star=None if reference is None else reference.lqg_cost_g)
-    return mincost_certificate(report, gamma, g_empty,
-                               b_star=None if reference is None else reference.cost)
-
-
-def _certify(scenario, sol, cache, report: SelectionReport, problem: str, args):
+def _certify(scenario, sol, cache, report: SelectionReport, problem: str, args, ratio=None):
     """(gamma_exact, gamma_bound, certificate) of a greedy report; all None for other methods.
 
-    The certificate needs the exact ratio.  It is checked against the
-    brute-force optimum only when the ground set is within ``--oracle-cap``.
+    ``ratio``, the scenario's ``ratio_report``, is computed when not given.  The
+    certificate uses the exact ratio when there is one, checked against the
+    brute-force optimum within ``--oracle-cap``; otherwise the spectral bound
+    when its hypotheses hold, without the optimum.
     """
     if report.method != "greedy":
         return None, None, None
-    ratio = ratio_report(scenario, sol, cache, args.ratio_cap)
+    ratio = ratio or ratio_report(scenario, sol, cache, args.ratio_cap)
     gamma_bound = ratio.lower_bound if ratio.hypotheses.applicable else None
-    if ratio.exact is None:
-        return None, gamma_bound, None
+    gamma = ratio.exact if ratio.exact is not None else gamma_bound
+    if gamma is None:
+        return None, None, None
     reference = None
-    if len(scenario.suite) <= args.oracle_cap:
+    if ratio.exact is not None and len(scenario.suite) <= args.oracle_cap:
         reference = _run_method(scenario, sol, cache, problem, "oracle", args)
-    return ratio.exact, gamma_bound, _certificate(cache, report, problem, ratio.exact, reference)
+    if problem == "budget":
+        cert = budget_certificate(report, gamma, cache.g(()),
+                                  g_star=None if reference is None else reference.lqg_cost_g)
+    else:
+        cert = mincost_certificate(report, gamma, cache.g(()),
+                                   b_star=None if reference is None else reference.cost)
+    return ratio.exact, gamma_bound, cert
 
 
 def _selection_row(scenario_id, scenario, report: SelectionReport,
@@ -303,12 +302,10 @@ def cmd_bound(args) -> int:
     report = _run_method(scenario, sol, cache, args.problem, "greedy", args)
     gamma_exact, gamma_bound, cert = _certify(scenario, sol, cache, report, args.problem, args)
     if cert is None:
-        if gamma_bound is None:
-            raise ValueError(
-                f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
-                f"{args.ratio_cap} and the spectral bound hypotheses fail; no certificate"
-            )
-        cert = _certificate(cache, report, args.problem, gamma_bound)
+        raise ValueError(
+            f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
+            f"{args.ratio_cap} and the spectral bound hypotheses fail; no certificate"
+        )
     payload = {
         "problem": args.problem,
         "method": report.method,
@@ -326,6 +323,8 @@ def cmd_bound(args) -> int:
 
 def cmd_sweep(args) -> int:
     methods = _parse_list(args.methods, str.strip)
+    if not methods:
+        raise ValueError("sweep needs at least one method")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
@@ -354,6 +353,7 @@ def cmd_sweep(args) -> int:
             scenario_id = f"uav-l{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = (0,)
         sol, cache = _solved(base)
+        ratio = ratio_report(base, sol, cache, args.ratio_cap) if "greedy" in methods else None
         for budget in budgets:
             scenario = replace(base, budget=budget)
             for method in methods:
@@ -362,7 +362,7 @@ def cmd_sweep(args) -> int:
                 if args.runs > 0:
                     summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
                                           base_seed=args.seed, method=method, cache=cache)
-                certified = _certify(scenario, sol, cache, report, "budget", args)
+                certified = _certify(scenario, sol, cache, report, "budget", args, ratio)
                 rows.append(_selection_row(scenario_id, scenario, report, summary, certified))
     _emit_rows(rows, args.format, args.out)
     return 0

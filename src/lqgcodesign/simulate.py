@@ -1,15 +1,16 @@
 """Closed-loop rollouts, Monte Carlo estimation, and benchmark scenarios.
 
-The rollout applies the separation structure directly: the Kalman filter
-(information form, matched to ``propagate_covariance``) produces the state
-estimate, and the precomputed regulator gain acts on that estimate.  All
-randomness comes from numpy's Philox counter-based generator, so a run is
-a pure function of (scenario, sensor set, seed) and Monte Carlo batches
-are reproducible run-by-run: run r of a batch uses seed ``base_seed + r``.
-
-Per run the draw order is fixed: the initial state first, then per step
-the measurement noise of each selected sensor in ascending id order,
-then the process noise.
+The rollout applies the separation structure directly: the Kalman filter, in
+gain form xhat = xp + G (y - C xp) with G = post C' inv(V) on the objective
+cache's covariances, produces the state estimate, and the precomputed
+regulator gain acts on that estimate.  C and V stack the chosen sensors in
+ascending id order; no prior is inverted, and the empty set has zero rows.
+Runs advance together in batches, on (k, n) arrays.  All randomness comes
+from numpy's Philox generator: run r of a Monte Carlo batch uses seed
+``base_seed + r`` and draws, in one call and in this order, the initial
+state, then per step the noise of each selected sensor in ascending id
+order, then the process noise.  A run is a pure function of (scenario,
+sensor set, seed), whatever batch it runs in.
 
 Two scenario families mirror common co-design benchmarks: a planar
 formation with GPS and pairwise relative-position sensing, and a UAV
@@ -23,10 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import block_diag, frozen, psd_sqrt, sym_inverse
-from .kalman import ObjectiveCache, optimal_lqg_cost, propagate_covariance
-from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids
+from ._linalg import block_diag, frozen, psd_sqrt
+from .kalman import ObjectiveCache
+from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids, stack_sensors
 from .riccati import RiccatiSolution
+
+# Normals one batch of runs draws at most (512 KB), so memory stays flat in the run count.
+_DRAW_FLOATS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -55,72 +59,63 @@ class MonteCarloSummary:
 class ClosedLoopSimulator:
     """Reusable rollout engine for one (scenario, sensor set) pair.
 
-    Factors, inverses, and filter covariances are prepared once; ``run``
-    then only draws noise and iterates the loop.
+    Stacked once: the set's wiring (T, P, n), noise Cholesky factors (T, P, P),
+    transposed filter gains G' (T, P, n) and process-noise roots (T, n, n).
     """
 
-    def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids):
-        if sol.horizon != scenario.horizon:
-            raise ValueError("solution horizon does not match scenario horizon")
+    def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids,
+                 cache: ObjectiveCache | None = None):
+        cache = cache or ObjectiveCache(scenario, sol)
         self.scenario = scenario
         self.sol = sol
         self.chosen = chosen_ids(scenario.suite, ids)
-        self.traj = propagate_covariance(scenario, self.chosen)
+        self.traj = cache.trajectory(self.chosen)
         sys_ = scenario.system
-        T = sys_.horizon
+        T, n = sys_.horizon, sys_.state_dim
+        stacked = [stack_sensors(scenario.suite, self.chosen, t) for t in range(T)]
+        self._C = np.stack([c for c, _ in stacked])
+        noise = np.stack([v for _, v in stacked])
+        self._noise_factor = np.linalg.cholesky(noise)
+        self._gain_t = np.linalg.solve(noise, self._C @ self.traj.posteriors)
         self._x1_sqrt = psd_sqrt(sys_.sigma_init)
-        self._w_sqrt = [psd_sqrt(sys_.W[t]) for t in range(T)]
-        if self.chosen:
-            self._prior_inv = [sym_inverse(p) for p in self.traj.priors]
-        else:
-            self._prior_inv = None
-        self._noise_factor = {}
-        self._info_gain = {}
-        for i in self.chosen:
-            s = scenario.suite.sensor(i)
-            self._noise_factor[i] = [np.linalg.cholesky(s.V[t]) for t in range(T)]
-            self._info_gain[i] = [s.C[t].T @ np.linalg.inv(s.V[t]) for t in range(T)]
+        self._w_sqrt = np.stack([psd_sqrt(w) for w in sys_.W])
+        self._draws = n + T * (self._C.shape[1] + n)
+
+    def _rollouts(self, seeds):
+        """Per-step (k, n) states, estimates and controls, and the costs, of one run per seed."""
+        sys_, weights = self.scenario.system, self.scenario.weights
+        T, P, n = self._C.shape
+        draws = np.stack([np.random.Generator(np.random.Philox(seed)).standard_normal(self._draws)
+                          for seed in seeds])
+        noise = draws[:, n:].reshape(len(seeds), T, P + n)
+        x = sys_.x1_mean + draws[:, :n] @ self._x1_sqrt.T
+        xhat_prior = np.broadcast_to(sys_.x1_mean, x.shape)
+        states, estimates, controls = [x], [], []
+        costs = np.zeros(len(seeds))
+        for t in range(T):
+            C = self._C[t]
+            y = x @ C.T + noise[:, t, :P] @ self._noise_factor[t].T
+            xhat = xhat_prior + (y - xhat_prior @ C.T) @ self._gain_t[t]
+            u = xhat @ self.sol.K[t].T
+            x = x @ sys_.A[t].T + u @ sys_.B[t].T + noise[:, t, P:] @ self._w_sqrt[t].T
+            costs += np.sum(x @ weights.Q[t] * x, axis=1)
+            costs += np.sum(u @ weights.R[t] * u, axis=1)
+            xhat_prior = xhat @ sys_.A[t].T + u @ sys_.B[t].T
+            states.append(x)
+            estimates.append(xhat)
+            controls.append(u)
+        return states, estimates, controls, costs
 
     def run(self, seed: int, run_id: int = 0) -> SimulationRecord:
         """Roll out one trajectory; identical seeds give identical records."""
-        scenario, sol = self.scenario, self.sol
-        sys_ = scenario.system
-        T, n = sys_.horizon, sys_.state_dim
-        rng = np.random.Generator(np.random.Philox(seed))
-        x = sys_.x1_mean + self._x1_sqrt @ rng.standard_normal(n)
-        xhat_prior = np.array(sys_.x1_mean)
-        states = [frozen(x)]
-        estimates = []
-        controls = []
-        cost = 0.0
-        for t in range(T):
-            if self.chosen:
-                info_vec = self._prior_inv[t] @ xhat_prior
-                for i in self.chosen:
-                    s = scenario.suite.sensor(i)
-                    noise = self._noise_factor[i][t] @ rng.standard_normal(s.output_dim)
-                    y = s.C[t] @ x + noise
-                    info_vec = info_vec + self._info_gain[i][t] @ y
-                xhat = self.traj.posteriors[t] @ info_vec
-            else:
-                xhat = xhat_prior
-            u = sol.K[t] @ xhat
-            w = self._w_sqrt[t] @ rng.standard_normal(n)
-            x_next = sys_.A[t] @ x + sys_.B[t] @ u + w
-            cost += float(x_next @ scenario.weights.Q[t] @ x_next)
-            cost += float(u @ scenario.weights.R[t] @ u)
-            xhat_prior = sys_.A[t] @ xhat + sys_.B[t] @ u
-            x = x_next
-            states.append(frozen(x))
-            estimates.append(frozen(xhat))
-            controls.append(frozen(u))
+        states, estimates, controls, costs = self._rollouts([seed])
         return SimulationRecord(
             run_id=run_id,
             seed=seed,
-            states=tuple(states),
-            estimates=tuple(estimates),
-            controls=tuple(controls),
-            realized_cost=cost,
+            states=tuple(frozen(x[0]) for x in states),
+            estimates=tuple(frozen(x[0]) for x in estimates),
+            controls=tuple(frozen(u[0]) for u in controls),
+            realized_cost=float(costs[0]),
         )
 
 
@@ -135,26 +130,27 @@ def monte_carlo(scenario: Scenario, sol: RiccatiSolution, ids, runs: int,
                 cache: ObjectiveCache | None = None) -> MonteCarloSummary:
     """Mean realized cost over ``runs`` rollouts seeded ``base_seed + r``.
 
-    Doubling ``runs`` with the same base seed reuses the first half of the
-    draws exactly.  The standard error is the sample standard deviation
-    over the square root of the run count (0 for a single run).
+    Runs go in batches of at most ``_DRAW_FLOATS`` drawn floats, sizes
+    differing by at most one.  Doubling ``runs`` with the same base seed
+    reuses the first half of the draws exactly.  The standard error is the
+    sample standard deviation over sqrt(runs), 0 for a single run.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    sim = ClosedLoopSimulator(scenario, sol, ids)
-    costs = np.array([sim.run(base_seed + r, run_id=r).realized_cost for r in range(runs)])
+    cache = cache or ObjectiveCache(scenario, sol)
+    sim = ClosedLoopSimulator(scenario, sol, ids, cache)
+    batches = math.ceil(runs / max(1, _DRAW_FLOATS // sim._draws))
+    ends = [base_seed + runs * b // batches for b in range(batches + 1)]
+    costs = np.concatenate([sim._rollouts(range(start, stop))[3]
+                            for start, stop in zip(ends, ends[1:])])
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-    if cache is not None:
-        analytical = cache.g(ids)
-    else:
-        analytical = optimal_lqg_cost(scenario, sol, ids)
     return MonteCarloSummary(
         method=method,
         mean_cost=mean,
         std_error=stderr,
         run_count=runs,
-        analytical_g=analytical,
+        analytical_g=cache.g(ids),
     )
 
 

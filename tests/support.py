@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 import lqgcodesign as lq
+from lqgcodesign._linalg import psd_sqrt
 
 
 def scalar_system() -> lq.LtvSystem:
@@ -364,3 +365,43 @@ def reference_ratio_lower_bound(scenario: lq.Scenario, sol, cache):
     value *= (full_lo * full_lo) / (empty_peak * empty_peak)
     value *= (1.0 + sensed_lo) / (2.0 + sensed_hi)
     return min(max(value, 0.0), 1.0), flags
+
+
+def reference_rollout(scenario: lq.Scenario, sol, ids, seed: int):
+    """States, estimates, controls and realized cost of one run, in information form.
+
+    This is the per-run loop the batched gain-form rollout replaced: each step
+    draws the chosen sensors' noises one sensor at a time in ascending id order,
+    then the process noise, and estimates xhat = post (inv(prior) xp + sum_i
+    C_i' inv(V_i) y_i), with the identity update for the empty set.
+    """
+    sys_ = scenario.system
+    T, n = sys_.horizon, sys_.state_dim
+    chosen = sorted(set(int(i) for i in ids))
+    sensors = [scenario.suite.sensor(i) for i in chosen]
+    traj = lq.propagate_covariance(scenario, chosen)
+    rng = np.random.Generator(np.random.Philox(seed))
+    x = sys_.x1_mean + psd_sqrt(sys_.sigma_init) @ rng.standard_normal(n)
+    xhat_prior = np.array(sys_.x1_mean)
+    states, estimates, controls = [x], [], []
+    cost = 0.0
+    for t in range(T):
+        if sensors:
+            info_vec = _sym_inverse(traj.priors[t]) @ xhat_prior
+            for s in sensors:
+                noise = np.linalg.cholesky(s.V[t]) @ rng.standard_normal(s.output_dim)
+                y = s.C[t] @ x + noise
+                info_vec = info_vec + s.C[t].T @ np.linalg.inv(s.V[t]) @ y
+            xhat = traj.posteriors[t] @ info_vec
+        else:
+            xhat = xhat_prior
+        u = sol.K[t] @ xhat
+        w = psd_sqrt(sys_.W[t]) @ rng.standard_normal(n)
+        x = sys_.A[t] @ x + sys_.B[t] @ u + w
+        cost += float(x @ scenario.weights.Q[t] @ x)
+        cost += float(u @ scenario.weights.R[t] @ u)
+        xhat_prior = sys_.A[t] @ xhat + sys_.B[t] @ u
+        states.append(x)
+        estimates.append(xhat)
+        controls.append(u)
+    return np.array(states), np.array(estimates), np.array(controls), cost

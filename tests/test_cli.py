@@ -448,9 +448,46 @@ def test_sweep_rejects_negative_runs(capsys):
     assert all(r["runs"] == "" and r["empirical_mean"] == "" for r in rows)
 
 
-@pytest.mark.parametrize("agents", ["", ",", " , "])
-def test_sweep_rejects_an_empty_agent_list(capsys, agents):
-    assert main(_sweep_args(**{"--agents": agents})) == 1
+@pytest.mark.parametrize("flag, value, noun", [
+    pytest.param("--agents", value, "agent count", id=value) for value in ("", ",", " , ")
+] + [
+    pytest.param("--methods", value, "method", id=f"methods{value}") for value in ("", ",")
+])
+def test_sweep_rejects_an_empty_agent_list(capsys, flag, value, noun):
+    assert main(_sweep_args(**{flag: value})) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "lqgcodesign: error: sweep needs at least one agent count\n"
+    assert captured.err == f"lqgcodesign: error: sweep needs at least one {noun}\n"
+
+
+def test_sweep_computes_the_ratio_once_per_grid_point(monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].budget)
+        return lq.ratio_report(*args, **kwargs)
+
+    monkeypatch.setattr("lqgcodesign.cli.ratio_report", counted)
+    args = _sweep_args(**{"--budgets": "1,2,3", "--methods": "greedy,logdet", "--runs": "0"})
+    assert main(args) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 6
+    assert all(r["gamma_exact"] != "" for r in rows if r["method"] == "greedy")
+    assert calls == [None]
+    # no greedy row, no ratio
+    assert main(_sweep_args(**{"--budgets": "1,2,3", "--methods": "logdet,all"})) == 0
+    assert calls == [None]
+
+
+def test_select_certifies_with_the_spectral_bound_as_bound_does(tmp_path, capsys):
+    # the spectral hypotheses hold, and a ratio cap of 0 rules out the exact ratio
+    scenario = support.normalized_bound_scenario(7)
+    source = tmp_path / "normalized.json"
+    lq.save_scenario(replace(scenario, budget=2.0), source)
+    caps = ("--ratio-cap", "0")
+    row = _select_row(tmp_path, source, "budget", "greedy", extra=caps)
+    payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), *caps])
+    assert row["gamma_exact"] == "" and payload["gamma_exact"] is None
+    assert float(row["gamma_bound"]) == payload["gamma_bound"]
+    assert float(row["cert_rhs"]) == payload["certificate"]["rhs"]
+    assert row["cert_lhs"] == "" and row["cert_pass"] == ""

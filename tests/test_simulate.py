@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
+from lqgcodesign import simulate
 
 import support
 
@@ -111,6 +112,86 @@ def test_empty_set_rollout():
     assert record.estimates[0] == pytest.approx(np.zeros(1))
     summary = lq.monte_carlo(scenario, sol, (), runs=400, base_seed=7, cache=cache)
     assert abs(summary.mean_cost - 1.0) <= 3.5 * summary.std_error
+
+
+def _rel(actual, expected) -> float:
+    """Largest deviation relative to the norm of the expected trajectory."""
+    scale = max(np.linalg.norm(expected), 1e-300)
+    return float(np.linalg.norm(np.asarray(actual) - expected)) / scale
+
+
+def _rollout_cases():
+    for seed in range(12):
+        scenario = support.random_scenario(seed)
+        ids = scenario.suite.ids
+        yield f"random-{seed}", scenario, (ids, (), ids[:1], ids[1::2])
+    formation = lq.build_formation_scenario(agents=2, horizon=6, seed=2)
+    yield "formation-a2", formation, (formation.suite.ids, (), (0, 2, 3))
+    uav = lq.build_uav_scenario(landmarks=3, horizon=6, cost_mode="heterogeneous", seed=4)
+    yield "uav-a3", uav, (uav.suite.ids, (), (0, 1), (1, 4))
+
+
+def test_rollout_matches_the_information_form_reference():
+    # the gain-form batched rollout against the per-run information-form loop
+    mixed = 0
+    for name, scenario, id_sets in _rollout_cases():
+        sol = lq.solve_riccati(scenario.system, scenario.weights)
+        for ids in id_sets:
+            dims = {scenario.suite.sensor(i).output_dim for i in ids}
+            mixed += len(dims) > 1
+            for seed in (0, 17):
+                record = lq.run_closed_loop(scenario, sol, ids, seed=seed)
+                states, estimates, controls, cost = support.reference_rollout(
+                    scenario, sol, ids, seed)
+                case = (name, ids, seed)
+                assert _rel(record.states, states) <= 1e-12, case
+                assert _rel(record.estimates, estimates) <= 1e-12, case
+                assert _rel(record.controls, controls) <= 1e-12, case
+                assert record.realized_cost == pytest.approx(cost, rel=1e-12), case
+    assert mixed >= 3
+
+
+def test_one_draw_equals_the_per_sensor_draws():
+    # a run's single standard_normal call yields the documented per-call sequence
+    dims, n, horizon = (2, 1, 3), 4, 5
+    total = n + horizon * (sum(dims) + n)
+    for seed in (0, 1, 123456789):
+        rng = np.random.Generator(np.random.Philox(seed))
+        calls = [rng.standard_normal(n)]
+        for _ in range(horizon):
+            calls.extend(rng.standard_normal(p) for p in dims)
+            calls.append(rng.standard_normal(n))
+        one = np.random.Generator(np.random.Philox(seed)).standard_normal(total)
+        assert np.array_equal(np.concatenate(calls), one)
+
+
+@pytest.mark.parametrize("per_batch, sizes", [(3, [2, 3, 2, 3]), (9, [5, 5])])
+def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes):
+    rollouts = simulate.ClosedLoopSimulator._rollouts
+    seen = []
+
+    def recorded(self, seeds):
+        seen.append(len(seeds))
+        return rollouts(self, seeds)
+
+    for scenario in (support.random_scenario(5),
+                     lq.build_uav_scenario(landmarks=2, horizon=4, seed=1)):
+        sol, ids = lq.solve_riccati(scenario.system, scenario.weights), scenario.suite.ids
+        monkeypatch.setattr(simulate.ClosedLoopSimulator, "_rollouts", recorded)
+        seen.clear()
+        whole = lq.monte_carlo(scenario, sol, ids, runs=10, base_seed=3)
+        assert seen == [10]
+        # a cap of per_batch runs' draws splits the ten runs into near-equal batches
+        draws = lq.ClosedLoopSimulator(scenario, sol, ids)._draws
+        monkeypatch.setattr(simulate, "_DRAW_FLOATS", per_batch * draws)
+        seen.clear()
+        split = lq.monte_carlo(scenario, sol, ids, runs=10, base_seed=3)
+        monkeypatch.undo()
+        assert seen == sizes
+        assert split.run_count == whole.run_count == 10
+        assert split.mean_cost == pytest.approx(whole.mean_cost, rel=1e-12)
+        assert split.std_error == pytest.approx(whole.std_error, rel=1e-12)
+        assert split.analytical_g == whole.analytical_g
 
 
 def test_formation_builder_shapes():
