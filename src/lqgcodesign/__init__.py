@@ -24,7 +24,6 @@ from .kalman import (
     ObjectiveCache,
     cost_offset,
     kappa_bar,
-    optimal_lqg_cost,
     propagate_covariance,
     sensing_objective,
     whiten_sensor,
@@ -112,7 +111,6 @@ __all__ = [
     "load_scenario",
     "mincost_certificate",
     "monte_carlo",
-    "optimal_lqg_cost",
     "oracle_budget",
     "oracle_mincost",
     "propagate_covariance",

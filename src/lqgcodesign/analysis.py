@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import symmetrize
-from .kalman import ObjectiveCache
+from .kalman import ObjectiveCache, _mask_ids
 from .model import Scenario
 from .riccati import RiccatiSolution
-from .selection import SelectionReport
+from .selection import SelectionReport, _require_enumerable
 
 _ZERO = 1e-12
 _PASS_TOL = 1e-9
@@ -114,15 +114,9 @@ def exact_supermodularity_ratio(
     informative triple at all the objective is vacuously supermodular and
     the ratio is 1.
     """
-    count = len(scenario.suite)
-    if count > max_sensors:
-        raise ValueError(
-            f"exact ratio over {count} sensors exceeds the enumeration cap "
-            f"{max_sensors}; raise max_sensors explicitly to override"
-        )
+    count = _require_enumerable(scenario, max_sensors, "exact ratio")
     cache = cache or ObjectiveCache(scenario, sol)
-    values = cache.f_many(tuple(i for i in range(count) if mask >> i & 1)
-                          for mask in range(1 << count))
+    values = cache.f_many(map(_mask_ids, range(1 << count)))
     best_ratio = None
     best_witness = None
     for bmask in range(1 << count):
@@ -146,8 +140,8 @@ def exact_supermodularity_ratio(
                 if ratio is not None and (best_ratio is None or ratio < best_ratio):
                     best_ratio = ratio
                     best_witness = RatioWitness(
-                        subset=tuple(i for i in range(count) if sub >> i & 1),
-                        superset=tuple(i for i in range(count) if bmask >> i & 1),
+                        subset=_mask_ids(sub),
+                        superset=_mask_ids(bmask),
                         sensor=x,
                         subset_gain=num,
                         superset_gain=den,
@@ -282,26 +276,19 @@ def mincost_certificate(
     kappa = report.kappa
     cap_ok = report.lqg_cost_g <= kappa + _PASS_TOL
     lhs = report.cost
+
+    def without_bound(note: str, passed: bool | None = None) -> CertificateRecord:
+        return CertificateRecord(kind="mincost", gamma=gamma, lhs=lhs, rhs=None,
+                                 passed=passed, cap_satisfied=cap_ok, note=note)
+
     if not report.chosen:
-        return CertificateRecord(
-            kind="mincost", gamma=gamma, lhs=lhs, rhs=None, passed=True,
-            cap_satisfied=cap_ok, note="empty selection meets the cap outright",
-        )
+        return without_bound("empty selection meets the cap outright", passed=True)
     if b_star is None:
-        return CertificateRecord(
-            kind="mincost", gamma=gamma, lhs=lhs, rhs=None, passed=None,
-            cap_satisfied=cap_ok, note="no reference optimum supplied",
-        )
+        return without_bound("no reference optimum supplied")
     if gamma <= 0.0:
-        return CertificateRecord(
-            kind="mincost", gamma=gamma, lhs=lhs, rhs=None, passed=None,
-            cap_satisfied=cap_ok, note="zero supermodularity ratio leaves the bound undefined",
-        )
+        return without_bound("zero supermodularity ratio leaves the bound undefined")
     if not report.iterations or report.prefix_f is None:
-        return CertificateRecord(
-            kind="mincost", gamma=gamma, lhs=lhs, rhs=None, passed=None,
-            cap_satisfied=cap_ok, note="report lacks sweep records for the cost bound",
-        )
+        return without_bound("report lacks sweep records for the cost bound")
     last = report.iterations[-1]
     before_last = report.iterations[-2].cumulative_cost if len(report.iterations) > 1 else 0.0
     last_cost = last.cumulative_cost - before_last
@@ -310,10 +297,7 @@ def mincost_certificate(
     num = g_empty - kappa
     den = g_prefix - kappa
     if num <= 0.0:
-        return CertificateRecord(
-            kind="mincost", gamma=gamma, lhs=lhs, rhs=None, passed=None,
-            cap_satisfied=cap_ok, note="cap already met with no sensors; bound undefined",
-        )
+        return without_bound("cap already met with no sensors; bound undefined")
     rhs_log = math.inf if den <= 0.0 else math.log(num / den)
     rhs = last_cost + (rhs_log / gamma) * b_star
     passed = cap_ok and (lhs <= rhs + _PASS_TOL)

@@ -29,6 +29,7 @@ from .kalman import ObjectiveCache
 from .model import ValidationError, load_scenario, save_scenario
 from .riccati import solve_riccati
 from .selection import (
+    ORACLE_CAP,
     InfeasibleError,
     SelectionReport,
     baseline_logdet,
@@ -41,7 +42,6 @@ from .selection import (
 )
 from .simulate import build_formation_scenario, build_uav_scenario, monte_carlo
 
-ORACLE_CAP = 20
 METHODS = ("greedy", "oracle", "logdet", "random", "all")
 
 

@@ -21,10 +21,11 @@ it goes and no (k, T, n, n) array is ever held.  Two scalar functionals of
 the posteriors drive sensor selection:
 
 * ``sensing_objective``: sum_t trace(theta[t] post[t]), the part of the
-  LQG cost the sensor set can influence;
-* ``optimal_lqg_cost``: the full expected cost of the optimal
-  output-feedback loop, the sensing objective plus a sensor-independent
-  constant.
+  LQG cost the sensor set can influence.  The full expected cost of the
+  optimal output-feedback loop, ``ObjectiveCache.g``, adds the
+  sensor-independent ``cost_offset``;
+* the log-volume (1/T) sum_t log det post[t], the surrogate of the
+  log-determinant baseline.
 
 ``ObjectiveCache`` memoizes these per sensor set so greedy sweeps, brute
 force enumeration, and ratio scans never propagate the same set twice; the
@@ -217,18 +218,12 @@ def cost_offset(scenario: Scenario, sol: RiccatiSolution) -> float:
     return total
 
 
-def optimal_lqg_cost(scenario: Scenario, sol: RiccatiSolution, ids) -> float:
-    """Expected cost of the optimal controller driven by the chosen sensors."""
-    traj = propagate_covariance(scenario, ids)
-    return sensing_objective(sol, traj) + cost_offset(scenario, sol)
-
-
 def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
     """Cap on the sensing objective equivalent to the scenario's cost cap.
 
-    Subtracting the sensor-independent offset from ``kappa`` makes
-    ``optimal_lqg_cost(S) <= kappa`` hold exactly when
-    ``sensing_objective(S) <= kappa_bar``.  May be negative, in which case
+    Subtracting the sensor-independent offset from ``kappa`` makes the
+    full cost ``ObjectiveCache.g(S) <= kappa`` hold exactly when the
+    sensing objective ``ObjectiveCache.f(S) <= kappa_bar``.  May be negative, in which case
     no sensor set can meet the cap.
     """
     if scenario.kappa is None:

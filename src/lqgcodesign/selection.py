@@ -7,11 +7,20 @@ Two problems are solved over the ground set of sensor ids:
 * cost-capped:     minimize the selection cost subject to the full LQG
   cost staying at or below ``scenario.kappa``.
 
-The greedy sweeps pick, at each step, the sensor with the best objective
-drop per unit cost.  All argmax/argmin ties resolve to the smallest sensor
-id, so every routine is a pure function of its inputs.  A free sensor
-(cost 0) with positive gain rates as infinitely efficient and is admitted
-before anything else, in id order; free sensors can never violate a budget.
+Both greedy routines run one sweep, ``_sweep``: starting empty, it adds the
+sensor with the best objective drop per unit cost, with every candidate of
+a step evaluated in one batched call.  Only the stopping rule differs.  The
+budget sweep runs while the set's cost is within the budget, then rolls
+back a step that crossed it and keeps the better of that set and the best
+affordable singleton; the log-volume baseline is the same sweep on another
+objective.  The cost-capped sweep runs while the sensing objective is above
+the effective cap.  Every report's objective and cost fields come from
+``_report``.
+
+All argmax/argmin ties resolve to the smallest sensor id, so every routine
+is a pure function of its inputs.  A free sensor (cost 0) with positive
+gain rates as infinitely efficient and is admitted before anything else, in
+id order; free sensors can never violate a budget.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ import numpy as np
 from .kalman import ObjectiveCache, _mask_ids
 from .model import Scenario, chosen_ids, set_cost
 from .riccati import RiccatiSolution
+
+# Largest ground set the oracles enumerate unless told otherwise (2^20 sets).
+ORACLE_CAP = 20
 
 
 class InfeasibleError(RuntimeError):
@@ -96,20 +108,51 @@ def _rate(gain: float, cost: float) -> float:
     return math.inf if gain > 0.0 else 0.0
 
 
-def _gain_table(objective_many, base_ids: frozenset, base_value: float, candidates: list[int]):
-    """Objective drop for each candidate addition, in candidate order, from one call."""
-    values = objective_many([base_ids | {a} for a in candidates])
-    return [(a, base_value - v, v) for a, v in zip(candidates, values)]
+def _sweep(suite, objective_many, value: float, proceed):
+    """The greedy rule: add the best gain-per-cost sensor while ``proceed`` holds.
+
+    Starts from the empty set, whose objective is ``value``.  Each step
+    evaluates every remaining candidate in one ``objective_many`` call;
+    only a strictly higher rate displaces the best so far, so ties go to
+    the smallest id.  ``proceed(cost, value)`` sees the set's cost (summed
+    in id order) and objective before each step.  Returns the final set,
+    its objective and the iteration records.
+    """
+    costs = {s.id: s.cost for s in suite}
+    remaining = sorted(costs)
+    chosen = frozenset()
+    cost = 0.0
+    iterations = []
+    while remaining and proceed(cost, value):
+        values = objective_many([chosen | {a} for a in remaining])
+        best = None
+        for a, after in zip(remaining, values):
+            rate = _rate(value - after, costs[a])
+            if best is None or rate > best[1]:
+                best = (a, rate, after)
+        added, rate, after = best
+        chosen = chosen | {added}
+        # recompute in id order so the stopping rule cannot drift with the
+        # order sensors happened to be added in
+        cost = set_cost(suite, chosen)
+        remaining.remove(added)
+        iterations.append(IterationRecord(
+            added=added, gain=value - after, gain_per_cost=rate,
+            cumulative_cost=cost, objective_after=after,
+        ))
+        value = after
+    return chosen, value, iterations
 
 
-def _pick_best_rate(table, costs) -> tuple[int, float, float, float]:
-    """Highest gain-per-cost entry; ties go to the smallest id."""
-    best = None
-    for a, gain, value in table:
-        rate = _rate(gain, costs[a])
-        if best is None or rate > best[1]:
-            best = (a, rate, gain, value)
-    return best
+def _report(scenario: Scenario, cache: ObjectiveCache, method: str, ids,
+            **fields) -> SelectionReport:
+    """A report on the set ``ids`` with its LQG objective, full cost and selection cost."""
+    chosen = chosen_ids(scenario.suite, ids)
+    value = cache.f(chosen)
+    return SelectionReport(
+        method=method, chosen=chosen, objective_f=value, lqg_cost_g=value + cache.offset,
+        cost=set_cost(scenario.suite, chosen), **fields,
+    )
 
 
 def _require_budget(scenario: Scenario) -> float:
@@ -118,59 +161,32 @@ def _require_budget(scenario: Scenario) -> float:
     return scenario.budget
 
 
-def _greedy_budget_core(scenario, objective_many):
-    """Shared budget sweep: best singleton versus efficiency-greedy set."""
+def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
+                  method: str) -> SelectionReport:
+    """Budget sweep on ``objective_many``: best singleton versus efficiency-greedy set."""
     budget = _require_budget(scenario)
-    costs = {s.id: s.cost for s in scenario.suite}
-    ids = sorted(costs)
-    empty = frozenset()
-    affordable = [i for i in ids if costs[i] <= budget]
+    suite = scenario.suite
+    affordable = [s.id for s in suite if s.cost <= budget]
     base_value, *single_values = objective_many(
-        [empty, *(frozenset({i}) for i in affordable)])
+        [frozenset(), *(frozenset({i}) for i in affordable)])
+    # a tie in value goes to the smaller id
+    single_value, single_id = min(zip(single_values, affordable), default=(base_value, None))
+    singleton = () if single_id is None else (single_id,)
 
-    single_id = None
-    single_value = math.inf
-    for i, value in zip(affordable, single_values):
-        if value < single_value:
-            single_id, single_value = i, value
-    singleton = empty if single_id is None else frozenset({single_id})
-    if single_id is None:
-        single_value = base_value
-
-    chosen = empty
-    chosen_value = base_value
-    cost_acc = 0.0
-    remaining = list(ids)
-    iterations = []
-    while remaining and cost_acc <= budget:
-        table = _gain_table(objective_many, chosen, chosen_value, remaining)
-        a, rate, gain, value = _pick_best_rate(table, costs)
-        chosen = chosen | {a}
-        chosen_value = value
-        # recompute in id order so the comparison with the budget cannot
-        # drift with the order sensors happened to be added in
-        cost_acc = set_cost(scenario.suite, chosen)
-        remaining.remove(a)
-        iterations.append(IterationRecord(
-            added=a, gain=gain, gain_per_cost=rate,
-            cumulative_cost=cost_acc, objective_after=value,
-        ))
+    chosen, value, iterations = _sweep(suite, objective_many, base_value,
+                                       lambda cost, _: cost <= budget)
     removed = None
-    if cost_acc > budget:
+    if set_cost(suite, chosen) > budget:
         removed = iterations[-1].added
         chosen = chosen - {removed}
-        chosen_value = objective_many([chosen])[0]
-        cost_acc = set_cost(scenario.suite, chosen)
-
-    if chosen_value <= single_value:
-        final, final_value = chosen, chosen_value
-    else:
-        final, final_value = singleton, single_value
+        value = objective_many([chosen])[0]
     candidates = (
-        CandidateRecord("singleton", tuple(sorted(singleton)), single_value),
-        CandidateRecord("greedy", tuple(sorted(chosen)), chosen_value),
+        CandidateRecord("singleton", singleton, single_value),
+        CandidateRecord("greedy", tuple(sorted(chosen)), value),
     )
-    return final, final_value, candidates, tuple(iterations), removed, budget
+    return _report(scenario, cache, method, chosen if value <= single_value else singleton,
+                   budget=budget, candidates=candidates, iterations=tuple(iterations),
+                   removed=removed)
 
 
 def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
@@ -184,20 +200,7 @@ def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
     kept).
     """
     cache = cache or ObjectiveCache(scenario, sol)
-    final, final_value, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache.f_many
-    )
-    return SelectionReport(
-        method="greedy",
-        chosen=tuple(sorted(final)),
-        objective_f=final_value,
-        lqg_cost_g=final_value + cache.offset,
-        cost=set_cost(scenario.suite, final),
-        budget=budget,
-        candidates=candidates,
-        iterations=iterations,
-        removed=removed,
-    )
+    return _budget_sweep(scenario, cache, cache.f_many, "greedy")
 
 
 def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
@@ -210,55 +213,33 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     """
     cache = cache or ObjectiveCache(scenario, sol)
     cap = cache.kappa_bar()
-    costs = {s.id: s.cost for s in scenario.suite}
-    chosen = frozenset()
-    value = cache.f(chosen)
-    empty_value = value
-    remaining = sorted(costs)
-    iterations = []
-    while remaining and value > cap:
-        table = _gain_table(cache.f_many, chosen, value, remaining)
-        a, rate, gain, value = _pick_best_rate(table, costs)
-        chosen = chosen | {a}
-        remaining.remove(a)
-        iterations.append(IterationRecord(
-            added=a, gain=gain, gain_per_cost=rate,
-            cumulative_cost=set_cost(scenario.suite, chosen), objective_after=value,
-        ))
+    empty_value = cache.f(())
+    chosen, value, iterations = _sweep(scenario.suite, cache.f_many, empty_value,
+                                       lambda _, value: value > cap)
     if value > cap:
         raise InfeasibleError(f_all=value, kappa_bar=cap)
+    last_added = prefix_f = None
     if iterations:
         last_added = iterations[-1].added
         prefix_f = iterations[-2].objective_after if len(iterations) > 1 else empty_value
-    else:
-        last_added = None
-        prefix_f = None
-    return SelectionReport(
-        method="greedy",
-        chosen=tuple(sorted(chosen)),
-        objective_f=value,
-        lqg_cost_g=value + cache.offset,
-        cost=set_cost(scenario.suite, chosen),
-        kappa=scenario.kappa,
-        kappa_bar=cap,
-        iterations=tuple(iterations),
-        last_added=last_added,
-        prefix_f=prefix_f,
-    )
+    return _report(scenario, cache, "greedy", chosen, kappa=scenario.kappa, kappa_bar=cap,
+                   iterations=tuple(iterations), last_added=last_added, prefix_f=prefix_f)
 
 
-def _require_enumerable(scenario: Scenario, max_sensors: int) -> int:
+def _require_enumerable(scenario: Scenario, max_sensors: int, task: str = "brute force") -> int:
+    """Ground-set size, or ``ValueError`` when ``task`` would enumerate over the cap."""
     count = len(scenario.suite)
     if count > max_sensors:
         raise ValueError(
-            f"brute force over {count} sensors exceeds the enumeration cap "
+            f"{task} over {count} sensors exceeds the enumeration cap "
             f"{max_sensors}; raise max_sensors explicitly to override"
         )
     return count
 
 
 def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
-                  cache: ObjectiveCache | None = None, max_sensors: int = 20) -> SelectionReport:
+                  cache: ObjectiveCache | None = None,
+                  max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive minimum of the sensing objective over affordable sets.
 
     Ties resolve to the lexicographically smallest id tuple.  Guarded by an
@@ -275,18 +256,12 @@ def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
     for ids, value in zip(affordable[1:], values[1:]):
         if value < best_value or (value == best_value and ids < best_ids):
             best_ids, best_value = ids, value
-    return SelectionReport(
-        method="oracle",
-        chosen=best_ids,
-        objective_f=best_value,
-        lqg_cost_g=best_value + cache.offset,
-        cost=set_cost(scenario.suite, best_ids),
-        budget=budget,
-    )
+    return _report(scenario, cache, "oracle", best_ids, budget=budget)
 
 
 def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
-                   cache: ObjectiveCache | None = None, max_sensors: int = 20) -> SelectionReport:
+                   cache: ObjectiveCache | None = None,
+                   max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive cheapest set meeting the LQG cost cap.
 
     Ties resolve first to the smaller sensing objective, then to the
@@ -301,22 +276,12 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
         if value > cap:
             continue
         ids = _mask_ids(mask)
-        cost = sum(costs[i] for i in ids)
-        key = (cost, value, ids)
+        key = (sum(costs[i] for i in ids), value, ids)
         if best is None or key < best:
             best = key
     if best is None:
         raise InfeasibleError(f_all=cache.f(frozenset(range(count))), kappa_bar=cap)
-    cost, value, ids = best
-    return SelectionReport(
-        method="oracle",
-        chosen=ids,
-        objective_f=value,
-        lqg_cost_g=value + cache.offset,
-        cost=cost,
-        kappa=scenario.kappa,
-        kappa_bar=cap,
-    )
+    return _report(scenario, cache, "oracle", best[2], kappa=scenario.kappa, kappa_bar=cap)
 
 
 def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
@@ -329,21 +294,7 @@ def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
     are the LQG quantities of the chosen set.
     """
     cache = cache or ObjectiveCache(scenario, sol)
-    final, _, candidates, iterations, removed, budget = _greedy_budget_core(
-        scenario, cache.logdet_many
-    )
-    value = cache.f(final)
-    return SelectionReport(
-        method="logdet",
-        chosen=tuple(sorted(final)),
-        objective_f=value,
-        lqg_cost_g=value + cache.offset,
-        cost=set_cost(scenario.suite, final),
-        budget=budget,
-        candidates=candidates,
-        iterations=iterations,
-        removed=removed,
-    )
+    return _budget_sweep(scenario, cache, cache.logdet_many, "logdet")
 
 
 def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: int,
@@ -351,53 +302,31 @@ def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: i
     """Mandatory sensors plus a seeded random draw of the others.
 
     A permutation and a uniform count are drawn from a Philox counter-based
-    generator; that many permuted sensors are admitted, skipping any that
-    would cross the budget.  Identical seeds give identical sets, and for a
-    loose budget every superset of the mandatory ids has positive
-    probability.
+    generator; that many permuted sensors are admitted, skipping any whose
+    admission would make the set, its costs summed in id order, cost more
+    than the budget.  Identical seeds give identical sets, and for a loose
+    budget every superset of the mandatory ids has positive probability.
     """
     budget = _require_budget(scenario)
     cache = cache or ObjectiveCache(scenario, sol)
-    chosen = set(chosen_ids(scenario.suite, mandatory))
-    cost_acc = set_cost(scenario.suite, chosen)
-    if cost_acc > budget:
-        raise ValueError(
-            f"mandatory set costs {cost_acc}, above the budget {budget}"
-        )
-    pool = sorted(set(scenario.suite.ids) - chosen)
+    suite = scenario.suite
+    chosen = set(chosen_ids(suite, mandatory))
+    cost = set_cost(suite, chosen)
+    if cost > budget:
+        raise ValueError(f"mandatory set costs {cost}, above the budget {budget}")
+    pool = sorted(set(suite.ids) - chosen)
     rng = np.random.Generator(np.random.Philox(seed))
     if pool:
         order = [pool[j] for j in rng.permutation(len(pool))]
         count = int(rng.integers(0, len(pool) + 1))
         for i in order[:count]:
-            price = scenario.suite.sensor(i).cost
-            if cost_acc + price <= budget:
+            if set_cost(suite, chosen | {i}) <= budget:
                 chosen.add(i)
-                cost_acc += price
-    value = cache.f(frozenset(chosen))
-    return SelectionReport(
-        method="random",
-        chosen=tuple(sorted(chosen)),
-        objective_f=value,
-        lqg_cost_g=value + cache.offset,
-        cost=set_cost(scenario.suite, chosen),
-        budget=budget,
-        seed=seed,
-    )
+    return _report(scenario, cache, "random", chosen, budget=budget, seed=seed)
 
 
 def evaluate_set(scenario: Scenario, sol: RiccatiSolution, ids,
                  cache: ObjectiveCache | None = None, method: str = "set") -> SelectionReport:
     """Report the objectives of an explicitly given sensor set."""
     cache = cache or ObjectiveCache(scenario, sol)
-    chosen = chosen_ids(scenario.suite, ids)
-    value = cache.f(chosen)
-    return SelectionReport(
-        method=method,
-        chosen=chosen,
-        objective_f=value,
-        lqg_cost_g=value + cache.offset,
-        cost=set_cost(scenario.suite, chosen),
-        budget=scenario.budget,
-        kappa=scenario.kappa,
-    )
+    return _report(scenario, cache, method, ids, budget=scenario.budget, kappa=scenario.kappa)

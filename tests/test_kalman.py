@@ -106,7 +106,10 @@ def test_scalar_objectives():
     assert cache.f((0, 1)) == pytest.approx(0.125, abs=1e-12)
     assert cache.g(()) == pytest.approx(1.0, abs=1e-12)
     assert cache.g((0,)) == pytest.approx(0.75, abs=1e-12)
-    assert lq.optimal_lqg_cost(scenario, sol, (0,)) == pytest.approx(0.75, abs=1e-12)
+    # the full cost is the trajectory's sensing objective plus the offset
+    traj = lq.propagate_covariance(scenario, (0,))
+    assert (lq.sensing_objective(sol, traj) + lq.cost_offset(scenario, sol)
+            == pytest.approx(cache.g((0,)), abs=1e-12))
 
 
 def test_offset_affine_in_process_noise():

@@ -269,6 +269,18 @@ def test_random_baseline_covers_subsets():
     assert seen == {(), (0,), (1,), (0, 1)}
 
 
+def test_random_baseline_never_exceeds_budget():
+    # summed in draw order, 0.1 + 0.2 + 0.3 fits 0.6; summed in id order as
+    # the report does, the same set costs 0.6000000000000001
+    sensors = tuple(lq.Sensor.time_invariant(i, [[1.0]], [[1.0]], cost, 1)
+                    for i, cost in enumerate((0.1, 0.2, 0.3)))
+    scenario, sol, cache = support.solved(lq.Scenario(
+        system=support.scalar_system(), weights=support.scalar_weights(),
+        suite=lq.SensorSuite(sensors=sensors, state_dim=1), budget=0.6))
+    for seed in range(200):
+        report = lq.baseline_random(scenario, sol, mandatory=(), seed=seed, cache=cache)
+        assert report.cost <= report.budget, seed
+
 def test_evaluate_set():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     report = lq.evaluate_set(scenario, sol, (1,), cache)
