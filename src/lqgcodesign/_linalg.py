@@ -38,10 +38,10 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
 
-def inv_sqrt_pd(a: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Inverse symmetric square root; eigenvalues clamped below at ``floor``."""
+def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:
+    """Inverse symmetric square root; eigenvalues clamped below at 1e-12."""
     vals, vecs = np.linalg.eigh(symmetrize(a))
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, 1e-12)
     return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
 
 

@@ -373,11 +373,15 @@ def _add_common_output(parser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+def _add_oracle_cap(parser) -> None:
+    parser.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
+                        help="largest ground set enumerated by the brute-force oracle")
+
+
 def _add_caps(parser) -> None:
     parser.add_argument("--ratio-cap", type=int, default=RATIO_CAP,
                         help="largest ground set enumerated for the exact ratio")
-    parser.add_argument("--oracle-cap", type=int, default=ORACLE_CAP,
-                        help="largest ground set enumerated by the brute-force oracle")
+    _add_oracle_cap(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--mandatory", default="")
     p_sim.add_argument("--runs", type=int, default=100)
     p_sim.add_argument("--seed", type=int, default=0)
-    _add_caps(p_sim)
+    _add_oracle_cap(p_sim)
     _add_common_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -10,7 +10,8 @@ J[t] = sum_{i in S} Cbar_i[t]' Cbar_i[t], and the update is one linear solve:
     post[t]  = inv( inv(prior[t]) + J[t] ) = solve( I + prior[t] J[t], prior[t] )
     prior[t+1] = A[t] post[t] A[t]' + W[t]
 
-The empty selection performs the identity update, never solving anything.
+The update never inverts the prior, so the prior may be singular.  The
+empty selection is the zero-information row: J = 0 and solve(I, P) = P.
 Per-step matrices are stacked along a leading time axis: a sensor's whitened
 wiring is a (T, p, n) array, its information a (T, n, n) array, and the
 information of all m sensors one (m, T, n, n) bank.
@@ -43,7 +44,6 @@ from ._linalg import NumericalError, inv_sqrt_pd, symmetrize
 from .model import Scenario, Sensor, chosen_ids
 from .riccati import RiccatiSolution
 
-_SINGULAR_TOL = 1e-12
 # Floats in one (k, n, n) stack of a batch: 2**13 floats are 64 KB, so a
 # batch of any size adds little to the peak memory of a run.
 _BATCH_FLOATS = 1 << 13
@@ -56,8 +56,7 @@ def _batch_size(n: int) -> int:
 
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
     """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n)."""
-    return np.stack([inv_sqrt_pd(v, floor=_SINGULAR_TOL) @ c
-                     for c, v in zip(sensor.C, sensor.V)])
+    return np.stack([inv_sqrt_pd(v) @ c for c, v in zip(sensor.C, sensor.V)])
 
 
 def _information_bank(whitened, horizon: int, n: int) -> np.ndarray:
@@ -102,26 +101,23 @@ def _steps(system, bank: np.ndarray, sets):
     """The covariance recursion for a batch of k sensor sets, one step at a time.
 
     Each set is an ascending sequence of rows of ``bank``, an information
-    bank from ``_information_bank``; a set sums its rows in that order.
-    Yields the (k, n, n) prior and posterior stacks of each time step; the
-    caller reduces or copies them before it asks for the next step.  Raises
-    ``NumericalError`` on a non-finite prior and on a singular prior of a
-    sensed set.
+    bank from ``_information_bank``; a set sums its rows in that order.  The
+    empty set gathers only the zero pad row, so every set takes the same
+    update and the empty set's is solve(I, P) = P.  Yields the (k, n, n)
+    prior and posterior stacks of each time step; the caller reduces or
+    copies them before it asks for the next step.  Raises ``NumericalError``
+    on a non-finite prior.
     """
     T, n = system.horizon, system.state_dim
-    pad = len(bank) - 1
-    sensed = [r for r, ids in enumerate(sets) if len(ids)]
-    every = len(sensed) == len(sets)
-    width = max((len(ids) for ids in sets), default=0)
-    index = np.full((len(sensed), width), pad)
-    for j, r in enumerate(sensed):
-        index[j, :len(sets[r])] = sets[r]
+    width = max(1, *map(len, sets))
+    index = np.full((len(sets), width), len(bank) - 1)
+    for r, ids in enumerate(sets):
+        index[r, :len(ids)] = ids
     # steps of information summed per gather: a small batch (a trajectory)
     # sums many steps at once and still stays within one batch array
-    block = max(1, _BATCH_FLOATS // (max(len(sensed), 1) * n * n))
-    gain = np.empty((len(sensed), n, n))
+    block = max(1, _BATCH_FLOATS // (len(sets) * n * n))
+    gain = np.empty((len(sets), n, n))
     eye = np.eye(n)
-    floor = _SINGULAR_TOL * eye
     prior = np.broadcast_to(system.sigma_init, (len(sets), n, n))
     for t in range(T):
         if not np.isfinite(prior).all():
@@ -129,26 +125,13 @@ def _steps(system, bank: np.ndarray, sets):
                 f"prediction covariance not finite at time index {t}; "
                 "the covariance recursion overflowed"
             )
-        post = prior
-        if sensed:
-            sub = prior if every else prior[sensed]
-            if not _positive_definite(sub - floor):
-                raise NumericalError(
-                    f"prediction covariance singular at time index {t}; "
-                    "a positive definite W regularizes it"
-                )
-            if t % block == 0:
-                info = bank[index[:, 0], t:t + block]
-                for j in range(1, width):
-                    info += bank[index[:, j], t:t + block]
-            np.matmul(sub, info[:, t % block], out=gain)
-            gain += eye
-            update = symmetrize(np.linalg.solve(gain, sub))
-            if every:
-                post = update
-            else:
-                post = prior.copy()
-                post[sensed] = update
+        if t % block == 0:
+            info = bank[index[:, 0], t:t + block]
+            for j in range(1, width):
+                info += bank[index[:, j], t:t + block]
+        np.matmul(prior, info[:, t % block], out=gain)
+        gain += eye
+        post = symmetrize(np.linalg.solve(gain, prior))
         yield prior, post
         if t + 1 < T:
             A, W = system.A[t], system.W[t]
@@ -190,6 +173,7 @@ def _logdet_values(posts, horizon: int) -> np.ndarray:
     for t, post in enumerate(posts):
         sign, logabs = np.linalg.slogdet(post)
         if (sign <= 0.0).any() or not _positive_definite(post):
+            # a singular posterior (a singular prior left unsensed) has log-volume -inf
             raise NumericalError(
                 f"filtering covariance not positive definite at time index {t}"
             )

@@ -35,8 +35,35 @@ def _fmt(name: str, t: int | None) -> str:
     return name if t is None else f"{name} at time index {t}"
 
 
+def _as_array(value, name: str) -> np.ndarray:
+    """A float array; ragged or non-numeric data raises ``ValidationError``."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected numbers in a rectangular array") from None
+
+
+def _as_number(value, name: str) -> float:
+    """A float from a scalar; anything else raises ``ValidationError`` naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{name}: expected a number, got {value!r}") from None
+
+
+def _as_int(value, name: str) -> int:
+    """An integer; booleans, fractions and non-numbers raise ``ValidationError``."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, bool) or number is None or number != value:
+        raise ValidationError(f"{name}: expected an integer, got {value!r}")
+    return number
+
+
 def _as_matrix(value, name: str, t: int | None = None) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, _fmt(name, t))
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"{_fmt(name, t)}: expected a nonempty 2-D matrix")
     if not np.all(np.isfinite(arr)):
@@ -45,7 +72,7 @@ def _as_matrix(value, name: str, t: int | None = None) -> np.ndarray:
 
 
 def _as_vector(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    arr = _as_array(value, name)
     if arr.ndim != 1:
         raise ValidationError(f"{name}: expected a 1-D vector")
     if not np.all(np.isfinite(arr)):
@@ -144,7 +171,7 @@ class Sensor:
                 raise ValidationError(
                     f"{_fmt(f'{label} V', t)}: sensor noise not positive definite"
                 )
-        cost = float(self.cost)
+        cost = _as_number(self.cost, f"{label} cost")
         if not np.isfinite(cost) or cost < 0.0:
             raise ValidationError(f"{label}: cost must be finite and nonnegative")
         object.__setattr__(self, "C", C)
@@ -181,7 +208,7 @@ class SensorSuite:
             raise ValidationError(
                 f"sensor ids must be unique and contiguous from 0, got {ids}"
             )
-        n = int(self.state_dim)
+        n = _as_int(self.state_dim, "state_dim")
         if n < 1:
             raise ValidationError("state_dim must be at least 1")
         for s in sensors:
@@ -226,8 +253,8 @@ class LtvSystem:
     x1_mean: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        T = int(self.horizon)
-        n = int(self.state_dim)
+        T = _as_int(self.horizon, "horizon")
+        n = _as_int(self.state_dim, "state_dim")
         if T < 1:
             raise ValidationError("horizon must be at least 1")
         if n < 1:
@@ -277,7 +304,7 @@ class LqgWeights:
     R: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        T = int(self.horizon)
+        T = _as_int(self.horizon, "horizon")
         if T < 1:
             raise ValidationError("horizon must be at least 1")
         Q = _matrix_sequence(self.Q, T, "Q")
@@ -330,7 +357,7 @@ class Scenario:
             val = getattr(self, name)
             if val is None:
                 continue
-            val = float(val)
+            val = _as_number(val, name)
             if not np.isfinite(val) or val < 0.0:
                 raise ValidationError(f"{name} must be finite and nonnegative")
             object.__setattr__(self, name, val)
@@ -399,11 +426,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     missing = {"horizon", "state_dim", "A", "B", "W", "Q", "R", "sigma_init", "sensors"} - set(data)
     if missing:
         raise ValidationError(f"missing scenario fields: {sorted(missing)}")
-    try:
-        T = int(data["horizon"])
-        n = int(data["state_dim"])
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"horizon/state_dim must be integers: {exc}") from None
+    T = _as_int(data["horizon"], "horizon")
+    n = _as_int(data["state_dim"], "state_dim")
     system = LtvSystem(
         horizon=T,
         state_dim=n,

@@ -161,6 +161,13 @@ def _require_budget(scenario: Scenario) -> float:
     return scenario.budget
 
 
+def _require_cap(scenario: Scenario, cache: ObjectiveCache) -> float:
+    """The cap on the sensing objective equivalent to ``scenario.kappa``."""
+    if scenario.kappa is None:
+        raise ValueError("scenario defines no kappa; set one to use cost-capped selection")
+    return scenario.kappa - cache.offset
+
+
 def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
                   method: str) -> SelectionReport:
     """Budget sweep on ``objective_many``: best singleton versus efficiency-greedy set."""
@@ -212,7 +219,7 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     ``InfeasibleError`` when the full ground set cannot meet the cap.
     """
     cache = cache or ObjectiveCache(scenario, sol)
-    cap = cache.kappa_bar()
+    cap = _require_cap(scenario, cache)
     empty_value = cache.f(())
     chosen, value, iterations = _sweep(scenario.suite, cache.f_many, empty_value,
                                        lambda _, value: value > cap)
@@ -269,7 +276,7 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
     """
     count = _require_enumerable(scenario, max_sensors)
     cache = cache or ObjectiveCache(scenario, sol)
-    cap = cache.kappa_bar()
+    cap = _require_cap(scenario, cache)
     costs = [s.cost for s in scenario.suite]
     best = None
     for mask, value in enumerate(cache.f_many(map(_mask_ids, range(1 << count)))):

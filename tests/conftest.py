@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 import lqgcodesign as lq
 
 import support
+
+# the same examples on every run, so a tier-1 result never depends on luck
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -63,6 +63,18 @@ def singular_prediction_scenario() -> lq.Scenario:
                        weights=weights)
 
 
+def singular_prior_uav_scenario() -> lq.Scenario:
+    """UAV landing with two landmarks whose initial velocity is known exactly.
+
+    ``sigma_init`` has rank 3 of 6 and ``W`` is the identity, so only the
+    first prior is singular.
+    """
+    scenario = lq.build_uav_scenario(2, 6, "uniform", 0)
+    system = replace(scenario.system, sigma_init=np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]),
+                     W=np.eye(6))
+    return replace(scenario, system=system, budget=2.0)
+
+
 def scalar_scenario_dict() -> dict:
     """JSON form of the two-sensor scalar scenario, using broadcast matrices."""
     return {
@@ -258,6 +270,33 @@ def solved(scenario: lq.Scenario):
     """Convenience bundle: (scenario, solution, cache)."""
     sol = lq.solve_riccati(scenario.system, scenario.weights)
     return scenario, sol, lq.ObjectiveCache(scenario, sol)
+
+
+def joseph_posteriors(scenario: lq.Scenario, ids) -> list[np.ndarray]:
+    """Filtering covariances of a sensor set from the Joseph-form update.
+
+    An independent reference (Kaminski, Bryson & Schmidt 1971): each step
+    stacks the chosen sensors with ``stack_sensors`` and updates
+    post = (I - K C) P (I - K C)' + K V K' with K = P C' inv(C P C' + V).
+    Only the innovation covariance is inverted, never the prior P, so a
+    singular prior is as valid here as in the library.
+    """
+    system = scenario.system
+    prior = system.sigma_init
+    posts = []
+    for t in range(system.horizon):
+        C, V = lq.stack_sensors(scenario.suite, ids, t)
+        gain = np.linalg.solve(C @ prior @ C.T + V, C @ prior).T
+        keep = np.eye(system.state_dim) - gain @ C
+        posts.append(keep @ prior @ keep.T + gain @ V @ gain.T)
+        prior = system.A[t] @ posts[-1] @ system.A[t].T + system.W[t]
+    return posts
+
+
+def joseph_objective(scenario: lq.Scenario, sol, ids) -> float:
+    """sum_t trace(theta[t] post[t]) over the Joseph-form posteriors."""
+    return float(sum(np.sum(theta * post)
+                     for theta, post in zip(sol.theta, joseph_posteriors(scenario, ids))))
 
 
 def _sym(a: np.ndarray) -> np.ndarray:

@@ -122,12 +122,17 @@ def test_benchmark_families_match_serial_reference():
                     support.with_feasible_kappa(*support.solved(scenario), seed=seed))
 
 
-def test_mixed_batch_raises_at_the_singular_step():
-    scenario, sol, cache = support.solved(support.singular_prediction_scenario())
-    with pytest.raises(lq.NumericalError, match="time index 1"):
-        cache.f_many([(), (0,)])
-    # the empty set takes the identity update and never checks the prior
-    assert cache.f_many([()]) == [lq.sensing_objective(sol, lq.propagate_covariance(scenario, ()))]
+@pytest.mark.parametrize("build", [support.singular_prediction_scenario,
+                                   support.singular_prior_uav_scenario])
+def test_mixed_batch_with_a_singular_prior(build):
+    # the empty set and a sensed set share one update, whatever the prior's rank
+    scenario, sol, cache = support.solved(build())
+    sets = [(), (0,)]
+    batched = cache.f_many(sets)
+    assert batched == [support.solved(scenario)[2].f(ids) for ids in sets]
+    for ids, value in zip(sets, batched):
+        assert value == pytest.approx(support.joseph_objective(scenario, sol, ids),
+                                      rel=1e-12, abs=0.0)
 
 
 def test_memo_hit_does_not_propagate(monkeypatch):

@@ -355,6 +355,53 @@ def test_simulate_method_flag(tmp_path):
     assert row["method"] == "greedy"
 
 
+def test_simulate_has_no_ratio_cap(tmp_path, capsys):
+    # simulate never certifies, so only the oracle cap applies to it
+    source = _write_scalar(tmp_path)
+    base = ["simulate", "--scenario", str(source), "--runs", "2"]
+    assert main([*base, "--ratio-cap", "3"]) == 1
+    assert "unrecognized arguments: --ratio-cap 3" in capsys.readouterr().err
+    assert main([*base, "--method", "oracle", "--oracle-cap", "3"]) == 0
+
+
+def test_singular_prior_is_supported(tmp_path, capsys):
+    # rank-3 sigma_init: everything but the log-volume, which is -inf, runs
+    source = tmp_path / "uav.json"
+    lq.save_scenario(support.singular_prior_uav_scenario(), source)
+    scenario = ["--scenario", str(source)]
+    for argv in (["select", "budget", "--method", "greedy"],
+                 ["select", "budget", "--method", "oracle"],
+                 ["bound", "budget"],
+                 ["simulate", "--runs", "3"],
+                 ["cost", "--set", "0;1"]):
+        assert main([*argv, *scenario]) == 0, argv
+    capsys.readouterr()
+    assert main(["select", "budget", "--method", "logdet", *scenario]) == 1
+    assert capsys.readouterr().err == (
+        "lqgcodesign: error: filtering covariance not positive definite at time index 0\n")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("kappa", [1], "kappa"),
+    ("budget", {"a": 1}, "budget"),
+    ("budget", "cheap", "budget"),
+    ("horizon", 1.7, "horizon"),
+    ("A", [[1.0, 2.0], [3.0]], "A"),
+    ("cost", None, "sensor 0 cost"),
+    ("V", [["x"]], "sensor 0 V"),
+])
+def test_malformed_scalar_fails_cleanly(tmp_path, capsys, field, value, named):
+    data = support.scalar_scenario_dict()
+    (data["sensors"][0] if named.startswith("sensor") else data)[field] = value
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    assert main(["cost", "--scenario", str(path), "--set", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"lqgcodesign: error: {named}: ")
+
+
 def test_byte_identical_reruns(tmp_path):
     source = _write_scalar(tmp_path)
     for method in ("greedy", "random"):

@@ -1,7 +1,11 @@
 """Information-form filtering and the sensing/LQG objectives."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqgcodesign as lq
 
@@ -185,11 +189,16 @@ def test_logdet_monotone():
         assert cache.logdet(small) >= cache.logdet(big) - 1e-10
 
 
-def test_singular_prediction_raises():
-    # zero process noise and a nilpotent map flatten the covariance
-    scenario = support.singular_prediction_scenario()
-    with pytest.raises(lq.NumericalError, match="time index 1"):
-        lq.propagate_covariance(scenario, (0,))
+def test_singular_prediction_matches_joseph():
+    # zero process noise and a nilpotent map flatten the prior at time index 1;
+    # the update never inverts it, so it needs no regularizing
+    scenario, sol, cache = support.solved(support.singular_prediction_scenario())
+    for ids in ((), (0,)):
+        posts = lq.propagate_covariance(scenario, ids).posteriors
+        np.testing.assert_allclose(posts, support.joseph_posteriors(scenario, ids),
+                                   rtol=1e-12, atol=0.0)
+        assert cache.f(ids) == pytest.approx(support.joseph_objective(scenario, sol, ids),
+                                             rel=1e-12, abs=0.0)
 
 
 def test_unknown_ids_rejected():
@@ -237,3 +246,44 @@ def test_cache_consistent_with_direct_evaluation():
     assert cache.f(ids) == pytest.approx(direct, abs=1e-12)
     assert cache.f(ids) == pytest.approx(cache.f(frozenset(ids)), abs=0.0)
     assert cache.g(ids) == pytest.approx(direct + cache.offset, abs=1e-12)
+
+
+@st.composite
+def _small_plants(draw):
+    """Plants with n <= 3, T <= 3 and at most 3 sensors, some of them free.
+
+    Entries are halves in [-1, 1].  ``sigma_init`` and ``W`` are Gram
+    matrices of any rank, 0 included, so priors may be singular.
+    """
+    n = draw(st.integers(1, 3))
+    horizon = draw(st.integers(1, 3))
+
+    def matrix(rows, cols):
+        halves = draw(st.lists(st.integers(-2, 2), min_size=rows * cols, max_size=rows * cols))
+        return 0.5 * np.array(halves, dtype=float).reshape(rows, cols)
+
+    def gram(size):
+        factor = matrix(draw(st.integers(0, size)), size)
+        return factor.T @ factor
+
+    sensors = []
+    for i in range(draw(st.integers(0, 3))):
+        p = draw(st.integers(1, 2))
+        sensors.append(lq.Sensor.time_invariant(i, matrix(p, n), gram(p) + 0.5 * np.eye(p),
+                                                draw(st.sampled_from([0.0, 0.5, 1.0])),
+                                                horizon))
+    system = lq.LtvSystem(horizon=horizon, state_dim=n, A=matrix(n, n), B=matrix(n, 1),
+                          W=gram(n), sigma_init=gram(n))
+    return lq.Scenario(system=system, suite=lq.SensorSuite(sensors=tuple(sensors), state_dim=n),
+                       weights=lq.LqgWeights(horizon=horizon, Q=gram(n), R=[[1.0]]))
+
+
+@settings(max_examples=100)
+@given(scenario=_small_plants())
+def test_objective_matches_the_joseph_filter(scenario):
+    scenario, sol, cache = support.solved(scenario)
+    ids = scenario.suite.ids
+    sets = [s for size in range(len(ids) + 1) for s in combinations(ids, size)]
+    for chosen, value in zip(sets, cache.f_many(sets)):
+        assert value == pytest.approx(support.joseph_objective(scenario, sol, chosen),
+                                      rel=1e-10, abs=1e-12)

@@ -214,3 +214,53 @@ def test_frozen_arrays_read_only():
     scenario = support.scalar_two_sensor_scenario()
     with pytest.raises(ValueError):
         scenario.system.A[0][0, 0] = 2.0
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=50)
+    | st.floats(min_value=-1e3, max_value=1e3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=8,
+)
+_FIELDS = ("horizon", "state_dim", "A", "B", "W", "Q", "R", "sigma_init", "x1_mean",
+           "sensors", "budget", "kappa", "sensor id", "sensor C", "sensor V", "sensor cost")
+
+
+@settings(max_examples=200)
+@given(field=st.sampled_from(_FIELDS), value=_JSON)
+def test_loader_returns_a_scenario_or_raises_validation_error(field, value):
+    data = support.scalar_scenario_dict()
+    if field.startswith("sensor "):
+        data["sensors"][0][field.split()[1]] = value
+    else:
+        data[field] = value
+    try:
+        scenario = lq.scenario_from_dict(data)
+    except lq.ValidationError:
+        return
+    assert isinstance(scenario, lq.Scenario)
+
+
+@pytest.mark.parametrize("field, value, name", [
+    ("kappa", [1], "kappa"),
+    ("budget", {"a": 1}, "budget"),
+    ("budget", "cheap", "budget"),
+    ("horizon", 1.7, "horizon"),
+    ("horizon", True, "horizon"),
+    ("A", [[1.0, 2.0], [3.0]], "A"),
+    ("sigma_init", [[None]], "sigma_init"),
+    ("x1_mean", ["x"], "x1_mean"),
+])
+def test_malformed_scalar_names_the_field(field, value, name):
+    data = support.scalar_scenario_dict()
+    data[field] = value
+    with pytest.raises(lq.ValidationError, match=f"^{name}: "):
+        lq.scenario_from_dict(data)
+
+
+def test_malformed_sensor_cost_names_the_sensor():
+    data = support.scalar_scenario_dict()
+    data["sensors"][1]["cost"] = None
+    with pytest.raises(lq.ValidationError, match="^sensor 1 cost: expected a number"):
+        lq.scenario_from_dict(data)

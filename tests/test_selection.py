@@ -1,5 +1,7 @@
 """Greedy sweeps, brute-force oracles, and the baselines."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,20 @@ def test_greedy_mincost_requires_kappa():
         support.scalar_two_sensor_scenario(kappa=None))
     with pytest.raises(ValueError, match="kappa"):
         lq.greedy_mincost(scenario, sol, cache)
+
+
+@pytest.mark.parametrize("select", [lq.greedy_mincost, lq.oracle_mincost])
+def test_mincost_cap_comes_from_the_scenario_argument(select):
+    # a cache built for one kappa, asked about another: the cap is the argument's
+    base, sol, probe = support.solved(lq.build_formation_scenario(2, 6, "homogeneous", 0))
+    f_all, f_empty = probe.f(base.suite.ids), probe.f(())
+    cache = lq.ObjectiveCache(replace(base, kappa=probe.offset + f_all + 0.9 * (f_empty - f_all)),
+                              sol)
+    scenario = replace(base, kappa=probe.offset + f_all + 0.1 * (f_empty - f_all))
+    report = select(scenario, sol, cache)
+    assert report == select(scenario, sol)
+    assert report.chosen == (1, 2)
+    assert report.lqg_cost_g <= scenario.kappa
 
 
 def test_oracle_budget_scalar():
