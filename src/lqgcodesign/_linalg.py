@@ -15,12 +15,9 @@ class NumericalError(RuntimeError):
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Return (A + A^T) / 2, per matrix for a stack of matrices."""
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def min_eigenvalue(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(a))[0])
+    """Return A/2 + A^T/2, per matrix for a stack; unlike (A + A^T)/2 it cannot overflow."""
+    half = 0.5 * a
+    return half + np.swapaxes(half, -1, -2)
 
 
 def general_condition(a: np.ndarray) -> float:
@@ -38,21 +35,22 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     vals = np.clip(vals, 0.0, None)
     return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
 
+
 def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:
-    """Inverse symmetric square root; eigenvalues clamped below at 1e-12."""
+    """Inverse symmetric square root, per matrix for a stack; eigenvalues clamped below at 1e-12."""
     vals, vecs = np.linalg.eigh(symmetrize(a))
     vals = np.maximum(vals, 1e-12)
-    return symmetrize((vecs / np.sqrt(vals)) @ vecs.T)
+    return symmetrize((vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 def block_diag(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
-    """Square block-diagonal assembly of square blocks."""
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size))
+    """Block-diagonal assembly of square blocks, per matrix for stacks shaped like the first."""
+    size = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(blocks[0].shape[:-2] + (size, size))
     ofs = 0
     for b in blocks:
-        k = b.shape[0]
-        out[ofs:ofs + k, ofs:ofs + k] = b
+        k = b.shape[-1]
+        out[..., ofs:ofs + k, ofs:ofs + k] = b
         ofs += k
     return out
 

@@ -56,7 +56,7 @@ def _batch_size(n: int) -> int:
 
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
     """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n)."""
-    return np.stack([inv_sqrt_pd(v) @ c for c, v in zip(sensor.C, sensor.V)])
+    return inv_sqrt_pd(sensor.V) @ sensor.C
 
 
 def _information_bank(whitened, horizon: int, n: int) -> np.ndarray:

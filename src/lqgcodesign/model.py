@@ -4,13 +4,17 @@ A scenario bundles a linear time-varying plant, quadratic control weights,
 and a bank of candidate sensors, each with a wiring matrix, a noise
 covariance, and a nonnegative selection cost.  All matrix sequences are
 indexed 0-based over ``t = 0..horizon-1``; JSON files may give a
-time-invariant matrix once and it is broadcast over the horizon.
+time-invariant matrix once and it is broadcast over the horizon.  A
+sensor's output size p is fixed, so its ``C`` and ``V`` are read-only
+stacked (T, p, n) and (T, p, p) arrays.  Plant and weight fields stay tuples
+of per-step matrices: the input size of ``B[t]`` and ``R[t]`` may change
+with t, and the recursions read them one step at a time.
 
-Everything is validated on construction: shapes, symmetry (tolerance 1e-9),
-positive semidefiniteness (eigenvalues >= -1e-9), and strict positive
-definiteness where inversion is required (minimum eigenvalue > 1e-12).
-Instances are immutable after construction and safe to share across
-concurrent readers.
+Each constructor converts and checks its fields once: shapes, symmetry
+(tolerance 1e-9), positive semidefiniteness (eigenvalues >= -1e-9), and
+strict positive definiteness where inversion is required (minimum
+eigenvalue > 1e-12); a message names the field and its first failing time
+index.  Instances are immutable and safe to share across concurrent readers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import block_diag, frozen, min_eigenvalue
+from ._linalg import block_diag, frozen, symmetrize
 
 SYMMETRY_TOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -63,12 +67,13 @@ def _as_int(value, name: str) -> int:
 
 
 def _as_matrix(value, name: str, t: int | None = None) -> np.ndarray:
+    """A nonempty, finite 2-D float array, not yet copied or frozen."""
     arr = _as_array(value, _fmt(name, t))
     if arr.ndim != 2 or arr.size == 0:
         raise ValidationError(f"{_fmt(name, t)}: expected a nonempty 2-D matrix")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{_fmt(name, t)}: entries must be finite")
-    return frozen(arr)
+    return arr
 
 
 def _as_vector(value, name: str) -> np.ndarray:
@@ -80,6 +85,13 @@ def _as_vector(value, name: str) -> np.ndarray:
     return frozen(arr)
 
 
+def _fail_first(bad: np.ndarray, name: str, problem: str) -> None:
+    """Raise if ``bad`` holds for a matrix, or at a step of a stack, naming the first such step."""
+    if bad.any():
+        t = int(np.argmax(bad)) if bad.ndim else None
+        raise ValidationError(f"{_fmt(name, t)}: {problem}")
+
+
 def _require_shape(a: np.ndarray, shape: tuple[int, int], name: str, t: int | None = None) -> None:
     if a.shape != shape:
         raise ValidationError(
@@ -87,90 +99,86 @@ def _require_shape(a: np.ndarray, shape: tuple[int, int], name: str, t: int | No
         )
 
 
-def _require_symmetric(a: np.ndarray, name: str, t: int | None = None) -> None:
-    if a.shape[0] != a.shape[1]:
-        raise ValidationError(f"{_fmt(name, t)}: expected a square matrix, got {a.shape}")
-    if np.max(np.abs(a - a.T)) > SYMMETRY_TOL:
-        raise ValidationError(f"{_fmt(name, t)}: not symmetric within {SYMMETRY_TOL}")
+def _require_symmetric(a: np.ndarray, name: str) -> None:
+    """A matrix, or every step of a (T, k, k) stack, symmetric within ``SYMMETRY_TOL``."""
+    if a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"{name}: expected a square matrix, got {a.shape}")
+    skew = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
+    _fail_first(skew > SYMMETRY_TOL, name, f"not symmetric within {SYMMETRY_TOL}")
 
 
-def _require_psd(a: np.ndarray, name: str, t: int | None = None) -> None:
-    _require_symmetric(a, name, t)
-    if min_eigenvalue(a) < PSD_EIG_TOL:
-        raise ValidationError(f"{_fmt(name, t)}: not positive semidefinite")
+def _min_eigenvalues(a: np.ndarray) -> np.ndarray:
+    return np.linalg.eigvalsh(symmetrize(a))[..., 0]
 
 
-def _require_pd(a: np.ndarray, name: str, t: int | None = None) -> None:
-    _require_symmetric(a, name, t)
-    if min_eigenvalue(a) <= PD_MIN_EIG:
-        raise ValidationError(f"{_fmt(name, t)}: not positive definite")
+def _require_psd(a: np.ndarray, name: str) -> None:
+    _require_symmetric(a, name)
+    _fail_first(_min_eigenvalues(a) < PSD_EIG_TOL, name, "not positive semidefinite")
 
 
-def _matrix_sequence(value, horizon: int, name: str) -> tuple[np.ndarray, ...]:
-    """Normalize a matrix-per-step field.
+def _require_pd(a: np.ndarray, name: str, problem: str) -> None:
+    _require_symmetric(a, name)
+    _fail_first(_min_eigenvalues(a) <= PD_MIN_EIG, name, problem)
 
-    Accepts either a sequence of ``horizon`` matrices or a single matrix,
-    which is broadcast over every step.
+
+def _steps(value, horizon: int, name: str):
+    """A field's ``horizon`` per-step matrices as given, or its one matrix repeated.
+
+    A repeated matrix is converted once here, and its messages name no time index.
     """
-    if isinstance(value, np.ndarray):
-        if value.ndim == 2:
-            mat = _as_matrix(value, name)
-            return (mat,) * horizon
-        if value.ndim == 3:
-            value = list(value)
-        else:
-            raise ValidationError(f"{name}: expected a matrix or a sequence of matrices")
-    if not isinstance(value, (list, tuple)) or len(value) == 0:
-        raise ValidationError(f"{name}: expected a matrix or a sequence of matrices")
-    first = value[0]
-    if isinstance(first, np.ndarray):
+    first = value[0] if isinstance(value, (list, tuple)) and value else None
+    if isinstance(value, np.ndarray) and value.ndim in (2, 3):
+        per_step = value.ndim == 3
+    elif isinstance(first, np.ndarray):
         per_step = first.ndim == 2
-    elif isinstance(first, (list, tuple)) and len(first) > 0:
+    elif isinstance(first, (list, tuple)) and first:
         per_step = isinstance(first[0], (list, tuple, np.ndarray))
     else:
         raise ValidationError(f"{name}: expected a matrix or a sequence of matrices")
     if not per_step:
-        mat = _as_matrix(value, name)
-        return (mat,) * horizon
+        return [_as_matrix(value, name)] * horizon
     if len(value) != horizon:
         raise ValidationError(
             f"{name}: expected {horizon} matrices, got {len(value)}"
         )
-    return tuple(_as_matrix(m, name, t) for t, m in enumerate(value))
+    return value
+
+
+def _matrix_sequence(value, horizon: int, name: str) -> tuple[np.ndarray, ...]:
+    """A matrix-per-step field as a tuple of read-only matrices."""
+    return tuple(frozen(_as_matrix(m, name, t)) for t, m in enumerate(_steps(value, horizon, name)))
 
 
 @dataclass(frozen=True)
 class Sensor:
     """One candidate sensor: wiring matrices, noise covariances, and a cost.
 
-    ``C[t]`` has shape (p, state_dim) and ``V[t]`` is the p x p measurement
-    noise covariance, strictly positive definite at every step.
+    ``C`` and ``V`` take a sequence of per-step matrices and are stored as
+    read-only stacks: ``C[t]`` is the (p, state_dim) wiring at step t and
+    ``V[t]`` the p x p measurement noise covariance, strictly positive
+    definite at every step.
     """
 
     id: int
-    C: tuple[np.ndarray, ...] = field(repr=False)
-    V: tuple[np.ndarray, ...] = field(repr=False)
+    C: np.ndarray = field(repr=False)
+    V: np.ndarray = field(repr=False)
     cost: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.id, (int, np.integer)) or self.id < 0:
+        if isinstance(self.id, bool) or not isinstance(self.id, (int, np.integer)) or self.id < 0:
             raise ValidationError(f"sensor id must be a nonnegative integer, got {self.id!r}")
         object.__setattr__(self, "id", int(self.id))
         label = f"sensor {self.id}"
-        C = tuple(_as_matrix(m, f"{label} C", t) for t, m in enumerate(self.C))
-        V = tuple(_as_matrix(m, f"{label} V", t) for t, m in enumerate(self.V))
+        C = [_as_matrix(m, f"{label} C", t) for t, m in enumerate(self.C)]
+        V = [_as_matrix(m, f"{label} V", t) for t, m in enumerate(self.V)]
         if len(C) == 0 or len(C) != len(V):
             raise ValidationError(f"{label}: C and V must be nonempty sequences of equal length")
         p, n = C[0].shape
-        for t, m in enumerate(C):
-            _require_shape(m, (p, n), f"{label} C", t)
-        for t, m in enumerate(V):
-            _require_shape(m, (p, p), f"{label} V", t)
-            _require_symmetric(m, f"{label} V", t)
-            if min_eigenvalue(m) <= PD_MIN_EIG:
-                raise ValidationError(
-                    f"{_fmt(f'{label} V', t)}: sensor noise not positive definite"
-                )
+        for t, (c, v) in enumerate(zip(C, V)):
+            _require_shape(c, (p, n), f"{label} C", t)
+            _require_shape(v, (p, p), f"{label} V", t)
+        C, V = frozen(np.stack(C)), frozen(np.stack(V))
+        _require_pd(V, f"{label} V", "sensor noise not positive definite")
         cost = _as_number(self.cost, f"{label} cost")
         if not np.isfinite(cost) or cost < 0.0:
             raise ValidationError(f"{label}: cost must be finite and nonnegative")
@@ -181,13 +189,13 @@ class Sensor:
     @classmethod
     def time_invariant(cls, sensor_id: int, C, V, cost: float, horizon: int) -> "Sensor":
         """Build a sensor whose wiring and noise are constant over the horizon."""
-        Cm = _as_matrix(C, f"sensor {sensor_id} C")
-        Vm = _as_matrix(V, f"sensor {sensor_id} V")
-        return cls(id=sensor_id, C=(Cm,) * horizon, V=(Vm,) * horizon, cost=cost)
+        C = _as_matrix(C, f"sensor {sensor_id} C")
+        V = _as_matrix(V, f"sensor {sensor_id} V")
+        return cls(id=sensor_id, C=[C] * horizon, V=[V] * horizon, cost=cost)
 
     @property
     def output_dim(self) -> int:
-        return self.C[0].shape[0]
+        return self.C.shape[1]
 
     @property
     def horizon(self) -> int:
@@ -212,11 +220,10 @@ class SensorSuite:
         if n < 1:
             raise ValidationError("state_dim must be at least 1")
         for s in sensors:
-            for t, m in enumerate(s.C):
-                if m.shape[1] != n:
-                    raise ValidationError(
-                        f"{_fmt(f'sensor {s.id} C', t)}: expected {n} columns, got {m.shape[1]}"
-                    )
+            if s.C.shape[2] != n:
+                raise ValidationError(
+                    f"sensor {s.id} C: expected {n} columns, got {s.C.shape[2]}"
+                )
         object.__setattr__(self, "sensors", sensors)
         object.__setattr__(self, "state_dim", n)
 
@@ -271,8 +278,8 @@ class LtvSystem:
                 )
         for t, m in enumerate(W):
             _require_shape(m, (n, n), "W", t)
-            _require_psd(m, "W", t)
-        sigma = _as_matrix(self.sigma_init, "sigma_init")
+        _require_psd(np.stack(W), "W")
+        sigma = frozen(_as_matrix(self.sigma_init, "sigma_init"))
         _require_shape(sigma, (n, n), "sigma_init")
         _require_psd(sigma, "sigma_init")
         mean = (
@@ -310,9 +317,9 @@ class LqgWeights:
         Q = _matrix_sequence(self.Q, T, "Q")
         R = _matrix_sequence(self.R, T, "R")
         for t, m in enumerate(Q):
-            _require_psd(m, "Q", t)
+            _require_psd(m, _fmt("Q", t))
         for t, m in enumerate(R):
-            _require_pd(m, "R", t)
+            _require_pd(m, _fmt("R", t), "not positive definite")
         object.__setattr__(self, "horizon", T)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
@@ -379,25 +386,18 @@ def chosen_ids(suite: SensorSuite, ids) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def stack_sensors(suite: SensorSuite, ids, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the selected sensors' step-t wiring and noise, ascending by id.
+def stack_sensors(scenario: Scenario, ids) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the selected sensors' wiring and noise over the horizon, ascending by id.
 
-    Returns ``(C, V)`` where C is (sum p_i, state_dim) and V is the
-    block-diagonal joint noise covariance.  The empty selection yields a
-    0-row C and a 0 x 0 V.
+    Returns ``(C, V)``: C is (T, P, state_dim), the rows of each sensor in
+    turn, and V the (T, P, P) block-diagonal joint noise covariance, P being
+    the set's total output size.  The empty selection has P = 0.
     """
-    n = suite.state_dim
-    blocks_c = []
-    blocks_v = []
-    for i in chosen_ids(suite, ids):
-        s = suite.sensors[i]
-        if not 0 <= t < s.horizon:
-            raise ValidationError(f"time index {t} out of range for sensor {i}")
-        blocks_c.append(s.C[t])
-        blocks_v.append(s.V[t])
-    if not blocks_c:
-        return np.zeros((0, n)), np.zeros((0, 0))
-    return np.vstack(blocks_c), block_diag(blocks_v)
+    T, n = scenario.horizon, scenario.state_dim
+    sensors = [scenario.suite.sensors[i] for i in chosen_ids(scenario.suite, ids)]
+    C = np.concatenate([np.zeros((T, 0, n))] + [s.C for s in sensors], axis=1)
+    V = block_diag([np.zeros((T, 0, 0))] + [s.V for s in sensors])
+    return C, V
 
 
 def set_cost(suite: SensorSuite, ids) -> float:
@@ -417,7 +417,7 @@ _SENSOR_KEYS = {"id", "C", "V", "cost"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Build a validated scenario from plain JSON-style data."""
+    """Build a validated scenario from plain JSON-style data; the constructors check the values."""
     if not isinstance(data, dict):
         raise ValidationError("scenario document must be a JSON object")
     unknown = set(data) - _TOP_KEYS
@@ -426,19 +426,17 @@ def scenario_from_dict(data: dict) -> Scenario:
     missing = {"horizon", "state_dim", "A", "B", "W", "Q", "R", "sigma_init", "sensors"} - set(data)
     if missing:
         raise ValidationError(f"missing scenario fields: {sorted(missing)}")
-    T = _as_int(data["horizon"], "horizon")
-    n = _as_int(data["state_dim"], "state_dim")
     system = LtvSystem(
-        horizon=T,
-        state_dim=n,
-        A=_matrix_sequence(data["A"], T, "A"),
-        B=_matrix_sequence(data["B"], T, "B"),
-        W=_matrix_sequence(data["W"], T, "W"),
+        horizon=data["horizon"],
+        state_dim=data["state_dim"],
+        A=data["A"],
+        B=data["B"],
+        W=data["W"],
         sigma_init=data["sigma_init"],
         x1_mean=data.get("x1_mean"),
     )
-    weights = LqgWeights(horizon=T, Q=_matrix_sequence(data["Q"], T, "Q"),
-                         R=_matrix_sequence(data["R"], T, "R"))
+    T = system.horizon
+    weights = LqgWeights(horizon=T, Q=data["Q"], R=data["R"])
     raw_sensors = data["sensors"]
     if not isinstance(raw_sensors, list):
         raise ValidationError("sensors must be an array of sensor objects")
@@ -455,11 +453,11 @@ def scenario_from_dict(data: dict) -> Scenario:
         sid = entry["id"]
         sensors.append(Sensor(
             id=sid,
-            C=_matrix_sequence(entry["C"], T, f"sensor {sid} C"),
-            V=_matrix_sequence(entry["V"], T, f"sensor {sid} V"),
+            C=_steps(entry["C"], T, f"sensor {sid} C"),
+            V=_steps(entry["V"], T, f"sensor {sid} V"),
             cost=entry["cost"],
         ))
-    suite = SensorSuite(sensors=tuple(sensors), state_dim=n)
+    suite = SensorSuite(sensors=tuple(sensors), state_dim=system.state_dim)
     return Scenario(
         system=system,
         suite=suite,
@@ -485,8 +483,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "sensors": [
             {
                 "id": s.id,
-                "C": [m.tolist() for m in s.C],
-                "V": [m.tolist() for m in s.V],
+                "C": s.C.tolist(),
+                "V": s.V.tolist(),
                 "cost": s.cost,
             }
             for s in scenario.suite

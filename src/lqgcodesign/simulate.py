@@ -72,9 +72,7 @@ class ClosedLoopSimulator:
         self.traj = cache.trajectory(self.chosen)
         sys_ = scenario.system
         T, n = sys_.horizon, sys_.state_dim
-        stacked = [stack_sensors(scenario.suite, self.chosen, t) for t in range(T)]
-        self._C = np.stack([c for c, _ in stacked])
-        noise = np.stack([v for _, v in stacked])
+        self._C, noise = stack_sensors(scenario, self.chosen)
         self._noise_factor = np.linalg.cholesky(noise)
         self._gain_t = np.linalg.solve(noise, self._C @ self.traj.posteriors)
         self._x1_sqrt = psd_sqrt(sys_.sigma_init)

@@ -172,6 +172,27 @@ def random_scenario(seed: int, max_state: int = 4, max_horizon: int = 5,
     return lq.Scenario(system=system, suite=suite, weights=weights, budget=budget)
 
 
+def per_step_sensor_scenario(seed: int) -> lq.Scenario:
+    """A ``random_scenario`` whose sensors draw their wiring and noise afresh at every step."""
+    scenario = random_scenario(seed)
+    rng = np.random.default_rng(seed + 7000)
+    T, n = scenario.horizon, scenario.state_dim
+    sensors = tuple(
+        lq.Sensor(id=s.id, C=rng.normal(size=(T, s.output_dim, n)),
+                  V=[random_psd(rng, s.output_dim, scale=0.3, ridge=0.2) for _ in range(T)],
+                  cost=s.cost)
+        for s in scenario.suite)
+    return replace(scenario, suite=lq.SensorSuite(sensors=sensors, state_dim=n))
+
+
+def differential_scenarios() -> list[lq.Scenario]:
+    """The instances on which a stacked path must equal its per-step reference exactly."""
+    return ([random_scenario(seed) for seed in range(40)]
+            + [per_step_sensor_scenario(seed) for seed in range(20)]
+            + [lq.build_formation_scenario(3, 6, "heterogeneous", 1),
+               lq.build_uav_scenario(2, 6, "heterogeneous", 1)])
+
+
 def with_feasible_kappa(scenario: lq.Scenario, sol, cache, seed: int) -> lq.Scenario:
     """Attach a kappa somewhere strictly between the full-set and empty-set costs."""
     rng = np.random.default_rng(seed)
@@ -284,8 +305,9 @@ def joseph_posteriors(scenario: lq.Scenario, ids) -> list[np.ndarray]:
     system = scenario.system
     prior = system.sigma_init
     posts = []
+    wiring, noise = lq.stack_sensors(scenario, ids)
     for t in range(system.horizon):
-        C, V = lq.stack_sensors(scenario.suite, ids, t)
+        C, V = wiring[t], noise[t]
         gain = np.linalg.solve(C @ prior @ C.T + V, C @ prior).T
         keep = np.eye(system.state_dim) - gain @ C
         posts.append(keep @ prior @ keep.T + gain @ V @ gain.T)
@@ -301,6 +323,39 @@ def joseph_objective(scenario: lq.Scenario, sol, ids) -> float:
 
 def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def stack_sensors(suite: lq.SensorSuite, ids, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """The selected sensors' step-t wiring and block-diagonal noise, ascending by id.
+
+    This is the per-step assembly the stacked ``lq.stack_sensors`` replaced;
+    the empty selection yields a 0-row C and a 0 x 0 V.
+    """
+    chosen = [suite.sensor(i) for i in sorted(set(int(i) for i in ids))]
+    if not chosen:
+        return np.zeros((0, suite.state_dim)), np.zeros((0, 0))
+    size = sum(s.output_dim for s in chosen)
+    V = np.zeros((size, size))
+    ofs = 0
+    for s in chosen:
+        V[ofs:ofs + s.output_dim, ofs:ofs + s.output_dim] = s.V[t]
+        ofs += s.output_dim
+    return np.vstack([s.C[t] for s in chosen]), V
+
+
+def whiten_sensor(sensor: lq.Sensor) -> np.ndarray:
+    """Whitened wiring V[t]^{-1/2} C[t], one step at a time.
+
+    This is the per-step loop the stacked ``lq.whiten_sensor`` replaced: each
+    step's inverse root comes from its own ``eigh``, eigenvalues clamped
+    below at 1e-12.
+    """
+    rows = []
+    for c, v in zip(sensor.C, sensor.V):
+        vals, vecs = np.linalg.eigh(_sym(v))
+        vals = np.maximum(vals, 1e-12)
+        rows.append(_sym((vecs / np.sqrt(vals)) @ vecs.T) @ c)
+    return np.stack(rows)
 
 
 def _sym_inverse(a: np.ndarray) -> np.ndarray:

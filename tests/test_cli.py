@@ -402,6 +402,14 @@ def test_malformed_scalar_fails_cleanly(tmp_path, capsys, field, value, named):
     assert len(lines) == 1 and lines[0].startswith(f"lqgcodesign: error: {named}: ")
 
 
+@pytest.mark.parametrize("field", ["W", "R", "Q", "sigma_init"])
+def test_huge_finite_entry_does_not_overflow(tmp_path, capsys, field):
+    # symmetrizing a matrix with an entry near the float maximum stays finite
+    path = _write_scalar(tmp_path, **{field: [[1e308]]})
+    assert main(["cost", "--scenario", str(path), "--set", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_byte_identical_reruns(tmp_path):
     source = _write_scalar(tmp_path)
     for method in ("greedy", "random"):

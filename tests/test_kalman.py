@@ -17,9 +17,10 @@ def _reference_trajectory(scenario, ids):
     system = scenario.system
     priors, posts = [], []
     prior = system.sigma_init
+    wiring, noise = lq.stack_sensors(scenario, ids)
     for t in range(system.horizon):
         priors.append(prior)
-        C, V = lq.stack_sensors(scenario.suite, ids, t)
+        C, V = wiring[t], noise[t]
         if C.shape[0] == 0:
             post = prior
         else:
@@ -79,6 +80,12 @@ def test_whitening_preserves_information():
         for t in range(2):
             np.testing.assert_allclose(white[t].T @ white[t],
                                        C.T @ np.linalg.inv(V) @ C, atol=1e-9)
+
+
+def test_stacked_whitening_matches_per_step_reference():
+    for scenario in support.differential_scenarios():
+        for sensor in scenario.suite:
+            assert np.array_equal(lq.whiten_sensor(sensor), support.whiten_sensor(sensor))
 
 
 def test_posterior_never_exceeds_prior():

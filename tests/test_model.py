@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqgcodesign as lq
+from lqgcodesign import model
 
 import support
 
@@ -43,12 +44,26 @@ def test_per_step_matrices_accepted():
 
 
 def test_round_trip_byte_identical(tmp_path):
-    scenario = lq.build_formation_scenario(agents=2, horizon=4, seed=3)
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
-    lq.save_scenario(scenario, first)
-    lq.save_scenario(lq.load_scenario(first), second)
-    assert first.read_bytes() == second.read_bytes()
+    for scenario in (lq.build_formation_scenario(agents=2, horizon=4, seed=3),
+                     lq.build_uav_scenario(2, 5, "heterogeneous", 1),
+                     support.per_step_sensor_scenario(0)):
+        lq.save_scenario(scenario, first)
+        lq.save_scenario(lq.load_scenario(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+def test_loading_converts_each_matrix_once(monkeypatch):
+    scenario = support.per_step_sensor_scenario(0)
+    data = json.loads(json.dumps(lq.scenario_to_dict(scenario)))
+    # A, B, W, Q, R and the sensors' C and V per step, plus sigma_init
+    matrices = scenario.horizon * (5 + 2 * len(scenario.suite)) + 1
+    calls = []
+    convert = model._as_matrix
+    monkeypatch.setattr(model, "_as_matrix", lambda *args: calls.append(args) or convert(*args))
+    lq.scenario_from_dict(data)
+    assert 0 < len(calls) <= matrices
 
 
 def test_round_trip_preserves_constraints(tmp_path):
@@ -166,14 +181,14 @@ def test_input_dim_mismatch_rejected():
 
 def test_stack_sensors_empty():
     scenario = support.scalar_two_sensor_scenario()
-    C, V = lq.stack_sensors(scenario.suite, (), 0)
+    C, V = (a[0] for a in lq.stack_sensors(scenario, ()))
     assert C.shape == (0, 1)
     assert V.shape == (0, 0)
 
 
 def test_stack_sensors_id_order():
     scenario = support.scalar_two_sensor_scenario()
-    C, V = lq.stack_sensors(scenario.suite, (1, 0), 0)
+    C, V = (a[0] for a in lq.stack_sensors(scenario, (1, 0)))
     assert np.array_equal(C, [[1.0], [1.0]])
     assert np.array_equal(V, [[1.0, 0.0], [0.0, 0.5]])
 
@@ -181,12 +196,27 @@ def test_stack_sensors_id_order():
 def test_stack_sensors_mixed_output_dims():
     wide = lq.Sensor.time_invariant(0, [[1.0, 0.0], [0.0, 1.0]], np.eye(2), 1.0, 1)
     narrow = lq.Sensor.time_invariant(1, [[1.0, 1.0]], [[2.0]], 1.0, 1)
-    suite = lq.SensorSuite(sensors=(wide, narrow), state_dim=2)
-    C, V = lq.stack_sensors(suite, (0, 1), 0)
+    scenario = lq.Scenario(
+        system=lq.LtvSystem(horizon=1, state_dim=2, A=np.eye(2), B=np.eye(2),
+                            W=np.zeros((2, 2)), sigma_init=np.eye(2)),
+        suite=lq.SensorSuite(sensors=(wide, narrow), state_dim=2),
+        weights=lq.LqgWeights(horizon=1, Q=np.eye(2), R=np.eye(2)))
+    C, V = (a[0] for a in lq.stack_sensors(scenario, (0, 1)))
     assert C.shape == (3, 2)
     assert V.shape == (3, 3)
     assert V[2, 2] == 2.0
     assert V[0, 2] == 0.0
+
+
+def test_stack_sensors_matches_per_step_reference():
+    for k, scenario in enumerate(support.differential_scenarios()):
+        rng = np.random.default_rng(k)
+        ids = scenario.suite.ids
+        for chosen in ((), ids, tuple(i for i in ids if rng.random() < 0.5)):
+            C, V = lq.stack_sensors(scenario, chosen)
+            for t in range(scenario.horizon):
+                want_c, want_v = support.stack_sensors(scenario.suite, chosen, t)
+                assert np.array_equal(C[t], want_c) and np.array_equal(V[t], want_v)
 
 
 def test_set_cost_values():
@@ -264,3 +294,32 @@ def test_malformed_sensor_cost_names_the_sensor():
     data["sensors"][1]["cost"] = None
     with pytest.raises(lq.ValidationError, match="^sensor 1 cost: expected a number"):
         lq.scenario_from_dict(data)
+
+
+_ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"id": True}, "^sensor id must be a nonnegative integer, got True$"),
+    ({"V": [[[1.0]], [[1.0]], [[0.0]], [[-1.0]]]},
+     "^sensor 1 V at time index 2: sensor noise not positive definite$"),
+    ({"C": [[1.0], [0.0]], "V": [np.eye(2).tolist(), _ASYMMETRIC] + [np.eye(2).tolist()] * 2},
+     "^sensor 1 V at time index 1: not symmetric within "),
+    ({"C": [[1.0, 0.0]]}, "^sensor 1 C.*: expected 1 columns, got 2$"),
+    ({"C": [[[1.0]], [[1.0], [2.0, 3.0]], [[1.0]], [[1.0]]]}, "^sensor 1 C at time index 1: "),
+    ({"C": [[[1.0]], [[1.0]], [[1.0], [2.0]], [[1.0]]]},
+     r"^sensor 1 C at time index 2: expected shape \(1, 1\), got \(2, 1\)$"),
+], ids=["boolean-id", "V-not-pd", "V-asymmetric", "C-columns", "C-ragged", "C-step-shape"])
+def test_malformed_sensor_field_names_the_sensor(fields, message):
+    """Horizon 4; the message names the sensor, the field and the first failing step."""
+    data = support.scalar_scenario_dict()
+    data["horizon"] = 4
+    data["sensors"][1].update(fields)
+    with pytest.raises(lq.ValidationError, match=message):
+        lq.scenario_from_dict(data)
+
+
+def test_sensor_c_and_v_lengths_must_match():
+    with pytest.raises(lq.ValidationError,
+                       match="^sensor 0: C and V must be nonempty sequences of equal length$"):
+        lq.Sensor(id=0, C=[[[1.0]]] * 2, V=[[[1.0]]] * 3, cost=1.0)
