@@ -20,20 +20,11 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return half + np.swapaxes(half, -1, -2)
 
 
-def general_condition(a: np.ndarray) -> float:
-    """Condition number from singular values; inf for a singular matrix."""
-    svals = np.linalg.svd(a, compute_uv=False)
-    lo, hi = float(svals[-1]), float(svals[0])
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
-
-
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a PSD matrix; negative eigenvalues clipped to 0."""
+    """Symmetric PSD square root, per matrix for a stack; negative eigenvalues clipped to 0."""
     vals, vecs = np.linalg.eigh(symmetrize(a))
     vals = np.clip(vals, 0.0, None)
-    return symmetrize((vecs * np.sqrt(vals)) @ vecs.T)
+    return symmetrize((vecs * np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2))
 
 
 def inv_sqrt_pd(a: np.ndarray) -> np.ndarray:

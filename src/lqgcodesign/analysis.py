@@ -28,12 +28,11 @@ import numpy as np
 from ._linalg import symmetrize
 from .kalman import ObjectiveCache, _mask_ids
 from .model import Scenario
-from .riccati import RiccatiSolution
+from .riccati import RiccatiSolution, _theta_sum_spectrum
 from .selection import SelectionReport, _require_enumerable
 
 _ZERO = 1e-12
 _PASS_TOL = 1e-9
-_PD_TOL = 1e-9
 RATIO_CAP = 8
 
 
@@ -169,10 +168,8 @@ def ratio_lower_bound(
     """
     cache = cache or ObjectiveCache(scenario, sol)
     suite = scenario.suite
-    theta_sum = symmetrize(sum(sol.theta[t] for t in range(sol.horizon)))
-    theta_eigs = np.linalg.eigvalsh(theta_sum)
+    flag_theta, theta_eigs = _theta_sum_spectrum(sol)
     theta_lo, theta_hi = float(theta_eigs[0]), float(theta_eigs[-1])
-    flag_theta = theta_lo > _PD_TOL
 
     flag_norm = not any(
         (np.abs(np.sum(cache.whitened(s.id) ** 2, axis=(1, 2)) - 1.0) > _PASS_TOL).any()

@@ -239,11 +239,11 @@ def cmd_riccati(args) -> int:
     sol = solve_riccati(scenario.system, scenario.weights)
     payload = {
         "horizon": sol.horizon,
-        "S": [m.tolist() for m in sol.S],
-        "N": [m.tolist() for m in sol.N],
+        "S": sol.S.tolist(),
+        "N": sol.N.tolist(),
         "M": [m.tolist() for m in sol.M],
         "K": [m.tolist() for m in sol.K],
-        "theta": [m.tolist() for m in sol.theta],
+        "theta": sol.theta.tolist(),
     }
     _emit_json(payload, args.out)
     return 0
@@ -281,7 +281,7 @@ def cmd_simulate(args) -> int:
         report = _run_method(scenario, sol, cache, problem, args.method, args,
                              _parse_ids(args.mandatory))
     summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
-                          base_seed=args.seed, method=report.method, cache=cache)
+                          base_seed=args.seed, cache=cache)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -361,7 +361,7 @@ def cmd_sweep(args) -> int:
                 summary = None
                 if args.runs > 0:
                     summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
-                                          base_seed=args.seed, method=method, cache=cache)
+                                          base_seed=args.seed, cache=cache)
                 certified = _certify(scenario, sol, cache, report, "budget", args, ratio)
                 rows.append(_selection_row(scenario_id, scenario, report, summary, certified))
     _emit_rows(rows, args.format, args.out)

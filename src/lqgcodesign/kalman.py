@@ -194,12 +194,12 @@ def cost_offset(scenario: Scenario, sol: RiccatiSolution) -> float:
     Covers the initial-state mean and covariance through N[0] plus the
     accumulated process noise; no sensor choice can change it.
     """
-    mean = scenario.system.x1_mean
-    total = float(mean @ sol.N[0] @ mean)
-    total += float(np.sum(sol.N[0] * scenario.system.sigma_init))
-    for t in range(scenario.horizon):
-        total += float(np.sum(scenario.system.W[t] * sol.S[t]))
-    return total
+    system = scenario.system
+    terms = [system.x1_mean @ sol.N[0] @ system.x1_mean,
+             np.sum(sol.N[0] * system.sigma_init),
+             *np.sum(system.W * sol.S, axis=(1, 2))]
+    # summed in this order, one term at a time
+    return float(np.cumsum(terms)[-1])
 
 
 def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:

@@ -4,11 +4,12 @@ A scenario bundles a linear time-varying plant, quadratic control weights,
 and a bank of candidate sensors, each with a wiring matrix, a noise
 covariance, and a nonnegative selection cost.  All matrix sequences are
 indexed 0-based over ``t = 0..horizon-1``; JSON files may give a
-time-invariant matrix once and it is broadcast over the horizon.  A
-sensor's output size p is fixed, so its ``C`` and ``V`` are read-only
-stacked (T, p, n) and (T, p, p) arrays.  Plant and weight fields stay tuples
-of per-step matrices: the input size of ``B[t]`` and ``R[t]`` may change
-with t, and the recursions read them one step at a time.
+time-invariant matrix once and it is broadcast over the horizon.  A field
+whose shape is fixed over the horizon is one read-only stack with a leading
+time axis: the plant's ``A`` and ``W`` and the state weight ``Q`` are
+(T, n, n), a sensor's ``C`` and ``V`` are (T, p, n) and (T, p, p).  ``B``
+and ``R`` stay tuples of per-step matrices, because the input size m_t of
+``B[t]`` and ``R[t]`` may change with t.
 
 Each constructor converts and checks its fields once: shapes, symmetry
 (tolerance 1e-9), positive semidefiniteness (eigenvalues >= -1e-9), and
@@ -92,19 +93,22 @@ def _fail_first(bad: np.ndarray, name: str, problem: str) -> None:
         raise ValidationError(f"{_fmt(name, t)}: {problem}")
 
 
-def _require_shape(a: np.ndarray, shape: tuple[int, int], name: str, t: int | None = None) -> None:
+def _require_shape(a: np.ndarray, shape: tuple[int, int], name: str, t: int | None = None,
+                   source: str = "") -> None:
     if a.shape != shape:
         raise ValidationError(
-            f"{_fmt(name, t)}: expected shape {shape}, got {a.shape}"
+            f"{_fmt(name, t)}: expected shape {shape}{source}, got {a.shape}"
         )
 
 
 def _require_symmetric(a: np.ndarray, name: str) -> None:
     """A matrix, or every step of a (T, k, k) stack, symmetric within ``SYMMETRY_TOL``."""
     if a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"{name}: expected a square matrix, got {a.shape}")
-    skew = np.max(np.abs(a - np.swapaxes(a, -1, -2)), axis=(-2, -1))
-    _fail_first(skew > SYMMETRY_TOL, name, f"not symmetric within {SYMMETRY_TOL}")
+        where = _fmt(name, 0 if a.ndim == 3 else None)
+        raise ValidationError(f"{where}: expected a square matrix, got {a.shape[-2:]}")
+    half = 0.5 * a  # halves of finite entries differ by a finite amount
+    skew = np.max(np.abs(half - np.swapaxes(half, -1, -2)), axis=(-2, -1))
+    _fail_first(skew > 0.5 * SYMMETRY_TOL, name, f"not symmetric within {SYMMETRY_TOL}")
 
 
 def _min_eigenvalues(a: np.ndarray) -> np.ndarray:
@@ -145,8 +149,22 @@ def _steps(value, horizon: int, name: str):
 
 
 def _matrix_sequence(value, horizon: int, name: str) -> tuple[np.ndarray, ...]:
-    """A matrix-per-step field as a tuple of read-only matrices."""
+    """A matrix-per-step field whose shape may change with t, as a tuple of read-only matrices."""
     return tuple(frozen(_as_matrix(m, name, t)) for t, m in enumerate(_steps(value, horizon, name)))
+
+
+def _stack(steps, name: str, shape: tuple[int, int] | None = None,
+           cite_step_0: bool = False) -> np.ndarray:
+    """A fixed-shape per-step field as one read-only (T, rows, cols) stack.
+
+    Converts each step once and checks it has ``shape``, by default step 0's;
+    with ``cite_step_0`` a mismatch message says the shape is step 0's.
+    """
+    mats = [_as_matrix(m, name, t) for t, m in enumerate(steps)]
+    source = " as at time index 0" if cite_step_0 else ""
+    for t, m in enumerate(mats):
+        _require_shape(m, shape or mats[0].shape, name, t, source)
+    return frozen(np.stack(mats))
 
 
 @dataclass(frozen=True)
@@ -169,15 +187,10 @@ class Sensor:
             raise ValidationError(f"sensor id must be a nonnegative integer, got {self.id!r}")
         object.__setattr__(self, "id", int(self.id))
         label = f"sensor {self.id}"
-        C = [_as_matrix(m, f"{label} C", t) for t, m in enumerate(self.C)]
-        V = [_as_matrix(m, f"{label} V", t) for t, m in enumerate(self.V)]
-        if len(C) == 0 or len(C) != len(V):
+        if len(self.C) == 0 or len(self.C) != len(self.V):
             raise ValidationError(f"{label}: C and V must be nonempty sequences of equal length")
-        p, n = C[0].shape
-        for t, (c, v) in enumerate(zip(C, V)):
-            _require_shape(c, (p, n), f"{label} C", t)
-            _require_shape(v, (p, p), f"{label} V", t)
-        C, V = frozen(np.stack(C)), frozen(np.stack(V))
+        C = _stack(self.C, f"{label} C")
+        V = _stack(self.V, f"{label} V", (C.shape[1],) * 2)
         _require_pd(V, f"{label} V", "sensor noise not positive definite")
         cost = _as_number(self.cost, f"{label} cost")
         if not np.isfinite(cost) or cost < 0.0:
@@ -248,14 +261,15 @@ class LtvSystem:
     """Linear time-varying plant with Gaussian process noise and initial state.
 
     The initial state has mean ``x1_mean`` and covariance ``sigma_init``;
-    ``A[t]``, ``B[t]``, ``W[t]`` govern the transition from step t to t+1.
+    ``A[t]``, ``B[t]``, ``W[t]`` govern the transition from step t to t+1;
+    ``A`` and ``W`` are read-only (T, n, n) stacks.
     """
 
     horizon: int
     state_dim: int
-    A: tuple[np.ndarray, ...] = field(repr=False)
+    A: np.ndarray = field(repr=False)
     B: tuple[np.ndarray, ...] = field(repr=False)
-    W: tuple[np.ndarray, ...] = field(repr=False)
+    W: np.ndarray = field(repr=False)
     sigma_init: np.ndarray = field(repr=False)
     x1_mean: np.ndarray | None = field(default=None, repr=False)
 
@@ -266,19 +280,15 @@ class LtvSystem:
             raise ValidationError("horizon must be at least 1")
         if n < 1:
             raise ValidationError("state_dim must be at least 1")
-        A = _matrix_sequence(self.A, T, "A")
+        A = _stack(_steps(self.A, T, "A"), "A", (n, n))
         B = _matrix_sequence(self.B, T, "B")
-        W = _matrix_sequence(self.W, T, "W")
-        for t, m in enumerate(A):
-            _require_shape(m, (n, n), "A", t)
         for t, m in enumerate(B):
             if m.shape[0] != n or m.shape[1] < 1:
                 raise ValidationError(
                     f"{_fmt('B', t)}: expected {n} rows and at least one column, got {m.shape}"
                 )
-        for t, m in enumerate(W):
-            _require_shape(m, (n, n), "W", t)
-        _require_psd(np.stack(W), "W")
+        W = _stack(_steps(self.W, T, "W"), "W", (n, n))
+        _require_psd(W, "W")
         sigma = frozen(_as_matrix(self.sigma_init, "sigma_init"))
         _require_shape(sigma, (n, n), "sigma_init")
         _require_psd(sigma, "sigma_init")
@@ -304,20 +314,19 @@ class LtvSystem:
 
 @dataclass(frozen=True)
 class LqgWeights:
-    """Quadratic stage weights: Q[t] PSD on the state, R[t] PD on the input."""
+    """Quadratic stage weights: Q[t] PSD on the state, a (T, n, n) stack; R[t] PD on the input."""
 
     horizon: int
-    Q: tuple[np.ndarray, ...] = field(repr=False)
+    Q: np.ndarray = field(repr=False)
     R: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
         T = _as_int(self.horizon, "horizon")
         if T < 1:
             raise ValidationError("horizon must be at least 1")
-        Q = _matrix_sequence(self.Q, T, "Q")
+        Q = _stack(_steps(self.Q, T, "Q"), "Q", cite_step_0=True)
         R = _matrix_sequence(self.R, T, "R")
-        for t, m in enumerate(Q):
-            _require_psd(m, _fmt("Q", t))
+        _require_psd(Q, "Q")
         for t, m in enumerate(R):
             _require_pd(m, _fmt("R", t), "not positive definite")
         object.__setattr__(self, "horizon", T)
@@ -347,8 +356,8 @@ class Scenario:
             raise ValidationError(
                 f"weights horizon {w.horizon} does not match system horizon {T}"
             )
+        _require_shape(w.Q[0], (n, n), "Q", 0)
         for t in range(T):
-            _require_shape(w.Q[t], (n, n), "Q", t)
             m = sys_.B[t].shape[1]
             _require_shape(w.R[t], (m, m), "R", t)
         if suite.state_dim != n:
@@ -473,10 +482,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     out = {
         "horizon": sys_.horizon,
         "state_dim": sys_.state_dim,
-        "A": [m.tolist() for m in sys_.A],
+        "A": sys_.A.tolist(),
         "B": [m.tolist() for m in sys_.B],
-        "W": [m.tolist() for m in sys_.W],
-        "Q": [m.tolist() for m in scenario.weights.Q],
+        "W": sys_.W.tolist(),
+        "Q": scenario.weights.Q.tolist(),
         "R": [m.tolist() for m in scenario.weights.R],
         "sigma_init": sys_.sigma_init.tolist(),
         "x1_mean": sys_.x1_mean.tolist(),
@@ -502,7 +511,7 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting past the recursion limit
         raise ValidationError(f"{path}: malformed JSON: {exc}") from None
     return scenario_from_dict(data)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NumericalError, general_condition, symmetrize
+from ._linalg import NumericalError, frozen, symmetrize
 from .model import LqgWeights, LtvSystem
 
 _COND_LIMIT = 1e12
@@ -37,14 +37,16 @@ class RiccatiSolution:
 
     ``K[t]`` is the feedback gain applied to the filtered state estimate;
     ``theta[t]`` weights the estimation error's contribution to the cost.
+    ``S``, ``N`` and ``theta`` are read-only (T, n, n) stacks; ``M`` and ``K``
+    are sized by the input m_t, which may change with t, so they stay tuples.
     """
 
     horizon: int
-    S: tuple[np.ndarray, ...] = field(repr=False)
-    N: tuple[np.ndarray, ...] = field(repr=False)
+    S: np.ndarray = field(repr=False)
+    N: np.ndarray = field(repr=False)
     M: tuple[np.ndarray, ...] = field(repr=False)
     K: tuple[np.ndarray, ...] = field(repr=False)
-    theta: tuple[np.ndarray, ...] = field(repr=False)
+    theta: np.ndarray = field(repr=False)
 
 
 def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
@@ -54,11 +56,9 @@ def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
             f"weights horizon {weights.horizon} does not match system horizon {system.horizon}"
         )
     T, n = system.horizon, system.state_dim
-    S: list[np.ndarray | None] = [None] * T
-    N: list[np.ndarray | None] = [None] * T
+    S, N, theta = np.empty((T, n, n)), np.empty((T, n, n)), np.empty((T, n, n))
     M: list[np.ndarray | None] = [None] * T
     K: list[np.ndarray | None] = [None] * T
-    theta: list[np.ndarray | None] = [None] * T
     n_next = np.zeros((n, n))
     for t in range(T - 1, -1, -1):
         A, B = system.A[t], system.B[t]
@@ -75,8 +75,14 @@ def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
         S[t], M[t], K[t], theta[t], N[t] = s_t, m_t, k_t, theta_t, n_t
         n_next = n_t
     return RiccatiSolution(
-        horizon=T, S=tuple(S), N=tuple(N), M=tuple(M), K=tuple(K), theta=tuple(theta)
+        horizon=T, S=frozen(S), N=frozen(N), M=tuple(M), K=tuple(K), theta=frozen(theta)
     )
+
+
+def _theta_sum_spectrum(sol: RiccatiSolution) -> tuple[bool, np.ndarray]:
+    """Whether sum_t theta[t] is positive definite (eigenvalues above 1e-9), and its eigenvalues."""
+    eigs = np.linalg.eigvalsh(symmetrize(_step_sum(sol.theta)))
+    return bool(eigs[0] > _PD_TOL), eigs
 
 
 def theta_sum_positive_definite(sol: RiccatiSolution) -> tuple[bool, float]:
@@ -86,19 +92,27 @@ def theta_sum_positive_definite(sol: RiccatiSolution) -> tuple[bool, float]:
     eventually penalized by the regulator, the condition under which
     applying no control at all is strictly suboptimal.
     """
-    total = sum(sol.theta[t] for t in range(sol.horizon))
-    lam_min = float(np.linalg.eigvalsh(symmetrize(total))[0])
-    return lam_min > _PD_TOL, lam_min
+    positive, eigs = _theta_sum_spectrum(sol)
+    return positive, float(eigs[0])
 
 
-def _state_maps(system: LtvSystem) -> list[np.ndarray]:
-    """Cumulative products P[t] = A[t] ... A[0] for t = 0..horizon-1."""
-    maps = []
-    acc = np.eye(system.state_dim)
-    for t in range(system.horizon):
-        acc = system.A[t] @ acc
-        maps.append(acc)
+def _state_maps(system: LtvSystem) -> np.ndarray:
+    """Open-loop maps U[t] = A[t-1] ... A[0], U[0] = I, as one (T + 1, n, n) stack."""
+    maps = np.empty((system.horizon + 1, system.state_dim, system.state_dim))
+    maps[0] = np.eye(system.state_dim)
+    for t, A in enumerate(system.A):
+        maps[t + 1] = A @ maps[t]
     return maps
+
+
+def _step_sum(stack: np.ndarray) -> np.ndarray:
+    """sum_t stack[t] added in step order from +0.0, as by a loop; ``np.sum`` may pair terms."""
+    return np.cumsum(stack, axis=0)[-1] + 0.0
+
+
+def _pulled_back(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_t maps[t]' weights[t] maps[t], symmetrized."""
+    return symmetrize(_step_sum(np.swapaxes(maps, -1, -2) @ weights @ maps))
 
 
 def zero_control_suboptimal(
@@ -110,18 +124,14 @@ def zero_control_suboptimal(
     cost saved by the optimal regulator relative to applying zero input.
     Requires every A[t] to be invertible (condition number below 1e12).
     """
-    for t in range(system.horizon):
-        if general_condition(system.A[t]) > _COND_LIMIT:
-            raise NumericalError(f"state matrix A numerically singular at time index {t}")
-    gap = _open_loop_cost(system, weights) - sol.N[0]
+    svals = np.linalg.svd(system.A, compute_uv=False)
+    lo = svals[:, -1]
+    cond = np.divide(svals[:, 0], lo, out=np.full(len(lo), np.inf), where=lo > 0.0)
+    if (cond > _COND_LIMIT).any():
+        t = int(np.argmax(cond > _COND_LIMIT))
+        raise NumericalError(f"state matrix A numerically singular at time index {t}")
+    gap = _pulled_back(_state_maps(system)[1:], weights.Q) - sol.N[0]
     return float(np.linalg.eigvalsh(symmetrize(gap))[0]) > _PD_TOL
-
-
-def _open_loop_cost(system: LtvSystem, weights: LqgWeights) -> np.ndarray:
-    total = np.zeros((system.state_dim, system.state_dim))
-    for t, p_t in enumerate(_state_maps(system)):
-        total += p_t.T @ weights.Q[t] @ p_t
-    return symmetrize(total)
 
 
 def cascade_identity_residual(
@@ -138,11 +148,6 @@ def cascade_identity_residual(
     The return value is the Frobenius norm of the difference; it is pure
     algebra, so anything above roundoff indicates a recursion bug.
     """
-    n = system.state_dim
-    pulled = np.zeros((n, n))
-    u_t = np.eye(n)
-    for t in range(system.horizon):
-        pulled += u_t.T @ sol.theta[t] @ u_t
-        u_t = system.A[t] @ u_t
-    gap = _open_loop_cost(system, weights) - sol.N[0]
-    return float(np.linalg.norm(symmetrize(pulled) - gap, ord="fro"))
+    maps = _state_maps(system)
+    gap = _pulled_back(maps[1:], weights.Q) - sol.N[0]
+    return float(np.linalg.norm(_pulled_back(maps[:-1], sol.theta) - gap, ord="fro"))

@@ -49,7 +49,6 @@ class SimulationRecord:
 class MonteCarloSummary:
     """Aggregate of a batch of rollouts for one sensor set."""
 
-    method: str
     mean_cost: float
     std_error: float
     run_count: int
@@ -76,7 +75,7 @@ class ClosedLoopSimulator:
         self._noise_factor = np.linalg.cholesky(noise)
         self._gain_t = np.linalg.solve(noise, self._C @ self.traj.posteriors)
         self._x1_sqrt = psd_sqrt(sys_.sigma_init)
-        self._w_sqrt = np.stack([psd_sqrt(w) for w in sys_.W])
+        self._w_sqrt = psd_sqrt(sys_.W)
         self._draws = n + T * (self._C.shape[1] + n)
 
     def _rollouts(self, seeds):
@@ -124,8 +123,7 @@ def run_closed_loop(scenario: Scenario, sol: RiccatiSolution, ids, seed: int,
 
 
 def monte_carlo(scenario: Scenario, sol: RiccatiSolution, ids, runs: int,
-                base_seed: int, method: str = "set",
-                cache: ObjectiveCache | None = None) -> MonteCarloSummary:
+                base_seed: int, cache: ObjectiveCache | None = None) -> MonteCarloSummary:
     """Mean realized cost over ``runs`` rollouts seeded ``base_seed + r``.
 
     Runs go in batches of at most ``_DRAW_FLOATS`` drawn floats, sizes
@@ -144,7 +142,6 @@ def monte_carlo(scenario: Scenario, sol: RiccatiSolution, ids, runs: int,
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
     return MonteCarloSummary(
-        method=method,
         mean_cost=mean,
         std_error=stderr,
         run_count=runs,

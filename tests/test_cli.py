@@ -410,6 +410,30 @@ def test_huge_finite_entry_does_not_overflow(tmp_path, capsys, field):
     assert capsys.readouterr().err == ""
 
 
+def test_asymmetric_entries_near_float_maximum_fail_cleanly(tmp_path):
+    # a fresh interpreter, so an overflow warning would print to stderr as a user sees it
+    eye = np.eye(2).tolist()
+    path = _write_scalar(tmp_path, state_dim=2, A=eye, B=eye, Q=eye, R=eye, sigma_init=eye,
+                         W=[[1.0, 1e308], [-1e308, 1.0]],
+                         sensors=[{"id": 0, "C": [[1.0, 0.0]], "V": [[1.0]], "cost": 1.0}])
+    env = {**os.environ, "PYTHONPATH": str(Path(lq.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "lqgcodesign", "cost", "--set", "0",
+                           "--scenario", str(path)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr == "lqgcodesign: error: W at time index 0: not symmetric within 1e-09\n"
+
+
+def test_deeply_nested_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(["riccati", "--scenario", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqgcodesign: error: ")
+    assert "malformed JSON" in lines[0]
+
+
 def test_byte_identical_reruns(tmp_path):
     source = _write_scalar(tmp_path)
     for method in ("greedy", "random"):

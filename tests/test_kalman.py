@@ -140,6 +140,18 @@ def test_offset_affine_in_process_noise():
     assert offsets[2] - offsets[1] == pytest.approx(slope, abs=1e-10)
 
 
+def test_offset_matches_per_step_sum():
+    for seed in range(40):
+        scenario = support.random_scenario(seed + 950, max_state=6, max_horizon=24)
+        sol = lq.solve_riccati(scenario.system, scenario.weights)
+        mean = scenario.system.x1_mean
+        want = float(mean @ sol.N[0] @ mean)
+        want += float(np.sum(sol.N[0] * scenario.system.sigma_init))
+        for t in range(scenario.horizon):
+            want += float(np.sum(scenario.system.W[t] * sol.S[t]))
+        assert lq.cost_offset(scenario, sol) == want
+
+
 def test_offset_includes_mean_term():
     scenario = support.scalar_two_sensor_scenario()
     shifted = lq.Scenario(

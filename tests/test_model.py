@@ -319,6 +319,53 @@ def test_malformed_sensor_field_names_the_sensor(fields, message):
         lq.scenario_from_dict(data)
 
 
+def _two_state_dict() -> dict:
+    """Horizon 3, two states, identity plant and weights, two scalar sensors."""
+    eye = np.eye(2).tolist()
+    data = support.scalar_scenario_dict()
+    data.update(horizon=3, state_dim=2, A=eye, B=eye, W=eye, Q=eye, R=eye, sigma_init=eye)
+    for entry in data["sensors"]:
+        entry["C"] = [[1.0, 0.0]]
+    return data
+
+
+_EYE2 = np.eye(2).tolist()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("A", [[[1.0]], _EYE2, _EYE2], r"^A at time index 0: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("A", [_EYE2, _EYE2, [[1.0]]], r"^A at time index 2: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("A", [[1.0]], r"^A at time index 0: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("W", [[[1.0]], _EYE2, _EYE2], r"^W at time index 0: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("W", [_EYE2, [[1.0, 2.0], [3.0, 1.0]], _EYE2],
+     r"^W at time index 1: not symmetric within 1e-09$"),
+    ("Q", [[[1.0]]] * 3, r"^Q at time index 0: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("Q", [[1.0, 0.0]], r"^Q at time index 0: expected a square matrix, got \(1, 2\)$"),
+    ("Q", [_EYE2, _EYE2, [[1.0, 0.0], [0.0, -1.0]]],
+     r"^Q at time index 2: not positive semidefinite$"),
+    ("R", [_EYE2, _EYE2, [[1.0]]], r"^R at time index 2: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("B", [_EYE2, [[1.0, 0.0]], _EYE2],
+     r"^B at time index 1: expected 2 rows and at least one column, got \(1, 2\)$"),
+    ("sigma_init", [[1.0]], r"^sigma_init: expected shape \(2, 2\), got \(1, 1\)$"),
+], ids=["A-step-0", "A-step-2", "A-broadcast", "W-step-0", "W-asymmetric", "Q-every-step",
+        "Q-not-square", "Q-indefinite", "R-step-2", "B-rows", "sigma_init"])
+def test_plant_and_weight_messages_name_the_step(field, value, message):
+    data = _two_state_dict()
+    data[field] = value
+    with pytest.raises(lq.ValidationError, match=message):
+        lq.scenario_from_dict(data)
+
+
+def test_q_step_shapes_must_agree():
+    # the weights know no state dimension, so a step that differs from step 0 names both
+    data = _two_state_dict()
+    data["Q"] = [[[1.0]], _EYE2, _EYE2]
+    with pytest.raises(lq.ValidationError,
+                       match=r"^Q at time index 1: expected shape \(1, 1\) as at time index 0, "
+                             r"got \(2, 2\)$"):
+        lq.scenario_from_dict(data)
+
+
 def test_sensor_c_and_v_lengths_must_match():
     with pytest.raises(lq.ValidationError,
                        match="^sensor 0: C and V must be nonempty sequences of equal length$"):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
+from lqgcodesign._linalg import symmetrize
 
 import support
 
@@ -84,8 +85,11 @@ def test_solver_deterministic():
     scenario = support.random_scenario(78)
     one = lq.solve_riccati(scenario.system, scenario.weights)
     two = lq.solve_riccati(scenario.system, scenario.weights)
-    for a, b in zip(one.S + one.K + one.theta, two.S + two.K + two.theta):
-        assert np.array_equal(a, b)
+    for name in ("S", "N", "M", "K", "theta"):
+        first, second = getattr(one, name), getattr(two, name)
+        assert len(first) == len(second) == scenario.horizon
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
 
 
 def test_singular_input_cost_raises():
@@ -154,3 +158,45 @@ def test_flags_agree_on_generic_instances():
         sol = lq.solve_riccati(scenario.system, scenario.weights)
         positive, _ = lq.theta_sum_positive_definite(sol)
         assert positive == lq.zero_control_suboptimal(scenario.system, scenario.weights, sol)
+
+
+def test_plant_weight_and_regulator_fields_are_read_only_stacks():
+    scenario = support.random_scenario(79)
+    T, n = scenario.horizon, scenario.state_dim
+    sol = lq.solve_riccati(scenario.system, scenario.weights)
+    for stack in (scenario.system.A, scenario.system.W, scenario.weights.Q,
+                  sol.S, sol.N, sol.theta):
+        assert stack.shape == (T, n, n)
+        assert not stack.flags.writeable
+    for seq in (scenario.system.B, scenario.weights.R, sol.M, sol.K):
+        assert isinstance(seq, tuple) and len(seq) == T
+
+
+def _per_step_diagnostics(system, weights, sol):
+    """Smallest eigenvalue of the theta sum, zero-control flag and cascade residual,
+    by the per-step loops the stacked forms replace."""
+    n = system.state_dim
+    lam_min = float(np.linalg.eigvalsh(symmetrize(sum(sol.theta[t] for t in range(sol.horizon))))[0])
+    open_loop, pulled = np.zeros((n, n)), np.zeros((n, n))
+    u_t = np.eye(n)
+    for t in range(system.horizon):
+        pulled += u_t.T @ sol.theta[t] @ u_t
+        u_t = system.A[t] @ u_t
+        open_loop += u_t.T @ weights.Q[t] @ u_t
+    gap = symmetrize(open_loop) - sol.N[0]
+    zero_control = float(np.linalg.eigvalsh(symmetrize(gap))[0]) > 1e-9
+    return lam_min, zero_control, float(np.linalg.norm(symmetrize(pulled) - gap, ord="fro"))
+
+
+def test_stacked_diagnostics_match_per_step_loops():
+    for seed in range(60):
+        zero_q = seed % 5 == 4
+        scenario = support.random_scenario(seed + 800, max_state=6, max_horizon=24,
+                                           invertible=True, zero_q=zero_q,
+                                           min_theta_rank=True)
+        system, weights = scenario.system, scenario.weights
+        sol = lq.solve_riccati(system, weights)
+        lam_min, zero_control, residual = _per_step_diagnostics(system, weights, sol)
+        assert lq.theta_sum_positive_definite(sol) == (lam_min > 1e-9, lam_min)
+        assert lq.zero_control_suboptimal(system, weights, sol) == zero_control
+        assert lq.cascade_identity_residual(system, weights, sol) == residual

@@ -5,6 +5,7 @@ import pytest
 
 import lqgcodesign as lq
 from lqgcodesign import simulate
+from lqgcodesign._linalg import psd_sqrt, symmetrize
 
 import support
 
@@ -296,3 +297,15 @@ def test_builders_round_trip_and_run():
         sol = lq.solve_riccati(again.system, again.weights)
         cache = lq.ObjectiveCache(again, sol)
         assert np.isfinite(cache.f(again.suite.ids))
+
+
+def test_stacked_psd_sqrt_matches_per_matrix_formula():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 8):
+        # full-rank, rank-deficient and zero steps, so the clip at 0 is exercised
+        stack = np.stack([support.random_psd(rng, n), support.random_psd(rng, n, ridge=1.0),
+                          np.zeros((n, n))] + [g.T @ g for g in rng.normal(size=(3, 1, n))])
+        for w, root in zip(stack, psd_sqrt(stack)):
+            vals, vecs = np.linalg.eigh(symmetrize(w))
+            want = symmetrize((vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T)
+            assert np.array_equal(root, want)
