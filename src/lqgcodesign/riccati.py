@@ -49,8 +49,20 @@ class RiccatiSolution:
     theta: np.ndarray = field(repr=False)
 
 
+def _require_finite(t: int, *arrays: np.ndarray) -> None:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(
+            f"regulator matrices not finite at time index {t}; the Riccati recursion overflowed"
+        )
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
-    """Run the backward recursion and return all per-step matrices."""
+    """Run the backward recursion and return all per-step matrices.
+
+    Raises ``NumericalError`` naming the first time index, in recursion
+    order (from the horizon back), at which a matrix is not finite.
+    """
     if weights.horizon != system.horizon:
         raise ValueError(
             f"weights horizon {weights.horizon} does not match system horizon {system.horizon}"
@@ -64,6 +76,7 @@ def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
         A, B = system.A[t], system.B[t]
         s_t = symmetrize(weights.Q[t] + n_next)
         m_t = symmetrize(B.T @ s_t @ B + weights.R[t])
+        _require_finite(t, s_t, m_t)
         eigs = np.linalg.eigvalsh(m_t)
         if eigs[0] <= 0.0 or eigs[-1] / eigs[0] > _COND_LIMIT:
             raise NumericalError(
@@ -72,6 +85,7 @@ def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
         k_t = -np.linalg.solve(m_t, B.T @ s_t @ A)
         theta_t = symmetrize(k_t.T @ m_t @ k_t)
         n_t = symmetrize(A.T @ s_t @ A - theta_t)
+        _require_finite(t, k_t, theta_t, n_t)
         S[t], M[t], K[t], theta[t], N[t] = s_t, m_t, k_t, theta_t, n_t
         n_next = n_t
     return RiccatiSolution(

@@ -11,6 +11,7 @@ import numpy as np
 
 import lqgcodesign as lq
 from lqgcodesign._linalg import psd_sqrt
+from lqgcodesign.kalman import _mask_ids
 
 
 def scalar_system() -> lq.LtvSystem:
@@ -45,6 +46,13 @@ def overflowing_scenario_dict() -> dict:
     """Scalar plant growing by 1e10 per step: unsensed, the covariance overflows."""
     data = scalar_scenario_dict()
     data.update(horizon=40, A=[[1e10]])
+    return data
+
+
+def overflowing_riccati_scenario_dict() -> dict:
+    """Unactuated scalar plant growing by 10 per step: the regulator weights overflow."""
+    data = scalar_scenario_dict()
+    data.update(horizon=400, A=[[10.0]], B=[[0.0]])
     return data
 
 
@@ -499,3 +507,39 @@ def reference_rollout(scenario: lq.Scenario, sol, ids, seed: int):
         estimates.append(xhat)
         controls.append(u)
     return np.array(states), np.array(estimates), np.array(controls), cost
+
+
+def reference_ratio_from_table(values, count: int):
+    """Exact supermodularity ratio and witness by plain enumeration of a value table.
+
+    This is the O(n 3^n) triple loop the subset-minimum reduction replaced:
+    every superset mask B ascending, every sensor x outside B ascending, and
+    every subset A of B from B itself down to the empty set; a strictly
+    smaller ratio replaces the running minimum.
+    """
+    values = [float(v) for v in values]
+    best_ratio = None
+    best_witness = None
+    for bmask in range(1 << count):
+        for x in range(count):
+            bit = 1 << x
+            if bmask & bit:
+                continue
+            den = values[bmask] - values[bmask | bit]
+            if den < 1e-12:
+                continue
+            sub = bmask
+            while True:
+                num = values[sub] - values[sub | bit]
+                ratio = 0.0 if num < 1e-12 else num / den
+                if best_ratio is None or ratio < best_ratio:
+                    best_ratio = ratio
+                    best_witness = lq.RatioWitness(
+                        subset=_mask_ids(sub), superset=_mask_ids(bmask),
+                        sensor=x, subset_gain=num, superset_gain=den, ratio=ratio)
+                if sub == 0:
+                    break
+                sub = (sub - 1) & bmask
+    if best_ratio is None:
+        return 1.0, None
+    return min(max(best_ratio, 0.0), 1.0), best_witness

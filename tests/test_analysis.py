@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqgcodesign as lq
+from lqgcodesign.analysis import _ratio_from_table
+from lqgcodesign.kalman import _mask_ids
 
 import support
 
@@ -68,6 +72,116 @@ def test_exact_ratio_respects_cap():
     with pytest.raises(ValueError, match="enumeration cap"):
         lq.exact_supermodularity_ratio(scenario, sol, cache)
     gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache, max_sensors=10)
+    assert 0.0 <= gamma <= 1.0
+
+
+def _value_table(scenario, sol, cache):
+    return cache.f_many(map(_mask_ids, range(1 << len(scenario.suite))))
+
+
+def _assert_matches_enumeration(values, count):
+    got = _ratio_from_table(values, count)
+    assert got == support.reference_ratio_from_table(values, count)
+    return got
+
+
+@pytest.mark.parametrize("scenario", [
+    *(support.random_scenario(seed) for seed in range(40)),
+    lq.build_formation_scenario(3, 6, "heterogeneous", 1),
+    lq.build_uav_scenario(4, 6, "heterogeneous", 1),
+    lq.build_uav_scenario(9, 20, "heterogeneous", 7),
+], ids=[*(f"random{seed}" for seed in range(40)), "formation-a3", "uav-a4", "uav-a9"])
+def test_ratio_reduction_matches_the_enumeration(scenario):
+    scenario, sol, cache = support.solved(scenario)
+    count = len(scenario.suite)
+    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache, max_sensors=count)
+    assert (gamma, witness) == _assert_matches_enumeration(
+        _value_table(scenario, sol, cache), count)
+
+
+def _symmetric_table(drops, count):
+    """f(S) = -(drops[0] + ... + drops[|S| - 1]): every gain depends on the set size only."""
+    levels = np.concatenate([[0.0], -np.cumsum(drops, dtype=float)])
+    return [float(levels[bin(mask).count("1")]) for mask in range(1 << count)]
+
+
+def test_ratio_reduction_ties_across_supersets_and_sensors():
+    # drop(0) / drop(3) = drop(0) / drop(4) = 1/4 is attained at every B of size
+    # 3 or 4 and every x outside it
+    values = _symmetric_table([1.0, 2.0, 3.0, 4.0, 4.0], 5)
+    gamma, witness = _assert_matches_enumeration(values, 5)
+    assert gamma == 0.25
+    assert (witness.subset, witness.superset, witness.sensor) == ((), (0, 1, 2), 3)
+
+
+def test_ratio_reduction_ties_across_subsets_of_one_superset():
+    # the smallest drop, 1, is attained at every subset of size 1 and of size 3;
+    # walking down from B = 0b11111, the first of them is 0b11100
+    values = _symmetric_table([4.0, 1.0, 2.0, 1.0, 4.0, 8.0], 6)
+    gamma, witness = _assert_matches_enumeration(values, 6)
+    assert gamma == 0.125
+    assert witness.superset == (0, 1, 2, 3, 4) and witness.sensor == 5
+    assert witness.subset == (2, 3, 4)
+
+
+def test_ratio_reduction_on_an_empty_suite():
+    assert _assert_matches_enumeration([3.0], 0) == (1.0, None)
+
+
+def test_ratio_reduction_on_a_single_sensor():
+    gamma, witness = _assert_matches_enumeration([2.0, 0.5], 1)
+    assert gamma == 1.0
+    assert witness == lq.RatioWitness(subset=(), superset=(), sensor=0,
+                                      subset_gain=1.5, superset_gain=1.5, ratio=1.0)
+
+
+def test_ratio_reduction_without_an_informative_triple():
+    # sensing never lowers f by 1e-12 or more: vacuously supermodular
+    values = [0.0, -5e-13, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0]
+    result = _assert_matches_enumeration(values, 3)
+    assert result == (1.0, None)
+    assert result[1] is None
+
+
+def test_ratio_reduction_gain_below_the_threshold_counts_as_zero():
+    # sensor 0 gains 5e-13 alone but 1 next to sensor 1: ratio 0
+    values = [3.0, 3.0 - 5e-13, 2.0, 1.0]
+    gamma, witness = _assert_matches_enumeration(values, 2)
+    assert gamma == 0.0
+    assert (witness.subset, witness.superset, witness.sensor) == ((), (1,), 0)
+    assert 0.0 < witness.subset_gain < 1e-12
+    assert witness.ratio == 0.0
+
+
+def test_ratio_reduction_negative_roundoff_gains():
+    # adding sensor 0 to the empty set raises f by roundoff; as a superset gain
+    # it is skipped, as a subset gain it pins the ratio at 0
+    values = [3.0, 3.0 + 4e-16, 2.0, 1.0]
+    gamma, witness = _assert_matches_enumeration(values, 2)
+    assert gamma == 0.0
+    assert witness.subset_gain < 0.0 and witness.ratio == 0.0
+    assert witness.superset == (1,) and witness.sensor == 0
+
+
+_TABLE_ENTRIES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, 1.0 + 1e-12, 2.0 - 3e-13]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@st.composite
+def _value_tables(draw):
+    count = draw(st.integers(1, 7))
+    values = draw(st.lists(_TABLE_ENTRIES, min_size=1 << count, max_size=1 << count))
+    return values, count
+
+
+@settings(max_examples=60)
+@given(table=_value_tables())
+def test_ratio_reduction_matches_the_enumeration_on_random_tables(table):
+    values, count = table
+    gamma, witness = _assert_matches_enumeration(values, count)
     assert 0.0 <= gamma <= 1.0
 
 

@@ -141,6 +141,21 @@ def test_overflowing_objective_exits_1(tmp_path):
         assert "not finite" in lines[0]
 
 
+@pytest.mark.parametrize("argv", [["riccati"], ["cost", "--set", "0"]])
+def test_overflowing_riccati_recursion_exits_1(tmp_path, argv):
+    # a fresh interpreter, so numpy warnings print to stderr as a user sees them
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(support.overflowing_riccati_scenario_dict()))
+    env = {**os.environ, "PYTHONPATH": str(Path(lq.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "lqgcodesign", *argv, "--scenario", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("lqgcodesign: error: regulator matrices")
+    assert "not finite at time index 245; the Riccati recursion overflowed" in lines[0]
+
+
 def test_overflowing_ratio_bound_exits_1(tmp_path, capsys):
     # the spectral bound reads trajectories, not memoized objectives
     path = tmp_path / "overflow.json"

@@ -101,6 +101,14 @@ def test_singular_input_cost_raises():
         lq.solve_riccati(system, weights)
 
 
+def test_overflowing_recursion_raises_at_the_first_non_finite_step():
+    # N grows a hundredfold per step back from the horizon: N[400 - k] is about
+    # 100^k, past the float maximum at k = 155
+    scenario = lq.scenario_from_dict(support.overflowing_riccati_scenario_dict())
+    with pytest.raises(lq.NumericalError, match="not finite at time index 245;"):
+        lq.solve_riccati(scenario.system, scenario.weights)
+
+
 def test_theta_sum_flag_scalar():
     sol = lq.solve_riccati(support.scalar_system(), support.scalar_weights())
     positive, smallest = lq.theta_sum_positive_definite(sol)
