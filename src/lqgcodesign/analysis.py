@@ -114,7 +114,7 @@ def exact_supermodularity_ratio(
     """
     count = _require_enumerable(scenario, max_sensors, "exact ratio")
     cache = cache or ObjectiveCache(scenario, sol)
-    return _ratio_from_table(cache.f_many(map(_mask_ids, range(1 << count))), count)
+    return _ratio_from_table(cache.f_many(range(1 << count)), count)
 
 
 def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:

@@ -28,9 +28,9 @@ the posteriors drive sensor selection:
 * the log-volume (1/T) sum_t log det post[t], the surrogate of the
   log-determinant baseline.
 
-``ObjectiveCache`` memoizes these per sensor set so greedy sweeps, brute
-force enumeration, and ratio scans never propagate the same set twice; the
-sets a call asks for that are not memoized yet are propagated in batches.
+``ObjectiveCache`` memoizes these under each set's bit mask, a Python int
+whose bit i selects sensor i, so sweeps, enumerations and ratio scans never
+propagate a set twice.  Its batch calls take masks, its single-set calls ids.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import NumericalError, inv_sqrt_pd, symmetrize
-from .model import Scenario, Sensor, chosen_ids
+from .model import Scenario, Sensor, ValidationError, chosen_ids
 from .riccati import RiccatiSolution
 
 # Floats in one (k, n, n) stack of a batch: 2**13 floats are 64 KB, so a
@@ -243,45 +243,45 @@ class ObjectiveCache:
         return _trajectory(self.scenario.system, self._bank,
                            chosen_ids(self.scenario.suite, ids))
 
-    def _key(self, ids) -> int:
-        """Bit mask of a sensor set; an unknown id raises ``ValidationError``."""
-        key = 0
-        for i in ids:
-            i = int(i)
-            if not 0 <= i < len(self._whitened):
-                self.scenario.suite.sensor(i)
-            key |= 1 << i
-        return key
-
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, values, sets) -> list[float]:
-        """Values of the sets; those not in ``memo`` are propagated in batches."""
-        keys = [self._key(ids) for ids in sets]
-        missing = list(dict.fromkeys(key for key in keys if key not in memo))
+    def _memoized(self, memo: dict, values, masks) -> list[float]:
+        """Values of the sets with these masks; those not in ``memo`` are propagated in batches."""
+        masks = list(masks)
+        missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
+        count = len(self._whitened)
+        for mask in missing:
+            if mask < 0:
+                raise ValidationError(f"sensor set mask {mask} is negative")
+            if mask >> count:  # bit m would gather the bank's zero pad row
+                self.scenario.suite.sensor(count + _mask_ids(mask >> count)[0])
         size = _batch_size(self.scenario.state_dim)
         for start in range(0, len(missing), size):
             batch = missing[start:start + size]
-            steps = _steps(self.scenario.system, self._bank, [_mask_ids(key) for key in batch])
-            for key, value in zip(batch, values(post for _, post in steps).tolist()):
+            steps = _steps(self.scenario.system, self._bank, [_mask_ids(mask) for mask in batch])
+            for mask, value in zip(batch, values(post for _, post in steps).tolist()):
                 if not math.isfinite(value):
                     raise NumericalError(
-                        f"objective of sensor set {list(_mask_ids(key))} is not finite ({value})"
+                        f"objective of sensor set {list(_mask_ids(mask))} is not finite ({value})"
                     )
-                memo[key] = value
-        return [memo[key] for key in keys]
+                memo[mask] = value
+        return [memo[mask] for mask in masks]
 
-    def f_many(self, sets) -> list[float]:
-        """Memoized sensing objectives of the sets, in the order given."""
-        return self._memoized(self._f, lambda posts: _sensing_values(self.sol, posts), sets)
+    def f_many(self, masks) -> list[float]:
+        """Memoized sensing objectives of the sets with these bit masks, in the order given."""
+        return self._memoized(self._f, lambda posts: _sensing_values(self.sol, posts), masks)
 
-    def logdet_many(self, sets) -> list[float]:
-        """Memoized log-volume objectives of the sets, in the order given."""
+    def logdet_many(self, masks) -> list[float]:
+        """Memoized log-volume objectives of the sets with these bit masks, in the order given."""
         horizon = self.scenario.horizon
-        return self._memoized(self._logdet, lambda posts: _logdet_values(posts, horizon), sets)
+        return self._memoized(self._logdet, lambda posts: _logdet_values(posts, horizon), masks)
+
+    def _mask(self, ids) -> int:
+        """Bit mask of a sensor set given by ids; an unknown id raises ``ValidationError``."""
+        return sum(1 << i for i in chosen_ids(self.scenario.suite, ids))
 
     def f(self, ids) -> float:
         """Memoized sensing objective of the set."""
-        return self.f_many((ids,))[0]
+        return self.f_many((self._mask(ids),))[0]
 
     def g(self, ids) -> float:
         """Memoized full LQG cost of the set."""
@@ -289,7 +289,7 @@ class ObjectiveCache:
 
     def logdet(self, ids) -> float:
         """Memoized log-volume objective of the set."""
-        return self.logdet_many((ids,))[0]
+        return self.logdet_many((self._mask(ids),))[0]
 
     def kappa_bar(self) -> float:
         return kappa_bar(self.scenario, self.sol)

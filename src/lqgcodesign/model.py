@@ -412,10 +412,10 @@ def stack_sensors(scenario: Scenario, ids) -> tuple[np.ndarray, np.ndarray]:
 def set_cost(suite: SensorSuite, ids) -> float:
     """Total selection cost of a sensor set; additive, empty set costs 0.
 
-    Summation runs in ascending id order so the value never depends on the
-    order in which a set was assembled.
+    Summation runs in ascending id order, one term at a time, so the value
+    never depends on the order in which a set was assembled.
     """
-    return float(sum(suite.sensors[i].cost for i in chosen_ids(suite, ids)))
+    return float(np.cumsum([0.0] + [suite.sensors[i].cost for i in chosen_ids(suite, ids)])[-1])
 
 
 _TOP_KEYS = {

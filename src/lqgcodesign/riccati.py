@@ -95,7 +95,7 @@ def solve_riccati(system: LtvSystem, weights: LqgWeights) -> RiccatiSolution:
 
 def _theta_sum_spectrum(sol: RiccatiSolution) -> tuple[bool, np.ndarray]:
     """Whether sum_t theta[t] is positive definite (eigenvalues above 1e-9), and its eigenvalues."""
-    eigs = np.linalg.eigvalsh(symmetrize(_step_sum(sol.theta)))
+    eigs = np.linalg.eigvalsh(symmetrize(_step_sums(sol.theta)[-1]))
     return bool(eigs[0] > _PD_TOL), eigs
 
 
@@ -110,6 +110,7 @@ def theta_sum_positive_definite(sol: RiccatiSolution) -> tuple[bool, float]:
     return positive, float(eigs[0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _state_maps(system: LtvSystem) -> np.ndarray:
     """Open-loop maps U[t] = A[t-1] ... A[0], U[0] = I, as one (T + 1, n, n) stack."""
     maps = np.empty((system.horizon + 1, system.state_dim, system.state_dim))
@@ -119,14 +120,20 @@ def _state_maps(system: LtvSystem) -> np.ndarray:
     return maps
 
 
-def _step_sum(stack: np.ndarray) -> np.ndarray:
-    """sum_t stack[t] added in step order from +0.0, as by a loop; ``np.sum`` may pair terms."""
-    return np.cumsum(stack, axis=0)[-1] + 0.0
+def _step_sums(stack: np.ndarray) -> np.ndarray:
+    """Running sums of stack[t] in step order from +0.0, as by a loop; ``np.sum`` may pair terms."""
+    return np.cumsum(stack, axis=0) + 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _pulled_back(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_t maps[t]' weights[t] maps[t], symmetrized."""
-    return symmetrize(_step_sum(np.swapaxes(maps, -1, -2) @ weights @ maps))
+    """sum_t maps[t]' weights[t] maps[t], symmetrized; raises if a running sum is not finite."""
+    sums = _step_sums(np.swapaxes(maps, -1, -2) @ weights @ maps)
+    finite = np.isfinite(sums).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError(f"open-loop cost not finite at time index {int(np.argmin(finite))}; "
+                             "the state maps overflowed")
+    return symmetrize(sums[-1])
 
 
 def zero_control_suboptimal(

@@ -15,7 +15,9 @@ back a step that crossed it and keeps the better of that set and the best
 affordable singleton; the log-volume baseline is the same sweep on another
 objective.  The cost-capped sweep runs while the sensing objective is above
 the effective cap.  Every report's objective and cost fields come from
-``_report``.
+``_report``.  Sets travel as bit masks (bit i selects sensor i) from the
+sweeps and the oracles to the objective cache, and become id tuples only in
+reports.
 
 All argmax/argmin ties resolve to the smallest sensor id, so every routine
 is a pure function of its inputs.  A free sensor (cost 0) with positive
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import ObjectiveCache, _mask_ids
+from .kalman import ObjectiveCache, _mask_ids, kappa_bar
 from .model import Scenario, chosen_ids, set_cost
 from .riccati import RiccatiSolution
 
@@ -115,31 +117,23 @@ def _sweep(suite, objective_many, value: float, proceed):
     evaluates every remaining candidate in one ``objective_many`` call;
     only a strictly higher rate displaces the best so far, so ties go to
     the smallest id.  ``proceed(cost, value)`` sees the set's cost (summed
-    in id order) and objective before each step.  Returns the final set,
-    its objective and the iteration records.
+    in id order) and objective before each step.  Returns the final set's
+    bit mask, its objective and the iteration records.
     """
-    costs = {s.id: s.cost for s in suite}
-    remaining = sorted(costs)
-    chosen = frozenset()
-    cost = 0.0
-    iterations = []
+    costs = [s.cost for s in suite]
+    remaining = list(suite.ids)
+    chosen, cost, iterations = 0, 0.0, []
     while remaining and proceed(cost, value):
-        values = objective_many([chosen | {a} for a in remaining])
-        best = None
-        for a, after in zip(remaining, values):
-            rate = _rate(value - after, costs[a])
-            if best is None or rate > best[1]:
-                best = (a, rate, after)
-        added, rate, after = best
-        chosen = chosen | {added}
+        values = objective_many([chosen | 1 << a for a in remaining])
+        rates = [_rate(value - after, costs[a]) for a, after in zip(remaining, values)]
+        best = rates.index(max(rates))      # max keeps the first of equal rates
+        added, rate, after = remaining.pop(best), rates[best], values[best]
+        chosen |= 1 << added
         # recompute in id order so the stopping rule cannot drift with the
         # order sensors happened to be added in
-        cost = set_cost(suite, chosen)
-        remaining.remove(added)
-        iterations.append(IterationRecord(
-            added=added, gain=value - after, gain_per_cost=rate,
-            cumulative_cost=cost, objective_after=after,
-        ))
+        cost = set_cost(suite, _mask_ids(chosen))
+        iterations.append(IterationRecord(added=added, gain=value - after, gain_per_cost=rate,
+                                          cumulative_cost=cost, objective_after=after))
         value = after
     return chosen, value, iterations
 
@@ -161,21 +155,13 @@ def _require_budget(scenario: Scenario) -> float:
     return scenario.budget
 
 
-def _require_cap(scenario: Scenario, cache: ObjectiveCache) -> float:
-    """The cap on the sensing objective equivalent to ``scenario.kappa``."""
-    if scenario.kappa is None:
-        raise ValueError("scenario defines no kappa; set one to use cost-capped selection")
-    return scenario.kappa - cache.offset
-
-
 def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
                   method: str) -> SelectionReport:
     """Budget sweep on ``objective_many``: best singleton versus efficiency-greedy set."""
     budget = _require_budget(scenario)
     suite = scenario.suite
     affordable = [s.id for s in suite if s.cost <= budget]
-    base_value, *single_values = objective_many(
-        [frozenset(), *(frozenset({i}) for i in affordable)])
+    base_value, *single_values = objective_many([0, *(1 << i for i in affordable)])
     # a tie in value goes to the smaller id
     single_value, single_id = min(zip(single_values, affordable), default=(base_value, None))
     singleton = () if single_id is None else (single_id,)
@@ -183,15 +169,14 @@ def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
     chosen, value, iterations = _sweep(suite, objective_many, base_value,
                                        lambda cost, _: cost <= budget)
     removed = None
-    if set_cost(suite, chosen) > budget:
+    if iterations and iterations[-1].cumulative_cost > budget:
         removed = iterations[-1].added
-        chosen = chosen - {removed}
+        chosen &= ~(1 << removed)
         value = objective_many([chosen])[0]
-    candidates = (
-        CandidateRecord("singleton", singleton, single_value),
-        CandidateRecord("greedy", tuple(sorted(chosen)), value),
-    )
-    return _report(scenario, cache, method, chosen if value <= single_value else singleton,
+    greedy = _mask_ids(chosen)
+    candidates = (CandidateRecord("singleton", singleton, single_value),
+                  CandidateRecord("greedy", greedy, value))
+    return _report(scenario, cache, method, greedy if value <= single_value else singleton,
                    budget=budget, candidates=candidates, iterations=tuple(iterations),
                    removed=removed)
 
@@ -219,7 +204,7 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     ``InfeasibleError`` when the full ground set cannot meet the cap.
     """
     cache = cache or ObjectiveCache(scenario, sol)
-    cap = _require_cap(scenario, cache)
+    cap = kappa_bar(scenario, cache.sol)
     empty_value = cache.f(())
     chosen, value, iterations = _sweep(scenario.suite, cache.f_many, empty_value,
                                        lambda _, value: value > cap)
@@ -229,8 +214,9 @@ def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
     if iterations:
         last_added = iterations[-1].added
         prefix_f = iterations[-2].objective_after if len(iterations) > 1 else empty_value
-    return _report(scenario, cache, "greedy", chosen, kappa=scenario.kappa, kappa_bar=cap,
-                   iterations=tuple(iterations), last_added=last_added, prefix_f=prefix_f)
+    return _report(scenario, cache, "greedy", _mask_ids(chosen), kappa=scenario.kappa,
+                   kappa_bar=cap, iterations=tuple(iterations), last_added=last_added,
+                   prefix_f=prefix_f)
 
 
 def _require_enumerable(scenario: Scenario, max_sensors: int, task: str = "brute force") -> int:
@@ -244,6 +230,22 @@ def _require_enumerable(scenario: Scenario, max_sensors: int, task: str = "brute
     return count
 
 
+def _cost_table(suite) -> np.ndarray:
+    """Cost of every sensor set by mask, summed in id order, bit for bit as ``set_cost``."""
+    table = np.zeros(1 << len(suite))
+    for i, sensor in enumerate(suite):
+        table[1 << i:2 << i] = table[:1 << i] + sensor.cost
+    return table
+
+
+def _least(masks: np.ndarray, *keys: np.ndarray) -> tuple[int, ...]:
+    """Ids of the set minimizing ``keys`` in turn; exact ties go to the smallest id tuple."""
+    keep = np.ones(len(masks), dtype=bool)
+    for key in keys:
+        keep &= key == key[keep].min()
+    return min(_mask_ids(mask) for mask in masks[keep].tolist())
+
+
 def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
                   cache: ObjectiveCache | None = None,
                   max_sensors: int = ORACLE_CAP) -> SelectionReport:
@@ -253,17 +255,11 @@ def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
     enumeration cap since the search visits every subset.
     """
     budget = _require_budget(scenario)
-    count = _require_enumerable(scenario, max_sensors)
+    _require_enumerable(scenario, max_sensors)
     cache = cache or ObjectiveCache(scenario, sol)
-    costs = [s.cost for s in scenario.suite]
-    affordable = [ids for ids in map(_mask_ids, range(1 << count))
-                  if sum(costs[i] for i in ids) <= budget]
-    values = cache.f_many(affordable)
-    best_ids, best_value = (), values[0]    # mask 0 fits any nonnegative budget
-    for ids, value in zip(affordable[1:], values[1:]):
-        if value < best_value or (value == best_value and ids < best_ids):
-            best_ids, best_value = ids, value
-    return _report(scenario, cache, "oracle", best_ids, budget=budget)
+    affordable = np.flatnonzero(_cost_table(scenario.suite) <= budget)
+    values = np.array(cache.f_many(affordable.tolist()))
+    return _report(scenario, cache, "oracle", _least(affordable, values), budget=budget)
 
 
 def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
@@ -276,19 +272,13 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
     """
     count = _require_enumerable(scenario, max_sensors)
     cache = cache or ObjectiveCache(scenario, sol)
-    cap = _require_cap(scenario, cache)
-    costs = [s.cost for s in scenario.suite]
-    best = None
-    for mask, value in enumerate(cache.f_many(map(_mask_ids, range(1 << count)))):
-        if value > cap:
-            continue
-        ids = _mask_ids(mask)
-        key = (sum(costs[i] for i in ids), value, ids)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise InfeasibleError(f_all=cache.f(frozenset(range(count))), kappa_bar=cap)
-    return _report(scenario, cache, "oracle", best[2], kappa=scenario.kappa, kappa_bar=cap)
+    cap = kappa_bar(scenario, cache.sol)
+    table = np.array(cache.f_many(range(1 << count)))
+    feasible = np.flatnonzero(table <= cap)
+    if not feasible.size:
+        raise InfeasibleError(f_all=float(table[-1]), kappa_bar=cap)
+    best = _least(feasible, _cost_table(scenario.suite)[feasible], table[feasible])
+    return _report(scenario, cache, "oracle", best, kappa=scenario.kappa, kappa_bar=cap)
 
 
 def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,

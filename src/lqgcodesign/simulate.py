@@ -1,8 +1,8 @@
 """Closed-loop rollouts, Monte Carlo estimation, and benchmark scenarios.
 
 The rollout applies the separation structure directly: the Kalman filter, in
-gain form xhat = xp + G (y - C xp) with G = post C' inv(V) on the objective
-cache's covariances, produces the state estimate, and the precomputed
+gain form xhat = xp + G (y - C xp) with G = post C' inv(V) on the set's
+covariance trajectory, produces the state estimate, and the precomputed
 regulator gain acts on that estimate.  C and V stack the chosen sensors in
 ascending id order; no prior is inverted, and the empty set has zero rows.
 Runs advance together in batches, on (k, n) arrays.  All randomness comes
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import block_diag, frozen, psd_sqrt
-from .kalman import ObjectiveCache
+from .kalman import ObjectiveCache, propagate_covariance
 from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids, stack_sensors
 from .riccati import RiccatiSolution
 
@@ -64,11 +64,13 @@ class ClosedLoopSimulator:
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids,
                  cache: ObjectiveCache | None = None):
-        cache = cache or ObjectiveCache(scenario, sol)
+        if sol.horizon != scenario.horizon:
+            raise ValueError("solution horizon does not match scenario horizon")
         self.scenario = scenario
         self.sol = sol
         self.chosen = chosen_ids(scenario.suite, ids)
-        self.traj = cache.trajectory(self.chosen)
+        self.traj = (cache.trajectory(self.chosen) if cache
+                     else propagate_covariance(scenario, self.chosen))
         sys_ = scenario.system
         T, n = sys_.horizon, sys_.state_dim
         self._C, noise = stack_sensors(scenario, self.chosen)

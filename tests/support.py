@@ -14,6 +14,11 @@ from lqgcodesign._linalg import psd_sqrt
 from lqgcodesign.kalman import _mask_ids
 
 
+def mask_of(ids) -> int:
+    """Bit mask of a sensor set given by ids, in any order and with repeats."""
+    return sum(1 << i for i in set(ids))
+
+
 def scalar_system() -> lq.LtvSystem:
     return lq.LtvSystem(horizon=1, state_dim=1, A=[[1.0]], B=[[1.0]],
                         W=[[0.0]], sigma_init=[[1.0]])
@@ -295,6 +300,70 @@ def big_random_scenario(seed: int, sensors: int, state_dim: int = 16,
     return lq.Scenario(system=system, suite=suite, weights=weights, budget=budget)
 
 
+def tied_sensor_scenario(seed: int) -> lq.Scenario:
+    """A budgeted ``random_scenario`` whose sets tie exactly in value and in cost.
+
+    Sensor 0 is free and blind (zero wiring), so every set has the value and
+    cost of its union with 0, whose id tuple sorts first although its mask is
+    larger.  Sensors 1 onward are the base sensors, the second of them made
+    free, and the last sensor is a bit-identical twin of sensor 1.
+    """
+    base = random_scenario(seed + 1900, max_sensors=5, with_budget=True,
+                           unit_costs=seed % 2 == 0)
+    T, n = base.horizon, base.state_dim
+    shifted = [lq.Sensor(id=s.id + 1, C=s.C, V=s.V, cost=0.0 if s.id == 1 else s.cost)
+               for s in base.suite]
+    first = shifted[0]
+    sensors = (lq.Sensor(id=0, C=np.zeros((T, 1, n)), V=np.ones((T, 1, 1)), cost=0.0),
+               *shifted,
+               lq.Sensor(id=len(shifted) + 1, C=first.C, V=first.V, cost=first.cost))
+    return replace(base, suite=lq.SensorSuite(sensors=sensors, state_dim=n))
+
+
+def random_cost_suite(seed: int) -> lq.SensorSuite:
+    """A ``random_scenario``'s suite repriced with unrounded costs, one of them 0."""
+    suite = random_scenario(seed + 1950, max_sensors=9).suite
+    rng = np.random.default_rng(seed)
+    costs = rng.exponential(3.0, size=len(suite))
+    costs[rng.integers(len(suite))] = 0.0
+    return lq.SensorSuite(
+        sensors=tuple(replace(s, cost=float(c)) for s, c in zip(suite, costs)),
+        state_dim=suite.state_dim)
+
+
+def reference_oracle_budget(scenario: lq.Scenario, cache):
+    """Ids and value of the budget optimum by the plain loop the mask-table oracle replaced.
+
+    Every affordable set in mask order; a set displaces the best so far on a
+    smaller value, or on an equal value and a smaller id tuple.
+    """
+    affordable = [ids for ids in map(_mask_ids, range(1 << len(scenario.suite)))
+                  if lq.set_cost(scenario.suite, ids) <= scenario.budget]
+    values = cache.f_many(map(mask_of, affordable))
+    best_ids, best_value = (), values[0]
+    for ids, value in zip(affordable[1:], values[1:]):
+        if value < best_value or (value == best_value and ids < best_ids):
+            best_ids, best_value = ids, value
+    return best_ids, best_value
+
+
+def reference_oracle_mincost(scenario: lq.Scenario, cache, cap: float):
+    """Ids and value of the cheapest set with value at most ``cap``, by a plain loop.
+
+    The loop the mask-table oracle replaced: the smallest key (cost, value,
+    id tuple) over every feasible set; None when no set is feasible.
+    """
+    best = None
+    for mask, value in enumerate(cache.f_many(range(1 << len(scenario.suite)))):
+        if value > cap:
+            continue
+        ids = _mask_ids(mask)
+        key = (lq.set_cost(scenario.suite, ids), value, ids)
+        if best is None or key < best:
+            best = key
+    return None if best is None else (best[2], best[1])
+
+
 def solved(scenario: lq.Scenario):
     """Convenience bundle: (scenario, solution, cache)."""
     sol = lq.solve_riccati(scenario.system, scenario.weights)
@@ -423,18 +492,18 @@ class ReferenceCache(lq.ObjectiveCache):
         return total / self.scenario.horizon
 
     @staticmethod
-    def _memo(memo: dict, one, sets) -> list[float]:
-        keys = [frozenset(int(i) for i in ids) for ids in sets]
+    def _memo(memo: dict, one, masks) -> list[float]:
+        keys = list(masks)
         for key in keys:
             if key not in memo:
-                memo[key] = one(key)
+                memo[key] = one(_mask_ids(key))
         return [memo[key] for key in keys]
 
-    def f_many(self, sets) -> list[float]:
-        return self._memo(self._ref_f, self._f_one, sets)
+    def f_many(self, masks) -> list[float]:
+        return self._memo(self._ref_f, self._f_one, masks)
 
-    def logdet_many(self, sets) -> list[float]:
-        return self._memo(self._ref_logdet, self._logdet_one, sets)
+    def logdet_many(self, masks) -> list[float]:
+        return self._memo(self._ref_logdet, self._logdet_one, masks)
 
 
 def reference_ratio_lower_bound(scenario: lq.Scenario, sol, cache):

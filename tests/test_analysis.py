@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import lqgcodesign as lq
 from lqgcodesign.analysis import _ratio_from_table
-from lqgcodesign.kalman import _mask_ids
 
 import support
 
@@ -76,7 +75,7 @@ def test_exact_ratio_respects_cap():
 
 
 def _value_table(scenario, sol, cache):
-    return cache.f_many(map(_mask_ids, range(1 << len(scenario.suite))))
+    return cache.f_many(range(1 << len(scenario.suite)))
 
 
 def _assert_matches_enumeration(values, count):

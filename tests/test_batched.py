@@ -34,6 +34,7 @@ def _mixed_batch(count: int, seed: int) -> list:
 
 
 def _assert_values_match(cache, ref, batch):
+    batch = [support.mask_of(ids) for ids in batch]
     np.testing.assert_allclose(cache.f_many(batch), ref.f_many(batch), rtol=REL, atol=0.0)
     np.testing.assert_allclose(cache.logdet_many(batch), ref.logdet_many(batch),
                                rtol=REL, atol=REL * np.max(np.abs(ref.logdet_many(batch))))
@@ -62,8 +63,9 @@ def test_value_of_a_set_does_not_depend_on_its_batch():
         scenario, sol, batched = support.solved(support.random_scenario(seed + 1450))
         single = lq.ObjectiveCache(scenario, sol)
         sets = _all_sets(len(scenario.suite))
-        assert batched.f_many(sets) == [single.f(s) for s in sets]
-        assert batched.logdet_many(sets) == [single.logdet(s) for s in sets]
+        masks = [support.mask_of(s) for s in sets]
+        assert batched.f_many(masks) == [single.f(s) for s in sets]
+        assert batched.logdet_many(masks) == [single.logdet(s) for s in sets]
 
 
 def _assert_same_report(got, want, scale):
@@ -92,7 +94,8 @@ def _ratio_key(witness):
 def _check_against_reference(scenario):
     scenario, sol, cache = support.solved(scenario)
     ref = support.ReferenceCache(scenario, sol)
-    scale = max(abs(v) for v in ref.f_many([(), scenario.suite.ids]) + ref.logdet_many([()]))
+    full = support.mask_of(scenario.suite.ids)
+    scale = max(abs(v) for v in ref.f_many([0, full]) + ref.logdet_many([0]))
     routines = [lq.greedy_budget, lq.greedy_mincost, lq.baseline_logdet,
                 lq.oracle_budget, lq.oracle_mincost]
     for routine in routines:
@@ -128,7 +131,7 @@ def test_mixed_batch_with_a_singular_prior(build):
     # the empty set and a sensed set share one update, whatever the prior's rank
     scenario, sol, cache = support.solved(build())
     sets = [(), (0,)]
-    batched = cache.f_many(sets)
+    batched = cache.f_many(map(support.mask_of, sets))
     assert batched == [support.solved(scenario)[2].f(ids) for ids in sets]
     for ids, value in zip(sets, batched):
         assert value == pytest.approx(support.joseph_objective(scenario, sol, ids),
@@ -141,11 +144,17 @@ def test_memo_hit_does_not_propagate(monkeypatch):
     steps = kalman._steps
     monkeypatch.setattr(kalman, "_steps", lambda *args: calls.append(1) or steps(*args))
     sets = _all_sets(len(scenario.suite))
-    first = cache.f_many(sets)
+    masks = [support.mask_of(s) for s in sets]
+    first = cache.f_many(masks)
+    first_logdet = cache.logdet_many(masks)
     assert calls
-    entries = len(cache._f)
+    entries = len(cache._f), len(cache._logdet)
     calls.clear()
-    again = cache.f_many([tuple(sorted(s, reverse=True)) for s in reversed(sets)])
+    assert cache.f_many(masks[::-1]) == first[::-1]
+    # the single-set calls take ids in any order and hit the same memo
+    again = [cache.f(tuple(sorted(s, reverse=True))) for s in reversed(sets)]
+    again_logdet = [cache.logdet(tuple(sorted(s, reverse=True))) for s in reversed(sets)]
     assert calls == []
-    assert len(cache._f) == entries
+    assert (len(cache._f), len(cache._logdet)) == entries
     assert again == first[::-1]
+    assert again_logdet == first_logdet[::-1]

@@ -226,6 +226,29 @@ def test_unknown_ids_rejected():
         lq.propagate_covariance(scenario, (0, 7))
 
 
+def test_batch_calls_reject_masks_outside_the_suite():
+    # bit m would gather the bank's zero pad row; the first id past the suite is named
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
+    for many in (cache.f_many, cache.logdet_many):
+        with pytest.raises(lq.ValidationError, match="sensor id 2 not in suite"):
+            many([1, 0b100])
+        with pytest.raises(lq.ValidationError, match="sensor id 5 not in suite"):
+            many([0b100011])
+        with pytest.raises(lq.ValidationError, match="sensor id 70 not in suite"):
+            many([1 << 70 | 1 << 71])
+        with pytest.raises(lq.ValidationError, match="mask -1 is negative"):
+            many([-1])
+    assert cache._f == {} and cache._logdet == {}
+
+
+def test_masks_past_bit_63_are_python_ints():
+    scenario, sol, cache = support.solved(
+        support.big_random_scenario(3, sensors=70, state_dim=2, horizon=2))
+    masks = [1 << 69, 1 << 69 | 1 << 63 | 1]
+    assert cache.f_many(masks) == [cache.f((69,)), cache.f((0, 63, 69))]
+    assert cache.logdet_many(masks) == [cache.logdet((69,)), cache.logdet((69, 63, 0))]
+
+
 def test_cache_and_direct_trajectories_identical():
     # both entry points run the one recursion on the same summed information
     for seed in range(10):
@@ -303,6 +326,6 @@ def test_objective_matches_the_joseph_filter(scenario):
     scenario, sol, cache = support.solved(scenario)
     ids = scenario.suite.ids
     sets = [s for size in range(len(ids) + 1) for s in combinations(ids, size)]
-    for chosen, value in zip(sets, cache.f_many(sets)):
+    for chosen, value in zip(sets, cache.f_many(map(support.mask_of, sets))):
         assert value == pytest.approx(support.joseph_objective(scenario, sol, chosen),
                                       rel=1e-10, abs=1e-12)

@@ -109,6 +109,20 @@ def test_overflowing_recursion_raises_at_the_first_non_finite_step():
         lq.solve_riccati(scenario.system, scenario.weights)
 
 
+@pytest.mark.parametrize("horizon", [400, 160])
+def test_overflowing_open_loop_maps_raise(horizon):
+    # actuated, so the Riccati recursion stays finite; the open-loop cost term
+    # U[t+1]' Q U[t+1] = 10^(2t + 2) overflows at t = 154, whether the map 10^t
+    # itself overflows later in the horizon (400) or never does (160)
+    data = support.scalar_scenario_dict()
+    data.update(horizon=horizon, A=[[10.0]], B=[[1.0]])
+    scenario = lq.scenario_from_dict(data)
+    sol = lq.solve_riccati(scenario.system, scenario.weights)
+    for diagnostic in (lq.zero_control_suboptimal, lq.cascade_identity_residual):
+        with pytest.raises(lq.NumericalError, match="not finite at time index 154;"):
+            diagnostic(scenario.system, scenario.weights, sol)
+
+
 def test_theta_sum_flag_scalar():
     sol = lq.solve_riccati(support.scalar_system(), support.scalar_weights())
     positive, smallest = lq.theta_sum_positive_definite(sol)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
+from lqgcodesign import selection
+from lqgcodesign.kalman import _mask_ids
 
 import support
 
@@ -188,8 +190,32 @@ def test_oracle_mincost_scalar():
 def test_oracle_mincost_infeasible():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.6))
-    with pytest.raises(lq.InfeasibleError):
+    with pytest.raises(lq.InfeasibleError) as err:
         lq.oracle_mincost(scenario, sol, cache)
+    assert err.value.f_all == cache.f(scenario.suite.ids)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_oracles_break_exact_ties_as_the_plain_loops(seed):
+    scenario = support.tied_sensor_scenario(seed)
+    scenario, sol, cache = support.solved(
+        support.with_feasible_kappa(*support.solved(scenario), seed=seed))
+    budget = lq.oracle_budget(scenario, sol, cache)
+    assert (budget.chosen, budget.objective_f) == support.reference_oracle_budget(scenario, cache)
+    mincost = lq.oracle_mincost(scenario, sol, cache)
+    assert ((mincost.chosen, mincost.objective_f)
+            == support.reference_oracle_mincost(scenario, cache, cache.kappa_bar()))
+    # the free blind sensor 0 ties every set with its union with 0, a larger
+    # mask whose id tuple sorts first
+    assert budget.chosen[:1] == (0,)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_cost_table_is_set_cost_bit_for_bit(seed):
+    suite = support.random_cost_suite(seed)
+    table = selection._cost_table(suite)
+    costs = [lq.set_cost(suite, _mask_ids(mask)) for mask in range(1 << len(suite))]
+    assert table.tobytes() == np.array(costs).tobytes()
 
 
 def test_oracle_enumeration_cap():

@@ -106,6 +106,14 @@ def test_monte_carlo_rejects_bad_runs():
         lq.monte_carlo(scenario, sol, (0,), runs=0, base_seed=1, cache=cache)
 
 
+def test_rollout_rejects_a_solution_of_another_horizon():
+    scenario = support.scalar_two_sensor_scenario()
+    other = lq.build_uav_scenario(1, 3, "uniform", 0)
+    sol = lq.solve_riccati(other.system, other.weights)
+    with pytest.raises(ValueError, match="horizon"):
+        lq.run_closed_loop(scenario, sol, (0,), seed=1)
+
+
 def test_empty_set_rollout():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     record = lq.run_closed_loop(scenario, sol, (), seed=2)
