@@ -206,17 +206,12 @@ def _run_method(scenario, sol, cache, problem: str, method: str, args,
 
 
 def _scenario_with_constraint(args, problem: str):
+    name = "budget" if problem == "budget" else "kappa"
     scenario = load_scenario(args.scenario)
-    if problem == "budget":
-        if args.budget is not None:
-            scenario = replace(scenario, budget=args.budget)
-        if scenario.budget is None:
-            raise ValueError("no budget given; pass --budget or store one in the scenario")
-    else:
-        if args.kappa is not None:
-            scenario = replace(scenario, kappa=args.kappa)
-        if scenario.kappa is None:
-            raise ValueError("no kappa given; pass --kappa or store one in the scenario")
+    if getattr(args, name) is not None:
+        scenario = replace(scenario, **{name: getattr(args, name)})
+    if getattr(scenario, name) is None:
+        raise ValueError(f"no {name} given; pass --{name} or store one in the scenario")
     return scenario
 
 

@@ -36,6 +36,7 @@ propagate a set twice.  Its batch calls take masks, its single-set calls ids.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,7 +247,7 @@ class ObjectiveCache:
     @np.errstate(over="ignore", invalid="ignore")
     def _memoized(self, memo: dict, values, masks) -> list[float]:
         """Values of the sets with these masks; those not in ``memo`` are propagated in batches."""
-        masks = list(masks)
+        masks = [operator.index(mask) for mask in masks]  # numpy ints become ints; floats raise
         missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
         count = len(self._whitened)
         for mask in missing:

@@ -132,7 +132,7 @@ def _pulled_back(maps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     finite = np.isfinite(sums).all(axis=(1, 2))
     if not finite.all():
         raise NumericalError(f"open-loop cost not finite at time index {int(np.argmin(finite))}; "
-                             "the state maps overflowed")
+                             "the pulled-back weights overflowed")
     return symmetrize(sums[-1])
 
 

@@ -122,7 +122,9 @@ def _sweep(suite, objective_many, value: float, proceed):
     """
     costs = [s.cost for s in suite]
     remaining = list(suite.ids)
-    chosen, cost, iterations = 0, 0.0, []
+    chosen = 0
+    cost = 0.0
+    iterations = []
     while remaining and proceed(cost, value):
         values = objective_many([chosen | 1 << a for a in remaining])
         rates = [_rate(value - after, costs[a]) for a, after in zip(remaining, values)]
@@ -132,8 +134,10 @@ def _sweep(suite, objective_many, value: float, proceed):
         # recompute in id order so the stopping rule cannot drift with the
         # order sensors happened to be added in
         cost = set_cost(suite, _mask_ids(chosen))
-        iterations.append(IterationRecord(added=added, gain=value - after, gain_per_cost=rate,
-                                          cumulative_cost=cost, objective_after=after))
+        iterations.append(IterationRecord(
+            added=added, gain=value - after, gain_per_cost=rate,
+            cumulative_cost=cost, objective_after=after,
+        ))
         value = after
     return chosen, value, iterations
 
@@ -174,8 +178,10 @@ def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
         chosen &= ~(1 << removed)
         value = objective_many([chosen])[0]
     greedy = _mask_ids(chosen)
-    candidates = (CandidateRecord("singleton", singleton, single_value),
-                  CandidateRecord("greedy", greedy, value))
+    candidates = (
+        CandidateRecord("singleton", singleton, single_value),
+        CandidateRecord("greedy", greedy, value),
+    )
     return _report(scenario, cache, method, greedy if value <= single_value else singleton,
                    budget=budget, candidates=candidates, iterations=tuple(iterations),
                    removed=removed)

@@ -62,15 +62,13 @@ class ClosedLoopSimulator:
     transposed filter gains G' (T, P, n) and process-noise roots (T, n, n).
     """
 
-    def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids,
-                 cache: ObjectiveCache | None = None):
+    def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids):
         if sol.horizon != scenario.horizon:
             raise ValueError("solution horizon does not match scenario horizon")
         self.scenario = scenario
         self.sol = sol
         self.chosen = chosen_ids(scenario.suite, ids)
-        self.traj = (cache.trajectory(self.chosen) if cache
-                     else propagate_covariance(scenario, self.chosen))
+        self.traj = propagate_covariance(scenario, self.chosen)
         sys_ = scenario.system
         T, n = sys_.horizon, sys_.state_dim
         self._C, noise = stack_sensors(scenario, self.chosen)
@@ -136,7 +134,7 @@ def monte_carlo(scenario: Scenario, sol: RiccatiSolution, ids, runs: int,
     if runs < 1:
         raise ValueError("runs must be at least 1")
     cache = cache or ObjectiveCache(scenario, sol)
-    sim = ClosedLoopSimulator(scenario, sol, ids, cache)
+    sim = ClosedLoopSimulator(scenario, sol, ids)
     batches = math.ceil(runs / max(1, _DRAW_FLOATS // sim._draws))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
     costs = np.concatenate([sim._rollouts(range(start, stop))[3]

@@ -238,7 +238,19 @@ def test_batch_calls_reject_masks_outside_the_suite():
             many([1 << 70 | 1 << 71])
         with pytest.raises(lq.ValidationError, match="mask -1 is negative"):
             many([-1])
+        with pytest.raises(lq.ValidationError, match="sensor id 2 not in suite"):
+            many([np.int64(0b100)])
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
+            many([1.0])
     assert cache._f == {} and cache._logdet == {}
+
+
+def test_batch_calls_take_numpy_integer_masks_as_ints():
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
+    masks = np.flatnonzero(np.ones(4, dtype=bool))
+    assert cache.f_many(masks) == cache.f_many(range(4))
+    assert cache.logdet_many(masks) == cache.logdet_many(range(4))
+    assert all(type(mask) is int for mask in [*cache._f, *cache._logdet])
 
 
 def test_masks_past_bit_63_are_python_ints():

@@ -119,7 +119,8 @@ def test_overflowing_open_loop_maps_raise(horizon):
     scenario = lq.scenario_from_dict(data)
     sol = lq.solve_riccati(scenario.system, scenario.weights)
     for diagnostic in (lq.zero_control_suboptimal, lq.cascade_identity_residual):
-        with pytest.raises(lq.NumericalError, match="not finite at time index 154;"):
+        with pytest.raises(lq.NumericalError, match="open-loop cost not finite at time index "
+                           "154; the pulled-back weights overflowed"):
             diagnostic(scenario.system, scenario.weights, sol)
 
 
