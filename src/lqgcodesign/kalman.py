@@ -29,8 +29,13 @@ the posteriors drive sensor selection:
   log-determinant baseline.
 
 ``ObjectiveCache`` memoizes these under each set's bit mask, a Python int
-whose bit i selects sensor i, so sweeps, enumerations and ratio scans never
-propagate a set twice.  Its batch calls take masks, its single-set calls ids.
+whose bit i selects sensor i.  Behind that memo sits one keyed by the
+multiset of information classes: sensors whose (T, n, n) information stacks
+are bit-identical form one class, named by its smallest id, and a set's
+filter depends on it only through J[t].  So sweeps, enumerations and ratio
+scans propagate each distinct multiset once, summed in ascending
+representative order, and equal multisets give equal bits by construction.
+Its batch calls take masks, its single-set calls ids.
 """
 
 from __future__ import annotations
@@ -72,6 +77,23 @@ def _information_bank(whitened, horizon: int, n: int) -> np.ndarray:
     return bank
 
 
+def _class_representatives(stacks) -> tuple[int, ...]:
+    """Each sensor's class representative: the smallest id whose stack is bit-identical.
+
+    Candidates share the bytes of their first step; each is confirmed over
+    the whole stack, compared as integers so that 0.0 and -0.0 differ.
+    """
+    reps = []
+    candidates: dict[bytes, list[int]] = {}
+    for i, stack in enumerate(stacks):
+        group = candidates.setdefault(stack[0].tobytes(), [])
+        bits = stack.view(np.int64)
+        reps.append(next((j for j in group if np.array_equal(stacks[j].view(np.int64), bits)), i))
+        if reps[-1] == i:
+            group.append(i)
+    return tuple(reps)
+
+
 @dataclass(frozen=True)
 class CovarianceTrajectory:
     """Prediction and filtering covariances, stacked as (T, n, n) arrays."""
@@ -86,7 +108,12 @@ class CovarianceTrajectory:
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
     """The ids of a bit mask's set bits, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def _class_key(mask: int, rep) -> tuple[int, ...]:
+    """The class representatives of a bit mask's set bits, ascending: its multiset of classes."""
+    return tuple(sorted([rep[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]))
 
 
 def _positive_definite(stack: np.ndarray) -> bool:
@@ -101,13 +128,13 @@ def _positive_definite(stack: np.ndarray) -> bool:
 def _steps(system, bank: np.ndarray, sets):
     """The covariance recursion for a batch of k sensor sets, one step at a time.
 
-    Each set is an ascending sequence of rows of ``bank``, an information
-    bank from ``_information_bank``; a set sums its rows in that order.  The
-    empty set gathers only the zero pad row, so every set takes the same
-    update and the empty set's is solve(I, P) = P.  Yields the (k, n, n)
-    prior and posterior stacks of each time step; the caller reduces or
-    copies them before it asks for the next step.  Raises ``NumericalError``
-    on a non-finite prior.
+    Each set is a nondecreasing sequence of rows of ``bank``, an information
+    bank from ``_information_bank``; a set sums its rows in that order, a
+    repeated row once per repeat.  The empty set gathers only the zero pad
+    row, so every set takes the same update and the empty set's is
+    solve(I, P) = P.  Yields the (k, n, n) prior and posterior stacks of
+    each time step; the caller reduces or copies them before it asks for the
+    next step.  Raises ``NumericalError`` on a non-finite prior.
     """
     T, n = system.horizon, system.state_dim
     width = max(1, *map(len, sets))
@@ -219,9 +246,11 @@ def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
-    The information bank, shape (m + 1, T, n, n), is filled once per
-    scenario.  Values are memoized under the bit mask of their set, so each
-    distinct set is propagated at most once per functional; the sets one
+    The information bank, shape (m + 1, T, n, n), and each sensor's class
+    representative are built once per scenario.  Values are memoized under
+    the bit mask of their set, and behind that under the ascending tuple of
+    its members' representatives, so each distinct multiset of information
+    classes is propagated at most once per functional; the multisets one
     call has not seen yet are propagated together in batches of
     ``_batch_size(n)``.
     """
@@ -233,8 +262,11 @@ class ObjectiveCache:
         self.sol = sol
         self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
         self._bank = _information_bank(self._whitened, scenario.horizon, scenario.state_dim)
+        self._rep = _class_representatives(self._bank[:-1])
         self._f: dict[int, float] = {}
         self._logdet: dict[int, float] = {}
+        self._f_classes: dict[tuple[int, ...], float] = {}
+        self._logdet_classes: dict[tuple[int, ...], float] = {}
         self.offset = cost_offset(scenario, sol)
 
     def whitened(self, sensor_id: int) -> np.ndarray:
@@ -245,8 +277,12 @@ class ObjectiveCache:
                            chosen_ids(self.scenario.suite, ids))
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, values, masks) -> list[float]:
-        """Values of the sets with these masks; those not in ``memo`` are propagated in batches."""
+    def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
+        """Values of the sets with these masks.
+
+        A mask not in ``memo`` takes the value of its class multiset in
+        ``classes``; the multisets not there yet are propagated in batches.
+        """
         masks = [operator.index(mask) for mask in masks]  # numpy ints become ints; floats raise
         missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
         count = len(self._whitened)
@@ -255,26 +291,35 @@ class ObjectiveCache:
                 raise ValidationError(f"sensor set mask {mask} is negative")
             if mask >> count:  # bit m would gather the bank's zero pad row
                 self.scenario.suite.sensor(count + _mask_ids(mask >> count)[0])
+        keys = {mask: _class_key(mask, self._rep) for mask in missing}
+        asked = {}  # each new multiset and the first mask that asked for it
+        for mask, key in keys.items():
+            if key not in classes:
+                asked.setdefault(key, mask)
+        todo = list(asked)
         size = _batch_size(self.scenario.state_dim)
-        for start in range(0, len(missing), size):
-            batch = missing[start:start + size]
-            steps = _steps(self.scenario.system, self._bank, [_mask_ids(mask) for mask in batch])
-            for mask, value in zip(batch, values(post for _, post in steps).tolist()):
+        for start in range(0, len(todo), size):
+            batch = todo[start:start + size]
+            steps = _steps(self.scenario.system, self._bank, batch)
+            for key, value in zip(batch, values(post for _, post in steps).tolist()):
                 if not math.isfinite(value):
-                    raise NumericalError(
-                        f"objective of sensor set {list(_mask_ids(mask))} is not finite ({value})"
-                    )
-                memo[mask] = value
+                    raise NumericalError(f"objective of sensor set "
+                                         f"{list(_mask_ids(asked[key]))} is not finite ({value})")
+                classes[key] = value
+        for mask, key in keys.items():
+            memo[mask] = classes[key]
         return [memo[mask] for mask in masks]
 
     def f_many(self, masks) -> list[float]:
         """Memoized sensing objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._f, lambda posts: _sensing_values(self.sol, posts), masks)
+        return self._memoized(self._f, self._f_classes,
+                              lambda posts: _sensing_values(self.sol, posts), masks)
 
     def logdet_many(self, masks) -> list[float]:
         """Memoized log-volume objectives of the sets with these bit masks, in the order given."""
         horizon = self.scenario.horizon
-        return self._memoized(self._logdet, lambda posts: _logdet_values(posts, horizon), masks)
+        return self._memoized(self._logdet, self._logdet_classes,
+                              lambda posts: _logdet_values(posts, horizon), masks)
 
     def _mask(self, ids) -> int:
         """Bit mask of a sensor set given by ids; an unknown id raises ``ValidationError``."""

@@ -388,8 +388,8 @@ class Scenario:
 
 
 def chosen_ids(suite: SensorSuite, ids) -> tuple[int, ...]:
-    """The distinct ids of a selection in ascending order, each checked by ``suite.sensor``."""
-    chosen = set(int(i) for i in ids)
+    """The distinct ids of a selection, ascending; ``_as_int`` and ``suite.sensor`` check each."""
+    chosen = set(_as_int(i, "sensor id") for i in ids)
     for i in chosen:
         suite.sensor(i)
     return tuple(sorted(chosen))

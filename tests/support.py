@@ -5,11 +5,14 @@ scalar suite (horizon 1, all-ones plant) and the two-step identity plant;
 everything else is generated from explicit seeds so failures reproduce.
 """
 
+import math
+import operator
 from dataclasses import replace
 
 import numpy as np
 
 import lqgcodesign as lq
+from lqgcodesign import kalman
 from lqgcodesign._linalg import psd_sqrt
 from lqgcodesign.kalman import _mask_ids
 
@@ -320,6 +323,26 @@ def tied_sensor_scenario(seed: int) -> lq.Scenario:
     return replace(base, suite=lq.SensorSuite(sensors=sensors, state_dim=n))
 
 
+def duplicated_sensor_scenario(seed: int, copies: int) -> tuple[lq.Scenario, tuple[int, ...]]:
+    """A ``random_scenario`` plus ``copies`` of one more sensor: the scenario and the copies' ids.
+
+    Two copies come first and the rest last, so the ids of the sets {0, 1, b}
+    and {0, b, m - 1} with a base sensor b sum the same information in
+    different orders; with three or more copies the orders round differently.
+    """
+    base = random_scenario(seed + 2000, max_sensors=4)
+    rng = np.random.default_rng(seed)
+    T, n = base.horizon, base.state_dim
+    p = int(rng.integers(1, 3))
+    C, V = rng.normal(size=(p, n)), random_psd(rng, p, scale=0.3, ridge=0.2)
+    pool = [None, None, *base.suite, *[None] * (copies - 2)]
+    sensors = tuple(lq.Sensor.time_invariant(i, C, V, 1.0, T) if s is None
+                    else lq.Sensor(id=i, C=s.C, V=s.V, cost=s.cost)
+                    for i, s in enumerate(pool))
+    twins = tuple(i for i, s in enumerate(pool) if s is None)
+    return replace(base, suite=lq.SensorSuite(sensors=sensors, state_dim=n)), twins
+
+
 def random_cost_suite(seed: int) -> lq.SensorSuite:
     """A ``random_scenario``'s suite repriced with unrounded costs, one of them 0."""
     suite = random_scenario(seed + 1950, max_sensors=9).suite
@@ -504,6 +527,33 @@ class ReferenceCache(lq.ObjectiveCache):
 
     def logdet_many(self, masks) -> list[float]:
         return self._memo(self._ref_logdet, self._logdet_one, masks)
+
+
+class PerMaskCache(lq.ObjectiveCache):
+    """ObjectiveCache memoized by mask alone, as before the information classes.
+
+    Its ``_memoized`` is the one the class memo replaced, without the mask
+    checks: every set not memoized is propagated, summing its own sensors'
+    rows in ascending id order, with the cache's bank, recursion and
+    functionals.
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
+        masks = [operator.index(mask) for mask in masks]
+        missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
+        size = kalman._batch_size(self.scenario.state_dim)
+        for start in range(0, len(missing), size):
+            batch = missing[start:start + size]
+            steps = kalman._steps(self.scenario.system, self._bank,
+                                  [_mask_ids(mask) for mask in batch])
+            for mask, value in zip(batch, values(post for _, post in steps).tolist()):
+                if not math.isfinite(value):
+                    raise lq.NumericalError(
+                        f"objective of sensor set {list(_mask_ids(mask))} is not finite ({value})"
+                    )
+                memo[mask] = value
+        return [memo[mask] for mask in masks]
 
 
 def reference_ratio_lower_bound(scenario: lq.Scenario, sol, cache):

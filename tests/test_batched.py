@@ -3,12 +3,16 @@
 ``support.ReferenceCache`` propagates one set at a time with the
 two-inverse update post = inv(inv(prior) + J); every value and every
 selection answer of the batched ``ObjectiveCache`` must agree with it.
+``support.PerMaskCache`` propagates every set on its own, before the
+memo by information class; the class memo must give its bits exactly.
 """
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqgcodesign as lq
 from lqgcodesign import kalman
@@ -158,3 +162,54 @@ def test_memo_hit_does_not_propagate(monkeypatch):
     assert (len(cache._f), len(cache._logdet)) == entries
     assert again == first[::-1]
     assert again_logdet == first_logdet[::-1]
+
+
+def _assert_same_bits_as_per_mask(scenario, masks):
+    scenario, sol, cache = support.solved(scenario)
+    ref = support.PerMaskCache(scenario, sol)
+    assert cache.f_many(masks) == ref.f_many(masks)
+    assert cache.logdet_many(masks) == ref.logdet_many(masks)
+    # the relative sensors (i, j) and (j, i) share one class
+    assert len(cache._f_classes) < len(cache._f)
+
+
+@pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
+def test_class_memo_matches_the_per_mask_memo_on_formation_a3(mode):
+    scenario = lq.build_formation_scenario(3, 20, mode, 7)
+    _assert_same_bits_as_per_mask(scenario, range(1 << 9))
+
+
+def test_class_memo_matches_the_per_mask_memo_on_formation_a4():
+    scenario = lq.build_formation_scenario(4, 20, "heterogeneous", 7)
+    small = [mask for mask in range(1 << 16) if mask.bit_count() <= 3]
+    sample = np.random.default_rng(12).integers(0, 1 << 16, size=1024).tolist()
+    _assert_same_bits_as_per_mask(scenario, small + sample)
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 10 ** 6), copies=st.integers(3, 4), data=st.data())
+def test_equal_class_multisets_give_equal_bits(seed, copies, data):
+    scenario, twins = support.duplicated_sensor_scenario(seed, copies)
+    count = len(scenario.suite)
+
+    def multiset(mask):
+        return tuple(sorted(twins[0] if i in twins else i for i in kalman._mask_ids(mask)))
+
+    masks = data.draw(st.lists(st.integers(0, (1 << count) - 1), min_size=1, max_size=24))
+    # each mask with a partner: its twins swapped for others of the same count
+    for mask in list(masks):
+        inside = [i for i in twins if mask >> i & 1]
+        swapped = data.draw(st.permutations(twins))[:len(inside)]
+        others = mask & ~support.mask_of(twins)
+        masks.append(others | support.mask_of(swapped))
+    values = {}
+    for round_ in range(3):
+        order = data.draw(st.permutations(masks))
+        split = data.draw(st.integers(0, len(order)))
+        cache = support.solved(scenario)[2]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kalman, "_BATCH_FLOATS", scenario.state_dim ** 2 * (1 + round_))
+            for part in (order[:split], order[split:]):
+                for mask, f, logdet in zip(part, cache.f_many(part), cache.logdet_many(part)):
+                    values.setdefault(multiset(mask), set()).add((f, logdet))
+    assert all(len(seen) == 1 for seen in values.values())

@@ -1,5 +1,7 @@
 """Information-form filtering and the sensing/LQG objectives."""
 
+import re
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -226,6 +228,20 @@ def test_unknown_ids_rejected():
         lq.propagate_covariance(scenario, (0, 7))
 
 
+def test_fractional_ids_rejected():
+    # an id is an integer as the loader reads one; it is never truncated
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
+    calls = (cache.f, lambda ids: lq.set_cost(scenario.suite, ids),
+             lambda ids: lq.propagate_covariance(scenario, ids).posteriors)
+    for call, bad in zip(calls, (0.9, 1.7, 0.5)):
+        with pytest.raises(lq.ValidationError, match=f"sensor id: expected an integer, got {bad}"):
+            call([bad])
+        with pytest.raises(lq.ValidationError, match="expected an integer"):
+            call([True])
+        np.testing.assert_array_equal(call([np.int64(1)]), call([1]))
+    assert cache._f == {1 << 1: cache.f([1])}
+
+
 def test_batch_calls_reject_masks_outside_the_suite():
     # bit m would gather the bank's zero pad row; the first id past the suite is named
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
@@ -291,6 +307,32 @@ def test_overflowing_objective_raises():
     scenario, sol, cache = support.solved(support.overflowing_scenario())
     with pytest.raises(lq.NumericalError, match="not finite"):
         cache.f(())
+
+
+def test_overflow_names_the_set_asked_for():
+    # three bit-identical sensors share one class, propagated once under the ids (0,)
+    data = support.overflowing_scenario_dict()
+    data.update(horizon=16, sensors=[{"id": i, "C": [[1e-160]], "V": [[1.0]], "cost": 1.0}
+                                     for i in range(3)])
+    scenario, sol, cache = support.solved(lq.scenario_from_dict(data))
+    for masks, named in (([0b010], "[1]"), ([0b100, 0b010], "[2]"), ([0b110, 0b011], "[1, 2]")):
+        with pytest.raises(lq.NumericalError, match=re.escape(f"set {named} is not finite (inf)")):
+            cache.f_many(masks)
+    assert cache._f == {} and cache._f_classes == {}
+
+
+def test_sensors_equal_only_at_step_0_are_two_classes():
+    scenario = support.per_step_sensor_scenario(5)
+    first = scenario.suite.sensors[0]
+    late = lq.Sensor(id=1, C=np.concatenate([first.C[:1], 2.0 * first.C[1:]]), V=first.V,
+                     cost=1.0)
+    scenario = replace(scenario, suite=lq.SensorSuite(sensors=(first, late),
+                                                      state_dim=scenario.state_dim))
+    scenario, sol, cache = support.solved(scenario)
+    assert scenario.horizon > 1
+    ref = support.PerMaskCache(scenario, sol)
+    assert cache.f_many(range(4)) == ref.f_many(range(4))
+    assert cache.f((0,)) != cache.f((1,))
 
 
 def test_cache_consistent_with_direct_evaluation():
