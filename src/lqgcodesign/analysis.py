@@ -18,6 +18,9 @@ Provided here:
   the achieved cost reduction against ``max(gamma/2 (1 - e^-gamma),
   1 - e^{-gamma c/b})``, and the cost-capped guarantee bounds the greedy
   set's cost by a multiple of the cheapest feasible cost.
+
+The ratio routines read no constraint, so they take the ``ObjectiveCache``
+alone: its scenario, its Riccati solution (theta) and its memo.
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import numpy as np
 
 from ._linalg import symmetrize
 from .kalman import ObjectiveCache, _mask_ids
-from .model import Scenario
-from .riccati import RiccatiSolution, _theta_sum_spectrum
+from .riccati import _theta_sum_spectrum
 from .selection import SelectionReport, _require_enumerable
 
 _ZERO = 1e-12
@@ -102,18 +104,15 @@ class CertificateRecord:
     note: str | None = None
 
 
-def exact_supermodularity_ratio(
-    scenario: Scenario, sol: RiccatiSolution,
-    cache: ObjectiveCache | None = None, max_sensors: int = RATIO_CAP,
-) -> tuple[float, RatioWitness | None]:
+def exact_supermodularity_ratio(cache: ObjectiveCache,
+                                max_sensors: int = RATIO_CAP) -> tuple[float, RatioWitness | None]:
     """Minimum marginal-gain ratio over all nested pairs, with its witness.
 
     Fetches the objective of all 2^n sensor sets and reduces that table with
     ``_ratio_from_table``: O(n 2^n) vectorized array work per sensor, so
     building the 2^n value table is the whole cost.
     """
-    count = _require_enumerable(scenario, max_sensors, "exact ratio")
-    cache = cache or ObjectiveCache(scenario, sol)
+    count = _require_enumerable(cache.scenario, max_sensors, "exact ratio")
     return _ratio_from_table(cache.f_many(range(1 << count)), count)
 
 
@@ -172,9 +171,7 @@ def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:
     return min(max(float(low), 0.0), 1.0), witness
 
 
-def ratio_lower_bound(
-    scenario: Scenario, sol: RiccatiSolution, cache: ObjectiveCache | None = None,
-) -> tuple[float | None, BoundHypotheses]:
+def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypotheses]:
     """Spectral lower bound on the supermodularity ratio.
 
     Needs only the covariance trajectories of the full and the empty
@@ -184,9 +181,8 @@ def ratio_lower_bound(
     1), and each no-sensing covariance has trace at most the square of its
     largest eigenvalue.
     """
-    cache = cache or ObjectiveCache(scenario, sol)
-    suite = scenario.suite
-    flag_theta, theta_eigs = _theta_sum_spectrum(sol)
+    suite = cache.scenario.suite
+    flag_theta, theta_eigs = _theta_sum_spectrum(cache.sol)
     theta_lo, theta_hi = float(theta_eigs[0]), float(theta_eigs[-1])
 
     flag_norm = not any(
@@ -229,22 +225,18 @@ def ratio_lower_bound(
     return min(max(value, 0.0), 1.0), hypotheses
 
 
-def ratio_report(
-    scenario: Scenario, sol: RiccatiSolution,
-    cache: ObjectiveCache | None = None, max_sensors: int = RATIO_CAP,
-) -> RatioReport:
+def ratio_report(cache: ObjectiveCache, max_sensors: int = RATIO_CAP) -> RatioReport:
     """Exact ratio when the ground set is enumerable, plus the spectral bound.
 
     The one place that decides which ratio a certificate can use: ``exact``
     and ``witness`` are None above ``max_sensors``, and ``lower_bound``
     holds only when ``hypotheses.applicable``.
     """
-    cache = cache or ObjectiveCache(scenario, sol)
-    if len(scenario.suite) <= max_sensors:
-        exact, witness = exact_supermodularity_ratio(scenario, sol, cache, max_sensors)
+    if len(cache.scenario.suite) <= max_sensors:
+        exact, witness = exact_supermodularity_ratio(cache, max_sensors)
     else:
         exact, witness = None, None
-    bound, hypotheses = ratio_lower_bound(scenario, sol, cache)
+    bound, hypotheses = ratio_lower_bound(cache)
     return RatioReport(exact=exact, witness=witness, lower_bound=bound, hypotheses=hypotheses)
 
 

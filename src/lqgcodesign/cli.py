@@ -128,13 +128,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _solved(scenario):
-    """The scenario's Riccati solution and a fresh objective cache over it."""
-    sol = solve_riccati(scenario.system, scenario.weights)
-    return sol, ObjectiveCache(scenario, sol)
+def _solved(scenario) -> ObjectiveCache:
+    """A fresh objective cache over the scenario's Riccati solution."""
+    return ObjectiveCache(scenario, solve_riccati(scenario.system, scenario.weights))
 
 
-def _certify(scenario, sol, cache, report: SelectionReport, problem: str, args, ratio=None):
+def _certify(scenario, cache, report: SelectionReport, problem: str, args, ratio=None):
     """(gamma_exact, gamma_bound, certificate) of a greedy report; all None for other methods.
 
     ``ratio``, the scenario's ``ratio_report``, is computed when not given.  The
@@ -144,14 +143,14 @@ def _certify(scenario, sol, cache, report: SelectionReport, problem: str, args, 
     """
     if report.method != "greedy":
         return None, None, None
-    ratio = ratio or ratio_report(scenario, sol, cache, args.ratio_cap)
+    ratio = ratio or ratio_report(cache, args.ratio_cap)
     gamma_bound = ratio.lower_bound if ratio.hypotheses.applicable else None
     gamma = ratio.exact if ratio.exact is not None else gamma_bound
     if gamma is None:
         return None, None, None
     reference = None
     if ratio.exact is not None and len(scenario.suite) <= args.oracle_cap:
-        reference = _run_method(scenario, sol, cache, problem, "oracle", args)
+        reference = _run_method(scenario, cache, problem, "oracle", args)
     if problem == "budget":
         cert = budget_certificate(report, gamma, cache.g(()),
                                   g_star=None if reference is None else reference.lqg_cost_g)
@@ -184,24 +183,24 @@ def _selection_row(scenario_id, scenario, report: SelectionReport,
     )
 
 
-def _run_method(scenario, sol, cache, problem: str, method: str, args,
+def _run_method(scenario, cache, problem: str, method: str, args,
                 mandatory=()) -> SelectionReport:
     if problem == "mincost" and method not in ("greedy", "oracle"):
         raise ValueError(f"method {method!r} applies only to budget selection")
     if method == "greedy":
         if problem == "budget":
-            return greedy_budget(scenario, sol, cache)
-        return greedy_mincost(scenario, sol, cache)
+            return greedy_budget(scenario, cache)
+        return greedy_mincost(scenario, cache)
     if method == "oracle":
         if problem == "budget":
-            return oracle_budget(scenario, sol, cache, max_sensors=args.oracle_cap)
-        return oracle_mincost(scenario, sol, cache, max_sensors=args.oracle_cap)
+            return oracle_budget(scenario, cache, max_sensors=args.oracle_cap)
+        return oracle_mincost(scenario, cache, max_sensors=args.oracle_cap)
     if method == "logdet":
-        return baseline_logdet(scenario, sol, cache)
+        return baseline_logdet(scenario, cache)
     if method == "random":
-        return baseline_random(scenario, sol, mandatory, seed=args.seed, cache=cache)
+        return baseline_random(scenario, cache, mandatory, seed=args.seed)
     if method == "all":
-        return evaluate_set(scenario, sol, scenario.suite.ids, cache, method="all")
+        return evaluate_set(scenario, cache, scenario.suite.ids, method="all")
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -246,8 +245,7 @@ def cmd_riccati(args) -> int:
 
 def cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    sol, cache = _solved(scenario)
-    report = evaluate_set(scenario, sol, _parse_ids(args.set), cache)
+    report = evaluate_set(scenario, _solved(scenario), _parse_ids(args.set))
     row = _selection_row(Path(args.scenario).stem, scenario, report)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -255,10 +253,10 @@ def cmd_cost(args) -> int:
 
 def cmd_select(args) -> int:
     scenario = _scenario_with_constraint(args, args.problem)
-    sol, cache = _solved(scenario)
-    report = _run_method(scenario, sol, cache, args.problem, args.method, args,
+    cache = _solved(scenario)
+    report = _run_method(scenario, cache, args.problem, args.method, args,
                          _parse_ids(getattr(args, "mandatory", None)))
-    certified = _certify(scenario, sol, cache, report, args.problem, args)
+    certified = _certify(scenario, cache, report, args.problem, args)
     row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -267,16 +265,15 @@ def cmd_select(args) -> int:
 def cmd_simulate(args) -> int:
     if args.set is not None:
         scenario = load_scenario(args.scenario)
-        sol, cache = _solved(scenario)
-        report = evaluate_set(scenario, sol, _parse_ids(args.set), cache)
+        cache = _solved(scenario)
+        report = evaluate_set(scenario, cache, _parse_ids(args.set))
     else:
         problem = "mincost" if args.kappa is not None else "budget"
         scenario = _scenario_with_constraint(args, problem)
-        sol, cache = _solved(scenario)
-        report = _run_method(scenario, sol, cache, problem, args.method, args,
+        cache = _solved(scenario)
+        report = _run_method(scenario, cache, problem, args.method, args,
                              _parse_ids(args.mandatory))
-    summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
-                          base_seed=args.seed, cache=cache)
+    summary = monte_carlo(cache, report.chosen, runs=args.runs, base_seed=args.seed)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -284,7 +281,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_ratio(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = ratio_report(scenario, *_solved(scenario), args.ratio_cap)
+    report = ratio_report(_solved(scenario), args.ratio_cap)
     payload = asdict(report)
     payload["hypotheses"]["applicable"] = report.hypotheses.applicable
     _emit_json(payload, args.out)
@@ -293,9 +290,9 @@ def cmd_ratio(args) -> int:
 
 def cmd_bound(args) -> int:
     scenario = _scenario_with_constraint(args, args.problem)
-    sol, cache = _solved(scenario)
-    report = _run_method(scenario, sol, cache, args.problem, "greedy", args)
-    gamma_exact, gamma_bound, cert = _certify(scenario, sol, cache, report, args.problem, args)
+    cache = _solved(scenario)
+    report = _run_method(scenario, cache, args.problem, "greedy", args)
+    gamma_exact, gamma_bound, cert = _certify(scenario, cache, report, args.problem, args)
     if cert is None:
         raise ValueError(
             f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
@@ -347,17 +344,17 @@ def cmd_sweep(args) -> int:
                                       seed=args.seed)
             scenario_id = f"uav-l{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = (0,)
-        sol, cache = _solved(base)
-        ratio = ratio_report(base, sol, cache, args.ratio_cap) if "greedy" in methods else None
+        cache = _solved(base)
+        ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
         for budget in budgets:
             scenario = replace(base, budget=budget)
             for method in methods:
-                report = _run_method(scenario, sol, cache, "budget", method, args, mandatory)
+                report = _run_method(scenario, cache, "budget", method, args, mandatory)
                 summary = None
                 if args.runs > 0:
-                    summary = monte_carlo(scenario, sol, report.chosen, runs=args.runs,
-                                          base_seed=args.seed, cache=cache)
-                certified = _certify(scenario, sol, cache, report, "budget", args, ratio)
+                    summary = monte_carlo(cache, report.chosen, runs=args.runs,
+                                          base_seed=args.seed)
+                certified = _certify(scenario, cache, report, "budget", args, ratio)
                 rows.append(_selection_row(scenario_id, scenario, report, summary, certified))
     _emit_rows(rows, args.format, args.out)
     return 0

@@ -179,7 +179,11 @@ def _trajectory(system, bank: np.ndarray, rows) -> CovarianceTrajectory:
 
 
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
-    """Covariance trajectory under the given sensor set (any iterable of ids)."""
+    """Covariance trajectory under the given sensor set (any iterable of ids).
+
+    Knows no information classes, so it sums in ascending id order, while
+    ``ObjectiveCache.trajectory`` sums in class order, as ``f`` does.
+    """
     suite = scenario.suite
     chosen = chosen_ids(suite, ids)
     bank = _information_bank([whiten_sensor(suite.sensor(i)) for i in chosen],
@@ -252,7 +256,8 @@ class ObjectiveCache:
     its members' representatives, so each distinct multiset of information
     classes is propagated at most once per functional; the multisets one
     call has not seen yet are propagated together in batches of
-    ``_batch_size(n)``.
+    ``_batch_size(n)``.  The selection, ratio and Monte Carlo routines take
+    the cache as their one evaluation context: its scenario and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -273,8 +278,9 @@ class ObjectiveCache:
         return self._whitened[sensor_id]
 
     def trajectory(self, ids) -> CovarianceTrajectory:
+        """Covariance trajectory of the set, its information summed as ``f`` sums it."""
         return _trajectory(self.scenario.system, self._bank,
-                           chosen_ids(self.scenario.suite, ids))
+                           _class_key(self._mask(ids), self._rep))
 
     @np.errstate(over="ignore", invalid="ignore")
     def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:

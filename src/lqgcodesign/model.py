@@ -21,6 +21,7 @@ index.  Instances are immutable and safe to share across concurrent readers.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,12 +58,13 @@ def _as_number(value, name: str) -> float:
 
 
 def _as_int(value, name: str) -> int:
-    """An integer; booleans, fractions and non-numbers raise ``ValidationError``."""
+    """An index-sized integer; anything else raises ``ValidationError``."""
     try:
         number = int(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if isinstance(value, bool) or number is None or number != value:
+    if (isinstance(value, bool) or number is None or number != value
+            or abs(number) > sys.maxsize):  # 1e308 is integral, but no length or index
         raise ValidationError(f"{name}: expected an integer, got {value!r}")
     return number
 

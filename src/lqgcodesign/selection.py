@@ -19,6 +19,9 @@ the effective cap.  Every report's objective and cost fields come from
 sweeps and the oracles to the objective cache, and become id tuples only in
 reports.
 
+Every routine takes the scenario, for its constraint, and an ``ObjectiveCache``
+built for its plant, sensors and weights; any other cache is refused.
+
 All argmax/argmin ties resolve to the smallest sensor id, so every routine
 is a pure function of its inputs.  A free sensor (cost 0) with positive
 gain rates as infinitely efficient and is admitted before anything else, in
@@ -34,7 +37,6 @@ import numpy as np
 
 from .kalman import ObjectiveCache, _mask_ids, kappa_bar
 from .model import Scenario, chosen_ids, set_cost
-from .riccati import RiccatiSolution
 
 # Largest ground set the oracles enumerate unless told otherwise (2^20 sets).
 ORACLE_CAP = 20
@@ -153,6 +155,13 @@ def _report(scenario: Scenario, cache: ObjectiveCache, method: str, ids,
     )
 
 
+def _require_cache_for(scenario: Scenario, cache: ObjectiveCache) -> None:
+    """``ValueError`` unless ``cache`` was built for this plant, suite and weights (by identity)."""
+    if any(getattr(scenario, part) is not getattr(cache.scenario, part)
+           for part in ("system", "suite", "weights")):
+        raise ValueError("objective cache was built for another plant, sensor suite or weights")
+
+
 def _require_budget(scenario: Scenario) -> float:
     if scenario.budget is None:
         raise ValueError("scenario defines no budget; set one to use budget-capped selection")
@@ -162,6 +171,7 @@ def _require_budget(scenario: Scenario) -> float:
 def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
                   method: str) -> SelectionReport:
     """Budget sweep on ``objective_many``: best singleton versus efficiency-greedy set."""
+    _require_cache_for(scenario, cache)
     budget = _require_budget(scenario)
     suite = scenario.suite
     affordable = [s.id for s in suite if s.cost <= budget]
@@ -187,8 +197,7 @@ def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
                    removed=removed)
 
 
-def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
-                  cache: ObjectiveCache | None = None) -> SelectionReport:
+def greedy_budget(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
     """Efficiency-greedy sweep under the budget, guarded by the best singleton.
 
     Returns whichever of the greedy set and the best affordable singleton
@@ -197,19 +206,17 @@ def greedy_budget(scenario: Scenario, sol: RiccatiSolution,
     a crossing step is rolled back (a set costing exactly the budget is
     kept).
     """
-    cache = cache or ObjectiveCache(scenario, sol)
     return _budget_sweep(scenario, cache, cache.f_many, "greedy")
 
 
-def greedy_mincost(scenario: Scenario, sol: RiccatiSolution,
-                   cache: ObjectiveCache | None = None) -> SelectionReport:
+def greedy_mincost(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
     """Efficiency-greedy sweep that stops once the LQG cost cap is met.
 
     Starts empty and keeps adding the best gain-per-cost sensor while the
     sensing objective still exceeds the effective cap.  Raises
     ``InfeasibleError`` when the full ground set cannot meet the cap.
     """
-    cache = cache or ObjectiveCache(scenario, sol)
+    _require_cache_for(scenario, cache)
     cap = kappa_bar(scenario, cache.sol)
     empty_value = cache.f(())
     chosen, value, iterations = _sweep(scenario.suite, cache.f_many, empty_value,
@@ -252,32 +259,30 @@ def _least(masks: np.ndarray, *keys: np.ndarray) -> tuple[int, ...]:
     return min(_mask_ids(mask) for mask in masks[keep].tolist())
 
 
-def oracle_budget(scenario: Scenario, sol: RiccatiSolution,
-                  cache: ObjectiveCache | None = None,
+def oracle_budget(scenario: Scenario, cache: ObjectiveCache,
                   max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive minimum of the sensing objective over affordable sets.
 
     Ties resolve to the lexicographically smallest id tuple.  Guarded by an
     enumeration cap since the search visits every subset.
     """
+    _require_cache_for(scenario, cache)
     budget = _require_budget(scenario)
     _require_enumerable(scenario, max_sensors)
-    cache = cache or ObjectiveCache(scenario, sol)
     affordable = np.flatnonzero(_cost_table(scenario.suite) <= budget)
     values = np.array(cache.f_many(affordable.tolist()))
     return _report(scenario, cache, "oracle", _least(affordable, values), budget=budget)
 
 
-def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
-                   cache: ObjectiveCache | None = None,
+def oracle_mincost(scenario: Scenario, cache: ObjectiveCache,
                    max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive cheapest set meeting the LQG cost cap.
 
     Ties resolve first to the smaller sensing objective, then to the
     lexicographically smallest id tuple.
     """
+    _require_cache_for(scenario, cache)
     count = _require_enumerable(scenario, max_sensors)
-    cache = cache or ObjectiveCache(scenario, sol)
     cap = kappa_bar(scenario, cache.sol)
     table = np.array(cache.f_many(range(1 << count)))
     feasible = np.flatnonzero(table <= cap)
@@ -287,8 +292,7 @@ def oracle_mincost(scenario: Scenario, sol: RiccatiSolution,
     return _report(scenario, cache, "oracle", best, kappa=scenario.kappa, kappa_bar=cap)
 
 
-def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
-                    cache: ObjectiveCache | None = None) -> SelectionReport:
+def baseline_logdet(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
     """Budget sweep driven by the average log-volume of the filtering error.
 
     Identical mechanics to ``greedy_budget`` (singleton guard, rollback of a
@@ -296,12 +300,11 @@ def baseline_logdet(scenario: Scenario, sol: RiccatiSolution,
     records are in the log-volume surrogate.  The report's objective fields
     are the LQG quantities of the chosen set.
     """
-    cache = cache or ObjectiveCache(scenario, sol)
     return _budget_sweep(scenario, cache, cache.logdet_many, "logdet")
 
 
-def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: int,
-                    cache: ObjectiveCache | None = None) -> SelectionReport:
+def baseline_random(scenario: Scenario, cache: ObjectiveCache, mandatory,
+                    seed: int) -> SelectionReport:
     """Mandatory sensors plus a seeded random draw of the others.
 
     A permutation and a uniform count are drawn from a Philox counter-based
@@ -310,8 +313,8 @@ def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: i
     than the budget.  Identical seeds give identical sets, and for a loose
     budget every superset of the mandatory ids has positive probability.
     """
+    _require_cache_for(scenario, cache)
     budget = _require_budget(scenario)
-    cache = cache or ObjectiveCache(scenario, sol)
     suite = scenario.suite
     chosen = set(chosen_ids(suite, mandatory))
     cost = set_cost(suite, chosen)
@@ -328,8 +331,8 @@ def baseline_random(scenario: Scenario, sol: RiccatiSolution, mandatory, seed: i
     return _report(scenario, cache, "random", chosen, budget=budget, seed=seed)
 
 
-def evaluate_set(scenario: Scenario, sol: RiccatiSolution, ids,
-                 cache: ObjectiveCache | None = None, method: str = "set") -> SelectionReport:
+def evaluate_set(scenario: Scenario, cache: ObjectiveCache, ids,
+                 method: str = "set") -> SelectionReport:
     """Report the objectives of an explicitly given sensor set."""
-    cache = cache or ObjectiveCache(scenario, sol)
+    _require_cache_for(scenario, cache)
     return _report(scenario, cache, method, ids, budget=scenario.budget, kappa=scenario.kappa)

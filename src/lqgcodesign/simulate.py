@@ -122,19 +122,18 @@ def run_closed_loop(scenario: Scenario, sol: RiccatiSolution, ids, seed: int,
     return ClosedLoopSimulator(scenario, sol, ids).run(seed, run_id)
 
 
-def monte_carlo(scenario: Scenario, sol: RiccatiSolution, ids, runs: int,
-                base_seed: int, cache: ObjectiveCache | None = None) -> MonteCarloSummary:
-    """Mean realized cost over ``runs`` rollouts seeded ``base_seed + r``.
+def monte_carlo(cache: ObjectiveCache, ids, runs: int, base_seed: int) -> MonteCarloSummary:
+    """Mean realized cost over ``runs`` rollouts seeded ``base_seed + r``, and ``cache.g(ids)``.
 
-    Runs go in batches of at most ``_DRAW_FLOATS`` drawn floats, sizes
-    differing by at most one.  Doubling ``runs`` with the same base seed
-    reuses the first half of the draws exactly.  The standard error is the
-    sample standard deviation over sqrt(runs), 0 for a single run.
+    The rollouts run on the cache's scenario and Riccati solution, in
+    batches of at most ``_DRAW_FLOATS`` drawn floats, sizes differing by at
+    most one.  Doubling ``runs`` with the same base seed reuses the first
+    half of the draws exactly.  The standard error is the sample standard
+    deviation over sqrt(runs), 0 for a single run.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    cache = cache or ObjectiveCache(scenario, sol)
-    sim = ClosedLoopSimulator(scenario, sol, ids)
+    sim = ClosedLoopSimulator(cache.scenario, cache.sol, ids)
     batches = math.ceil(runs / max(1, _DRAW_FLOATS // sim._draws))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
     costs = np.concatenate([sim._rollouts(range(start, stop))[3]

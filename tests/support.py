@@ -257,7 +257,7 @@ def normalized_bound_scenario(seed: int, max_attempts: int = 80) -> lq.Scenario:
         suite = lq.SensorSuite(sensors=tuple(sensors), state_dim=n)
         scenario = lq.Scenario(system=system, suite=suite, weights=weights)
         sol = lq.solve_riccati(system, weights)
-        bound, hypotheses = lq.ratio_lower_bound(scenario, sol)
+        bound, hypotheses = lq.ratio_lower_bound(lq.ObjectiveCache(scenario, sol))
         if bound is not None and hypotheses.applicable:
             return scenario
     raise RuntimeError(f"no bound-applicable instance found for seed {seed}")

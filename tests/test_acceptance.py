@@ -44,17 +44,17 @@ def test_criterion_01_scalar_fixture_suite():
     checks["g_empty"] = abs(cache.g(()) - 1.0) <= 1e-9
     checks["kappa_bar"] = abs(cache.kappa_bar() - 1.5) <= 1e-9
 
-    checks["greedy_budget"] = lq.greedy_budget(scenario, sol, cache).chosen == (1,)
+    checks["greedy_budget"] = lq.greedy_budget(scenario, cache).chosen == (1,)
     capped = replace(scenario, kappa=0.7)  # kappa_bar = 0.2
     capped_cache = lq.ObjectiveCache(capped, sol)
-    checks["greedy_mincost"] = lq.greedy_mincost(capped, sol, capped_cache).chosen == (0, 1)
-    checks["oracle_mincost"] = lq.oracle_mincost(capped, sol, capped_cache).chosen == (1,)
+    checks["greedy_mincost"] = lq.greedy_mincost(capped, capped_cache).chosen == (0, 1)
+    checks["oracle_mincost"] = lq.oracle_mincost(capped, capped_cache).chosen == (1,)
 
-    gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
+    gamma, _ = lq.exact_supermodularity_ratio(cache)
     checks["gamma_exact"] = abs(gamma - 1.0) <= 1e-9
     one = support.scalar_one_sensor_scenario()
     one_sol = lq.solve_riccati(one.system, one.weights)
-    bound, hypotheses = lq.ratio_lower_bound(one, one_sol)
+    bound, hypotheses = lq.ratio_lower_bound(lq.ObjectiveCache(one, one_sol))
     checks["spectral_bound"] = (hypotheses.applicable
                                 and abs(bound - 0.125) <= 1e-9)
     elapsed = time.perf_counter() - started
@@ -72,11 +72,11 @@ def test_criterion_02_oracle_equivalence_and_budget_certificates():
     for seed in range(2000, 2000 + total):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed, with_budget=True, unit_costs=True))
-        greedy = lq.greedy_budget(scenario, sol, cache)
-        oracle = lq.oracle_budget(scenario, sol, cache)
+        greedy = lq.greedy_budget(scenario, cache)
+        oracle = lq.oracle_budget(scenario, cache)
         if _rel_close(greedy.objective_f, oracle.objective_f):
             matches += 1
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
         cert = lq.budget_certificate(greedy, gamma, cache.g(()),
                                      g_star=oracle.lqg_cost_g)
         if cert.passed:
@@ -98,11 +98,11 @@ def test_criterion_03_mincost_cap_and_cost_bound():
         base = support.random_scenario(seed)
         scenario = support.with_feasible_kappa(*support.solved(base), seed=seed)
         scenario, sol, cache = support.solved(scenario)
-        greedy = lq.greedy_mincost(scenario, sol, cache)
+        greedy = lq.greedy_mincost(scenario, cache)
         if greedy.lqg_cost_g <= scenario.kappa + 1e-9:
             cap_ok += 1
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
-        oracle = lq.oracle_mincost(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
+        oracle = lq.oracle_mincost(scenario, cache)
         cert = lq.mincost_certificate(greedy, gamma, cache.g(()),
                                       b_star=oracle.cost)
         if cert.passed is True:
@@ -121,9 +121,9 @@ def test_criterion_04_spectral_bound_soundness():
     for seed in range(total):
         scenario, sol, cache = support.solved(
             support.normalized_bound_scenario(seed))
-        bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+        bound, hypotheses = lq.ratio_lower_bound(cache)
         assert hypotheses.applicable
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
         if bound <= gamma + 1e-9:
             sound += 1
     ok = sound == total
@@ -182,15 +182,14 @@ def test_criterion_07_separation_consistency():
     failures = []
 
     def check(scenario, sol, cache, ids, tag):
-        summary = lq.monte_carlo(scenario, sol, ids, runs=2000,
-                                 base_seed=7000, cache=cache)
+        summary = lq.monte_carlo(cache, ids, runs=2000, base_seed=7000)
         spread = max(summary.std_error, 1e-12)
         if abs(summary.mean_cost - summary.analytical_g) > 3.0 * spread:
             failures.append((tag, summary.mean_cost, summary.analytical_g,
                              summary.std_error))
 
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    greedy = lq.greedy_budget(scenario, sol, cache)
+    greedy = lq.greedy_budget(scenario, cache)
     for ids, tag in ((tuple(), "scalar empty"),
                      (greedy.chosen, "scalar greedy"),
                      (scenario.suite.ids, "scalar all")):
@@ -199,7 +198,7 @@ def test_criterion_07_separation_consistency():
     formation = replace(lq.build_formation_scenario(agents=2, horizon=10, seed=0),
                         budget=3.0)
     formation, form_sol, form_cache = support.solved(formation)
-    form_greedy = lq.greedy_budget(formation, form_sol, form_cache)
+    form_greedy = lq.greedy_budget(formation, form_cache)
     for ids, tag in ((tuple(), "formation empty"),
                      (form_greedy.chosen, "formation greedy"),
                      (formation.suite.ids, "formation all")):
@@ -237,15 +236,13 @@ def test_criterion_09_formation_method_ordering():
         budget=6.0)
     scenario, sol, cache = support.solved(scenario)
     chosen = {
-        "greedy": lq.greedy_budget(scenario, sol, cache).chosen,
-        "logdet": lq.baseline_logdet(scenario, sol, cache).chosen,
-        "random": lq.baseline_random(scenario, sol, mandatory=(0, 1, 2, 3),
-                                     seed=1, cache=cache).chosen,
+        "greedy": lq.greedy_budget(scenario, cache).chosen,
+        "logdet": lq.baseline_logdet(scenario, cache).chosen,
+        "random": lq.baseline_random(scenario, cache, mandatory=(0, 1, 2, 3), seed=1).chosen,
         "all": scenario.suite.ids,
     }
     means = {
-        name: lq.monte_carlo(scenario, sol, ids, runs=100, base_seed=900,
-                             cache=cache).mean_cost
+        name: lq.monte_carlo(cache, ids, runs=100, base_seed=900).mean_cost
         for name, ids in chosen.items()
     }
     elapsed = time.perf_counter() - started
@@ -266,7 +263,7 @@ def test_criterion_10_scale_sanity():
         sol = lq.solve_riccati(scenario.system, scenario.weights)
         cache = lq.ObjectiveCache(scenario, sol)
         started = time.perf_counter()
-        report = lq.greedy_budget(scenario, sol, cache)
+        report = lq.greedy_budget(scenario, cache)
         elapsed = time.perf_counter() - started
         assert report.cost <= 8.0 + 1e-12
         return elapsed

@@ -15,7 +15,7 @@ import support
 
 def test_exact_ratio_scalar_pair():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache)
+    gamma, witness = lq.exact_supermodularity_ratio(cache)
     assert gamma == pytest.approx(1.0, abs=1e-9)
     assert witness is not None
     # the witness must reproduce its own ratio from the objective
@@ -31,7 +31,7 @@ def test_exact_ratio_scalar_pair():
 
 def test_exact_ratio_single_sensor():
     scenario, sol, cache = support.solved(support.scalar_one_sensor_scenario())
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache)
+    gamma, witness = lq.exact_supermodularity_ratio(cache)
     assert gamma == 1.0
 
 
@@ -43,13 +43,13 @@ def test_exact_ratio_ignores_informationless_sensor():
     scenario = lq.Scenario(system=support.scalar_system(), suite=suite,
                            weights=support.scalar_weights())
     scenario, sol, cache = support.solved(scenario)
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache)
+    gamma, witness = lq.exact_supermodularity_ratio(cache)
     assert gamma == pytest.approx(1.0, abs=1e-9)
 
 
 def test_exact_ratio_zero_on_complementary_pair():
     scenario, sol, cache = support.solved(support.complementary_pair_scenario())
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache)
+    gamma, witness = lq.exact_supermodularity_ratio(cache)
     assert gamma == 0.0
     assert witness is not None
     assert witness.sensor == 1
@@ -61,7 +61,7 @@ def test_exact_ratio_in_unit_interval():
     for seed in range(15):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1800, max_sensors=5))
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
         assert 0.0 <= gamma <= 1.0
 
 
@@ -69,8 +69,8 @@ def test_exact_ratio_respects_cap():
     scenario, sol, cache = support.solved(
         support.big_random_scenario(9, sensors=10, state_dim=3, horizon=2))
     with pytest.raises(ValueError, match="enumeration cap"):
-        lq.exact_supermodularity_ratio(scenario, sol, cache)
-    gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache, max_sensors=10)
+        lq.exact_supermodularity_ratio(cache)
+    gamma, _ = lq.exact_supermodularity_ratio(cache, max_sensors=10)
     assert 0.0 <= gamma <= 1.0
 
 
@@ -93,7 +93,7 @@ def _assert_matches_enumeration(values, count):
 def test_ratio_reduction_matches_the_enumeration(scenario):
     scenario, sol, cache = support.solved(scenario)
     count = len(scenario.suite)
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache, max_sensors=count)
+    gamma, witness = lq.exact_supermodularity_ratio(cache, max_sensors=count)
     assert (gamma, witness) == _assert_matches_enumeration(
         _value_table(scenario, sol, cache), count)
 
@@ -186,7 +186,7 @@ def test_ratio_reduction_matches_the_enumeration_on_random_tables(table):
 
 def test_spectral_bound_one_sensor_fixture():
     scenario, sol, cache = support.solved(support.scalar_one_sensor_scenario())
-    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    bound, hypotheses = lq.ratio_lower_bound(cache)
     assert hypotheses.theta_sum_pd
     assert hypotheses.normalized_sensors
     assert hypotheses.trace_dominated
@@ -196,7 +196,7 @@ def test_spectral_bound_one_sensor_fixture():
 
 def test_spectral_bound_flags_unnormalized():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    bound, hypotheses = lq.ratio_lower_bound(cache)
     # the strong sensor's whitened norm is sqrt(2), not 1
     assert not hypotheses.normalized_sensors
     assert not hypotheses.applicable
@@ -210,7 +210,7 @@ def test_spectral_bound_flags_zero_weight():
                            suite=lq.SensorSuite(sensors=(sensor,), state_dim=1),
                            weights=weights)
     sol = lq.solve_riccati(system, weights)
-    bound, hypotheses = lq.ratio_lower_bound(scenario, sol)
+    bound, hypotheses = lq.ratio_lower_bound(lq.ObjectiveCache(scenario, sol))
     assert not hypotheses.theta_sum_pd
     assert bound is None
 
@@ -219,9 +219,9 @@ def test_spectral_bound_below_exact_ratio():
     for seed in range(12):
         scenario = support.normalized_bound_scenario(seed)
         scenario, sol, cache = support.solved(scenario)
-        bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+        bound, hypotheses = lq.ratio_lower_bound(cache)
         assert hypotheses.applicable
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
         assert bound <= gamma + 1e-9
         assert 0.0 < bound <= 1.0
 
@@ -233,7 +233,7 @@ def test_spectral_bound_matches_the_per_step_reference():
                   lq.build_uav_scenario(2, 6, "heterogeneous", 1)]
     for scenario in scenarios:
         scenario, sol, cache = support.solved(scenario)
-        bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+        bound, hypotheses = lq.ratio_lower_bound(cache)
         flags = [hypotheses.theta_sum_pd, hypotheses.normalized_sensors,
                  hypotheses.trace_dominated]
         assert (bound, flags) == support.reference_ratio_lower_bound(scenario, sol, cache)
@@ -241,7 +241,7 @@ def test_spectral_bound_matches_the_per_step_reference():
 
 def test_ratio_report_bundles_both():
     scenario, sol, cache = support.solved(support.scalar_one_sensor_scenario())
-    report = lq.ratio_report(scenario, sol, cache)
+    report = lq.ratio_report(cache)
     assert report.exact == pytest.approx(1.0, abs=1e-9)
     assert report.lower_bound == pytest.approx(0.125, abs=1e-9)
     assert report.hypotheses.applicable
@@ -249,9 +249,9 @@ def test_ratio_report_bundles_both():
 
 def test_budget_certificate_scalar():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, sol, cache)
-    gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
-    oracle = lq.oracle_budget(scenario, sol, cache)
+    report = lq.greedy_budget(scenario, cache)
+    gamma, _ = lq.exact_supermodularity_ratio(cache)
+    oracle = lq.oracle_budget(scenario, cache)
     cert = lq.budget_certificate(report, gamma, cache.g(()), oracle.lqg_cost_g)
     assert cert.kind == "budget"
     # greedy == oracle here, so the full reduction is achieved
@@ -262,7 +262,7 @@ def test_budget_certificate_scalar():
 
 def test_budget_certificate_zero_gamma_trivial():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, sol, cache)
+    report = lq.greedy_budget(scenario, cache)
     cert = lq.budget_certificate(report, 0.0, cache.g(()), cache.g((0, 1)))
     assert cert.rhs == 0.0
     assert cert.passed
@@ -270,7 +270,7 @@ def test_budget_certificate_zero_gamma_trivial():
 
 def test_budget_certificate_without_reference():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, sol, cache)
+    report = lq.greedy_budget(scenario, cache)
     cert = lq.budget_certificate(report, 1.0, cache.g(()))
     assert cert.lhs is None
     assert cert.passed is None
@@ -279,7 +279,7 @@ def test_budget_certificate_without_reference():
 
 def test_budget_certificate_degenerate_denominator():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, sol, cache)
+    report = lq.greedy_budget(scenario, cache)
     cert = lq.budget_certificate(report, 1.0, cache.g(()), cache.g(()))
     assert cert.lhs == 1.0
     assert cert.passed
@@ -287,7 +287,7 @@ def test_budget_certificate_degenerate_denominator():
 
 def test_budget_certificate_requires_budget_report():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, sol, cache)
+    report = lq.greedy_mincost(scenario, cache)
     with pytest.raises(ValueError, match="budget"):
         lq.budget_certificate(report, 1.0, cache.g(()))
 
@@ -296,9 +296,9 @@ def test_budget_certificate_holds_on_random_instances():
     for seed in range(15):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1900, max_sensors=6, with_budget=True))
-        report = lq.greedy_budget(scenario, sol, cache)
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
-        oracle = lq.oracle_budget(scenario, sol, cache)
+        report = lq.greedy_budget(scenario, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
+        oracle = lq.oracle_budget(scenario, cache)
         cert = lq.budget_certificate(report, gamma, cache.g(()), oracle.lqg_cost_g)
         assert cert.passed, (seed, cert)
 
@@ -306,9 +306,9 @@ def test_budget_certificate_holds_on_random_instances():
 def test_mincost_certificate_scalar():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, sol, cache)
-    gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
-    oracle = lq.oracle_mincost(scenario, sol, cache)
+    report = lq.greedy_mincost(scenario, cache)
+    gamma, _ = lq.exact_supermodularity_ratio(cache)
+    oracle = lq.oracle_mincost(scenario, cache)
     cert = lq.mincost_certificate(report, gamma, cache.g(()), oracle.cost)
     assert cert.kind == "mincost"
     assert cert.cap_satisfied
@@ -321,7 +321,7 @@ def test_mincost_certificate_scalar():
 def test_mincost_certificate_empty_selection():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=10.0))
-    report = lq.greedy_mincost(scenario, sol, cache)
+    report = lq.greedy_mincost(scenario, cache)
     cert = lq.mincost_certificate(report, 1.0, cache.g(()), 0.0)
     assert cert.passed is True
     assert cert.note == "empty selection meets the cap outright"
@@ -330,7 +330,7 @@ def test_mincost_certificate_empty_selection():
 def test_mincost_certificate_zero_gamma_undefined():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, sol, cache)
+    report = lq.greedy_mincost(scenario, cache)
     cert = lq.mincost_certificate(report, 0.0, cache.g(()), 2.0)
     assert cert.passed is None
     assert cert.cap_satisfied
@@ -340,7 +340,7 @@ def test_mincost_certificate_zero_gamma_undefined():
 def test_mincost_certificate_without_reference():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, sol, cache)
+    report = lq.greedy_mincost(scenario, cache)
     cert = lq.mincost_certificate(report, 1.0, cache.g(()))
     assert cert.passed is None
     assert cert.note == "no reference optimum supplied"
@@ -353,11 +353,11 @@ def test_mincost_certificate_holds_on_random_instances():
         scenario = support.with_feasible_kappa(*support.solved(base), seed=seed)
         scenario, sol, cache = support.solved(scenario)
         try:
-            report = lq.greedy_mincost(scenario, sol, cache)
+            report = lq.greedy_mincost(scenario, cache)
         except lq.InfeasibleError:
             continue
-        gamma, _ = lq.exact_supermodularity_ratio(scenario, sol, cache)
-        oracle = lq.oracle_mincost(scenario, sol, cache)
+        gamma, _ = lq.exact_supermodularity_ratio(cache)
+        oracle = lq.oracle_mincost(scenario, cache)
         cert = lq.mincost_certificate(report, gamma, cache.g(()), oracle.cost)
         assert cert.cap_satisfied
         if cert.passed is not None:

@@ -103,9 +103,9 @@ def _check_against_reference(scenario):
     routines = [lq.greedy_budget, lq.greedy_mincost, lq.baseline_logdet,
                 lq.oracle_budget, lq.oracle_mincost]
     for routine in routines:
-        _assert_same_report(routine(scenario, sol, cache), routine(scenario, sol, ref), scale)
-    gamma, witness = lq.exact_supermodularity_ratio(scenario, sol, cache, max_sensors=9)
-    ref_gamma, ref_witness = lq.exact_supermodularity_ratio(scenario, sol, ref, max_sensors=9)
+        _assert_same_report(routine(scenario, cache), routine(scenario, ref), scale)
+    gamma, witness = lq.exact_supermodularity_ratio(cache, max_sensors=9)
+    ref_gamma, ref_witness = lq.exact_supermodularity_ratio(ref, max_sensors=9)
     assert _ratio_key(witness) == _ratio_key(ref_witness)
     assert gamma == pytest.approx(ref_gamma, rel=1e-9, abs=1e-12)
 
@@ -213,3 +213,14 @@ def test_equal_class_multisets_give_equal_bits(seed, copies, data):
                 for mask, f, logdet in zip(part, cache.f_many(part), cache.logdet_many(part)):
                     values.setdefault(multiset(mask), set()).add((f, logdet))
     assert all(len(seen) == 1 for seen in values.values())
+
+
+def test_trajectory_sums_information_as_the_objective_does():
+    # with three or more copies of a sensor, ascending id order and class order round apart
+    for seed in range(30):
+        scenario, _ = support.duplicated_sensor_scenario(seed, 3)
+        cache = support.solved(scenario)[2]
+        for mask in range(1 << len(scenario.suite)):
+            ids = kalman._mask_ids(mask)
+            traj = cache.trajectory(ids)
+            assert lq.sensing_objective(cache.sol, traj) == cache.f(ids), (seed, ids)

@@ -258,7 +258,7 @@ def _hypotheses_json(hypotheses):
 def test_ratio_json_on_the_exact_path(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     scenario, sol, cache = _solved_file(source)
-    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    bound, hypotheses = lq.ratio_lower_bound(cache)
     assert _json_of(capsys, ["ratio", "--scenario", str(source)]) == {
         "exact": 1.0,
         "witness": {"subset": [], "superset": [], "sensor": 0,
@@ -272,7 +272,7 @@ def test_ratio_json_on_the_exact_path(tmp_path, capsys):
 def test_ratio_json_above_the_cap(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     scenario, sol, cache = _solved_file(source)
-    bound, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    bound, hypotheses = lq.ratio_lower_bound(cache)
     payload = _json_of(capsys, ["ratio", "--scenario", str(source), "--ratio-cap", "1"])
     assert payload == {"exact": None, "witness": None, "lower_bound": bound,
                        "hypotheses": _hypotheses_json(hypotheses)}
@@ -290,7 +290,7 @@ def _bound_json(report, problem, gamma_exact, gamma_bound, certificate):
 def test_bound_json_on_the_exact_path(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     scenario, sol, cache = _solved_file(source)
-    report = lq.greedy_budget(scenario, sol, cache)
+    report = lq.greedy_budget(scenario, cache)
     rhs = lq.budget_certificate(report, 1.0, cache.g(())).rhs
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source)])
     assert payload == _bound_json(report, "budget", 1.0, None, {
@@ -306,16 +306,16 @@ def test_bound_json_on_the_spectral_path(tmp_path, capsys):
     source = tmp_path / "normalized.json"
     lq.save_scenario(replace(scenario, budget=2.0, kappa=kappa), source)
     scenario, sol, cache = _solved_file(source)
-    gamma, hypotheses = lq.ratio_lower_bound(scenario, sol, cache)
+    gamma, hypotheses = lq.ratio_lower_bound(cache)
     assert hypotheses.applicable
-    budget = lq.greedy_budget(scenario, sol, cache)
+    budget = lq.greedy_budget(scenario, cache)
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), "--ratio-cap", "0"])
     assert payload == _bound_json(budget, "budget", None, gamma, {
         "kind": "budget", "gamma": gamma, "lhs": None,
         "rhs": lq.budget_certificate(budget, gamma, cache.g(())).rhs,
         "passed": None, "cap_satisfied": None, "note": None,
     })
-    mincost = lq.greedy_mincost(scenario, sol, cache)
+    mincost = lq.greedy_mincost(scenario, cache)
     assert mincost.chosen
     payload = _json_of(capsys, ["bound", "mincost", "--scenario", str(source), "--ratio-cap", "0"])
     assert payload == _bound_json(mincost, "mincost", None, gamma, {
@@ -558,7 +558,7 @@ def test_sweep_computes_the_ratio_once_per_grid_point(monkeypatch, capsys):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0].budget)
+        calls.append(args[0].scenario.budget)
         return lq.ratio_report(*args, **kwargs)
 
     monkeypatch.setattr("lqgcodesign.cli.ratio_report", counted)

@@ -300,7 +300,7 @@ def test_zero_sensor_suite():
     identity = lq.propagate_covariance(scenario, ())
     assert cache.f(()) == lq.sensing_objective(sol, identity)
     np.testing.assert_array_equal(cache.trajectory(()).posteriors, identity.priors)
-    assert lq.greedy_budget(scenario, sol, cache).chosen == ()
+    assert lq.greedy_budget(scenario, cache).chosen == ()
 
 
 def test_overflowing_objective_raises():

@@ -289,6 +289,15 @@ def test_malformed_scalar_names_the_field(field, value, name):
         lq.scenario_from_dict(data)
 
 
+@pytest.mark.parametrize("value", [2 ** 63, 1e308])
+def test_horizon_past_the_index_range_is_rejected(value):
+    # an integral value no sequence can be as long as; found by fuzzing the CLI
+    data = support.scalar_scenario_dict()
+    data["horizon"] = value
+    with pytest.raises(lq.ValidationError, match="^horizon: expected an integer"):
+        lq.scenario_from_dict(data)
+
+
 def test_malformed_sensor_cost_names_the_sensor():
     data = support.scalar_scenario_dict()
     data["sensors"][1]["cost"] = None

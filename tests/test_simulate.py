@@ -64,8 +64,7 @@ def test_near_perfect_sensing_attains_mean_cost():
 
 def test_monte_carlo_matches_analytic_scalar():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    summary = lq.monte_carlo(scenario, sol, (0,), runs=800, base_seed=100,
-                             cache=cache)
+    summary = lq.monte_carlo(cache, (0,), runs=800, base_seed=100)
     assert summary.analytical_g == pytest.approx(0.75, abs=1e-12)
     assert summary.run_count == 800
     assert abs(summary.mean_cost - 0.75) <= 3.0 * summary.std_error
@@ -74,7 +73,7 @@ def test_monte_carlo_matches_analytic_scalar():
 
 def test_monte_carlo_single_run_has_zero_stderr():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    summary = lq.monte_carlo(scenario, sol, (0,), runs=1, base_seed=9, cache=cache)
+    summary = lq.monte_carlo(cache, (0,), runs=1, base_seed=9)
     assert summary.std_error == 0.0
     assert summary.run_count == 1
 
@@ -82,7 +81,7 @@ def test_monte_carlo_single_run_has_zero_stderr():
 def test_monte_carlo_mean_is_plain_average_of_rollouts():
     scenario, sol, cache = support.solved(support.random_scenario(33))
     ids = scenario.suite.ids[:1]
-    summary = lq.monte_carlo(scenario, sol, ids, runs=5, base_seed=40, cache=cache)
+    summary = lq.monte_carlo(cache, ids, runs=5, base_seed=40)
     costs = [lq.run_closed_loop(scenario, sol, ids, seed=40 + r).realized_cost
              for r in range(5)]
     assert summary.mean_cost == pytest.approx(np.mean(costs), abs=1e-12)
@@ -103,7 +102,7 @@ def test_monte_carlo_extends_previous_runs():
 def test_monte_carlo_rejects_bad_runs():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     with pytest.raises(ValueError):
-        lq.monte_carlo(scenario, sol, (0,), runs=0, base_seed=1, cache=cache)
+        lq.monte_carlo(cache, (0,), runs=0, base_seed=1)
 
 
 def test_rollout_rejects_a_solution_of_another_horizon():
@@ -119,7 +118,7 @@ def test_empty_set_rollout():
     record = lq.run_closed_loop(scenario, sol, (), seed=2)
     # no measurements: the estimate is the prior mean, zero here
     assert record.estimates[0] == pytest.approx(np.zeros(1))
-    summary = lq.monte_carlo(scenario, sol, (), runs=400, base_seed=7, cache=cache)
+    summary = lq.monte_carlo(cache, (), runs=400, base_seed=7)
     assert abs(summary.mean_cost - 1.0) <= 3.5 * summary.std_error
 
 
@@ -188,13 +187,13 @@ def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes)
         sol, ids = lq.solve_riccati(scenario.system, scenario.weights), scenario.suite.ids
         monkeypatch.setattr(simulate.ClosedLoopSimulator, "_rollouts", recorded)
         seen.clear()
-        whole = lq.monte_carlo(scenario, sol, ids, runs=10, base_seed=3)
+        whole = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
         assert seen == [10]
         # a cap of per_batch runs' draws splits the ten runs into near-equal batches
         draws = lq.ClosedLoopSimulator(scenario, sol, ids)._draws
         monkeypatch.setattr(simulate, "_DRAW_FLOATS", per_batch * draws)
         seen.clear()
-        split = lq.monte_carlo(scenario, sol, ids, runs=10, base_seed=3)
+        split = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
         monkeypatch.undo()
         assert seen == sizes
         assert split.run_count == whole.run_count == 10
