@@ -110,14 +110,34 @@ def _emit_json(payload, out: str | None) -> None:
     _write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _parse_list(text: str, kind) -> list:
-    """The non-blank comma-separated items of ``text``, each converted by ``kind``."""
-    return [kind(p) for p in text.split(",") if p.strip()]
+_KINDS = {int: "an integer", float: "a number"}
 
 
-def _parse_ids(text: str | None) -> tuple[int, ...]:
+def _parse_list(text: str, kind, flag: str) -> list:
+    """The non-blank comma-separated items of ``text``, each converted by ``kind``.
+
+    An item ``kind`` rejects raises ``ValueError`` naming ``flag`` and the item.
+    """
+    items = []
+    for item in text.split(","):
+        if item.strip():
+            try:
+                items.append(kind(item))
+            except ValueError:
+                raise ValueError(f"{flag}: expected {_KINDS[kind]}, got {item.strip()!r}") from None
+    return items
+
+
+def _parse_ids(text: str | None, flag: str) -> tuple[int, ...]:
     """Sensor ids separated by semicolons or commas."""
-    return tuple(_parse_list((text or "").replace(";", ","), int))
+    return tuple(_parse_list((text or "").replace(";", ","), int, flag))
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: a nonnegative integer, as numpy's Philox generator takes."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -245,7 +265,7 @@ def cmd_riccati(args) -> int:
 
 def cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = evaluate_set(scenario, _solved(scenario), _parse_ids(args.set))
+    report = evaluate_set(scenario, _solved(scenario), _parse_ids(args.set, "--set"))
     row = _selection_row(Path(args.scenario).stem, scenario, report)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -255,7 +275,7 @@ def cmd_select(args) -> int:
     scenario = _scenario_with_constraint(args, args.problem)
     cache = _solved(scenario)
     report = _run_method(scenario, cache, args.problem, args.method, args,
-                         _parse_ids(getattr(args, "mandatory", None)))
+                         _parse_ids(getattr(args, "mandatory", None), "--mandatory"))
     certified = _certify(scenario, cache, report, args.problem, args)
     row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
     _emit_rows([row], args.format, args.out)
@@ -266,13 +286,13 @@ def cmd_simulate(args) -> int:
     if args.set is not None:
         scenario = load_scenario(args.scenario)
         cache = _solved(scenario)
-        report = evaluate_set(scenario, cache, _parse_ids(args.set))
+        report = evaluate_set(scenario, cache, _parse_ids(args.set, "--set"))
     else:
         problem = "mincost" if args.kappa is not None else "budget"
         scenario = _scenario_with_constraint(args, problem)
         cache = _solved(scenario)
         report = _run_method(scenario, cache, problem, args.method, args,
-                             _parse_ids(args.mandatory))
+                             _parse_ids(args.mandatory, "--mandatory"))
     summary = monte_carlo(cache, report.chosen, runs=args.runs, base_seed=args.seed)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
     _emit_rows([row], args.format, args.out)
@@ -314,18 +334,18 @@ def cmd_bound(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    methods = _parse_list(args.methods, str.strip)
+    methods = _parse_list(args.methods, str.strip, "--methods")
     if not methods:
         raise ValueError("sweep needs at least one method")
     unknown = set(methods) - set(METHODS)
     if unknown:
         raise ValueError(f"unknown methods: {sorted(unknown)}")
-    horizons = _parse_list(args.horizon, int)
-    budgets = _parse_list(args.budgets, float)
+    horizons = _parse_list(args.horizon, int, "--horizon")
+    budgets = _parse_list(args.budgets, float, "--budgets")
     if not horizons or not budgets:
         raise ValueError("sweep needs at least one horizon and one budget")
     formation = args.family == "formation"
-    sizes = _parse_list(args.agents, int) if formation else [args.landmarks]
+    sizes = _parse_list(args.agents, int, "--agents") if formation else [args.landmarks]
     if not sizes:
         raise ValueError("sweep needs at least one agent count")
     if args.runs < 0:
@@ -388,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_form.add_argument("--horizon", type=int, default=20)
     p_form.add_argument("--mode", choices=("homogeneous", "heterogeneous"),
                         default="homogeneous")
-    p_form.add_argument("--seed", type=int, default=0)
+    p_form.add_argument("--seed", type=_seed, default=0)
     p_form.add_argument("--out", required=True)
     p_form.set_defaults(func=cmd_scenario, family="formation")
     p_uav = scn_sub.add_parser("uav", help="UAV landing benchmark")
     p_uav.add_argument("--landmarks", type=int, default=3)
     p_uav.add_argument("--horizon", type=int, default=20)
     p_uav.add_argument("--mode", choices=("uniform", "heterogeneous"), default="uniform")
-    p_uav.add_argument("--seed", type=int, default=0)
+    p_uav.add_argument("--seed", type=_seed, default=0)
     p_uav.add_argument("--out", required=True)
     p_uav.set_defaults(func=cmd_scenario, family="uav")
 
@@ -420,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", default="greedy", choices=METHODS)
             p.add_argument("--mandatory", default="",
                            help="ids always included by the random baseline")
-            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--seed", type=_seed, default=0)
         else:
             p.add_argument("--kappa", type=float, default=None)
             p.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
@@ -436,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--kappa", type=float, default=None)
     p_sim.add_argument("--mandatory", default="")
     p_sim.add_argument("--runs", type=int, default=100)
-    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--seed", type=_seed, default=0)
     _add_oracle_cap(p_sim)
     _add_common_output(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
@@ -473,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="weight mode (formation) or cost mode (uav)")
     p_sweep.add_argument("--methods", default="greedy,logdet,random,all")
     p_sweep.add_argument("--runs", type=int, default=100)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=_seed, default=0)
     _add_caps(p_sweep)
     _add_common_output(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)

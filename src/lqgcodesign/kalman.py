@@ -1,25 +1,30 @@
 """Filtering covariance propagation and the sensor-dependent cost functionals.
 
 For a fixed sensor set the filtering error covariance follows the standard
-predict/update recursion, written here in information form with whitened
-sensors.  Whitening replaces each (C, V) pair by Cbar = V^{-1/2} C, so a
-set's measurement information is a sum of one term per sensor,
-J[t] = sum_{i in S} Cbar_i[t]' Cbar_i[t], and the update is one linear solve:
+predict/update recursion, with whitened sensors.  Whitening replaces each
+(C, V) pair by Cbar = V^{-1/2} C; a set's rows R[t] stack its sensors'
+Cbar[t], P rows in all, and its information is J[t] = R[t]' R[t], a sum of
+one term per sensor.  The update takes one of two forms:
 
     post[0]  from prior[0] = sigma_init
-    post[t]  = inv( inv(prior[t]) + J[t] ) = solve( I + prior[t] J[t], prior[t] )
+    post[t]  = prior[t] - (R prior[t])' solve(I_P + R prior[t] R', R prior[t])   (measurement)
+             = solve( I + prior[t] J[t], prior[t] )                               (information)
     prior[t+1] = A[t] post[t] A[t]' + W[t]
 
-The update never inverts the prior, so the prior may be singular.  The
-empty selection is the zero-information row: J = 0 and solve(I, P) = P.
+Both equal inv( inv(prior[t]) + J[t] ) and neither inverts the prior, so
+the prior may be singular.  A nonempty set with fewer rows than states
+(``_measured``) takes the P x P measurement form, within about 1e-14 of the
+Joseph form on the benchmark formations where the information form is 1e-11
+off; every other set, the empty set's J = 0 included, the information form.
 Per-step matrices are stacked along a leading time axis: a sensor's whitened
-wiring is a (T, p, n) array, its information a (T, n, n) array, and the
-information of all m sensors one (m, T, n, n) bank.
+wiring is a (T, p, n) array, its information a (T, n, n) array, the
+information of all m sensors one (m, T, n, n) bank and their rows one
+(T, sum p, n) stack.
 
 The one recursion, ``_steps``, advances a batch of k sets together on
-(k, n, n) stacks and hands each step to its caller, so a caller reduces as
-it goes and no (k, T, n, n) array is ever held.  Two scalar functionals of
-the posteriors drive sensor selection:
+(k, n, n) stacks through one update kernel and hands each step to its
+caller, so a caller reduces as it goes and no (k, T, n, n) array is ever
+held.  Two scalar functionals of the posteriors drive sensor selection:
 
 * ``sensing_objective``: sum_t trace(theta[t] post[t]), the part of the
   LQG cost the sensor set can influence.  The full expected cost of the
@@ -33,9 +38,10 @@ whose bit i selects sensor i.  Behind that memo sits one keyed by the
 multiset of information classes: sensors whose (T, n, n) information stacks
 are bit-identical form one class, named by its smallest id, and a set's
 filter depends on it only through J[t].  So sweeps, enumerations and ratio
-scans propagate each distinct multiset once, summed in ascending
-representative order, and equal multisets give equal bits by construction.
-Its batch calls take masks, its single-set calls ids.
+scans propagate each distinct multiset once, on its representatives' rows
+or information in ascending representative order, and equal multisets give
+equal bits by construction.  Its batch calls take masks, its single-set
+calls ids.
 """
 
 from __future__ import annotations
@@ -116,27 +122,20 @@ def _class_key(mask: int, rep) -> tuple[int, ...]:
     return tuple(sorted([rep[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]))
 
 
-def _positive_definite(stack: np.ndarray) -> bool:
-    """Whether every symmetric matrix of the stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _measured(size: int, widest: int, n: int) -> bool:
+    """0 < P < n for a set of ``size`` sensors none wider than ``widest`` rows, counting none."""
+    return 0 < size * widest < n
 
 
-def _steps(system, bank: np.ndarray, sets):
-    """The covariance recursion for a batch of k sensor sets, one step at a time.
+def _information_update(bank: np.ndarray, sets):
+    """Information-form update of a batch of k sets: post = solve(I + prior J, prior).
 
     Each set is a nondecreasing sequence of rows of ``bank``, an information
     bank from ``_information_bank``; a set sums its rows in that order, a
     repeated row once per repeat.  The empty set gathers only the zero pad
-    row, so every set takes the same update and the empty set's is
-    solve(I, P) = P.  Yields the (k, n, n) prior and posterior stacks of
-    each time step; the caller reduces or copies them before it asks for the
-    next step.  Raises ``NumericalError`` on a non-finite prior.
+    row, so its update is solve(I, P) = P.
     """
-    T, n = system.horizon, system.state_dim
+    n = bank.shape[-1]
     width = max(1, *map(len, sets))
     index = np.full((len(sets), width), len(bank) - 1)
     for r, ids in enumerate(sets):
@@ -146,20 +145,58 @@ def _steps(system, bank: np.ndarray, sets):
     block = max(1, _BATCH_FLOATS // (len(sets) * n * n))
     gain = np.empty((len(sets), n, n))
     eye = np.eye(n)
-    prior = np.broadcast_to(system.sigma_init, (len(sets), n, n))
-    for t in range(T):
-        if not np.isfinite(prior).all():
-            raise NumericalError(
-                f"prediction covariance not finite at time index {t}; "
-                "the covariance recursion overflowed"
-            )
+    info = None
+
+    def update(t: int, prior: np.ndarray) -> np.ndarray:
+        nonlocal info, gain
         if t % block == 0:
             info = bank[index[:, 0], t:t + block]
             for j in range(1, width):
                 info += bank[index[:, j], t:t + block]
         np.matmul(prior, info[:, t % block], out=gain)
         gain += eye
-        post = symmetrize(np.linalg.solve(gain, prior))
+        return np.linalg.solve(gain, prior)
+
+    return update
+
+
+def _measurement_update(rows: np.ndarray, index: np.ndarray):
+    """Measurement-form update of a batch of k sets of P rows each.
+
+    ``rows`` is a (T, sum p, n) stack of whitened rows and ``index`` a (k, P)
+    array of row numbers; a set's rows R, shape (P, n), update its prior as
+    post = prior - (R prior)' solve(I_P + R prior R', R prior).
+    """
+    eye = np.eye(index.shape[1])
+
+    def update(t: int, prior: np.ndarray) -> np.ndarray:
+        wiring = rows[t][index]
+        sensed = wiring @ prior
+        innovation = sensed @ np.swapaxes(wiring, -1, -2)
+        innovation += eye
+        return prior - np.swapaxes(sensed, -1, -2) @ np.linalg.solve(innovation, sensed)
+
+    return update
+
+
+def _steps(system, update, k: int):
+    """The covariance recursion for a batch of k sensor sets, one step at a time.
+
+    ``update(t, prior)`` maps the (k, n, n) priors of step t to their
+    posteriors: ``_information_update`` or ``_measurement_update``.  Yields
+    the (k, n, n) prior and posterior stacks of each time step; the caller
+    reduces or copies them before it asks for the next step.  Raises
+    ``NumericalError`` on a non-finite prior.
+    """
+    T, n = system.horizon, system.state_dim
+    prior = np.broadcast_to(system.sigma_init, (k, n, n))
+    for t in range(T):
+        if not np.isfinite(prior).all():
+            raise NumericalError(
+                f"prediction covariance not finite at time index {t}; "
+                "the covariance recursion overflowed"
+            )
+        post = symmetrize(update(t, prior))
         yield prior, post
         if t + 1 < T:
             A, W = system.A[t], system.W[t]
@@ -167,12 +204,12 @@ def _steps(system, bank: np.ndarray, sets):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _trajectory(system, bank: np.ndarray, rows) -> CovarianceTrajectory:
-    """Stacked priors and posteriors of one set of bank rows."""
+def _trajectory(system, update) -> CovarianceTrajectory:
+    """Stacked priors and posteriors of one set, updated by ``update``."""
     T, n = system.horizon, system.state_dim
     priors = np.empty((T, n, n))
     posts = np.empty((T, n, n))
-    for t, (prior, post) in enumerate(_steps(system, bank, [rows])):
+    for t, (prior, post) in enumerate(_steps(system, update, 1)):
         priors[t] = prior[0]
         posts[t] = post[0]
     return CovarianceTrajectory(priors=priors, posteriors=posts)
@@ -181,14 +218,20 @@ def _trajectory(system, bank: np.ndarray, rows) -> CovarianceTrajectory:
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     """Covariance trajectory under the given sensor set (any iterable of ids).
 
-    Knows no information classes, so it sums in ascending id order, while
-    ``ObjectiveCache.trajectory`` sums in class order, as ``f`` does.
+    Takes the update ``ObjectiveCache`` takes for a set of this size, on the
+    chosen sensors' own rows in ascending id order: it knows no information
+    classes, while ``ObjectiveCache.trajectory`` takes them in class order.
     """
     suite = scenario.suite
+    T, n = scenario.horizon, scenario.state_dim
     chosen = chosen_ids(suite, ids)
-    bank = _information_bank([whiten_sensor(suite.sensor(i)) for i in chosen],
-                             scenario.horizon, scenario.state_dim)
-    return _trajectory(scenario.system, bank, range(len(chosen)))
+    whitened = [whiten_sensor(suite.sensor(i)) for i in chosen]
+    if _measured(len(chosen), max((s.output_dim for s in suite), default=0), n):
+        rows = np.concatenate(whitened, axis=1)
+        update = _measurement_update(rows, np.arange(rows.shape[1])[None])
+    else:
+        update = _information_update(_information_bank(whitened, T, n), [range(len(chosen))])
+    return _trajectory(scenario.system, update)
 
 
 def _sensing_values(sol: RiccatiSolution, posts) -> np.ndarray:
@@ -203,13 +246,16 @@ def _logdet_values(posts, horizon: int) -> np.ndarray:
     """(1/T) sum_t log det post[t] of each set, given its (k, n, n) posteriors per step."""
     total = 0.0
     for t, post in enumerate(posts):
-        sign, logabs = np.linalg.slogdet(post)
-        if (sign <= 0.0).any() or not _positive_definite(post):
+        try:
+            diag = np.diagonal(np.linalg.cholesky(post), axis1=-2, axis2=-1)
+        except np.linalg.LinAlgError:
+            diag = None
+        if diag is None or (diag <= 0.0).any():
             # a singular posterior (a singular prior left unsensed) has log-volume -inf
             raise NumericalError(
                 f"filtering covariance not positive definite at time index {t}"
             )
-        total = total + logabs
+        total = total + 2.0 * np.sum(np.log(diag), axis=1)
     return total / horizon
 
 
@@ -250,14 +296,16 @@ def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
-    The information bank, shape (m + 1, T, n, n), and each sensor's class
-    representative are built once per scenario.  Values are memoized under
-    the bit mask of their set, and behind that under the ascending tuple of
-    its members' representatives, so each distinct multiset of information
-    classes is propagated at most once per functional; the multisets one
-    call has not seen yet are propagated together in batches of
-    ``_batch_size(n)``.  The selection, ratio and Monte Carlo routines take
-    the cache as their one evaluation context: its scenario and solution.
+    The information bank, shape (m + 1, T, n, n), the (T, sum p, n) row
+    stack and each sensor's class representative are built once per
+    scenario.  Values are memoized under the bit mask of their set, and
+    behind that under the ascending tuple of its members' representatives,
+    so each distinct multiset of information classes is propagated at most
+    once per functional.  The multisets one call has not seen yet are
+    propagated in batches of ``_batch_size(n)``, grouped by exact row count
+    P in measurement form and in one stream in information form.  The
+    selection, ratio and Monte Carlo routines take the cache as their one
+    evaluation context: its scenario and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -265,9 +313,14 @@ class ObjectiveCache:
             raise ValueError("solution horizon does not match scenario horizon")
         self.scenario = scenario
         self.sol = sol
+        T, n = scenario.horizon, scenario.state_dim
         self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
-        self._bank = _information_bank(self._whitened, scenario.horizon, scenario.state_dim)
+        self._bank = _information_bank(self._whitened, T, n)
         self._rep = _class_representatives(self._bank[:-1])
+        widths = [white.shape[1] for white in self._whitened]
+        self._rows = np.concatenate([np.empty((T, 0, n)), *self._whitened], axis=1)
+        self._row_ids = tuple(range(end - p, end) for p, end in zip(widths, np.cumsum(widths)))
+        self._widest = max(widths, default=0)
         self._f: dict[int, float] = {}
         self._logdet: dict[int, float] = {}
         self._f_classes: dict[tuple[int, ...], float] = {}
@@ -279,8 +332,21 @@ class ObjectiveCache:
 
     def trajectory(self, ids) -> CovarianceTrajectory:
         """Covariance trajectory of the set, its information summed as ``f`` sums it."""
-        return _trajectory(self.scenario.system, self._bank,
-                           _class_key(self._mask(ids), self._rep))
+        key = _class_key(self._mask(ids), self._rep)
+        return _trajectory(self.scenario.system, self._update([key]))
+
+    def _row_count(self, key) -> int | None:
+        """The row count P of a class multiset in measurement form, None in information form."""
+        if _measured(len(key), self._widest, self.scenario.state_dim):
+            return sum(len(self._row_ids[r]) for r in key)
+        return None
+
+    def _update(self, keys):
+        """The update kernel of a batch of class multisets, all of one ``_row_count``."""
+        if self._row_count(keys[0]) is None:
+            return _information_update(self._bank, keys)
+        index = np.array([[j for r in key for j in self._row_ids[r]] for key in keys])
+        return _measurement_update(self._rows, index)
 
     @np.errstate(over="ignore", invalid="ignore")
     def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
@@ -302,16 +368,22 @@ class ObjectiveCache:
         for mask, key in keys.items():
             if key not in classes:
                 asked.setdefault(key, mask)
-        todo = list(asked)
+        # measurement-form sets batch by exact P; a batch of information-form
+        # sets of near-equal size gathers few zero pad rows
+        streams: dict[int | None, list] = {}
+        for key in sorted(asked, key=len):
+            streams.setdefault(self._row_count(key), []).append(key)
         size = _batch_size(self.scenario.state_dim)
-        for start in range(0, len(todo), size):
-            batch = todo[start:start + size]
-            steps = _steps(self.scenario.system, self._bank, batch)
-            for key, value in zip(batch, values(post for _, post in steps).tolist()):
-                if not math.isfinite(value):
-                    raise NumericalError(f"objective of sensor set "
-                                         f"{list(_mask_ids(asked[key]))} is not finite ({value})")
-                classes[key] = value
+        for todo in streams.values():
+            for start in range(0, len(todo), size):
+                batch = todo[start:start + size]
+                steps = _steps(self.scenario.system, self._update(batch), len(batch))
+                for key, value in zip(batch, values(post for _, post in steps).tolist()):
+                    if not math.isfinite(value):
+                        named = list(_mask_ids(asked[key]))
+                        raise NumericalError(f"objective of sensor set {named} is not finite "
+                                             f"({value})")
+                    classes[key] = value
         for mask, key in keys.items():
             memo[mask] = classes[key]
         return [memo[mask] for mask in masks]

@@ -163,6 +163,8 @@ def build_formation_scenario(agents: int, horizon: int, mode: str = "homogeneous
     """
     if agents < 1:
         raise ValueError("agents must be at least 1")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if mode not in ("homogeneous", "heterogeneous"):
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(seed))
@@ -246,6 +248,8 @@ def build_uav_scenario(landmarks: int, horizon: int, cost_mode: str = "uniform",
     """
     if landmarks < 0:
         raise ValueError("landmarks must be nonnegative")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     if cost_mode not in ("uniform", "heterogeneous"):
         raise ValueError(f"unknown cost_mode {cost_mode!r}")
     rng = np.random.Generator(np.random.Philox(seed))

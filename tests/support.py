@@ -533,26 +533,31 @@ class PerMaskCache(lq.ObjectiveCache):
     """ObjectiveCache memoized by mask alone, as before the information classes.
 
     Its ``_memoized`` is the one the class memo replaced, without the mask
-    checks: every set not memoized is propagated, summing its own sensors'
-    rows in ascending id order, with the cache's bank, recursion and
-    functionals.
+    checks: every set not memoized is propagated, with no memo shared
+    between masks, in batches of masks in the order asked.  Each takes the
+    cache's update kernel for its size on its class representatives' rows
+    or information, as the class memo does.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
     def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
         masks = [operator.index(mask) for mask in masks]
-        missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
+        streams: dict = {}
+        for mask in dict.fromkeys(mask for mask in masks if mask not in memo):
+            key = kalman._class_key(mask, self._rep)
+            streams.setdefault(self._row_count(key), []).append((mask, key))
         size = kalman._batch_size(self.scenario.state_dim)
-        for start in range(0, len(missing), size):
-            batch = missing[start:start + size]
-            steps = kalman._steps(self.scenario.system, self._bank,
-                                  [_mask_ids(mask) for mask in batch])
-            for mask, value in zip(batch, values(post for _, post in steps).tolist()):
-                if not math.isfinite(value):
-                    raise lq.NumericalError(
-                        f"objective of sensor set {list(_mask_ids(mask))} is not finite ({value})"
-                    )
-                memo[mask] = value
+        for todo in streams.values():
+            for start in range(0, len(todo), size):
+                batch = todo[start:start + size]
+                update = self._update([key for _, key in batch])
+                steps = kalman._steps(self.scenario.system, update, len(batch))
+                for (mask, _), value in zip(batch, values(post for _, post in steps).tolist()):
+                    if not math.isfinite(value):
+                        named = list(_mask_ids(mask))
+                        raise lq.NumericalError(f"objective of sensor set {named} is not finite "
+                                                f"({value})")
+                    memo[mask] = value
         return [memo[mask] for mask in masks]
 
 

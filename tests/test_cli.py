@@ -554,6 +554,37 @@ def test_sweep_rejects_an_empty_agent_list(capsys, flag, value, noun):
     assert captured.err == f"lqgcodesign: error: sweep needs at least one {noun}\n"
 
 
+@pytest.mark.parametrize("command, message", [
+    (_sweep_args(**{"--budgets": "2,x"}), "--budgets: expected a number, got 'x'"),
+    (_sweep_args(**{"--horizon": "4.5"}), "--horizon: expected an integer, got '4.5'"),
+    (["cost", "--scenario", "SCALAR", "--set", "0;inf"], "--set: expected an integer, got 'inf'"),
+    (["select", "budget", "--scenario", "SCALAR", "--method", "greedy", "--mandatory", "a"],
+     "--mandatory: expected an integer, got 'a'"),
+    (["select", "budget", "--scenario", "SCALAR", "--method", "random", "--seed", "-1"],
+     "argument --seed: expected a nonnegative integer, got '-1'"),
+    (["simulate", "--scenario", "SCALAR", "--set", "0", "--seed", "x"],
+     "argument --seed: expected a nonnegative integer, got 'x'"),
+], ids=["budgets", "horizons", "set", "mandatory", "negative-seed", "seed"])
+def test_bad_list_items_and_seeds_name_the_flag(tmp_path, capsys, command, message):
+    source = str(_write_scalar(tmp_path))
+    assert main([source if arg == "SCALAR" else arg for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", [
+    ["scenario", "formation", "--horizon", "-1"],
+    ["scenario", "uav", "--horizon", "0"],
+    _sweep_args(**{"--horizon": "0"}),
+])
+def test_a_horizon_below_one_is_named(tmp_path, capsys, command):
+    assert main([*command, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "lqgcodesign: error: horizon must be at least 1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_computes_the_ratio_once_per_grid_point(monkeypatch, capsys):
     calls = []
 

@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lqgcodesign as lq
+from lqgcodesign import kalman
+from lqgcodesign._linalg import symmetrize
 
 import support
 
@@ -383,3 +385,83 @@ def test_objective_matches_the_joseph_filter(scenario):
     for chosen, value in zip(sets, cache.f_many(map(support.mask_of, sets))):
         assert value == pytest.approx(support.joseph_objective(scenario, sol, chosen),
                                       rel=1e-10, abs=1e-12)
+
+
+def _formation(agents):
+    return support.solved(lq.build_formation_scenario(agents, 20, "heterogeneous", 7))
+
+
+def _sets_below_the_state_dimension(scenario, count, seed):
+    """Seeded random sets whose stacked rows number fewer than the states."""
+    rng = np.random.default_rng(seed)
+    n, m = scenario.state_dim, len(scenario.suite)
+    widest = max(s.output_dim for s in scenario.suite)
+    sets = []
+    while len(sets) < count:
+        size = int(rng.integers(1, (n - 1) // widest + 1))
+        sets.append(tuple(sorted(rng.choice(m, size=size, replace=False).tolist())))
+    return sets
+
+
+@pytest.mark.parametrize("agents", [4, 8])
+def test_measurement_form_matches_the_joseph_filter(agents):
+    # the information form solve(I + P J, P) is about 1.5e-11 off here
+    scenario, sol, cache = _formation(agents)
+    for ids in _sets_below_the_state_dimension(scenario, 12, agents):
+        want = support.joseph_objective(scenario, sol, ids)
+        assert cache.f(ids) == pytest.approx(want, rel=1e-13, abs=0.0), ids
+        posts = cache.trajectory(ids).posteriors
+        joseph = np.array(support.joseph_posteriors(scenario, ids))
+        scale = np.abs(joseph).max(axis=(1, 2), keepdims=True)
+        assert np.all(np.abs(posts - joseph) <= 1e-13 * scale), ids
+
+
+def test_measurement_form_value_does_not_depend_on_its_batch(monkeypatch):
+    scenario, sol, batched = _formation(4)
+    m = len(scenario.suite)
+    small = [support.mask_of(ids) for ids in _sets_below_the_state_dimension(scenario, 40, 1)]
+    rng = np.random.default_rng(2)
+    large = [int(mask) for mask in rng.integers(0, 1 << m, size=20)]
+    masks = [int(mask) for mask in rng.permutation(small + large + [0, (1 << m) - 1])]
+    keys = [kalman._class_key(mask, batched._rep) for mask in masks]
+    assert {batched._row_count(key) for key in keys} >= {None, 2, 6, 14}
+    monkeypatch.setattr(kalman, "_BATCH_FLOATS", 5 * scenario.state_dim ** 2)
+    values = batched.f_many(masks), batched.logdet_many(masks)
+    monkeypatch.undo()
+    for mask, f, logdet in zip(masks, *values):
+        single = lq.ObjectiveCache(scenario, sol)
+        ids = kalman._mask_ids(mask)
+        assert (single.f(ids), single.logdet(ids)) == (f, logdet), ids
+        assert lq.sensing_objective(sol, single.trajectory(ids)) == f
+
+
+def _information_form_trajectory(cache, key):
+    """post = solve(I + prior J, prior), J summed in class order, one set and step at a time."""
+    system = cache.scenario.system
+    n = system.state_dim
+    prior = system.sigma_init
+    priors, posts = [], []
+    for t in range(system.horizon):
+        info = np.zeros((n, n))
+        for j, rep in enumerate(key):
+            info = cache._bank[rep, t] if j == 0 else info + cache._bank[rep, t]
+        priors.append(prior)
+        posts.append(symmetrize(np.linalg.solve(prior @ info + np.eye(n), prior)))
+        prior = symmetrize(system.A[t] @ posts[-1] @ system.A[t].T + system.W[t])
+    return lq.CovarianceTrajectory(priors=np.array(priors), posteriors=np.array(posts))
+
+
+@pytest.mark.parametrize("build", [lambda: lq.build_formation_scenario(4, 20, "heterogeneous", 7),
+                                   lambda: lq.build_formation_scenario(8, 20, "heterogeneous", 7),
+                                   lambda: lq.build_uav_scenario(9, 20, "heterogeneous", 7)],
+                         ids=["formation-a4", "formation-a8", "uav-a9"])
+def test_empty_and_full_sets_keep_the_information_form(build):
+    scenario, sol, cache = support.solved(build())
+    for ids in ((), scenario.suite.ids):
+        key = kalman._class_key(support.mask_of(ids), cache._rep)
+        assert cache._row_count(key) is None
+        want = _information_form_trajectory(cache, key)
+        got = cache.trajectory(ids)
+        np.testing.assert_array_equal(got.priors, want.priors)
+        np.testing.assert_array_equal(got.posteriors, want.posteriors)
+        assert cache.f(ids) == lq.sensing_objective(sol, want)

@@ -265,6 +265,14 @@ def test_formation_rejects_unknown_mode():
         lq.build_formation_scenario(agents=2, horizon=2, mode="mixed", seed=0)
 
 
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_builders_reject_a_horizon_below_one(horizon):
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        lq.build_formation_scenario(agents=2, horizon=horizon, seed=0)
+    with pytest.raises(ValueError, match="^horizon must be at least 1$"):
+        lq.build_uav_scenario(landmarks=1, horizon=horizon, seed=0)
+
+
 def test_uav_builder_shapes():
     scenario = lq.build_uav_scenario(landmarks=5, horizon=8,
                                      cost_mode="heterogeneous", seed=0)
