@@ -17,9 +17,7 @@ the prior may be singular.  A nonempty set with fewer rows than states
 Joseph form on the benchmark formations where the information form is 1e-11
 off; every other set, the empty set's J = 0 included, the information form.
 Per-step matrices are stacked along a leading time axis: a sensor's whitened
-wiring is a (T, p, n) array, its information a (T, n, n) array, the
-information of all m sensors one (m, T, n, n) bank and their rows one
-(T, sum p, n) stack.
+wiring is a (T, p, n) array and its information a (T, n, n) array.
 
 The one recursion, ``_steps``, advances a batch of k sets together on
 (k, n, n) stacks through one update kernel and hands each step to its
@@ -33,15 +31,14 @@ held.  Two scalar functionals of the posteriors drive sensor selection:
 * the log-volume (1/T) sum_t log det post[t], the surrogate of the
   log-determinant baseline.
 
-``ObjectiveCache`` memoizes these under each set's bit mask, a Python int
-whose bit i selects sensor i.  Behind that memo sits one keyed by the
-multiset of information classes: sensors whose (T, n, n) information stacks
-are bit-identical form one class, named by its smallest id, and a set's
-filter depends on it only through J[t].  So sweeps, enumerations and ratio
-scans propagate each distinct multiset once, on its representatives' rows
-or information in ascending representative order, and equal multisets give
-equal bits by construction.  Its batch calls take masks, its single-set
-calls ids.
+``ObjectiveCache`` indexes the sensors by information class: sensors whose
+(T, n, n) information stacks are bit-identical form one class, numbered in
+the order of its smallest id, and a set's filter depends on it only through
+J[t].  It memoizes the functionals under a set's multiset of classes, so
+sweeps, enumerations and ratio scans propagate each distinct multiset once,
+on its classes' rows or information in ascending class order, and equal
+multisets give equal bits by construction.  Its batch calls take bit masks,
+Python ints whose bit i selects sensor i; its single-set calls take ids.
 """
 
 from __future__ import annotations
@@ -71,33 +68,38 @@ def whiten_sensor(sensor: Sensor) -> np.ndarray:
     return inv_sqrt_pd(sensor.V) @ sensor.C
 
 
-def _information_bank(whitened, horizon: int, n: int) -> np.ndarray:
-    """Information Cbar[t]' Cbar[t] of each sensor, then one zero row: (m + 1, T, n, n).
+def _gram(white: np.ndarray) -> np.ndarray:
+    """Per-step information Cbar[t]' Cbar[t] of a (T, p, n) wiring, shape (T, n, n)."""
+    return symmetrize(np.swapaxes(white, -1, -2) @ white)
 
-    The zero row pads the shorter sets of a batch, so every set of a batch
-    sums as many terms and the padding adds exactly nothing.
+
+def _information_classes(whitened, horizon: int, n: int):
+    """One pass over the sensors: their information classes, the class bank and rows.
+
+    Sensors whose information stacks are bit-identical form one class,
+    numbered in the order of its smallest id; candidates share the bytes of
+    their first step and are confirmed over the whole stack as integers, so
+    0.0 and -0.0 differ.  Returns each sensor's class number, the (c + 1, T,
+    n, n) bank of the classes' information and a zero pad row, the (T, sum p,
+    n) stack of their smallest ids' whitened rows and each class's row ids.
     """
-    bank = np.zeros((len(whitened) + 1, horizon, n, n))
-    for i, white in enumerate(whitened):
-        bank[i] = symmetrize(np.swapaxes(white, -1, -2) @ white)
-    return bank
-
-
-def _class_representatives(stacks) -> tuple[int, ...]:
-    """Each sensor's class representative: the smallest id whose stack is bit-identical.
-
-    Candidates share the bytes of their first step; each is confirmed over
-    the whole stack, compared as integers so that 0.0 and -0.0 differ.
-    """
-    reps = []
+    number, infos, rows = [], [], []
     candidates: dict[bytes, list[int]] = {}
-    for i, stack in enumerate(stacks):
-        group = candidates.setdefault(stack[0].tobytes(), [])
-        bits = stack.view(np.int64)
-        reps.append(next((j for j in group if np.array_equal(stacks[j].view(np.int64), bits)), i))
-        if reps[-1] == i:
-            group.append(i)
-    return tuple(reps)
+    for white in whitened:
+        info = _gram(white)
+        group = candidates.setdefault(info[0].tobytes(), [])
+        bits = info.view(np.int64)
+        c = next((c for c in group if np.array_equal(infos[c].view(np.int64), bits)), len(infos))
+        if c == len(infos):
+            group.append(c)
+            infos.append(info)
+            rows.append(white)
+        number.append(c)
+    bank = np.stack([*infos, np.zeros((horizon, n, n))])
+    widths = [white.shape[1] for white in rows]
+    row_ids = tuple(range(end - p, end) for p, end in zip(widths, np.cumsum(widths)))
+    stack = np.concatenate([np.empty((horizon, 0, n)), *rows], axis=1)
+    return tuple(number), bank, stack, row_ids
 
 
 @dataclass(frozen=True)
@@ -113,13 +115,21 @@ class CovarianceTrajectory:
 
 
 def _mask_ids(mask: int) -> tuple[int, ...]:
-    """The ids of a bit mask's set bits, ascending."""
-    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+    """The ids of a nonnegative bit mask's set bits, ascending."""
+    ids = []
+    while mask:
+        ids.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return tuple(ids)
 
 
-def _class_key(mask: int, rep) -> tuple[int, ...]:
-    """The class representatives of a bit mask's set bits, ascending: its multiset of classes."""
-    return tuple(sorted([rep[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]))
+def _class_key(mask: int, number) -> tuple[int, ...]:
+    """The class numbers of a nonnegative mask's set bits, ascending: its multiset of classes."""
+    classes = []
+    while mask:
+        classes.append(number[(mask & -mask).bit_length() - 1])
+        mask &= mask - 1
+    return tuple(sorted(classes))
 
 
 def _measured(size: int, widest: int, n: int) -> bool:
@@ -130,10 +140,12 @@ def _measured(size: int, widest: int, n: int) -> bool:
 def _information_update(bank: np.ndarray, sets):
     """Information-form update of a batch of k sets: post = solve(I + prior J, prior).
 
-    Each set is a nondecreasing sequence of rows of ``bank``, an information
-    bank from ``_information_bank``; a set sums its rows in that order, a
-    repeated row once per repeat.  The empty set gathers only the zero pad
-    row, so its update is solve(I, P) = P.
+    ``bank`` stacks (T, n, n) information stacks and a last, zero row.  Each
+    set is a nondecreasing sequence of its rows: a class multiset, or a
+    set's own sensors in id order.  A set sums its rows in that order, a
+    repeated row once per repeat.  The zero row pads the shorter sets of a
+    batch, adding exactly nothing; the empty set gathers only it, so its
+    update is solve(I, P) = P.
     """
     n = bank.shape[-1]
     width = max(1, *map(len, sets))
@@ -230,7 +242,8 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
         rows = np.concatenate(whitened, axis=1)
         update = _measurement_update(rows, np.arange(rows.shape[1])[None])
     else:
-        update = _information_update(_information_bank(whitened, T, n), [range(len(chosen))])
+        bank = np.stack([*map(_gram, whitened), np.zeros((T, n, n))])
+        update = _information_update(bank, [range(len(chosen))])
     return _trajectory(scenario.system, update)
 
 
@@ -252,9 +265,7 @@ def _logdet_values(posts, horizon: int) -> np.ndarray:
             diag = None
         if diag is None or (diag <= 0.0).any():
             # a singular posterior (a singular prior left unsensed) has log-volume -inf
-            raise NumericalError(
-                f"filtering covariance not positive definite at time index {t}"
-            )
+            raise NumericalError(f"filtering covariance not positive definite at time index {t}")
         total = total + 2.0 * np.sum(np.log(diag), axis=1)
     return total / horizon
 
@@ -296,16 +307,16 @@ def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
-    The information bank, shape (m + 1, T, n, n), the (T, sum p, n) row
-    stack and each sensor's class representative are built once per
-    scenario.  Values are memoized under the bit mask of their set, and
-    behind that under the ascending tuple of its members' representatives,
-    so each distinct multiset of information classes is propagated at most
-    once per functional.  The multisets one call has not seen yet are
-    propagated in batches of ``_batch_size(n)``, grouped by exact row count
-    P in measurement form and in one stream in information form.  The
-    selection, ratio and Monte Carlo routines take the cache as their one
-    evaluation context: its scenario and solution.
+    One pass over the sensors, once per scenario, whitens them and indexes
+    them by information class (``_information_classes``): each sensor's
+    class number, the (c + 1, T, n, n) class bank and the classes' rows.
+    Each functional has one memo, keyed by a set's class multiset, the
+    ascending tuple of its members' class numbers, so each distinct multiset
+    is propagated at most once per functional.  The multisets one call has
+    not seen yet are propagated in batches of ``_batch_size(n)``, grouped by
+    exact row count P in measurement form and in one stream in information
+    form.  The selection, ratio and Monte Carlo routines take the cache as
+    their one evaluation context: its scenario and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -315,16 +326,11 @@ class ObjectiveCache:
         self.sol = sol
         T, n = scenario.horizon, scenario.state_dim
         self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
-        self._bank = _information_bank(self._whitened, T, n)
-        self._rep = _class_representatives(self._bank[:-1])
-        widths = [white.shape[1] for white in self._whitened]
-        self._rows = np.concatenate([np.empty((T, 0, n)), *self._whitened], axis=1)
-        self._row_ids = tuple(range(end - p, end) for p, end in zip(widths, np.cumsum(widths)))
-        self._widest = max(widths, default=0)
-        self._f: dict[int, float] = {}
-        self._logdet: dict[int, float] = {}
-        self._f_classes: dict[tuple[int, ...], float] = {}
-        self._logdet_classes: dict[tuple[int, ...], float] = {}
+        self._class, self._bank, self._rows, self._row_ids = _information_classes(
+            self._whitened, T, n)
+        self._widest = max((white.shape[1] for white in self._whitened), default=0)
+        self._f: dict[tuple[int, ...], float] = {}
+        self._logdet: dict[tuple[int, ...], float] = {}
         self.offset = cost_offset(scenario, sol)
 
     def whitened(self, sensor_id: int) -> np.ndarray:
@@ -332,41 +338,36 @@ class ObjectiveCache:
 
     def trajectory(self, ids) -> CovarianceTrajectory:
         """Covariance trajectory of the set, its information summed as ``f`` sums it."""
-        key = _class_key(self._mask(ids), self._rep)
+        key = _class_key(self._mask(ids), self._class)
         return _trajectory(self.scenario.system, self._update([key]))
 
     def _row_count(self, key) -> int | None:
         """The row count P of a class multiset in measurement form, None in information form."""
         if _measured(len(key), self._widest, self.scenario.state_dim):
-            return sum(len(self._row_ids[r]) for r in key)
+            return sum(len(self._row_ids[c]) for c in key)
         return None
 
     def _update(self, keys):
         """The update kernel of a batch of class multisets, all of one ``_row_count``."""
         if self._row_count(keys[0]) is None:
             return _information_update(self._bank, keys)
-        index = np.array([[j for r in key for j in self._row_ids[r]] for key in keys])
+        index = np.array([[j for c in key for j in self._row_ids[c]] for key in keys])
         return _measurement_update(self._rows, index)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
-        """Values of the sets with these masks.
-
-        A mask not in ``memo`` takes the value of its class multiset in
-        ``classes``; the multisets not there yet are propagated in batches.
-        """
+    def _memoized(self, memo: dict, values, masks) -> list[float]:
+        """Values of the sets with these masks; multisets not in ``memo`` are propagated."""
         masks = [operator.index(mask) for mask in masks]  # numpy ints become ints; floats raise
-        missing = list(dict.fromkeys(mask for mask in masks if mask not in memo))
-        count = len(self._whitened)
-        for mask in missing:
+        count = len(self._class)
+        for mask in masks:
             if mask < 0:
                 raise ValidationError(f"sensor set mask {mask} is negative")
-            if mask >> count:  # bit m would gather the bank's zero pad row
+            if mask >> count:  # a bit past the suite names no class
                 self.scenario.suite.sensor(count + _mask_ids(mask >> count)[0])
-        keys = {mask: _class_key(mask, self._rep) for mask in missing}
+        keys = [_class_key(mask, self._class) for mask in masks]
         asked = {}  # each new multiset and the first mask that asked for it
-        for mask, key in keys.items():
-            if key not in classes:
+        for mask, key in zip(masks, keys):
+            if key not in memo:
                 asked.setdefault(key, mask)
         # measurement-form sets batch by exact P; a batch of information-form
         # sets of near-equal size gathers few zero pad rows
@@ -383,21 +384,18 @@ class ObjectiveCache:
                         named = list(_mask_ids(asked[key]))
                         raise NumericalError(f"objective of sensor set {named} is not finite "
                                              f"({value})")
-                    classes[key] = value
-        for mask, key in keys.items():
-            memo[mask] = classes[key]
-        return [memo[mask] for mask in masks]
+                    memo[key] = value
+        return [memo[key] for key in keys]
 
     def f_many(self, masks) -> list[float]:
         """Memoized sensing objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._f, self._f_classes,
-                              lambda posts: _sensing_values(self.sol, posts), masks)
+        return self._memoized(self._f, lambda posts: _sensing_values(self.sol, posts), masks)
 
     def logdet_many(self, masks) -> list[float]:
         """Memoized log-volume objectives of the sets with these bit masks, in the order given."""
         horizon = self.scenario.horizon
-        return self._memoized(self._logdet, self._logdet_classes,
-                              lambda posts: _logdet_values(posts, horizon), masks)
+        return self._memoized(self._logdet, lambda posts: _logdet_values(posts, horizon),
+                              masks)
 
     def _mask(self, ids) -> int:
         """Bit mask of a sensor set given by ids; an unknown id raises ``ValidationError``."""

@@ -14,12 +14,24 @@ import numpy as np
 import lqgcodesign as lq
 from lqgcodesign import kalman
 from lqgcodesign._linalg import psd_sqrt
-from lqgcodesign.kalman import _mask_ids
 
 
 def mask_of(ids) -> int:
     """Bit mask of a sensor set given by ids, in any order and with repeats."""
     return sum(1 << i for i in set(ids))
+
+
+def mask_ids(mask: int) -> tuple[int, ...]:
+    """The ids of a bit mask's set bits, ascending, read off its binary string.
+
+    The reference for ``kalman._mask_ids``, which walks the bits instead.
+    """
+    return tuple(i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1")
+
+
+def class_key(mask: int, number) -> tuple[int, ...]:
+    """The class numbers of a bit mask's set bits, ascending; the reference for ``_class_key``."""
+    return tuple(sorted([number[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]))
 
 
 def scalar_system() -> lq.LtvSystem:
@@ -360,7 +372,7 @@ def reference_oracle_budget(scenario: lq.Scenario, cache):
     Every affordable set in mask order; a set displaces the best so far on a
     smaller value, or on an equal value and a smaller id tuple.
     """
-    affordable = [ids for ids in map(_mask_ids, range(1 << len(scenario.suite)))
+    affordable = [ids for ids in map(mask_ids, range(1 << len(scenario.suite)))
                   if lq.set_cost(scenario.suite, ids) <= scenario.budget]
     values = cache.f_many(map(mask_of, affordable))
     best_ids, best_value = (), values[0]
@@ -380,7 +392,7 @@ def reference_oracle_mincost(scenario: lq.Scenario, cache, cap: float):
     for mask, value in enumerate(cache.f_many(range(1 << len(scenario.suite)))):
         if value > cap:
             continue
-        ids = _mask_ids(mask)
+        ids = mask_ids(mask)
         key = (lq.set_cost(scenario.suite, ids), value, ids)
         if best is None or key < best:
             best = key
@@ -519,7 +531,7 @@ class ReferenceCache(lq.ObjectiveCache):
         keys = list(masks)
         for key in keys:
             if key not in memo:
-                memo[key] = one(_mask_ids(key))
+                memo[key] = one(mask_ids(key))
         return [memo[key] for key in keys]
 
     def f_many(self, masks) -> list[float]:
@@ -533,18 +545,18 @@ class PerMaskCache(lq.ObjectiveCache):
     """ObjectiveCache memoized by mask alone, as before the information classes.
 
     Its ``_memoized`` is the one the class memo replaced, without the mask
-    checks: every set not memoized is propagated, with no memo shared
-    between masks, in batches of masks in the order asked.  Each takes the
-    cache's update kernel for its size on its class representatives' rows
-    or information, as the class memo does.
+    checks: ``memo`` is keyed by mask, so every set not memoized is
+    propagated, with no value shared between masks, in batches of masks in
+    the order asked.  Each takes the cache's update kernel for its size on
+    its classes' rows or information, as the class memo does.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, classes: dict, values, masks) -> list[float]:
+    def _memoized(self, memo: dict, values, masks) -> list[float]:
         masks = [operator.index(mask) for mask in masks]
         streams: dict = {}
         for mask in dict.fromkeys(mask for mask in masks if mask not in memo):
-            key = kalman._class_key(mask, self._rep)
+            key = class_key(mask, self._class)
             streams.setdefault(self._row_count(key), []).append((mask, key))
         size = kalman._batch_size(self.scenario.state_dim)
         for todo in streams.values():
@@ -554,7 +566,7 @@ class PerMaskCache(lq.ObjectiveCache):
                 steps = kalman._steps(self.scenario.system, update, len(batch))
                 for (mask, _), value in zip(batch, values(post for _, post in steps).tolist()):
                     if not math.isfinite(value):
-                        named = list(_mask_ids(mask))
+                        named = list(mask_ids(mask))
                         raise lq.NumericalError(f"objective of sensor set {named} is not finite "
                                                 f"({value})")
                     memo[mask] = value
@@ -659,7 +671,7 @@ def reference_ratio_from_table(values, count: int):
                 if best_ratio is None or ratio < best_ratio:
                     best_ratio = ratio
                     best_witness = lq.RatioWitness(
-                        subset=_mask_ids(sub), superset=_mask_ids(bmask),
+                        subset=mask_ids(sub), superset=mask_ids(bmask),
                         sensor=x, subset_gain=num, superset_gain=den, ratio=ratio)
                 if sub == 0:
                     break

@@ -241,11 +241,12 @@ def test_fractional_ids_rejected():
         with pytest.raises(lq.ValidationError, match="expected an integer"):
             call([True])
         np.testing.assert_array_equal(call([np.int64(1)]), call([1]))
-    assert cache._f == {1 << 1: cache.f([1])}
+    # only the valid calls were memoized, under sensor 1's class multiset
+    assert cache._f == {(1,): cache.f([1])}
 
 
 def test_batch_calls_reject_masks_outside_the_suite():
-    # bit m would gather the bank's zero pad row; the first id past the suite is named
+    # a bit at or past m names no sensor's class; the first id past the suite is named
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     for many in (cache.f_many, cache.logdet_many):
         with pytest.raises(lq.ValidationError, match="sensor id 2 not in suite"):
@@ -265,10 +266,12 @@ def test_batch_calls_reject_masks_outside_the_suite():
 
 def test_batch_calls_take_numpy_integer_masks_as_ints():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    masks = np.flatnonzero(np.ones(4, dtype=bool))
-    assert cache.f_many(masks) == cache.f_many(range(4))
-    assert cache.logdet_many(masks) == cache.logdet_many(range(4))
-    assert all(type(mask) is int for mask in [*cache._f, *cache._logdet])
+    # numpy integers have no bit_length: the masks are walked as Python ints
+    for masks in (np.flatnonzero(np.ones(4, dtype=bool)), np.arange(4, dtype=np.uint64)):
+        assert cache.f_many(masks) == cache.f_many(range(4))
+        assert cache.logdet_many(masks) == cache.logdet_many(range(4))
+    assert sorted(cache._f) == sorted(cache._logdet) == [(), (0,), (0, 1), (1,)]
+    assert all(type(c) is int for key in [*cache._f, *cache._logdet] for c in key)
 
 
 def test_masks_past_bit_63_are_python_ints():
@@ -312,7 +315,8 @@ def test_overflowing_objective_raises():
 
 
 def test_overflow_names_the_set_asked_for():
-    # three bit-identical sensors share one class, propagated once under the ids (0,)
+    # three bit-identical sensors are class 0; each multiset is propagated once,
+    # named by the first mask that asked for it, and no value is memoized
     data = support.overflowing_scenario_dict()
     data.update(horizon=16, sensors=[{"id": i, "C": [[1e-160]], "V": [[1.0]], "cost": 1.0}
                                      for i in range(3)])
@@ -320,7 +324,7 @@ def test_overflow_names_the_set_asked_for():
     for masks, named in (([0b010], "[1]"), ([0b100, 0b010], "[2]"), ([0b110, 0b011], "[1, 2]")):
         with pytest.raises(lq.NumericalError, match=re.escape(f"set {named} is not finite (inf)")):
             cache.f_many(masks)
-    assert cache._f == {} and cache._f_classes == {}
+    assert cache._f == {}
 
 
 def test_sensors_equal_only_at_step_0_are_two_classes():
@@ -335,6 +339,45 @@ def test_sensors_equal_only_at_step_0_are_two_classes():
     ref = support.PerMaskCache(scenario, sol)
     assert cache.f_many(range(4)) == ref.f_many(range(4))
     assert cache.f((0,)) != cache.f((1,))
+
+
+@pytest.mark.parametrize("build, classes", [
+    (lambda: lq.build_formation_scenario(4, 20, "heterogeneous", 7), 10),
+    (lambda: lq.build_formation_scenario(8, 20, "heterogeneous", 7), 36),
+    (lambda: lq.build_uav_scenario(9, 20, "heterogeneous", 7), 11),
+], ids=["formation-a4", "formation-a8", "uav-a9"])
+def test_class_bank_and_rows(build, classes):
+    scenario, sol, cache = support.solved(build())
+    number = cache._class
+    T, n = scenario.horizon, scenario.state_dim
+    # classes are numbered in the order of their smallest ids
+    first = [number.index(c) for c in range(classes)]
+    assert sorted(set(number)) == list(range(classes)) and first == sorted(first)
+    assert cache._bank.shape == (classes + 1, T, n, n)
+    assert not cache._bank[-1].any()
+    for i, c in enumerate(number):
+        white = cache.whitened(i)
+        info = symmetrize(np.swapaxes(white, -1, -2) @ white)
+        assert info.tobytes() == cache._bank[c].tobytes(), i
+    assert cache._rows.shape == (T, sum(cache.whitened(i).shape[1] for i in first), n)
+    for c, i in enumerate(first):
+        np.testing.assert_array_equal(cache._rows[:, cache._row_ids[c]], cache.whitened(i))
+
+
+def test_bit_walks_match_the_binary_string_walks_on_every_11_bit_mask():
+    number = (0, 1, 1, 2, 0, 3, 4, 4, 4, 5, 6)
+    for mask in range(1 << 11):
+        assert kalman._mask_ids(mask) == support.mask_ids(mask)
+        assert kalman._class_key(mask, number) == support.class_key(mask, number)
+
+
+@settings(max_examples=200)
+@given(mask=st.integers(0, (1 << 81) - 1),
+       number=st.lists(st.integers(0, 40), min_size=81, max_size=81))
+def test_bit_walks_match_the_binary_string_walks_on_81_bits(mask, number):
+    # 81 sensors as in formation a9, at most 41 classes, so classes repeat
+    assert kalman._mask_ids(mask) == support.mask_ids(mask)
+    assert kalman._class_key(mask, number) == support.class_key(mask, number)
 
 
 def test_cache_consistent_with_direct_evaluation():
@@ -423,7 +466,7 @@ def test_measurement_form_value_does_not_depend_on_its_batch(monkeypatch):
     rng = np.random.default_rng(2)
     large = [int(mask) for mask in rng.integers(0, 1 << m, size=20)]
     masks = [int(mask) for mask in rng.permutation(small + large + [0, (1 << m) - 1])]
-    keys = [kalman._class_key(mask, batched._rep) for mask in masks]
+    keys = [kalman._class_key(mask, batched._class) for mask in masks]
     assert {batched._row_count(key) for key in keys} >= {None, 2, 6, 14}
     monkeypatch.setattr(kalman, "_BATCH_FLOATS", 5 * scenario.state_dim ** 2)
     values = batched.f_many(masks), batched.logdet_many(masks)
@@ -443,8 +486,8 @@ def _information_form_trajectory(cache, key):
     priors, posts = [], []
     for t in range(system.horizon):
         info = np.zeros((n, n))
-        for j, rep in enumerate(key):
-            info = cache._bank[rep, t] if j == 0 else info + cache._bank[rep, t]
+        for j, c in enumerate(key):
+            info = cache._bank[c, t] if j == 0 else info + cache._bank[c, t]
         priors.append(prior)
         posts.append(symmetrize(np.linalg.solve(prior @ info + np.eye(n), prior)))
         prior = symmetrize(system.A[t] @ posts[-1] @ system.A[t].T + system.W[t])
@@ -458,7 +501,7 @@ def _information_form_trajectory(cache, key):
 def test_empty_and_full_sets_keep_the_information_form(build):
     scenario, sol, cache = support.solved(build())
     for ids in ((), scenario.suite.ids):
-        key = kalman._class_key(support.mask_of(ids), cache._rep)
+        key = kalman._class_key(support.mask_of(ids), cache._class)
         assert cache._row_count(key) is None
         want = _information_form_trajectory(cache, key)
         got = cache.trajectory(ids)
