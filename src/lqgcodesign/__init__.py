@@ -69,6 +69,7 @@ from .simulate import (
     build_formation_scenario,
     build_uav_scenario,
     monte_carlo,
+    monte_carlo_many,
     run_closed_loop,
 )
 
@@ -111,6 +112,7 @@ __all__ = [
     "load_scenario",
     "mincost_certificate",
     "monte_carlo",
+    "monte_carlo_many",
     "oracle_budget",
     "oracle_mincost",
     "propagate_covariance",

@@ -40,7 +40,7 @@ from .selection import (
     oracle_budget,
     oracle_mincost,
 )
-from .simulate import build_formation_scenario, build_uav_scenario, monte_carlo
+from .simulate import build_formation_scenario, build_uav_scenario, monte_carlo, monte_carlo_many
 
 METHODS = ("greedy", "oracle", "logdet", "random", "all")
 
@@ -364,20 +364,32 @@ def cmd_sweep(args) -> int:
                                       seed=args.seed)
             scenario_id = f"uav-l{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = (0,)
-        cache = _solved(base)
-        ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
-        for budget in budgets:
-            scenario = replace(base, budget=budget)
-            for method in methods:
-                report = _run_method(scenario, cache, "budget", method, args, mandatory)
-                summary = None
-                if args.runs > 0:
-                    summary = monte_carlo(cache, report.chosen, runs=args.runs,
-                                          base_seed=args.seed)
-                certified = _certify(scenario, cache, report, "budget", args, ratio)
-                rows.append(_selection_row(scenario_id, scenario, report, summary, certified))
+        rows.extend(_sweep_point(base, scenario_id, mandatory, methods, budgets, args))
     _emit_rows(rows, args.format, args.out)
     return 0
+
+
+def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> list[ResultRow]:
+    """The rows of one sweep grid point, budget-major, each method in turn.
+
+    Every row is selected and certified first; then one ``monte_carlo_many``
+    call rolls out the rows' distinct sets on the shared seeds.
+    """
+    cache = _solved(base)
+    ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
+    picked = []
+    for budget in budgets:
+        scenario = replace(base, budget=budget)
+        for method in methods:
+            report = _run_method(scenario, cache, "budget", method, args, mandatory)
+            picked.append((scenario, report, _certify(scenario, cache, report, "budget", args,
+                                                      ratio)))
+    summaries = [None] * len(picked)
+    if args.runs > 0:
+        summaries = monte_carlo_many(cache, [report.chosen for _, report, _ in picked],
+                                     runs=args.runs, base_seed=args.seed)
+    return [_selection_row(scenario_id, scenario, report, summary, certified)
+            for (scenario, report, certified), summary in zip(picked, summaries)]
 
 
 def _add_common_output(parser) -> None:

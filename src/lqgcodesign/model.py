@@ -520,6 +520,6 @@ def load_scenario(path) -> Scenario:
 
 def save_scenario(scenario: Scenario, path) -> None:
     """Write a scenario as deterministic, sorted-key JSON."""
-    text = json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        json.dump(scenario_to_dict(scenario), fh, indent=2, sort_keys=True)
+        fh.write("\n")

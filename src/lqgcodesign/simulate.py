@@ -12,6 +12,12 @@ state, then per step the noise of each selected sensor in ascending id
 order, then the process noise.  A run is a pure function of (scenario,
 sensor set, seed), whatever batch it runs in.
 
+Several sets estimated with the same seeds, as the rows of one sweep grid
+point are, roll out together: each distinct set once, in batches sized by
+the longest set's draws.  Each seed's normals are drawn once per batch, and
+every set reads its own prefix of them; Philox is counter-based, so that
+prefix is bit for bit the draw the set would make alone.
+
 Two scenario families mirror common co-design benchmarks: a planar
 formation with GPS and pairwise relative-position sensing, and a UAV
 landing task with GPS, an altimeter, and noisy landmark fixes.
@@ -68,27 +74,29 @@ class ClosedLoopSimulator:
         self.scenario = scenario
         self.sol = sol
         self.chosen = chosen_ids(scenario.suite, ids)
-        self.traj = propagate_covariance(scenario, self.chosen)
         sys_ = scenario.system
         T, n = sys_.horizon, sys_.state_dim
         self._C, noise = stack_sensors(scenario, self.chosen)
         self._noise_factor = np.linalg.cholesky(noise)
-        self._gain_t = np.linalg.solve(noise, self._C @ self.traj.posteriors)
+        posteriors = propagate_covariance(scenario, self.chosen).posteriors
+        self._gain_t = np.linalg.solve(noise, self._C @ posteriors)
         self._x1_sqrt = psd_sqrt(sys_.sigma_init)
         self._w_sqrt = psd_sqrt(sys_.W)
         self._draws = n + T * (self._C.shape[1] + n)
 
-    def _rollouts(self, seeds):
-        """Per-step (k, n) states, estimates and controls, and the costs, of one run per seed."""
+    def _rollouts(self, draws):
+        """Per-step (k, n) states, estimates and controls, and the costs, of k runs.
+
+        ``draws`` is (k, ``_draws``): row r holds run r's normals in the order
+        the module docstring gives.
+        """
         sys_, weights = self.scenario.system, self.scenario.weights
         T, P, n = self._C.shape
-        draws = np.stack([np.random.Generator(np.random.Philox(seed)).standard_normal(self._draws)
-                          for seed in seeds])
-        noise = draws[:, n:].reshape(len(seeds), T, P + n)
+        noise = draws[:, n:].reshape(len(draws), T, P + n)
         x = sys_.x1_mean + draws[:, :n] @ self._x1_sqrt.T
         xhat_prior = np.broadcast_to(sys_.x1_mean, x.shape)
         states, estimates, controls = [x], [], []
-        costs = np.zeros(len(seeds))
+        costs = np.zeros(len(draws))
         for t in range(T):
             C = self._C[t]
             y = x @ C.T + noise[:, t, :P] @ self._noise_factor[t].T
@@ -105,7 +113,7 @@ class ClosedLoopSimulator:
 
     def run(self, seed: int, run_id: int = 0) -> SimulationRecord:
         """Roll out one trajectory; identical seeds give identical records."""
-        states, estimates, controls, costs = self._rollouts([seed])
+        states, estimates, controls, costs = self._rollouts(_normals([seed], self._draws))
         return SimulationRecord(
             run_id=run_id,
             seed=seed,
@@ -122,30 +130,54 @@ def run_closed_loop(scenario: Scenario, sol: RiccatiSolution, ids, seed: int,
     return ClosedLoopSimulator(scenario, sol, ids).run(seed, run_id)
 
 
-def monte_carlo(cache: ObjectiveCache, ids, runs: int, base_seed: int) -> MonteCarloSummary:
-    """Mean realized cost over ``runs`` rollouts seeded ``base_seed + r``, and ``cache.g(ids)``.
+def _normals(seeds, count: int) -> np.ndarray:
+    """(len(seeds), count) standard normals, row r from one Philox generator seeded ``seeds[r]``."""
+    return np.stack([np.random.Generator(np.random.Philox(seed)).standard_normal(count)
+                     for seed in seeds])
 
-    The rollouts run on the cache's scenario and Riccati solution, in
-    batches of at most ``_DRAW_FLOATS`` drawn floats, sizes differing by at
-    most one.  Doubling ``runs`` with the same base seed reuses the first
-    half of the draws exactly.  The standard error is the sample standard
-    deviation over sqrt(runs), 0 for a single run.
+
+def monte_carlo(cache: ObjectiveCache, ids, runs: int, base_seed: int) -> MonteCarloSummary:
+    """``monte_carlo_many`` of the one set ``ids``."""
+    return monte_carlo_many(cache, [ids], runs, base_seed)[0]
+
+
+def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
+                     base_seed: int) -> list[MonteCarloSummary]:
+    """Per set: mean realized cost over ``runs`` rollouts seeded ``base_seed + r``, and ``cache.g``.
+
+    The rollouts run on the cache's scenario and Riccati solution.  Each
+    distinct set gets one simulator and rolls out once; repeated sets share
+    its summary.  Runs go in batches of at most ``_DRAW_FLOATS`` drawn
+    floats of the longest set, sizes differing by at most one, and each
+    seed's normals are drawn once per batch for every set.  Doubling
+    ``runs`` with the same base seed reuses the first half of the draws
+    exactly.  The standard error is the sample standard deviation over
+    sqrt(runs), 0 for a single run.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    sim = ClosedLoopSimulator(cache.scenario, cache.sol, ids)
-    batches = math.ceil(runs / max(1, _DRAW_FLOATS // sim._draws))
+    keys = [chosen_ids(cache.scenario.suite, ids) for ids in id_sets]
+    sims = {key: ClosedLoopSimulator(cache.scenario, cache.sol, key) for key in dict.fromkeys(keys)}
+    if not sims:
+        return []
+    longest = max(sim._draws for sim in sims.values())
+    batches = math.ceil(runs / max(1, _DRAW_FLOATS // longest))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
-    costs = np.concatenate([sim._rollouts(range(start, stop))[3]
-                            for start, stop in zip(ends, ends[1:])])
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0
-    return MonteCarloSummary(
-        mean_cost=mean,
-        std_error=stderr,
-        run_count=runs,
-        analytical_g=cache.g(ids),
-    )
+    costs = {key: [] for key in sims}
+    for start, stop in zip(ends, ends[1:]):
+        draws = _normals(range(start, stop), longest)
+        for key, sim in sims.items():
+            costs[key].append(sim._rollouts(draws[:, :sim._draws])[3])
+    summaries = {}
+    for key, parts in costs.items():
+        values = np.concatenate(parts)
+        summaries[key] = MonteCarloSummary(
+            mean_cost=float(np.mean(values)),
+            std_error=float(np.std(values, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0,
+            run_count=runs,
+            analytical_g=cache.g(key),
+        )
+    return [summaries[key] for key in keys]
 
 
 def build_formation_scenario(agents: int, horizon: int, mode: str = "homogeneous",

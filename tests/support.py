@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 import lqgcodesign as lq
-from lqgcodesign import kalman
+from lqgcodesign import cli, kalman, simulate
 from lqgcodesign._linalg import psd_sqrt
 
 
@@ -643,6 +643,50 @@ def reference_rollout(scenario: lq.Scenario, sol, ids, seed: int):
         estimates.append(xhat)
         controls.append(u)
     return np.array(states), np.array(estimates), np.array(controls), cost
+
+
+def reference_monte_carlo(cache, ids, runs: int, base_seed: int) -> lq.MonteCarloSummary:
+    """Monte Carlo summary of one set by the per-set loop ``monte_carlo_many`` replaced.
+
+    The set has a simulator of its own, its batches are sized by its own
+    draws, and each seed's generator draws only the normals this set reads.
+    """
+    sim = lq.ClosedLoopSimulator(cache.scenario, cache.sol, ids)
+    batches = math.ceil(runs / max(1, simulate._DRAW_FLOATS // sim._draws))
+    ends = [base_seed + runs * b // batches for b in range(batches + 1)]
+    costs = []
+    for start, stop in zip(ends, ends[1:]):
+        draws = np.stack([np.random.Generator(np.random.Philox(seed)).standard_normal(sim._draws)
+                          for seed in range(start, stop)])
+        costs.append(sim._rollouts(draws)[3])
+    costs = np.concatenate(costs)
+    return lq.MonteCarloSummary(
+        mean_cost=float(np.mean(costs)),
+        std_error=float(np.std(costs, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0,
+        run_count=runs,
+        analytical_g=cache.g(ids),
+    )
+
+
+def reference_sweep_point(base, scenario_id, mandatory, methods, budgets, args):
+    """The rows of one sweep grid point by the per-row loop ``cli._sweep_point`` replaced.
+
+    Each row selects its set, rolls it out alone with ``reference_monte_carlo``
+    and then certifies, before the next row starts.
+    """
+    cache = cli._solved(base)
+    ratio = lq.ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
+    rows = []
+    for budget in budgets:
+        scenario = replace(base, budget=budget)
+        for method in methods:
+            report = cli._run_method(scenario, cache, "budget", method, args, mandatory)
+            summary = None
+            if args.runs > 0:
+                summary = reference_monte_carlo(cache, report.chosen, args.runs, args.seed)
+            certified = cli._certify(scenario, cache, report, "budget", args, ratio)
+            rows.append(cli._selection_row(scenario_id, scenario, report, summary, certified))
+    return rows
 
 
 def reference_ratio_from_table(values, count: int):

@@ -490,6 +490,26 @@ def test_sweep_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("grid", [
+    ("--scenario", "formation", "--agents", "2,3", "--horizon", "4,5", "--budgets", "3,4,5",
+     "--methods", "greedy,oracle,logdet,random,all", "--runs", "12", "--seed", "3"),
+    ("--scenario", "uav", "--landmarks", "3", "--horizon", "4", "--budgets", "3,5,7",
+     "--mode", "heterogeneous", "--methods", "all,greedy,random,logdet", "--runs", "7",
+     "--seed", "1"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_equals_the_per_row_loop(monkeypatch, capsys, grid, fmt):
+    # one monte_carlo_many per grid point against one monte_carlo per row
+    argv = ["sweep", *grid, "--format", fmt]
+    assert main(argv) == 0
+    shared = capsys.readouterr().out
+    monkeypatch.setattr("lqgcodesign.cli._sweep_point", support.reference_sweep_point)
+    assert main(argv) == 0
+    assert shared == capsys.readouterr().out
+    rows = json.loads(shared) if fmt == "json" else list(csv.DictReader(shared.splitlines()))
+    assert rows and all(str(row["runs"]) == grid[grid.index("--runs") + 1] for row in rows)
+
+
 def test_stdout_when_no_out_flag(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     code = main(["select", "budget", "--scenario", str(source),

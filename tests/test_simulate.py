@@ -173,6 +173,21 @@ def test_one_draw_equals_the_per_sensor_draws():
         assert np.array_equal(np.concatenate(calls), one)
 
 
+def test_a_shorter_draw_is_a_prefix_of_a_longer_one():
+    # monte_carlo_many draws each seed once, at the longest set's length, and each
+    # set reads a prefix; here every length a formation a4 sweep can use
+    scenario = lq.build_formation_scenario(agents=4, horizon=20, seed=7)
+    n, horizon = scenario.state_dim, scenario.horizon
+    widths = [scenario.suite.sensor(i).output_dim for i in scenario.suite.ids]
+    lengths = [n + horizon * (sum(widths[:size]) + n) for size in range(len(widths) + 1)]
+    longest = max(lengths)
+    for seed in (0, 1, 7, 11, 123456789):
+        draw = np.random.Generator(np.random.Philox(seed)).standard_normal(longest)
+        for k in lengths:
+            alone = np.random.Generator(np.random.Philox(seed)).standard_normal(k)
+            assert np.array_equal(draw[:k], alone), (seed, k)
+
+
 @pytest.mark.parametrize("per_batch, sizes", [(3, [2, 3, 2, 3]), (9, [5, 5])])
 def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes):
     rollouts = simulate.ClosedLoopSimulator._rollouts
@@ -200,6 +215,86 @@ def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes)
         assert split.mean_cost == pytest.approx(whole.mean_cost, rel=1e-12)
         assert split.std_error == pytest.approx(whole.std_error, rel=1e-12)
         assert split.analytical_g == whole.analytical_g
+
+
+def _many_cases():
+    formation = lq.build_formation_scenario(agents=2, horizon=6, seed=2)
+    yield formation, [formation.suite.ids, (), (0, 2, 3), (3, 2, 0), (1,), formation.suite.ids]
+    uav = lq.build_uav_scenario(landmarks=3, horizon=6, cost_mode="heterogeneous", seed=4)
+    yield uav, [(0, 1), uav.suite.ids, (), (1, 4), (1, 0)]
+
+
+def test_monte_carlo_many_equals_per_set_monte_carlo():
+    for scenario, id_sets in _many_cases():
+        scenario, sol, cache = support.solved(scenario)
+        for runs, base_seed in ((1, 5), (40, 3)):
+            many = lq.monte_carlo_many(cache, id_sets, runs=runs, base_seed=base_seed)
+            assert len(many) == len(id_sets)
+            for ids, summary in zip(id_sets, many):
+                assert summary == support.reference_monte_carlo(cache, ids, runs, base_seed)
+                assert summary == lq.monte_carlo(cache, ids, runs=runs, base_seed=base_seed)
+
+
+def test_monte_carlo_many_batches_agree_with_per_set_batches(monkeypatch):
+    # batches are sized by the longest set, so a shorter set splits its runs
+    # otherwise than it does alone; the summaries agree to roundoff
+    rollouts = simulate.ClosedLoopSimulator._rollouts
+    seen = {}
+
+    def recorded(self, draws):
+        seen.setdefault(self.chosen, []).append(len(draws))
+        return rollouts(self, draws)
+
+    monkeypatch.setattr(simulate.ClosedLoopSimulator, "_rollouts", recorded)
+    for scenario, id_sets in _many_cases():
+        scenario, sol, cache = support.solved(scenario)
+        longest = lq.ClosedLoopSimulator(scenario, sol, scenario.suite.ids)._draws
+        monkeypatch.setattr(simulate, "_DRAW_FLOATS", 3 * longest)
+        seen.clear()
+        many = lq.monte_carlo_many(cache, id_sets, runs=10, base_seed=3)
+        assert all(sizes == [2, 3, 2, 3] for sizes in seen.values())
+        seen.clear()
+        alone = [support.reference_monte_carlo(cache, ids, 10, 3) for ids in id_sets]
+        assert seen[()] != [2, 3, 2, 3]
+        for summary, reference in zip(many, alone):
+            assert summary.run_count == reference.run_count == 10
+            assert summary.mean_cost == pytest.approx(reference.mean_cost, rel=1e-12)
+            assert summary.std_error == pytest.approx(reference.std_error, rel=1e-12)
+            assert summary.analytical_g == reference.analytical_g
+
+
+def test_a_repeated_set_builds_one_simulator(monkeypatch):
+    built = []
+
+    class Counted(simulate.ClosedLoopSimulator):
+        def __init__(self, scenario, sol, ids):
+            super().__init__(scenario, sol, ids)
+            built.append(self.chosen)
+
+    monkeypatch.setattr(simulate, "ClosedLoopSimulator", Counted)
+    scenario, sol, cache = support.solved(lq.build_formation_scenario(agents=2, horizon=4, seed=1))
+    many = lq.monte_carlo_many(cache, [(0, 1), (1, 0), [1, 1, 0], (), (0, 1, 2)], runs=6,
+                               base_seed=2)
+    assert built == [(0, 1), (), (0, 1, 2)]
+    assert many[0] == many[1] == many[2] != many[3]
+    assert lq.monte_carlo_many(cache, [], runs=6, base_seed=2) == []
+
+
+def test_each_seed_makes_one_generator_per_batch(monkeypatch):
+    philox = np.random.Philox
+    seeds = []
+
+    def counted(seed):
+        seeds.append(seed)
+        return philox(seed)
+
+    scenario, sol, cache = support.solved(lq.build_uav_scenario(landmarks=2, horizon=4, seed=1))
+    id_sets = [scenario.suite.ids, (), (0, 2), (1,)]
+    longest = lq.ClosedLoopSimulator(scenario, sol, scenario.suite.ids)._draws
+    monkeypatch.setattr(simulate, "_DRAW_FLOATS", 4 * longest)
+    monkeypatch.setattr(np.random, "Philox", counted)
+    lq.monte_carlo_many(cache, id_sets, runs=11, base_seed=20)
+    assert seeds == list(range(20, 31))
 
 
 def test_formation_builder_shapes():
