@@ -234,17 +234,16 @@ def _scenario_with_constraint(args, problem: str):
     return scenario
 
 
+def _build_scenario(family: str, size: int, horizon: int, mode: str, seed: int):
+    """A benchmark scenario of ``size`` agents or landmarks; ``mode`` is its family's mode."""
+    if family == "formation":
+        return build_formation_scenario(agents=size, horizon=horizon, mode=mode, seed=seed)
+    return build_uav_scenario(landmarks=size, horizon=horizon, cost_mode=mode, seed=seed)
+
+
 def cmd_scenario(args) -> int:
-    if args.family == "formation":
-        scenario = build_formation_scenario(
-            agents=args.agents, horizon=args.horizon, mode=args.mode, seed=args.seed,
-        )
-    else:
-        scenario = build_uav_scenario(
-            landmarks=args.landmarks, horizon=args.horizon,
-            cost_mode=args.mode, seed=args.seed,
-        )
-    save_scenario(scenario, args.out)
+    size = args.agents if args.family == "formation" else args.landmarks
+    save_scenario(_build_scenario(args.family, size, args.horizon, args.mode, args.seed), args.out)
     return 0
 
 
@@ -354,14 +353,11 @@ def cmd_sweep(args) -> int:
         args.mode = "homogeneous" if formation else "uniform"
     rows: list[ResultRow] = []
     for size, horizon in product(sizes, horizons):
+        base = _build_scenario(args.family, size, horizon, args.mode, args.seed)
         if formation:
-            base = build_formation_scenario(agents=size, horizon=horizon, mode=args.mode,
-                                            seed=args.seed)
             scenario_id = f"formation-a{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = tuple(range(size))
         else:
-            base = build_uav_scenario(landmarks=size, horizon=horizon, cost_mode=args.mode,
-                                      seed=args.seed)
             scenario_id = f"uav-l{size}-T{horizon}-{args.mode}-s{args.seed}"
             mandatory = (0,)
         rows.extend(_sweep_point(base, scenario_id, mandatory, methods, budgets, args))

@@ -230,9 +230,10 @@ def _trajectory(system, update) -> CovarianceTrajectory:
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     """Covariance trajectory under the given sensor set (any iterable of ids).
 
-    Takes the update ``ObjectiveCache`` takes for a set of this size, on the
-    chosen sensors' own rows in ascending id order: it knows no information
-    classes, while ``ObjectiveCache.trajectory`` takes them in class order.
+    The standalone one-set function, with no caller in the package: it
+    whitens only the chosen sensors and takes the update ``ObjectiveCache``
+    takes for a set of this size, on their own rows in ascending id order,
+    where ``ObjectiveCache.trajectory`` takes its classes' in class order.
     """
     suite = scenario.suite
     T, n = scenario.horizon, scenario.state_dim

@@ -3,7 +3,9 @@
 The rollout applies the separation structure directly: the Kalman filter, in
 gain form xhat = xp + G (y - C xp) with G = post C' inv(V) on the set's
 covariance trajectory, produces the state estimate, and the precomputed
-regulator gain acts on that estimate.  C and V stack the chosen sensors in
+regulator gain acts on that estimate.  The trajectory is the objective
+cache's, ``cache.trajectory``, the one ``f`` scores, so a Monte Carlo mean
+estimates the ``g`` printed beside it.  C and V stack the chosen sensors in
 ascending id order; no prior is inverted, and the empty set has zero rows.
 Runs advance together in batches, on (k, n) arrays.  All randomness comes
 from numpy's Philox generator: run r of a Monte Carlo batch uses seed
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import block_diag, frozen, psd_sqrt
-from .kalman import ObjectiveCache, propagate_covariance
+from .kalman import ObjectiveCache
 from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids, stack_sensors
 from .riccati import RiccatiSolution
 
@@ -62,23 +64,23 @@ class MonteCarloSummary:
 
 
 class ClosedLoopSimulator:
-    """Reusable rollout engine for one (scenario, sensor set) pair.
+    """Reusable rollout engine for one sensor set, on the cache's scenario and solution.
 
-    Stacked once: the set's wiring (T, P, n), noise Cholesky factors (T, P, P),
-    transposed filter gains G' (T, P, n) and process-noise roots (T, n, n).
+    The filter runs on ``cache.trajectory(ids)``, the covariances ``cache.f``
+    scores.  Stacked once: the set's wiring (T, P, n), noise Cholesky factors
+    (T, P, P), transposed filter gains G' (T, P, n) and process-noise roots
+    (T, n, n).
     """
 
-    def __init__(self, scenario: Scenario, sol: RiccatiSolution, ids):
-        if sol.horizon != scenario.horizon:
-            raise ValueError("solution horizon does not match scenario horizon")
-        self.scenario = scenario
-        self.sol = sol
+    def __init__(self, cache: ObjectiveCache, ids):
+        self.scenario = scenario = cache.scenario
+        self.sol = cache.sol
         self.chosen = chosen_ids(scenario.suite, ids)
         sys_ = scenario.system
         T, n = sys_.horizon, sys_.state_dim
         self._C, noise = stack_sensors(scenario, self.chosen)
         self._noise_factor = np.linalg.cholesky(noise)
-        posteriors = propagate_covariance(scenario, self.chosen).posteriors
+        posteriors = cache.trajectory(self.chosen).posteriors
         self._gain_t = np.linalg.solve(noise, self._C @ posteriors)
         self._x1_sqrt = psd_sqrt(sys_.sigma_init)
         self._w_sqrt = psd_sqrt(sys_.W)
@@ -111,23 +113,20 @@ class ClosedLoopSimulator:
             controls.append(u)
         return states, estimates, controls, costs
 
-    def run(self, seed: int, run_id: int = 0) -> SimulationRecord:
-        """Roll out one trajectory; identical seeds give identical records."""
-        states, estimates, controls, costs = self._rollouts(_normals([seed], self._draws))
-        return SimulationRecord(
-            run_id=run_id,
-            seed=seed,
-            states=tuple(frozen(x[0]) for x in states),
-            estimates=tuple(frozen(x[0]) for x in estimates),
-            controls=tuple(frozen(u[0]) for u in controls),
-            realized_cost=float(costs[0]),
-        )
-
 
 def run_closed_loop(scenario: Scenario, sol: RiccatiSolution, ids, seed: int,
                     run_id: int = 0) -> SimulationRecord:
     """Single closed-loop rollout under the given sensor set and seed."""
-    return ClosedLoopSimulator(scenario, sol, ids).run(seed, run_id)
+    sim = ClosedLoopSimulator(ObjectiveCache(scenario, sol), ids)
+    states, estimates, controls, costs = sim._rollouts(_normals([seed], sim._draws))
+    return SimulationRecord(
+        run_id=run_id,
+        seed=seed,
+        states=tuple(frozen(x[0]) for x in states),
+        estimates=tuple(frozen(x[0]) for x in estimates),
+        controls=tuple(frozen(u[0]) for u in controls),
+        realized_cost=float(costs[0]),
+    )
 
 
 def _normals(seeds, count: int) -> np.ndarray:
@@ -157,7 +156,7 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
     if runs < 1:
         raise ValueError("runs must be at least 1")
     keys = [chosen_ids(cache.scenario.suite, ids) for ids in id_sets]
-    sims = {key: ClosedLoopSimulator(cache.scenario, cache.sol, key) for key in dict.fromkeys(keys)}
+    sims = {key: ClosedLoopSimulator(cache, key) for key in dict.fromkeys(keys)}
     if not sims:
         return []
     longest = max(sim._draws for sim in sims.values())

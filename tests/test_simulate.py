@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
-from lqgcodesign import simulate
+from lqgcodesign import kalman, simulate
 from lqgcodesign._linalg import psd_sqrt, symmetrize
 
 import support
@@ -159,6 +159,40 @@ def test_rollout_matches_the_information_form_reference():
     assert mixed >= 3
 
 
+def test_rollouts_agree_with_the_propagate_covariance_gains():
+    # the gains now come from cache.trajectory, which sums class rows in class
+    # order; on sets whose class order differs from id order only roundoff moves
+    formation = lq.build_formation_scenario(3, 6, seed=2)
+    uav = lq.build_uav_scenario(landmarks=3, horizon=6, cost_mode="heterogeneous", seed=4)
+    cases = ((formation, [(4, 5), (4, 5, 6), (0, 4, 5), (1, 4, 5, 6, 8)]),
+             (uav, [(0, 2, 4), uav.suite.ids]))
+    for scenario, id_sets in cases:
+        scenario, sol, cache = support.solved(scenario)
+        for ids in id_sets:
+            sim = lq.ClosedLoopSimulator(cache, ids)
+            reference = support.reference_simulator(cache, ids)
+            draws = simulate._normals(range(3, 9), sim._draws)
+            *paths, costs = sim._rollouts(draws)
+            *want_paths, want_costs = reference._rollouts(draws)
+            for path, want in zip(paths, want_paths):
+                assert _rel(path, want) <= 1e-12, ids
+            np.testing.assert_allclose(costs, want_costs, rtol=1e-12, atol=0.0)
+
+
+def test_monte_carlo_many_whitens_nothing_on_a_built_cache(monkeypatch):
+    scenario, sol, cache = support.solved(lq.build_formation_scenario(3, 6, seed=2))
+    whiten = kalman.whiten_sensor
+    calls = []
+
+    def counted(sensor):
+        calls.append(sensor.id)
+        return whiten(sensor)
+
+    monkeypatch.setattr(kalman, "whiten_sensor", counted)
+    lq.monte_carlo_many(cache, [(4, 5, 6), (), scenario.suite.ids], runs=3, base_seed=1)
+    assert calls == []
+
+
 def test_one_draw_equals_the_per_sensor_draws():
     # a run's single standard_normal call yields the documented per-call sequence
     dims, n, horizon = (2, 1, 3), 4, 5
@@ -205,7 +239,7 @@ def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes)
         whole = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
         assert seen == [10]
         # a cap of per_batch runs' draws splits the ten runs into near-equal batches
-        draws = lq.ClosedLoopSimulator(scenario, sol, ids)._draws
+        draws = lq.ClosedLoopSimulator(lq.ObjectiveCache(scenario, sol), ids)._draws
         monkeypatch.setattr(simulate, "_DRAW_FLOATS", per_batch * draws)
         seen.clear()
         split = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
@@ -248,7 +282,7 @@ def test_monte_carlo_many_batches_agree_with_per_set_batches(monkeypatch):
     monkeypatch.setattr(simulate.ClosedLoopSimulator, "_rollouts", recorded)
     for scenario, id_sets in _many_cases():
         scenario, sol, cache = support.solved(scenario)
-        longest = lq.ClosedLoopSimulator(scenario, sol, scenario.suite.ids)._draws
+        longest = lq.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
         monkeypatch.setattr(simulate, "_DRAW_FLOATS", 3 * longest)
         seen.clear()
         many = lq.monte_carlo_many(cache, id_sets, runs=10, base_seed=3)
@@ -267,8 +301,8 @@ def test_a_repeated_set_builds_one_simulator(monkeypatch):
     built = []
 
     class Counted(simulate.ClosedLoopSimulator):
-        def __init__(self, scenario, sol, ids):
-            super().__init__(scenario, sol, ids)
+        def __init__(self, cache, ids):
+            super().__init__(cache, ids)
             built.append(self.chosen)
 
     monkeypatch.setattr(simulate, "ClosedLoopSimulator", Counted)
@@ -290,7 +324,7 @@ def test_each_seed_makes_one_generator_per_batch(monkeypatch):
 
     scenario, sol, cache = support.solved(lq.build_uav_scenario(landmarks=2, horizon=4, seed=1))
     id_sets = [scenario.suite.ids, (), (0, 2), (1,)]
-    longest = lq.ClosedLoopSimulator(scenario, sol, scenario.suite.ids)._draws
+    longest = lq.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
     monkeypatch.setattr(simulate, "_DRAW_FLOATS", 4 * longest)
     monkeypatch.setattr(np.random, "Philox", counted)
     lq.monte_carlo_many(cache, id_sets, runs=11, base_seed=20)
