@@ -63,7 +63,6 @@ from .selection import (
     oracle_mincost,
 )
 from .simulate import (
-    ClosedLoopSimulator,
     MonteCarloSummary,
     SimulationRecord,
     build_formation_scenario,
@@ -79,7 +78,6 @@ __all__ = [
     "BoundHypotheses",
     "CandidateRecord",
     "CertificateRecord",
-    "ClosedLoopSimulator",
     "CovarianceTrajectory",
     "InfeasibleError",
     "IterationRecord",

@@ -241,14 +241,15 @@ def ratio_report(cache: ObjectiveCache, max_sensors: int = RATIO_CAP) -> RatioRe
 
 
 def budget_certificate(
-    report: SelectionReport, gamma: float, g_empty: float, g_star: float | None = None,
+    report: SelectionReport, gamma: float, f_empty: float, f_star: float | None = None,
 ) -> CertificateRecord:
     """Multiplicative near-optimality certificate for a budget selection.
 
-    Compares the achieved share of the best possible cost reduction (left
-    side, computable only when the true optimum ``g_star`` is supplied)
-    against the ratio-driven guarantee.  A degenerate instance where doing
-    nothing is already optimal certifies trivially with a left side of 1.
+    Compares the achieved share of the best possible reduction of f (left
+    side, computable only when the optimum's ``f_star`` is supplied; formed
+    from f, not g, so the cost offset cancels no digits) against the
+    ratio-driven guarantee.  A degenerate instance where doing nothing is
+    already optimal certifies trivially with a left side of 1.
     """
     if report.budget is None:
         raise ValueError("report carries no budget; certificate applies to budget selections")
@@ -260,9 +261,9 @@ def budget_certificate(
     )
     lhs = None
     passed = None
-    if g_star is not None:
-        denom = g_empty - g_star
-        lhs = 1.0 if abs(denom) < _ZERO else (g_empty - report.lqg_cost_g) / denom
+    if f_star is not None:
+        denom = f_empty - f_star
+        lhs = 1.0 if abs(denom) < _ZERO else (f_empty - report.objective_f) / denom
         passed = lhs >= rhs - _PASS_TOL
     return CertificateRecord(kind="budget", gamma=gamma, lhs=lhs, rhs=rhs, passed=passed)
 

@@ -172,8 +172,8 @@ def _certify(scenario, cache, report: SelectionReport, problem: str, args, ratio
     if ratio.exact is not None and len(scenario.suite) <= args.oracle_cap:
         reference = _run_method(scenario, cache, problem, "oracle", args)
     if problem == "budget":
-        cert = budget_certificate(report, gamma, cache.g(()),
-                                  g_star=None if reference is None else reference.lqg_cost_g)
+        cert = budget_certificate(report, gamma, cache.f(()),
+                                  f_star=None if reference is None else reference.objective_f)
     else:
         cert = mincost_certificate(report, gamma, cache.g(()),
                                    b_star=None if reference is None else reference.cost)

@@ -11,8 +11,8 @@ Runs advance together in batches, on (k, n) arrays.  All randomness comes
 from numpy's Philox generator: run r of a Monte Carlo batch uses seed
 ``base_seed + r`` and draws, in one call and in this order, the initial
 state, then per step the noise of each selected sensor in ascending id
-order, then the process noise.  A run is a pure function of (scenario,
-sensor set, seed), whatever batch it runs in.
+order, then the process noise.  So a run's draws do not depend on its batch,
+though its BLAS products may, in the last bits; one call gives the same bits.
 
 Several sets estimated with the same seeds, as the rows of one sweep grid
 point are, roll out together: each distinct set once, in batches sized by
@@ -35,7 +35,6 @@ import numpy as np
 from ._linalg import block_diag, frozen, psd_sqrt
 from .kalman import ObjectiveCache
 from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids, stack_sensors
-from .riccati import RiccatiSolution
 
 # Normals one batch of runs draws at most (512 KB), so memory stays flat in the run count.
 _DRAW_FLOATS = 1 << 16
@@ -45,7 +44,6 @@ _DRAW_FLOATS = 1 << 16
 class SimulationRecord:
     """One closed-loop trajectory and its realized quadratic cost."""
 
-    run_id: int
     seed: int
     states: tuple[np.ndarray, ...] = field(repr=False)
     estimates: tuple[np.ndarray, ...] = field(repr=False)
@@ -114,19 +112,20 @@ class ClosedLoopSimulator:
         return states, estimates, controls, costs
 
 
-def run_closed_loop(scenario: Scenario, sol: RiccatiSolution, ids, seed: int,
-                    run_id: int = 0) -> SimulationRecord:
-    """Single closed-loop rollout under the given sensor set and seed."""
-    sim = ClosedLoopSimulator(ObjectiveCache(scenario, sol), ids)
-    states, estimates, controls, costs = sim._rollouts(_normals([seed], sim._draws))
-    return SimulationRecord(
-        run_id=run_id,
-        seed=seed,
-        states=tuple(frozen(x[0]) for x in states),
-        estimates=tuple(frozen(x[0]) for x in estimates),
-        controls=tuple(frozen(u[0]) for u in controls),
-        realized_cost=float(costs[0]),
-    )
+def run_closed_loop(cache: ObjectiveCache, ids, seeds) -> tuple[SimulationRecord, ...]:
+    """Rollouts of the set ``ids`` on the cache, record r the run seeded ``seeds[r]``.
+
+    All the seeds run in one batch, so the draws and records of every seed
+    are held at once; ``monte_carlo`` estimates in bounded memory.
+    """
+    sim = ClosedLoopSimulator(cache, ids)
+    seeds = list(seeds)
+    if not seeds:
+        return ()
+    *paths, costs = sim._rollouts(_normals(seeds, sim._draws))
+    paths = [[frozen(x) for x in path] for path in paths]
+    return tuple(SimulationRecord(seed, *(tuple(x[r] for x in path) for path in paths),
+                                  float(costs[r])) for r, seed in enumerate(seeds))
 
 
 def _normals(seeds, count: int) -> np.ndarray:

@@ -645,14 +645,14 @@ def reference_rollout(scenario: lq.Scenario, sol, ids, seed: int):
     return np.array(states), np.array(estimates), np.array(controls), cost
 
 
-def reference_simulator(cache, ids) -> lq.ClosedLoopSimulator:
+def reference_simulator(cache, ids) -> simulate.ClosedLoopSimulator:
     """A simulator whose filter gains come from ``propagate_covariance``, as before the cache.
 
     That path whitens the chosen sensors again and sums their own rows or
     information in ascending id order, where ``cache.trajectory`` sums its
     classes' in class order; the draws and everything else are the same.
     """
-    sim = lq.ClosedLoopSimulator(cache, ids)
+    sim = simulate.ClosedLoopSimulator(cache, ids)
     noise = lq.stack_sensors(cache.scenario, sim.chosen)[1]
     posteriors = lq.propagate_covariance(cache.scenario, sim.chosen).posteriors
     sim._gain_t = np.linalg.solve(noise, sim._C @ posteriors)
@@ -665,7 +665,7 @@ def reference_monte_carlo(cache, ids, runs: int, base_seed: int) -> lq.MonteCarl
     The set has a simulator of its own, its batches are sized by its own
     draws, and each seed's generator draws only the normals this set reads.
     """
-    sim = lq.ClosedLoopSimulator(cache, ids)
+    sim = simulate.ClosedLoopSimulator(cache, ids)
     batches = math.ceil(runs / max(1, simulate._DRAW_FLOATS // sim._draws))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
     costs = []

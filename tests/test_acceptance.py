@@ -77,8 +77,8 @@ def test_criterion_02_oracle_equivalence_and_budget_certificates():
         if _rel_close(greedy.objective_f, oracle.objective_f):
             matches += 1
         gamma, _ = lq.exact_supermodularity_ratio(cache)
-        cert = lq.budget_certificate(greedy, gamma, cache.g(()),
-                                     g_star=oracle.lqg_cost_g)
+        cert = lq.budget_certificate(greedy, gamma, cache.f(()),
+                                     f_star=oracle.objective_f)
         if cert.passed:
             certified += 1
     elapsed = time.perf_counter() - started
@@ -216,8 +216,7 @@ def test_criterion_08_control_mismatch_identity():
     ids = (0,)
     runs = 10_000
     acc = 0.0
-    for r in range(runs):
-        record = lq.run_closed_loop(scenario, sol, ids, seed=8000 + r, run_id=r)
+    for record in lq.run_closed_loop(cache, ids, range(8000, 8000 + runs)):
         for t in range(scenario.horizon):
             mismatch = sol.K[t] @ (record.states[t] - record.estimates[t])
             acc += float(mismatch @ sol.M[t] @ mismatch)

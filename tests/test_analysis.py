@@ -252,7 +252,7 @@ def test_budget_certificate_scalar():
     report = lq.greedy_budget(scenario, cache)
     gamma, _ = lq.exact_supermodularity_ratio(cache)
     oracle = lq.oracle_budget(scenario, cache)
-    cert = lq.budget_certificate(report, gamma, cache.g(()), oracle.lqg_cost_g)
+    cert = lq.budget_certificate(report, gamma, cache.f(()), oracle.objective_f)
     assert cert.kind == "budget"
     # greedy == oracle here, so the full reduction is achieved
     assert cert.lhs == pytest.approx(1.0, abs=1e-9)
@@ -263,7 +263,7 @@ def test_budget_certificate_scalar():
 def test_budget_certificate_zero_gamma_trivial():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     report = lq.greedy_budget(scenario, cache)
-    cert = lq.budget_certificate(report, 0.0, cache.g(()), cache.g((0, 1)))
+    cert = lq.budget_certificate(report, 0.0, cache.f(()), cache.f((0, 1)))
     assert cert.rhs == 0.0
     assert cert.passed
 
@@ -271,7 +271,7 @@ def test_budget_certificate_zero_gamma_trivial():
 def test_budget_certificate_without_reference():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     report = lq.greedy_budget(scenario, cache)
-    cert = lq.budget_certificate(report, 1.0, cache.g(()))
+    cert = lq.budget_certificate(report, 1.0, cache.f(()))
     assert cert.lhs is None
     assert cert.passed is None
     assert cert.rhs > 0.0
@@ -280,7 +280,7 @@ def test_budget_certificate_without_reference():
 def test_budget_certificate_degenerate_denominator():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     report = lq.greedy_budget(scenario, cache)
-    cert = lq.budget_certificate(report, 1.0, cache.g(()), cache.g(()))
+    cert = lq.budget_certificate(report, 1.0, cache.f(()), cache.f(()))
     assert cert.lhs == 1.0
     assert cert.passed
 
@@ -289,7 +289,7 @@ def test_budget_certificate_requires_budget_report():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
     report = lq.greedy_mincost(scenario, cache)
     with pytest.raises(ValueError, match="budget"):
-        lq.budget_certificate(report, 1.0, cache.g(()))
+        lq.budget_certificate(report, 1.0, cache.f(()))
 
 
 def test_budget_certificate_holds_on_random_instances():
@@ -299,7 +299,7 @@ def test_budget_certificate_holds_on_random_instances():
         report = lq.greedy_budget(scenario, cache)
         gamma, _ = lq.exact_supermodularity_ratio(cache)
         oracle = lq.oracle_budget(scenario, cache)
-        cert = lq.budget_certificate(report, gamma, cache.g(()), oracle.lqg_cost_g)
+        cert = lq.budget_certificate(report, gamma, cache.f(()), oracle.objective_f)
         assert cert.passed, (seed, cert)
 
 

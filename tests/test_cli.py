@@ -291,7 +291,7 @@ def test_bound_json_on_the_exact_path(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     scenario, sol, cache = _solved_file(source)
     report = lq.greedy_budget(scenario, cache)
-    rhs = lq.budget_certificate(report, 1.0, cache.g(())).rhs
+    rhs = lq.budget_certificate(report, 1.0, cache.f(())).rhs
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source)])
     assert payload == _bound_json(report, "budget", 1.0, None, {
         "kind": "budget", "gamma": 1.0, "lhs": 1.0, "rhs": rhs, "passed": True,
@@ -312,7 +312,7 @@ def test_bound_json_on_the_spectral_path(tmp_path, capsys):
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), "--ratio-cap", "0"])
     assert payload == _bound_json(budget, "budget", None, gamma, {
         "kind": "budget", "gamma": gamma, "lhs": None,
-        "rhs": lq.budget_certificate(budget, gamma, cache.g(())).rhs,
+        "rhs": lq.budget_certificate(budget, gamma, cache.f(())).rhs,
         "passed": None, "cap_satisfied": None, "note": None,
     })
     mincost = lq.greedy_mincost(scenario, cache)

@@ -5,11 +5,15 @@ the source paper (Tzoumas, Carlone, Pappas & Jadbabaie, arXiv 1802.08376)
 gives the first three.
 
 * Noise scale: W, sigma_init and every V times k scale f by k and leave the
-  supermodularity ratio gamma and the selections as they are.
+  supermodularity ratio gamma and the selections as they are, for k down
+  to 1e-10, near where the loader's positive-definiteness floor rejects V.
 * Cost scale: Q and R times k scale f by k and leave the regulator gains K,
   gamma and the selections as they are.
 * Coordinates: x' = T x with an orthogonal T leaves f and gamma as they are.
 * Relabelling: permuting the sensor ids carries every set's value over.
+
+None of the four moves the greedy budget certificate against the oracle: its
+left side is a ratio of f differences, its right side a function of gamma.
 
 gamma is asserted, not its witness, which can tie.  The spectral bound's
 hypotheses are asserted as they are defined: ``normalized_sensors`` and
@@ -36,6 +40,9 @@ BUDGET = 4.0
 # 2.3e-13 on f and 1.3e-12 on gamma, on formation a3)
 F_RTOL = 1e-11
 GAMMA_RTOL = 1e-10
+# the certificate's left side, formed from f, moved by at most 2.2e-16; formed
+# from g it lost digits to the cost offset, 1.8e-7 at a noise scale of 1e-10
+CERT_LHS_RTOL = 1e-12
 
 
 def _instances():
@@ -55,15 +62,18 @@ def _answers(scenario):
     """Everything the properties compare: the 2^n value table, gamma, the hypotheses, the sets."""
     scenario, sol, cache = support.solved(scenario)
     count = len(scenario.suite)
+    gamma = lq.exact_supermodularity_ratio(cache, count)[0]
+    greedy, oracle = lq.greedy_budget(scenario, cache), lq.oracle_budget(scenario, cache)
     return {
         "sol": sol,
         "cache": cache,
         "table": np.array(cache.f_many(range(1 << count))),
         "offset": cache.offset,
-        "gamma": lq.exact_supermodularity_ratio(cache, count)[0],
+        "gamma": gamma,
         "hypotheses": lq.ratio_lower_bound(cache)[1],
-        "greedy": lq.greedy_budget(scenario, cache),
-        "oracle": lq.oracle_budget(scenario, cache),
+        "greedy": greedy,
+        "oracle": oracle,
+        "certificate": lq.budget_certificate(greedy, gamma, cache.f(()), oracle.objective_f),
     }
 
 
@@ -81,7 +91,14 @@ def _same_selections(before, after):
         assert after[method].chosen == before[method].chosen, method
 
 
-@pytest.mark.parametrize("k", [1e-3, 1e3])
+def _same_certificate(before, after):
+    cert, want = after["certificate"], before["certificate"]
+    assert cert.lhs == pytest.approx(want.lhs, rel=CERT_LHS_RTOL, abs=0.0)
+    assert cert.rhs == pytest.approx(want.rhs, rel=GAMMA_RTOL, abs=0.0)
+    assert cert.passed == want.passed
+
+
+@pytest.mark.parametrize("k", [1e-10, 1e-9, 1e-6, 1e-3, 1e3])
 def test_noise_scale_scales_f_and_keeps_gamma_and_the_sets(instance, k):
     name, scenario, before = instance
     system = scenario.system
@@ -95,6 +112,7 @@ def test_noise_scale_scales_f_and_keeps_gamma_and_the_sets(instance, k):
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"].theta_sum_pd == before["hypotheses"].theta_sum_pd
     _same_selections(before, after)
+    _same_certificate(before, after)
 
 
 @pytest.mark.parametrize("k", [1e-3, 1e3])
@@ -111,6 +129,7 @@ def test_cost_scale_scales_f_and_keeps_the_gains_gamma_and_the_sets(instance, k)
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"] == before["hypotheses"]
     _same_selections(before, after)
+    _same_certificate(before, after)
 
 
 def test_orthogonal_coordinates_keep_f_and_gamma(instance):
@@ -131,6 +150,7 @@ def test_orthogonal_coordinates_keep_f_and_gamma(instance):
     assert after["offset"] == pytest.approx(before["offset"], rel=F_RTOL, abs=0.0)
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"] == before["hypotheses"]
+    _same_certificate(before, after)
 
 
 def test_relabelled_sensors_carry_their_values_over(instance):
@@ -148,6 +168,7 @@ def test_relabelled_sensors_carry_their_values_over(instance):
     np.testing.assert_allclose(after["table"][mapped], before["table"], rtol=F_RTOL, atol=0.0)
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"] == before["hypotheses"]
+    _same_certificate(before, after)
     old_id = np.argsort(new_id)
     classes = before["cache"]._class
     for method in ("greedy", "oracle"):

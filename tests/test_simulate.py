@@ -12,8 +12,8 @@ import support
 
 def test_rollout_deterministic():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    one = lq.run_closed_loop(scenario, sol, (0,), seed=5)
-    two = lq.run_closed_loop(scenario, sol, (0,), seed=5)
+    one, = lq.run_closed_loop(cache, (0,), [5])
+    two, = lq.run_closed_loop(cache, (0,), [5])
     assert one.realized_cost == two.realized_cost
     for a, b in zip(one.states, two.states):
         assert np.array_equal(a, b)
@@ -24,14 +24,14 @@ def test_rollout_deterministic():
 
 def test_rollout_seeds_differ():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    one = lq.run_closed_loop(scenario, sol, (0,), seed=5)
-    other = lq.run_closed_loop(scenario, sol, (0,), seed=6)
+    one, other = lq.run_closed_loop(cache, (0,), (5, 6))
+    assert (one.seed, other.seed) == (5, 6)
     assert one.realized_cost != other.realized_cost
 
 
 def test_rollout_shapes():
     scenario, sol, cache = support.solved(support.random_scenario(31, zero_mean=True))
-    record = lq.run_closed_loop(scenario, sol, scenario.suite.ids, seed=0)
+    record, = lq.run_closed_loop(cache, scenario.suite.ids, [0])
     horizon = scenario.horizon
     assert len(record.states) == horizon + 1
     assert len(record.estimates) == horizon
@@ -41,7 +41,7 @@ def test_rollout_shapes():
 
 def test_controls_follow_gain():
     scenario, sol, cache = support.solved(support.random_scenario(32))
-    record = lq.run_closed_loop(scenario, sol, scenario.suite.ids, seed=1)
+    record, = lq.run_closed_loop(cache, scenario.suite.ids, [1])
     for t in range(scenario.horizon):
         np.testing.assert_allclose(record.controls[t],
                                    sol.K[t] @ record.estimates[t], atol=1e-12)
@@ -56,8 +56,8 @@ def test_near_perfect_sensing_attains_mean_cost():
     scenario = lq.Scenario(system=system,
                            suite=lq.SensorSuite(sensors=(sensor,), state_dim=1),
                            weights=support.scalar_weights())
-    sol = lq.solve_riccati(system, scenario.weights)
-    record = lq.run_closed_loop(scenario, sol, (0,), seed=11)
+    scenario, sol, cache = support.solved(scenario)
+    record, = lq.run_closed_loop(cache, (0,), [11])
     x1 = float(record.states[0][0])
     assert record.realized_cost == pytest.approx(0.5 * x1 * x1, abs=1e-4)
 
@@ -82,21 +82,25 @@ def test_monte_carlo_mean_is_plain_average_of_rollouts():
     scenario, sol, cache = support.solved(support.random_scenario(33))
     ids = scenario.suite.ids[:1]
     summary = lq.monte_carlo(cache, ids, runs=5, base_seed=40)
-    costs = [lq.run_closed_loop(scenario, sol, ids, seed=40 + r).realized_cost
-             for r in range(5)]
+    costs = [record.realized_cost for record in lq.run_closed_loop(cache, ids, range(40, 45))]
     assert summary.mean_cost == pytest.approx(np.mean(costs), abs=1e-12)
     assert summary.std_error == pytest.approx(
         np.std(costs, ddof=1) / np.sqrt(5), abs=1e-12)
 
 
 def test_monte_carlo_extends_previous_runs():
-    # doubling the run count with the same base seed reuses the first half
-    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    short = [lq.run_closed_loop(scenario, sol, (0,), seed=60 + r).realized_cost
-             for r in range(3)]
-    extended = [lq.run_closed_loop(scenario, sol, (0,), seed=60 + r).realized_cost
-                for r in range(6)]
-    assert extended[:3] == short
+    # doubling the run count with the same base seed reuses the first half:
+    # the draws bit for bit, the costs to roundoff (the batch shape differs)
+    scenario, sol, cache = support.solved(support.random_scenario(33))
+    ids = scenario.suite.ids
+    draws = simulate.ClosedLoopSimulator(cache, ids)._draws
+    assert np.array_equal(simulate._normals(range(60, 66), draws)[:3],
+                          simulate._normals(range(60, 63), draws))
+    short = [record.realized_cost for record in lq.run_closed_loop(cache, ids, range(60, 63))]
+    extended = lq.run_closed_loop(cache, ids, range(60, 66))
+    assert [record.seed for record in extended] == list(range(60, 66))
+    np.testing.assert_allclose([record.realized_cost for record in extended[:3]], short,
+                               rtol=1e-12, atol=0.0)
 
 
 def test_monte_carlo_rejects_bad_runs():
@@ -110,12 +114,12 @@ def test_rollout_rejects_a_solution_of_another_horizon():
     other = lq.build_uav_scenario(1, 3, "uniform", 0)
     sol = lq.solve_riccati(other.system, other.weights)
     with pytest.raises(ValueError, match="horizon"):
-        lq.run_closed_loop(scenario, sol, (0,), seed=1)
+        lq.ObjectiveCache(scenario, sol)
 
 
 def test_empty_set_rollout():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    record = lq.run_closed_loop(scenario, sol, (), seed=2)
+    record, = lq.run_closed_loop(cache, (), [2])
     # no measurements: the estimate is the prior mean, zero here
     assert record.estimates[0] == pytest.approx(np.zeros(1))
     summary = lq.monte_carlo(cache, (), runs=400, base_seed=7)
@@ -143,12 +147,12 @@ def test_rollout_matches_the_information_form_reference():
     # the gain-form batched rollout against the per-run information-form loop
     mixed = 0
     for name, scenario, id_sets in _rollout_cases():
-        sol = lq.solve_riccati(scenario.system, scenario.weights)
+        scenario, sol, cache = support.solved(scenario)
         for ids in id_sets:
             dims = {scenario.suite.sensor(i).output_dim for i in ids}
             mixed += len(dims) > 1
-            for seed in (0, 17):
-                record = lq.run_closed_loop(scenario, sol, ids, seed=seed)
+            records = lq.run_closed_loop(cache, ids, (0, 17))
+            for seed, record in zip((0, 17), records):
                 states, estimates, controls, cost = support.reference_rollout(
                     scenario, sol, ids, seed)
                 case = (name, ids, seed)
@@ -157,6 +161,32 @@ def test_rollout_matches_the_information_form_reference():
                 assert _rel(record.controls, controls) <= 1e-12, case
                 assert record.realized_cost == pytest.approx(cost, rel=1e-12), case
     assert mixed >= 3
+
+
+def test_run_closed_loop_takes_any_iterable_of_seeds_once():
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
+    assert lq.run_closed_loop(cache, (0,), []) == ()
+    assert lq.run_closed_loop(cache, (0,), iter(())) == ()
+    from_generator = lq.run_closed_loop(cache, (0,), (seed for seed in (3, 4, 5)))
+    from_range = lq.run_closed_loop(cache, (0,), range(3, 6))
+    assert [record.seed for record in from_generator] == [3, 4, 5]
+    assert [record.realized_cost for record in from_generator] == \
+        [record.realized_cost for record in from_range]
+    with pytest.raises(lq.ValidationError):
+        lq.run_closed_loop(cache, (7,), [])
+
+
+def test_a_batch_of_one_agrees_with_the_whole_batch():
+    # the draws are the same; the BLAS products may see the batch shape, so
+    # the runs agree to roundoff, not bit for bit
+    scenario, sol, cache = support.solved(lq.build_formation_scenario(3, 6, seed=2))
+    ids = scenario.suite.ids
+    whole = lq.run_closed_loop(cache, ids, range(7, 47))
+    for record in whole:
+        alone, = lq.run_closed_loop(cache, ids, [record.seed])
+        for field in ("states", "estimates", "controls"):
+            assert _rel(getattr(alone, field), getattr(record, field)) <= 1e-12, record.seed
+        assert alone.realized_cost == pytest.approx(record.realized_cost, rel=1e-12, abs=0.0)
 
 
 def test_rollouts_agree_with_the_propagate_covariance_gains():
@@ -169,7 +199,7 @@ def test_rollouts_agree_with_the_propagate_covariance_gains():
     for scenario, id_sets in cases:
         scenario, sol, cache = support.solved(scenario)
         for ids in id_sets:
-            sim = lq.ClosedLoopSimulator(cache, ids)
+            sim = simulate.ClosedLoopSimulator(cache, ids)
             reference = support.reference_simulator(cache, ids)
             draws = simulate._normals(range(3, 9), sim._draws)
             *paths, costs = sim._rollouts(draws)
@@ -239,7 +269,7 @@ def test_monte_carlo_batches_agree_with_one_batch(monkeypatch, per_batch, sizes)
         whole = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
         assert seen == [10]
         # a cap of per_batch runs' draws splits the ten runs into near-equal batches
-        draws = lq.ClosedLoopSimulator(lq.ObjectiveCache(scenario, sol), ids)._draws
+        draws = simulate.ClosedLoopSimulator(lq.ObjectiveCache(scenario, sol), ids)._draws
         monkeypatch.setattr(simulate, "_DRAW_FLOATS", per_batch * draws)
         seen.clear()
         split = lq.monte_carlo(lq.ObjectiveCache(scenario, sol), ids, runs=10, base_seed=3)
@@ -282,7 +312,7 @@ def test_monte_carlo_many_batches_agree_with_per_set_batches(monkeypatch):
     monkeypatch.setattr(simulate.ClosedLoopSimulator, "_rollouts", recorded)
     for scenario, id_sets in _many_cases():
         scenario, sol, cache = support.solved(scenario)
-        longest = lq.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
+        longest = simulate.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
         monkeypatch.setattr(simulate, "_DRAW_FLOATS", 3 * longest)
         seen.clear()
         many = lq.monte_carlo_many(cache, id_sets, runs=10, base_seed=3)
@@ -324,7 +354,7 @@ def test_each_seed_makes_one_generator_per_batch(monkeypatch):
 
     scenario, sol, cache = support.solved(lq.build_uav_scenario(landmarks=2, horizon=4, seed=1))
     id_sets = [scenario.suite.ids, (), (0, 2), (1,)]
-    longest = lq.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
+    longest = simulate.ClosedLoopSimulator(cache, scenario.suite.ids)._draws
     monkeypatch.setattr(simulate, "_DRAW_FLOATS", 4 * longest)
     monkeypatch.setattr(np.random, "Philox", counted)
     lq.monte_carlo_many(cache, id_sets, runs=11, base_seed=20)
