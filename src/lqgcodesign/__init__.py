@@ -23,7 +23,6 @@ from .kalman import (
     CovarianceTrajectory,
     ObjectiveCache,
     cost_offset,
-    kappa_bar,
     propagate_covariance,
     sensing_objective,
     whiten_sensor,
@@ -106,7 +105,6 @@ __all__ = [
     "exact_supermodularity_ratio",
     "greedy_budget",
     "greedy_mincost",
-    "kappa_bar",
     "load_scenario",
     "mincost_certificate",
     "monte_carlo",

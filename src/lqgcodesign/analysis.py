@@ -112,7 +112,7 @@ def exact_supermodularity_ratio(cache: ObjectiveCache,
     ``_ratio_from_table``: O(n 2^n) vectorized array work per sensor, so
     building the 2^n value table is the whole cost.
     """
-    count = _require_enumerable(cache.scenario, max_sensors, "exact ratio")
+    count = _require_enumerable(cache, max_sensors, "exact ratio")
     return _ratio_from_table(cache.f_many(range(1 << count)), count)
 
 

@@ -19,14 +19,14 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 from pathlib import Path
 
 from ._linalg import NumericalError
 from .analysis import RATIO_CAP, budget_certificate, mincost_certificate, ratio_report
 from .kalman import ObjectiveCache
-from .model import ValidationError, load_scenario, save_scenario
+from .model import ValidationError, constraint, load_scenario, save_scenario
 from .riccati import solve_riccati
 from .selection import (
     ORACLE_CAP,
@@ -153,13 +153,13 @@ def _solved(scenario) -> ObjectiveCache:
     return ObjectiveCache(scenario, solve_riccati(scenario.system, scenario.weights))
 
 
-def _certify(scenario, cache, report: SelectionReport, problem: str, args, ratio=None):
+def _certify(cache, report: SelectionReport, problem: str, args, ratio=None):
     """(gamma_exact, gamma_bound, certificate) of a greedy report; all None for other methods.
 
     ``ratio``, the scenario's ``ratio_report``, is computed when not given.  The
     certificate uses the exact ratio when there is one, checked against the
-    brute-force optimum within ``--oracle-cap``; otherwise the spectral bound
-    when its hypotheses hold, without the optimum.
+    brute-force optimum under the report's constraint within ``--oracle-cap``;
+    otherwise the spectral bound when its hypotheses hold, without the optimum.
     """
     if report.method != "greedy":
         return None, None, None
@@ -169,8 +169,9 @@ def _certify(scenario, cache, report: SelectionReport, problem: str, args, ratio
     if gamma is None:
         return None, None, None
     reference = None
-    if ratio.exact is not None and len(scenario.suite) <= args.oracle_cap:
-        reference = _run_method(scenario, cache, problem, "oracle", args)
+    if ratio.exact is not None and len(cache.scenario.suite) <= args.oracle_cap:
+        limit = report.budget if problem == "budget" else report.kappa
+        reference = _run_method(cache, problem, "oracle", limit, args)
     if problem == "budget":
         cert = budget_certificate(report, gamma, cache.f(()),
                                   f_star=None if reference is None else reference.objective_f)
@@ -203,35 +204,38 @@ def _selection_row(scenario_id, scenario, report: SelectionReport,
     )
 
 
-def _run_method(scenario, cache, problem: str, method: str, args,
+def _run_method(cache, problem: str, method: str, limit: float, args,
                 mandatory=()) -> SelectionReport:
+    """``method``'s report on ``problem`` under ``limit``, the budget or the cost cap."""
     if problem == "mincost" and method not in ("greedy", "oracle"):
         raise ValueError(f"method {method!r} applies only to budget selection")
     if method == "greedy":
         if problem == "budget":
-            return greedy_budget(scenario, cache)
-        return greedy_mincost(scenario, cache)
+            return greedy_budget(cache, limit)
+        return greedy_mincost(cache, limit)
     if method == "oracle":
         if problem == "budget":
-            return oracle_budget(scenario, cache, max_sensors=args.oracle_cap)
-        return oracle_mincost(scenario, cache, max_sensors=args.oracle_cap)
+            return oracle_budget(cache, limit, max_sensors=args.oracle_cap)
+        return oracle_mincost(cache, limit, max_sensors=args.oracle_cap)
     if method == "logdet":
-        return baseline_logdet(scenario, cache)
+        return baseline_logdet(cache, limit)
     if method == "random":
-        return baseline_random(scenario, cache, mandatory, seed=args.seed)
+        return baseline_random(cache, limit, mandatory, seed=args.seed)
     if method == "all":
-        return evaluate_set(scenario, cache, scenario.suite.ids, method="all")
+        return evaluate_set(cache, cache.scenario.suite.ids, method="all", budget=limit)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _scenario_with_constraint(args, problem: str):
+    """The scenario file and its budget or cost cap, checked before any solve; flags win."""
     name = "budget" if problem == "budget" else "kappa"
     scenario = load_scenario(args.scenario)
-    if getattr(args, name) is not None:
-        scenario = replace(scenario, **{name: getattr(args, name)})
-    if getattr(scenario, name) is None:
+    limit = getattr(args, name)
+    if limit is None:
+        limit = getattr(scenario, name)
+    if limit is None:
         raise ValueError(f"no {name} given; pass --{name} or store one in the scenario")
-    return scenario
+    return scenario, constraint(limit, name)
 
 
 def _build_scenario(family: str, size: int, horizon: int, mode: str, seed: int):
@@ -264,18 +268,19 @@ def cmd_riccati(args) -> int:
 
 def cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    report = evaluate_set(scenario, _solved(scenario), _parse_ids(args.set, "--set"))
+    report = evaluate_set(_solved(scenario), _parse_ids(args.set, "--set"),
+                          budget=scenario.budget, kappa=scenario.kappa)
     row = _selection_row(Path(args.scenario).stem, scenario, report)
     _emit_rows([row], args.format, args.out)
     return 0
 
 
 def cmd_select(args) -> int:
-    scenario = _scenario_with_constraint(args, args.problem)
+    scenario, limit = _scenario_with_constraint(args, args.problem)
     cache = _solved(scenario)
-    report = _run_method(scenario, cache, args.problem, args.method, args,
+    report = _run_method(cache, args.problem, args.method, limit, args,
                          _parse_ids(getattr(args, "mandatory", None), "--mandatory"))
-    certified = _certify(scenario, cache, report, args.problem, args)
+    certified = _certify(cache, report, args.problem, args)
     row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -285,12 +290,13 @@ def cmd_simulate(args) -> int:
     if args.set is not None:
         scenario = load_scenario(args.scenario)
         cache = _solved(scenario)
-        report = evaluate_set(scenario, cache, _parse_ids(args.set, "--set"))
+        report = evaluate_set(cache, _parse_ids(args.set, "--set"),
+                              budget=scenario.budget, kappa=scenario.kappa)
     else:
         problem = "mincost" if args.kappa is not None else "budget"
-        scenario = _scenario_with_constraint(args, problem)
+        scenario, limit = _scenario_with_constraint(args, problem)
         cache = _solved(scenario)
-        report = _run_method(scenario, cache, problem, args.method, args,
+        report = _run_method(cache, problem, args.method, limit, args,
                              _parse_ids(args.mandatory, "--mandatory"))
     summary = monte_carlo(cache, report.chosen, runs=args.runs, base_seed=args.seed)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
@@ -308,10 +314,10 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    scenario = _scenario_with_constraint(args, args.problem)
+    scenario, limit = _scenario_with_constraint(args, args.problem)
     cache = _solved(scenario)
-    report = _run_method(scenario, cache, args.problem, "greedy", args)
-    gamma_exact, gamma_bound, cert = _certify(scenario, cache, report, args.problem, args)
+    report = _run_method(cache, args.problem, "greedy", limit, args)
+    gamma_exact, gamma_bound, cert = _certify(cache, report, args.problem, args)
     if cert is None:
         raise ValueError(
             f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
@@ -375,17 +381,15 @@ def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> l
     ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
     picked = []
     for budget in budgets:
-        scenario = replace(base, budget=budget)
         for method in methods:
-            report = _run_method(scenario, cache, "budget", method, args, mandatory)
-            picked.append((scenario, report, _certify(scenario, cache, report, "budget", args,
-                                                      ratio)))
+            report = _run_method(cache, "budget", method, budget, args, mandatory)
+            picked.append((report, _certify(cache, report, "budget", args, ratio)))
     summaries = [None] * len(picked)
     if args.runs > 0:
-        summaries = monte_carlo_many(cache, [report.chosen for _, report, _ in picked],
+        summaries = monte_carlo_many(cache, [report.chosen for report, _ in picked],
                                      runs=args.runs, base_seed=args.seed)
-    return [_selection_row(scenario_id, scenario, report, summary, certified)
-            for (scenario, report, certified), summary in zip(picked, summaries)]
+    return [_selection_row(scenario_id, base, report, summary, certified)
+            for (report, certified), summary in zip(picked, summaries)]
 
 
 def _add_common_output(parser) -> None:
@@ -460,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--scenario", required=True)
     p_sim.add_argument("--set", default=None, help="explicit sensor ids; overrides --method")
     p_sim.add_argument("--method", default="greedy", choices=METHODS)
-    p_sim.add_argument("--budget", type=float, default=None)
-    p_sim.add_argument("--kappa", type=float, default=None)
+    limits = p_sim.add_mutually_exclusive_group()
+    limits.add_argument("--budget", type=float, default=None)
+    limits.add_argument("--kappa", type=float, default=None)
     p_sim.add_argument("--mandatory", default="")
     p_sim.add_argument("--runs", type=int, default=100)
     p_sim.add_argument("--seed", type=_seed, default=0)

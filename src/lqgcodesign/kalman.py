@@ -292,19 +292,6 @@ def cost_offset(scenario: Scenario, sol: RiccatiSolution) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def kappa_bar(scenario: Scenario, sol: RiccatiSolution) -> float:
-    """Cap on the sensing objective equivalent to the scenario's cost cap.
-
-    Subtracting the sensor-independent offset from ``kappa`` makes the
-    full cost ``ObjectiveCache.g(S) <= kappa`` hold exactly when the
-    sensing objective ``ObjectiveCache.f(S) <= kappa_bar``.  May be negative, in which case
-    no sensor set can meet the cap.
-    """
-    if scenario.kappa is None:
-        raise ValueError("scenario defines no kappa; set one to use cost-capped selection")
-    return scenario.kappa - cost_offset(scenario, sol)
-
-
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
@@ -415,4 +402,13 @@ class ObjectiveCache:
         return self.logdet_many((self._mask(ids),))[0]
 
     def kappa_bar(self) -> float:
-        return kappa_bar(self.scenario, self.sol)
+        """Cap on the sensing objective equivalent to the scenario's cost cap.
+
+        Subtracting the sensor-independent offset from ``kappa`` makes the
+        full cost ``g(S) <= kappa`` hold exactly when the sensing objective
+        ``f(S) <= kappa_bar``.  May be negative, in which case no sensor set
+        can meet the cap.
+        """
+        if self.scenario.kappa is None:
+            raise ValueError("scenario defines no kappa; set one to use cost-capped selection")
+        return self.scenario.kappa - self.offset

@@ -341,8 +341,9 @@ class Scenario:
     """A complete co-design problem: plant, weights, sensors, and constraints.
 
     ``budget`` bounds the total cost of the selected sensors; ``kappa``
-    bounds the achievable LQG cost.  Either may be absent and is then
-    required only by the operations that use it.
+    bounds the achievable LQG cost.  Either may be absent: the selection
+    routines take their constraint as an argument, and the stored values
+    are defaults for the command line and ``ObjectiveCache.kappa_bar``.
     """
 
     system: LtvSystem
@@ -372,13 +373,8 @@ class Scenario:
                     f"sensor {s.id}: expected {T} steps of C/V, got {s.horizon}"
                 )
         for name in ("budget", "kappa"):
-            val = getattr(self, name)
-            if val is None:
-                continue
-            val = _as_number(val, name)
-            if not np.isfinite(val) or val < 0.0:
-                raise ValidationError(f"{name} must be finite and nonnegative")
-            object.__setattr__(self, name, val)
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, constraint(getattr(self, name), name))
 
     @property
     def horizon(self) -> int:
@@ -387,6 +383,14 @@ class Scenario:
     @property
     def state_dim(self) -> int:
         return self.system.state_dim
+
+
+def constraint(value, name: str) -> float:
+    """A budget or cost cap as a float; ``ValidationError`` unless finite and nonnegative."""
+    value = _as_number(value, name)
+    if not np.isfinite(value) or value < 0.0:
+        raise ValidationError(f"{name} must be finite and nonnegative")
+    return value
 
 
 def chosen_ids(suite: SensorSuite, ids) -> tuple[int, ...]:

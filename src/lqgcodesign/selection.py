@@ -3,9 +3,9 @@
 Two problems are solved over the ground set of sensor ids:
 
 * budget-capped:   minimize the sensing objective subject to a total
-  selection cost no greater than ``scenario.budget``;
+  selection cost no greater than the budget;
 * cost-capped:     minimize the selection cost subject to the full LQG
-  cost staying at or below ``scenario.kappa``.
+  cost staying at or below the cap ``kappa``.
 
 Both greedy routines run one sweep, ``_sweep``: starting empty, it adds the
 sensor with the best objective drop per unit cost, with every candidate of
@@ -19,8 +19,9 @@ the effective cap.  Every report's objective and cost fields come from
 sweeps and the oracles to the objective cache, and become id tuples only in
 reports.
 
-Every routine takes the scenario, for its constraint, and an ``ObjectiveCache``
-built for its plant, sensors and weights; any other cache is refused.
+Every routine takes an ``ObjectiveCache``, the one source of the plant,
+sensors, weights and Riccati solution, and the scalar that bounds its
+problem, the budget or ``kappa``; ``model.constraint`` checks it.
 
 All argmax/argmin ties resolve to the smallest sensor id, so every routine
 is a pure function of its inputs.  A free sensor (cost 0) with positive
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import ObjectiveCache, _mask_ids, kappa_bar
-from .model import Scenario, chosen_ids, set_cost
+from .kalman import ObjectiveCache, _mask_ids
+from .model import chosen_ids, constraint, set_cost
 
 # Largest ground set the oracles enumerate unless told otherwise (2^20 sets).
 ORACLE_CAP = 20
@@ -144,36 +145,21 @@ def _sweep(suite, objective_many, value: float, proceed):
     return chosen, value, iterations
 
 
-def _report(scenario: Scenario, cache: ObjectiveCache, method: str, ids,
-            **fields) -> SelectionReport:
+def _report(cache: ObjectiveCache, method: str, ids, **fields) -> SelectionReport:
     """A report on the set ``ids`` with its LQG objective, full cost and selection cost."""
-    chosen = chosen_ids(scenario.suite, ids)
+    suite = cache.scenario.suite
+    chosen = chosen_ids(suite, ids)
     value = cache.f(chosen)
     return SelectionReport(
         method=method, chosen=chosen, objective_f=value, lqg_cost_g=value + cache.offset,
-        cost=set_cost(scenario.suite, chosen), **fields,
+        cost=set_cost(suite, chosen), **fields,
     )
 
 
-def _require_cache_for(scenario: Scenario, cache: ObjectiveCache) -> None:
-    """``ValueError`` unless ``cache`` was built for this plant, suite and weights (by identity)."""
-    if any(getattr(scenario, part) is not getattr(cache.scenario, part)
-           for part in ("system", "suite", "weights")):
-        raise ValueError("objective cache was built for another plant, sensor suite or weights")
-
-
-def _require_budget(scenario: Scenario) -> float:
-    if scenario.budget is None:
-        raise ValueError("scenario defines no budget; set one to use budget-capped selection")
-    return scenario.budget
-
-
-def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
-                  method: str) -> SelectionReport:
+def _budget_sweep(cache: ObjectiveCache, budget, objective_many, method: str) -> SelectionReport:
     """Budget sweep on ``objective_many``: best singleton versus efficiency-greedy set."""
-    _require_cache_for(scenario, cache)
-    budget = _require_budget(scenario)
-    suite = scenario.suite
+    budget = constraint(budget, "budget")
+    suite = cache.scenario.suite
     affordable = [s.id for s in suite if s.cost <= budget]
     base_value, *single_values = objective_many([0, *(1 << i for i in affordable)])
     # a tie in value goes to the smaller id
@@ -192,12 +178,12 @@ def _budget_sweep(scenario: Scenario, cache: ObjectiveCache, objective_many,
         CandidateRecord("singleton", singleton, single_value),
         CandidateRecord("greedy", greedy, value),
     )
-    return _report(scenario, cache, method, greedy if value <= single_value else singleton,
+    return _report(cache, method, greedy if value <= single_value else singleton,
                    budget=budget, candidates=candidates, iterations=tuple(iterations),
                    removed=removed)
 
 
-def greedy_budget(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
+def greedy_budget(cache: ObjectiveCache, budget: float) -> SelectionReport:
     """Efficiency-greedy sweep under the budget, guarded by the best singleton.
 
     Returns whichever of the greedy set and the best affordable singleton
@@ -206,20 +192,20 @@ def greedy_budget(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
     a crossing step is rolled back (a set costing exactly the budget is
     kept).
     """
-    return _budget_sweep(scenario, cache, cache.f_many, "greedy")
+    return _budget_sweep(cache, budget, cache.f_many, "greedy")
 
 
-def greedy_mincost(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
+def greedy_mincost(cache: ObjectiveCache, kappa: float) -> SelectionReport:
     """Efficiency-greedy sweep that stops once the LQG cost cap is met.
 
     Starts empty and keeps adding the best gain-per-cost sensor while the
     sensing objective still exceeds the effective cap.  Raises
     ``InfeasibleError`` when the full ground set cannot meet the cap.
     """
-    _require_cache_for(scenario, cache)
-    cap = kappa_bar(scenario, cache.sol)
+    kappa = constraint(kappa, "kappa")
+    cap = kappa - cache.offset
     empty_value = cache.f(())
-    chosen, value, iterations = _sweep(scenario.suite, cache.f_many, empty_value,
+    chosen, value, iterations = _sweep(cache.scenario.suite, cache.f_many, empty_value,
                                        lambda _, value: value > cap)
     if value > cap:
         raise InfeasibleError(f_all=value, kappa_bar=cap)
@@ -227,14 +213,15 @@ def greedy_mincost(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport
     if iterations:
         last_added = iterations[-1].added
         prefix_f = iterations[-2].objective_after if len(iterations) > 1 else empty_value
-    return _report(scenario, cache, "greedy", _mask_ids(chosen), kappa=scenario.kappa,
+    return _report(cache, "greedy", _mask_ids(chosen), kappa=kappa,
                    kappa_bar=cap, iterations=tuple(iterations), last_added=last_added,
                    prefix_f=prefix_f)
 
 
-def _require_enumerable(scenario: Scenario, max_sensors: int, task: str = "brute force") -> int:
+def _require_enumerable(cache: ObjectiveCache, max_sensors: int,
+                        task: str = "brute force") -> int:
     """Ground-set size, or ``ValueError`` when ``task`` would enumerate over the cap."""
-    count = len(scenario.suite)
+    count = len(cache.scenario.suite)
     if count > max_sensors:
         raise ValueError(
             f"{task} over {count} sensors exceeds the enumeration cap "
@@ -259,40 +246,39 @@ def _least(masks: np.ndarray, *keys: np.ndarray) -> tuple[int, ...]:
     return min(_mask_ids(mask) for mask in masks[keep].tolist())
 
 
-def oracle_budget(scenario: Scenario, cache: ObjectiveCache,
+def oracle_budget(cache: ObjectiveCache, budget: float,
                   max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive minimum of the sensing objective over affordable sets.
 
     Ties resolve to the lexicographically smallest id tuple.  Guarded by an
     enumeration cap since the search visits every subset.
     """
-    _require_cache_for(scenario, cache)
-    budget = _require_budget(scenario)
-    _require_enumerable(scenario, max_sensors)
-    affordable = np.flatnonzero(_cost_table(scenario.suite) <= budget)
+    budget = constraint(budget, "budget")
+    _require_enumerable(cache, max_sensors)
+    affordable = np.flatnonzero(_cost_table(cache.scenario.suite) <= budget)
     values = np.array(cache.f_many(affordable.tolist()))
-    return _report(scenario, cache, "oracle", _least(affordable, values), budget=budget)
+    return _report(cache, "oracle", _least(affordable, values), budget=budget)
 
 
-def oracle_mincost(scenario: Scenario, cache: ObjectiveCache,
+def oracle_mincost(cache: ObjectiveCache, kappa: float,
                    max_sensors: int = ORACLE_CAP) -> SelectionReport:
     """Exhaustive cheapest set meeting the LQG cost cap.
 
     Ties resolve first to the smaller sensing objective, then to the
     lexicographically smallest id tuple.
     """
-    _require_cache_for(scenario, cache)
-    count = _require_enumerable(scenario, max_sensors)
-    cap = kappa_bar(scenario, cache.sol)
+    kappa = constraint(kappa, "kappa")
+    count = _require_enumerable(cache, max_sensors)
+    cap = kappa - cache.offset
     table = np.array(cache.f_many(range(1 << count)))
     feasible = np.flatnonzero(table <= cap)
     if not feasible.size:
         raise InfeasibleError(f_all=float(table[-1]), kappa_bar=cap)
-    best = _least(feasible, _cost_table(scenario.suite)[feasible], table[feasible])
-    return _report(scenario, cache, "oracle", best, kappa=scenario.kappa, kappa_bar=cap)
+    best = _least(feasible, _cost_table(cache.scenario.suite)[feasible], table[feasible])
+    return _report(cache, "oracle", best, kappa=kappa, kappa_bar=cap)
 
 
-def baseline_logdet(scenario: Scenario, cache: ObjectiveCache) -> SelectionReport:
+def baseline_logdet(cache: ObjectiveCache, budget: float) -> SelectionReport:
     """Budget sweep driven by the average log-volume of the filtering error.
 
     Identical mechanics to ``greedy_budget`` (singleton guard, rollback of a
@@ -300,10 +286,10 @@ def baseline_logdet(scenario: Scenario, cache: ObjectiveCache) -> SelectionRepor
     records are in the log-volume surrogate.  The report's objective fields
     are the LQG quantities of the chosen set.
     """
-    return _budget_sweep(scenario, cache, cache.logdet_many, "logdet")
+    return _budget_sweep(cache, budget, cache.logdet_many, "logdet")
 
 
-def baseline_random(scenario: Scenario, cache: ObjectiveCache, mandatory,
+def baseline_random(cache: ObjectiveCache, budget: float, mandatory,
                     seed: int) -> SelectionReport:
     """Mandatory sensors plus a seeded random draw of the others.
 
@@ -313,9 +299,8 @@ def baseline_random(scenario: Scenario, cache: ObjectiveCache, mandatory,
     than the budget.  Identical seeds give identical sets, and for a loose
     budget every superset of the mandatory ids has positive probability.
     """
-    _require_cache_for(scenario, cache)
-    budget = _require_budget(scenario)
-    suite = scenario.suite
+    budget = constraint(budget, "budget")
+    suite = cache.scenario.suite
     chosen = set(chosen_ids(suite, mandatory))
     cost = set_cost(suite, chosen)
     if cost > budget:
@@ -328,11 +313,14 @@ def baseline_random(scenario: Scenario, cache: ObjectiveCache, mandatory,
         for i in order[:count]:
             if set_cost(suite, chosen | {i}) <= budget:
                 chosen.add(i)
-    return _report(scenario, cache, "random", chosen, budget=budget, seed=seed)
+    return _report(cache, "random", chosen, budget=budget, seed=seed)
 
 
-def evaluate_set(scenario: Scenario, cache: ObjectiveCache, ids,
-                 method: str = "set") -> SelectionReport:
-    """Report the objectives of an explicitly given sensor set."""
-    _require_cache_for(scenario, cache)
-    return _report(scenario, cache, method, ids, budget=scenario.budget, kappa=scenario.kappa)
+def evaluate_set(cache: ObjectiveCache, ids, method: str = "set", *,
+                 budget: float | None = None, kappa: float | None = None) -> SelectionReport:
+    """Report the objectives of an explicitly given sensor set, with any constraint given."""
+    if budget is not None:
+        budget = constraint(budget, "budget")
+    if kappa is not None:
+        kappa = constraint(kappa, "kappa")
+    return _report(cache, method, ids, budget=budget, kappa=kappa)

@@ -692,14 +692,13 @@ def reference_sweep_point(base, scenario_id, mandatory, methods, budgets, args):
     ratio = lq.ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
     rows = []
     for budget in budgets:
-        scenario = replace(base, budget=budget)
         for method in methods:
-            report = cli._run_method(scenario, cache, "budget", method, args, mandatory)
+            report = cli._run_method(cache, "budget", method, budget, args, mandatory)
             summary = None
             if args.runs > 0:
                 summary = reference_monte_carlo(cache, report.chosen, args.runs, args.seed)
-            certified = cli._certify(scenario, cache, report, "budget", args, ratio)
-            rows.append(cli._selection_row(scenario_id, scenario, report, summary, certified))
+            certified = cli._certify(cache, report, "budget", args, ratio)
+            rows.append(cli._selection_row(scenario_id, base, report, summary, certified))
     return rows
 
 

@@ -44,11 +44,10 @@ def test_criterion_01_scalar_fixture_suite():
     checks["g_empty"] = abs(cache.g(()) - 1.0) <= 1e-9
     checks["kappa_bar"] = abs(cache.kappa_bar() - 1.5) <= 1e-9
 
-    checks["greedy_budget"] = lq.greedy_budget(scenario, cache).chosen == (1,)
-    capped = replace(scenario, kappa=0.7)  # kappa_bar = 0.2
-    capped_cache = lq.ObjectiveCache(capped, sol)
-    checks["greedy_mincost"] = lq.greedy_mincost(capped, capped_cache).chosen == (0, 1)
-    checks["oracle_mincost"] = lq.oracle_mincost(capped, capped_cache).chosen == (1,)
+    checks["greedy_budget"] = lq.greedy_budget(cache, scenario.budget).chosen == (1,)
+    # kappa = 0.7 leaves kappa_bar = 0.2
+    checks["greedy_mincost"] = lq.greedy_mincost(cache, 0.7).chosen == (0, 1)
+    checks["oracle_mincost"] = lq.oracle_mincost(cache, 0.7).chosen == (1,)
 
     gamma, _ = lq.exact_supermodularity_ratio(cache)
     checks["gamma_exact"] = abs(gamma - 1.0) <= 1e-9
@@ -72,8 +71,8 @@ def test_criterion_02_oracle_equivalence_and_budget_certificates():
     for seed in range(2000, 2000 + total):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed, with_budget=True, unit_costs=True))
-        greedy = lq.greedy_budget(scenario, cache)
-        oracle = lq.oracle_budget(scenario, cache)
+        greedy = lq.greedy_budget(cache, scenario.budget)
+        oracle = lq.oracle_budget(cache, scenario.budget)
         if _rel_close(greedy.objective_f, oracle.objective_f):
             matches += 1
         gamma, _ = lq.exact_supermodularity_ratio(cache)
@@ -98,11 +97,11 @@ def test_criterion_03_mincost_cap_and_cost_bound():
         base = support.random_scenario(seed)
         scenario = support.with_feasible_kappa(*support.solved(base), seed=seed)
         scenario, sol, cache = support.solved(scenario)
-        greedy = lq.greedy_mincost(scenario, cache)
+        greedy = lq.greedy_mincost(cache, scenario.kappa)
         if greedy.lqg_cost_g <= scenario.kappa + 1e-9:
             cap_ok += 1
         gamma, _ = lq.exact_supermodularity_ratio(cache)
-        oracle = lq.oracle_mincost(scenario, cache)
+        oracle = lq.oracle_mincost(cache, scenario.kappa)
         cert = lq.mincost_certificate(greedy, gamma, cache.g(()),
                                       b_star=oracle.cost)
         if cert.passed is True:
@@ -189,7 +188,7 @@ def test_criterion_07_separation_consistency():
                              summary.std_error))
 
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    greedy = lq.greedy_budget(scenario, cache)
+    greedy = lq.greedy_budget(cache, scenario.budget)
     for ids, tag in ((tuple(), "scalar empty"),
                      (greedy.chosen, "scalar greedy"),
                      (scenario.suite.ids, "scalar all")):
@@ -198,7 +197,7 @@ def test_criterion_07_separation_consistency():
     formation = replace(lq.build_formation_scenario(agents=2, horizon=10, seed=0),
                         budget=3.0)
     formation, form_sol, form_cache = support.solved(formation)
-    form_greedy = lq.greedy_budget(formation, form_cache)
+    form_greedy = lq.greedy_budget(form_cache, formation.budget)
     for ids, tag in ((tuple(), "formation empty"),
                      (form_greedy.chosen, "formation greedy"),
                      (formation.suite.ids, "formation all")):
@@ -235,9 +234,9 @@ def test_criterion_09_formation_method_ordering():
         budget=6.0)
     scenario, sol, cache = support.solved(scenario)
     chosen = {
-        "greedy": lq.greedy_budget(scenario, cache).chosen,
-        "logdet": lq.baseline_logdet(scenario, cache).chosen,
-        "random": lq.baseline_random(scenario, cache, mandatory=(0, 1, 2, 3), seed=1).chosen,
+        "greedy": lq.greedy_budget(cache, scenario.budget).chosen,
+        "logdet": lq.baseline_logdet(cache, scenario.budget).chosen,
+        "random": lq.baseline_random(cache, scenario.budget, mandatory=(0, 1, 2, 3), seed=1).chosen,
         "all": scenario.suite.ids,
     }
     means = {
@@ -262,7 +261,7 @@ def test_criterion_10_scale_sanity():
         sol = lq.solve_riccati(scenario.system, scenario.weights)
         cache = lq.ObjectiveCache(scenario, sol)
         started = time.perf_counter()
-        report = lq.greedy_budget(scenario, cache)
+        report = lq.greedy_budget(cache, scenario.budget)
         elapsed = time.perf_counter() - started
         assert report.cost <= 8.0 + 1e-12
         return elapsed

@@ -249,9 +249,9 @@ def test_ratio_report_bundles_both():
 
 def test_budget_certificate_scalar():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     gamma, _ = lq.exact_supermodularity_ratio(cache)
-    oracle = lq.oracle_budget(scenario, cache)
+    oracle = lq.oracle_budget(cache, scenario.budget)
     cert = lq.budget_certificate(report, gamma, cache.f(()), oracle.objective_f)
     assert cert.kind == "budget"
     # greedy == oracle here, so the full reduction is achieved
@@ -262,7 +262,7 @@ def test_budget_certificate_scalar():
 
 def test_budget_certificate_zero_gamma_trivial():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     cert = lq.budget_certificate(report, 0.0, cache.f(()), cache.f((0, 1)))
     assert cert.rhs == 0.0
     assert cert.passed
@@ -270,7 +270,7 @@ def test_budget_certificate_zero_gamma_trivial():
 
 def test_budget_certificate_without_reference():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     cert = lq.budget_certificate(report, 1.0, cache.f(()))
     assert cert.lhs is None
     assert cert.passed is None
@@ -279,7 +279,7 @@ def test_budget_certificate_without_reference():
 
 def test_budget_certificate_degenerate_denominator():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     cert = lq.budget_certificate(report, 1.0, cache.f(()), cache.f(()))
     assert cert.lhs == 1.0
     assert cert.passed
@@ -287,7 +287,7 @@ def test_budget_certificate_degenerate_denominator():
 
 def test_budget_certificate_requires_budget_report():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     with pytest.raises(ValueError, match="budget"):
         lq.budget_certificate(report, 1.0, cache.f(()))
 
@@ -296,9 +296,9 @@ def test_budget_certificate_holds_on_random_instances():
     for seed in range(15):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1900, max_sensors=6, with_budget=True))
-        report = lq.greedy_budget(scenario, cache)
+        report = lq.greedy_budget(cache, scenario.budget)
         gamma, _ = lq.exact_supermodularity_ratio(cache)
-        oracle = lq.oracle_budget(scenario, cache)
+        oracle = lq.oracle_budget(cache, scenario.budget)
         cert = lq.budget_certificate(report, gamma, cache.f(()), oracle.objective_f)
         assert cert.passed, (seed, cert)
 
@@ -306,9 +306,9 @@ def test_budget_certificate_holds_on_random_instances():
 def test_mincost_certificate_scalar():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     gamma, _ = lq.exact_supermodularity_ratio(cache)
-    oracle = lq.oracle_mincost(scenario, cache)
+    oracle = lq.oracle_mincost(cache, scenario.kappa)
     cert = lq.mincost_certificate(report, gamma, cache.g(()), oracle.cost)
     assert cert.kind == "mincost"
     assert cert.cap_satisfied
@@ -321,7 +321,7 @@ def test_mincost_certificate_scalar():
 def test_mincost_certificate_empty_selection():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=10.0))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     cert = lq.mincost_certificate(report, 1.0, cache.g(()), 0.0)
     assert cert.passed is True
     assert cert.note == "empty selection meets the cap outright"
@@ -330,7 +330,7 @@ def test_mincost_certificate_empty_selection():
 def test_mincost_certificate_zero_gamma_undefined():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     cert = lq.mincost_certificate(report, 0.0, cache.g(()), 2.0)
     assert cert.passed is None
     assert cert.cap_satisfied
@@ -340,7 +340,7 @@ def test_mincost_certificate_zero_gamma_undefined():
 def test_mincost_certificate_without_reference():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     cert = lq.mincost_certificate(report, 1.0, cache.g(()))
     assert cert.passed is None
     assert cert.note == "no reference optimum supplied"
@@ -353,11 +353,11 @@ def test_mincost_certificate_holds_on_random_instances():
         scenario = support.with_feasible_kappa(*support.solved(base), seed=seed)
         scenario, sol, cache = support.solved(scenario)
         try:
-            report = lq.greedy_mincost(scenario, cache)
+            report = lq.greedy_mincost(cache, scenario.kappa)
         except lq.InfeasibleError:
             continue
         gamma, _ = lq.exact_supermodularity_ratio(cache)
-        oracle = lq.oracle_mincost(scenario, cache)
+        oracle = lq.oracle_mincost(cache, scenario.kappa)
         cert = lq.mincost_certificate(report, gamma, cache.g(()), oracle.cost)
         assert cert.cap_satisfied
         if cert.passed is not None:

@@ -100,10 +100,11 @@ def _check_against_reference(scenario):
     ref = support.ReferenceCache(scenario, sol)
     full = support.mask_of(scenario.suite.ids)
     scale = max(abs(v) for v in ref.f_many([0, full]) + ref.logdet_many([0]))
-    routines = [lq.greedy_budget, lq.greedy_mincost, lq.baseline_logdet,
-                lq.oracle_budget, lq.oracle_mincost]
-    for routine in routines:
-        _assert_same_report(routine(scenario, cache), routine(scenario, ref), scale)
+    routines = [(lq.greedy_budget, scenario.budget), (lq.greedy_mincost, scenario.kappa),
+                (lq.baseline_logdet, scenario.budget), (lq.oracle_budget, scenario.budget),
+                (lq.oracle_mincost, scenario.kappa)]
+    for routine, limit in routines:
+        _assert_same_report(routine(cache, limit), routine(ref, limit), scale)
     gamma, witness = lq.exact_supermodularity_ratio(cache, max_sensors=9)
     ref_gamma, ref_witness = lq.exact_supermodularity_ratio(ref, max_sensors=9)
     assert _ratio_key(witness) == _ratio_key(ref_witness)

@@ -290,7 +290,7 @@ def _bound_json(report, problem, gamma_exact, gamma_bound, certificate):
 def test_bound_json_on_the_exact_path(tmp_path, capsys):
     source = _write_scalar(tmp_path)
     scenario, sol, cache = _solved_file(source)
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     rhs = lq.budget_certificate(report, 1.0, cache.f(())).rhs
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source)])
     assert payload == _bound_json(report, "budget", 1.0, None, {
@@ -308,14 +308,14 @@ def test_bound_json_on_the_spectral_path(tmp_path, capsys):
     scenario, sol, cache = _solved_file(source)
     gamma, hypotheses = lq.ratio_lower_bound(cache)
     assert hypotheses.applicable
-    budget = lq.greedy_budget(scenario, cache)
+    budget = lq.greedy_budget(cache, scenario.budget)
     payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), "--ratio-cap", "0"])
     assert payload == _bound_json(budget, "budget", None, gamma, {
         "kind": "budget", "gamma": gamma, "lhs": None,
         "rhs": lq.budget_certificate(budget, gamma, cache.f(())).rhs,
         "passed": None, "cap_satisfied": None, "note": None,
     })
-    mincost = lq.greedy_mincost(scenario, cache)
+    mincost = lq.greedy_mincost(cache, scenario.kappa)
     assert mincost.chosen
     payload = _json_of(capsys, ["bound", "mincost", "--scenario", str(source), "--ratio-cap", "0"])
     assert payload == _bound_json(mincost, "mincost", None, gamma, {
@@ -368,6 +368,17 @@ def test_simulate_method_flag(tmp_path):
     row = _read_rows(out)[0]
     assert row["selected_set"] == "1"
     assert row["method"] == "greedy"
+
+
+def test_simulate_takes_a_budget_or_a_cost_cap_not_both(tmp_path, capsys):
+    # one run solves one problem, so a budget and a cost cap together are a usage error
+    source = _write_scalar(tmp_path)
+    code = main(["simulate", "--scenario", str(source), "--method", "greedy",
+                 "--budget", "1", "--kappa", "1e9", "--runs", "5"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --kappa: not allowed with argument --budget" in captured.err
 
 
 def test_simulate_has_no_ratio_cap(tmp_path, capsys):
@@ -591,6 +602,20 @@ def test_bad_list_items_and_seeds_name_the_flag(tmp_path, capsys, command, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, name", [
+    (["sweep", "--scenario", "uav", "--landmarks", "2", "--horizon", "5", "--budgets", "nan",
+      "--methods", "all", "--runs", "0"], "budget"),
+    (["select", "budget", "--scenario", "SCALAR", "--budget", "-1"], "budget"),
+    (["select", "mincost", "--scenario", "SCALAR", "--kappa", "inf"], "kappa"),
+], ids=["sweep-nan-budget", "negative-budget", "infinite-kappa"])
+def test_an_invalid_constraint_exits_1(tmp_path, capsys, command, name):
+    source = str(_write_scalar(tmp_path))
+    assert main([source if arg == "SCALAR" else arg for arg in command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lqgcodesign: error: {name} must be finite and nonnegative\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -12,6 +12,10 @@ gives the first three.
 * Coordinates: x' = T x with an orthogonal T leaves f and gamma as they are.
 * Relabelling: permuting the sensor ids carries every set's value over.
 
+The first two fixed benchmark instances get every property; hypothesis-drawn
+small random instances, up to 5 sensors, get the noise scale and a drawn
+relabelling on the value table and gamma.
+
 None of the four moves the greedy budget certificate against the oracle: its
 left side is a ratio of f differences, its right side a function of gamma.
 
@@ -29,6 +33,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lqgcodesign as lq
 
@@ -58,16 +64,23 @@ def instance(request):
     return request.param, scenario, _answers(scenario)
 
 
+def _table_and_gamma(cache):
+    """The 2^n value table of the cache's sensor sets and their exact gamma."""
+    count = len(cache.scenario.suite)
+    table = np.array(cache.f_many(range(1 << count)))
+    return table, lq.exact_supermodularity_ratio(cache, count)[0]
+
+
 def _answers(scenario):
     """Everything the properties compare: the 2^n value table, gamma, the hypotheses, the sets."""
     scenario, sol, cache = support.solved(scenario)
-    count = len(scenario.suite)
-    gamma = lq.exact_supermodularity_ratio(cache, count)[0]
-    greedy, oracle = lq.greedy_budget(scenario, cache), lq.oracle_budget(scenario, cache)
+    table, gamma = _table_and_gamma(cache)
+    greedy = lq.greedy_budget(cache, scenario.budget)
+    oracle = lq.oracle_budget(cache, scenario.budget)
     return {
         "sol": sol,
         "cache": cache,
-        "table": np.array(cache.f_many(range(1 << count))),
+        "table": table,
         "offset": cache.offset,
         "gamma": gamma,
         "hypotheses": lq.ratio_lower_bound(cache)[1],
@@ -86,6 +99,30 @@ def _rebuilt(scenario, system=None, sensors=None, weights=None):
                    weights=weights or scenario.weights)
 
 
+def _noise_scaled(scenario, k):
+    """W, sigma_init and every V times k."""
+    system = scenario.system
+    return _rebuilt(
+        scenario,
+        system=replace(system, W=k * system.W, sigma_init=k * system.sigma_init),
+        sensors=[replace(s, V=k * s.V) for s in scenario.suite],
+    )
+
+
+def _relabelled(scenario, new_id):
+    """Sensor i renamed new_id[i]."""
+    return _rebuilt(scenario, sensors=[replace(s, id=int(new_id[s.id])) for s in scenario.suite])
+
+
+def _mapped(new_id):
+    """Each old mask's new mask under the relabelling: bit new_id[i] for each bit i."""
+    masks = np.arange(1 << len(new_id))
+    mapped = np.zeros_like(masks)
+    for i, j in enumerate(new_id):
+        mapped |= ((masks >> i) & 1) << j
+    return mapped
+
+
 def _same_selections(before, after):
     for method in ("greedy", "oracle"):
         assert after[method].chosen == before[method].chosen, method
@@ -101,13 +138,7 @@ def _same_certificate(before, after):
 @pytest.mark.parametrize("k", [1e-10, 1e-9, 1e-6, 1e-3, 1e3])
 def test_noise_scale_scales_f_and_keeps_gamma_and_the_sets(instance, k):
     name, scenario, before = instance
-    system = scenario.system
-    scaled = _rebuilt(
-        scenario,
-        system=replace(system, W=k * system.W, sigma_init=k * system.sigma_init),
-        sensors=[replace(s, V=k * s.V) for s in scenario.suite],
-    )
-    after = _answers(scaled)
+    after = _answers(_noise_scaled(scenario, k))
     np.testing.assert_allclose(after["table"], k * before["table"], rtol=F_RTOL, atol=0.0)
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"].theta_sum_pd == before["hypotheses"].theta_sum_pd
@@ -155,17 +186,10 @@ def test_orthogonal_coordinates_keep_f_and_gamma(instance):
 
 def test_relabelled_sensors_carry_their_values_over(instance):
     name, scenario, before = instance
-    count = len(scenario.suite)
-    new_id = np.random.default_rng(7).permutation(count)
-    relabelled = _rebuilt(scenario,
-                          sensors=[replace(s, id=int(new_id[s.id])) for s in scenario.suite])
-    after = _answers(relabelled)
-    # the old mask m names the new mask with bit new_id[i] for each bit i of m
-    masks = np.arange(1 << count)
-    mapped = np.zeros_like(masks)
-    for i in range(count):
-        mapped |= ((masks >> i) & 1) << new_id[i]
-    np.testing.assert_allclose(after["table"][mapped], before["table"], rtol=F_RTOL, atol=0.0)
+    new_id = np.random.default_rng(7).permutation(len(scenario.suite))
+    after = _answers(_relabelled(scenario, new_id))
+    np.testing.assert_allclose(after["table"][_mapped(new_id)], before["table"],
+                               rtol=F_RTOL, atol=0.0)
     assert after["gamma"] == pytest.approx(before["gamma"], rel=GAMMA_RTOL, abs=0.0)
     assert after["hypotheses"] == before["hypotheses"]
     _same_certificate(before, after)
@@ -179,3 +203,17 @@ def test_relabelled_sensors_carry_their_values_over(instance):
         else:  # class-mates tie, so the set is fixed up to its class multiset
             assert (sorted(classes[old_id[j]] for j in chosen.chosen)
                     == sorted(classes[i] for i in want.chosen)), method
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(0, 10 ** 6), k=st.sampled_from([1e-6, 1e-3, 1e3]), data=st.data())
+def test_small_random_instances_keep_f_and_gamma(seed, k, data):
+    scenario = support.random_scenario(seed, max_sensors=5)
+    new_id = data.draw(st.permutations(range(len(scenario.suite))))
+    table, gamma = _table_and_gamma(support.solved(scenario)[2])
+    scaled_table, scaled_gamma = _table_and_gamma(support.solved(_noise_scaled(scenario, k))[2])
+    np.testing.assert_allclose(scaled_table, k * table, rtol=F_RTOL, atol=0.0)
+    assert scaled_gamma == pytest.approx(gamma, rel=GAMMA_RTOL, abs=0.0)
+    moved_table, moved_gamma = _table_and_gamma(support.solved(_relabelled(scenario, new_id))[2])
+    np.testing.assert_allclose(moved_table[_mapped(new_id)], table, rtol=F_RTOL, atol=0.0)
+    assert moved_gamma == pytest.approx(gamma, rel=GAMMA_RTOL, abs=0.0)

@@ -165,20 +165,19 @@ def test_offset_includes_mean_term():
     sol = lq.solve_riccati(shifted.system, shifted.weights)
     # x'Nx = 4 * 0.5 on top of tr(sigma N) = 0.5
     assert lq.cost_offset(shifted, sol) == pytest.approx(2.5, abs=1e-12)
-    assert lq.kappa_bar(shifted, sol) == pytest.approx(-0.5, abs=1e-12)
+    assert lq.ObjectiveCache(shifted, sol).kappa_bar() == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_kappa_bar_scalar():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    assert lq.kappa_bar(scenario, sol) == pytest.approx(1.5, abs=1e-12)
     assert cache.kappa_bar() == pytest.approx(1.5, abs=1e-12)
 
 
 def test_kappa_bar_requires_kappa():
     scenario = support.scalar_two_sensor_scenario(kappa=None)
-    sol = lq.solve_riccati(scenario.system, scenario.weights)
+    cache = support.solved(scenario)[2]
     with pytest.raises(ValueError, match="kappa"):
-        lq.kappa_bar(scenario, sol)
+        cache.kappa_bar()
 
 
 def test_cap_translation_identity():
@@ -305,7 +304,7 @@ def test_zero_sensor_suite():
     identity = lq.propagate_covariance(scenario, ())
     assert cache.f(()) == lq.sensing_objective(sol, identity)
     np.testing.assert_array_equal(cache.trajectory(()).posteriors, identity.priors)
-    assert lq.greedy_budget(scenario, cache).chosen == ()
+    assert lq.greedy_budget(cache, scenario.budget).chosen == ()
 
 
 def test_overflowing_objective_raises():

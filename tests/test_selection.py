@@ -17,7 +17,7 @@ import support
 
 def test_greedy_budget_scalar_walkthrough():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     # sweep grabs the efficient cheap sensor, overflows on the second,
     # and loses to the best affordable singleton
     assert report.chosen == (1,)
@@ -36,7 +36,7 @@ def test_greedy_budget_scalar_walkthrough():
 
 def test_greedy_budget_iteration_records():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     first = report.iterations[0]
     assert first.gain == pytest.approx(0.25, abs=1e-12)
     assert first.gain_per_cost == pytest.approx(0.25, abs=1e-12)
@@ -49,7 +49,7 @@ def test_greedy_budget_iteration_records():
 def test_greedy_budget_zero_budget():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(budget=0.0))
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     assert report.chosen == ()
     assert report.objective_f == pytest.approx(0.5, abs=1e-12)
 
@@ -58,7 +58,22 @@ def test_greedy_budget_requires_budget():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(budget=None))
     with pytest.raises(ValueError, match="budget"):
-        lq.greedy_budget(scenario, cache)
+        lq.greedy_budget(cache, scenario.budget)
+
+
+@pytest.mark.parametrize("value", [None, math.nan, -1.0, math.inf])
+def test_every_routine_refuses_an_invalid_constraint(value):
+    cache = support.solved(support.scalar_two_sensor_scenario())[2]
+    routines = {"budget": [lq.greedy_budget, lq.baseline_logdet, lq.oracle_budget,
+                           lambda c, b: lq.baseline_random(c, b, (), 0)],
+                "kappa": [lq.greedy_mincost, lq.oracle_mincost]}
+    if value is not None:  # evaluate_set records no constraint when given none
+        routines["budget"].append(lambda c, b: lq.evaluate_set(c, (0,), budget=b))
+        routines["kappa"].append(lambda c, k: lq.evaluate_set(c, (0,), kappa=k))
+    for name, calls in routines.items():
+        for call in calls:
+            with pytest.raises(lq.ValidationError, match=name):
+                call(cache, value)
 
 
 def test_greedy_budget_whole_suite_when_affordable():
@@ -69,7 +84,7 @@ def test_greedy_budget_whole_suite_when_affordable():
                                weights=scenario.weights,
                                budget=lq.set_cost(scenario.suite, scenario.suite.ids))
         cache = lq.ObjectiveCache(scenario, sol)
-        report = lq.greedy_budget(scenario, cache)
+        report = lq.greedy_budget(cache, scenario.budget)
         assert report.chosen == scenario.suite.ids
         assert report.cost == pytest.approx(scenario.budget, abs=0.0)
         assert report.objective_f == pytest.approx(
@@ -80,7 +95,7 @@ def test_greedy_budget_exact_budget_kept():
     # both sensors cost exactly the budget together: no rollback
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(budget=3.0))
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     assert report.chosen == (0, 1)
     assert report.removed is None
     assert report.cost == 3.0
@@ -93,7 +108,7 @@ def test_zero_cost_sensor_taken_at_zero_budget():
     scenario = lq.Scenario(system=support.scalar_system(), suite=suite,
                            weights=support.scalar_weights(), budget=0.0)
     scenario, sol, cache = support.solved(scenario)
-    report = lq.greedy_budget(scenario, cache)
+    report = lq.greedy_budget(cache, scenario.budget)
     assert report.chosen == (0,)
     assert report.cost == 0.0
 
@@ -102,7 +117,7 @@ def test_greedy_budget_feasible_and_dominates_singletons():
     for seed in range(20):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1400, with_budget=True))
-        report = lq.greedy_budget(scenario, cache)
+        report = lq.greedy_budget(cache, scenario.budget)
         assert report.cost <= scenario.budget + 1e-12
         affordable = [cache.f((i,)) for i in scenario.suite.ids
                       if scenario.suite.sensor(i).cost <= scenario.budget]
@@ -113,7 +128,7 @@ def test_greedy_budget_feasible_and_dominates_singletons():
 def test_greedy_mincost_scalar_walkthrough():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     assert report.chosen == (0, 1)
     assert report.cost == 3.0
     assert report.kappa == pytest.approx(0.7)
@@ -126,7 +141,7 @@ def test_greedy_mincost_scalar_walkthrough():
 def test_greedy_mincost_trivial_cap():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=10.0))
-    report = lq.greedy_mincost(scenario, cache)
+    report = lq.greedy_mincost(cache, scenario.kappa)
     assert report.chosen == ()
     assert report.cost == 0.0
     assert report.last_added is None
@@ -136,7 +151,7 @@ def test_greedy_mincost_infeasible():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.6))
     with pytest.raises(lq.InfeasibleError, match="cost cap infeasible") as info:
-        lq.greedy_mincost(scenario, cache)
+        lq.greedy_mincost(cache, scenario.kappa)
     assert info.value.f_all == pytest.approx(0.125, abs=1e-12)
     assert info.value.kappa_bar == pytest.approx(0.1, abs=1e-12)
 
@@ -145,31 +160,31 @@ def test_greedy_mincost_requires_kappa():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=None))
     with pytest.raises(ValueError, match="kappa"):
-        lq.greedy_mincost(scenario, cache)
+        lq.greedy_mincost(cache, scenario.kappa)
 
 
 @pytest.mark.parametrize("select", [lq.greedy_mincost, lq.oracle_mincost])
-def test_mincost_cap_comes_from_the_scenario_argument(select):
+def test_mincost_cap_comes_from_the_kappa_argument(select):
     # a cache built for one kappa, asked about another: the cap is the argument's
     base, sol, probe = support.solved(lq.build_formation_scenario(2, 6, "homogeneous", 0))
     f_all, f_empty = probe.f(base.suite.ids), probe.f(())
     cache = lq.ObjectiveCache(replace(base, kappa=probe.offset + f_all + 0.9 * (f_empty - f_all)),
                               sol)
-    scenario = replace(base, kappa=probe.offset + f_all + 0.1 * (f_empty - f_all))
-    report = select(scenario, cache)
-    assert report == select(scenario, lq.ObjectiveCache(scenario, sol))
+    kappa = probe.offset + f_all + 0.1 * (f_empty - f_all)
+    report = select(cache, kappa)
+    assert report == select(lq.ObjectiveCache(replace(base, kappa=kappa), sol), kappa)
     assert report.chosen == (1, 2)
-    assert report.lqg_cost_g <= scenario.kappa
+    assert report.lqg_cost_g <= kappa
 
 
 def test_oracle_budget_scalar():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.oracle_budget(scenario, cache)
+    report = lq.oracle_budget(cache, scenario.budget)
     assert report.chosen == (1,)
     assert report.method == "oracle"
     scenario3, sol3, cache3 = support.solved(
         support.scalar_two_sensor_scenario(budget=3.0))
-    assert lq.oracle_budget(scenario3, cache3).chosen == (0, 1)
+    assert lq.oracle_budget(cache3, scenario3.budget).chosen == (0, 1)
 
 
 def test_oracle_budget_lexicographic_ties():
@@ -179,13 +194,13 @@ def test_oracle_budget_lexicographic_ties():
     scenario = lq.Scenario(system=support.scalar_system(), suite=suite,
                            weights=support.scalar_weights(), budget=1.0)
     scenario, sol, cache = support.solved(scenario)
-    assert lq.oracle_budget(scenario, cache).chosen == (0,)
+    assert lq.oracle_budget(cache, scenario.budget).chosen == (0,)
 
 
 def test_oracle_mincost_scalar():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.7))
-    report = lq.oracle_mincost(scenario, cache)
+    report = lq.oracle_mincost(cache, scenario.kappa)
     assert report.chosen == (1,)
     assert report.cost == 2.0
 
@@ -194,7 +209,7 @@ def test_oracle_mincost_infeasible():
     scenario, sol, cache = support.solved(
         support.scalar_two_sensor_scenario(kappa=0.6))
     with pytest.raises(lq.InfeasibleError) as err:
-        lq.oracle_mincost(scenario, cache)
+        lq.oracle_mincost(cache, scenario.kappa)
     assert err.value.f_all == cache.f(scenario.suite.ids)
 
 
@@ -203,9 +218,9 @@ def test_oracles_break_exact_ties_as_the_plain_loops(seed):
     scenario = support.tied_sensor_scenario(seed)
     scenario, sol, cache = support.solved(
         support.with_feasible_kappa(*support.solved(scenario), seed=seed))
-    budget = lq.oracle_budget(scenario, cache)
+    budget = lq.oracle_budget(cache, scenario.budget)
     assert (budget.chosen, budget.objective_f) == support.reference_oracle_budget(scenario, cache)
-    mincost = lq.oracle_mincost(scenario, cache)
+    mincost = lq.oracle_mincost(cache, scenario.kappa)
     assert ((mincost.chosen, mincost.objective_f)
             == support.reference_oracle_mincost(scenario, cache, cache.kappa_bar()))
     # the free blind sensor 0 ties every set with its union with 0, a larger
@@ -227,8 +242,8 @@ def test_oracle_enumeration_cap():
                                                                       horizon=2,
                                                                       budget=3.0))
     with pytest.raises(ValueError, match="enumeration cap"):
-        lq.oracle_budget(scenario, cache, max_sensors=6)
-    report = lq.oracle_budget(scenario, cache, max_sensors=10)
+        lq.oracle_budget(cache, scenario.budget, max_sensors=6)
+    report = lq.oracle_budget(cache, scenario.budget, max_sensors=10)
     assert report.cost <= 3.0 + 1e-12
 
 
@@ -236,8 +251,8 @@ def test_oracle_never_worse_than_greedy():
     for seed in range(15):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1500, max_sensors=6, with_budget=True))
-        greedy = lq.greedy_budget(scenario, cache)
-        oracle = lq.oracle_budget(scenario, cache)
+        greedy = lq.greedy_budget(cache, scenario.budget)
+        oracle = lq.oracle_budget(cache, scenario.budget)
         assert oracle.objective_f <= greedy.objective_f + 1e-10
         assert oracle.cost <= scenario.budget + 1e-12
 
@@ -249,10 +264,10 @@ def test_oracle_mincost_never_dearer_than_greedy():
         scenario = support.with_feasible_kappa(*support.solved(base), seed=seed)
         scenario, sol, cache = support.solved(scenario)
         try:
-            greedy = lq.greedy_mincost(scenario, cache)
+            greedy = lq.greedy_mincost(cache, scenario.kappa)
         except lq.InfeasibleError:
             continue
-        oracle = lq.oracle_mincost(scenario, cache)
+        oracle = lq.oracle_mincost(cache, scenario.kappa)
         assert oracle.cost <= greedy.cost + 1e-12
         assert cache.g(oracle.chosen) <= scenario.kappa + 1e-9
         hits += 1
@@ -261,7 +276,7 @@ def test_oracle_mincost_never_dearer_than_greedy():
 
 def test_logdet_baseline_reports_lqg_objectives():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.baseline_logdet(scenario, cache)
+    report = lq.baseline_logdet(cache, scenario.budget)
     assert report.method == "logdet"
     assert report.cost <= scenario.budget + 1e-12
     assert report.objective_f == pytest.approx(cache.f(report.chosen), abs=1e-12)
@@ -280,15 +295,15 @@ def test_logdet_matches_greedy_when_objectives_align():
     suite = lq.SensorSuite(sensors=(sharp, blunt, dull), state_dim=2)
     scenario, sol, cache = support.solved(
         lq.Scenario(system=system, suite=suite, weights=weights, budget=2.0))
-    assert (lq.baseline_logdet(scenario, cache).chosen
-            == lq.greedy_budget(scenario, cache).chosen)
+    assert (lq.baseline_logdet(cache, scenario.budget).chosen
+            == lq.greedy_budget(cache, scenario.budget).chosen)
 
 
 def test_random_baseline_deterministic():
     scenario, sol, cache = support.solved(
         support.random_scenario(42, max_sensors=6, with_budget=True))
-    one = lq.baseline_random(scenario, cache, mandatory=(), seed=7)
-    two = lq.baseline_random(scenario, cache, mandatory=(), seed=7)
+    one = lq.baseline_random(cache, scenario.budget, mandatory=(), seed=7)
+    two = lq.baseline_random(cache, scenario.budget, mandatory=(), seed=7)
     assert one.chosen == two.chosen
     assert one.method == "random"
     assert one.seed == 7
@@ -297,19 +312,19 @@ def test_random_baseline_deterministic():
 
 def test_random_baseline_keeps_mandatory():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(budget=3.0))
-    report = lq.baseline_random(scenario, cache, mandatory=(0, 1), seed=3)
+    report = lq.baseline_random(cache, scenario.budget, mandatory=(0, 1), seed=3)
     assert report.chosen == (0, 1)
 
 
 def test_random_baseline_rejects_unaffordable_mandatory():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(budget=1.0))
     with pytest.raises(ValueError):
-        lq.baseline_random(scenario, cache, mandatory=(0, 1), seed=3)
+        lq.baseline_random(cache, scenario.budget, mandatory=(0, 1), seed=3)
 
 
 def test_random_baseline_covers_subsets():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(budget=3.0))
-    seen = {lq.baseline_random(scenario, cache, mandatory=(), seed=s).chosen
+    seen = {lq.baseline_random(cache, scenario.budget, mandatory=(), seed=s).chosen
             for s in range(200)}
     assert seen == {(), (0,), (1,), (0, 1)}
 
@@ -323,25 +338,25 @@ def test_random_baseline_never_exceeds_budget():
         system=support.scalar_system(), weights=support.scalar_weights(),
         suite=lq.SensorSuite(sensors=sensors, state_dim=1), budget=0.6))
     for seed in range(200):
-        report = lq.baseline_random(scenario, cache, mandatory=(), seed=seed)
+        report = lq.baseline_random(cache, scenario.budget, mandatory=(), seed=seed)
         assert report.cost <= report.budget, seed
 
 def test_evaluate_set():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
-    report = lq.evaluate_set(scenario, cache, (1,))
+    report = lq.evaluate_set(cache, (1,))
     assert report.method == "set"
     assert report.chosen == (1,)
     assert report.objective_f == pytest.approx(1.0 / 6.0, abs=1e-12)
     assert report.cost == 2.0
     with pytest.raises(lq.ValidationError):
-        lq.evaluate_set(scenario, cache, (9,))
+        lq.evaluate_set(cache, (9,))
 
 
 def test_iteration_chain_consistent():
     for seed in range(10):
         scenario, sol, cache = support.solved(
             support.random_scenario(seed + 1700, with_budget=True))
-        report = lq.greedy_budget(scenario, cache)
+        report = lq.greedy_budget(cache, scenario.budget)
         running: set[int] = set()
         for record in report.iterations:
             running.add(record.added)
@@ -353,21 +368,14 @@ def test_iteration_chain_consistent():
 
 
 def test_a_cache_built_for_another_problem_is_refused():
-    formation = replace(lq.build_formation_scenario(2, 10, seed=0), budget=2.0, kappa=100.0)
-    foreign = support.solved(lq.build_uav_scenario(2, 10, seed=0))[2]
-    calls = (lq.greedy_budget, lq.greedy_mincost, lq.oracle_budget, lq.oracle_mincost,
-             lq.baseline_logdet, lambda s, c: lq.baseline_random(s, c, (), 0),
-             lambda s, c: lq.evaluate_set(s, c, (0,)))
-    for call in calls:
-        # through the UAV's cache the greedy sweep would pick (2, 3) at g = 3108.7
-        with pytest.raises(ValueError, match="another plant"):
-            call(formation, foreign)
-    own = support.solved(formation)[2]
-    report = lq.greedy_budget(formation, own)
+    # the routines take the plant from the cache alone, so a cache cannot be
+    # paired with another problem's plant; what is left to check is that one
+    # cache serves every budget
+    own = support.solved(lq.build_formation_scenario(2, 10, seed=0))[2]
+    report = lq.greedy_budget(own, 2.0)
     assert report.chosen == (0, 2)
     assert report.lqg_cost_g == pytest.approx(88.6, abs=0.05)
-    # a scenario that differs only in its constraint shares the cache
-    assert lq.greedy_budget(replace(formation, budget=1.0), own).cost <= 1.0
+    assert lq.greedy_budget(own, 1.0).cost <= 1.0
 
 
 def _replayed_sweep(suite, objective_many, report):
@@ -400,8 +408,8 @@ def test_greedy_steps_break_exact_ties_by_the_smallest_id(seed, copies, data):
     scenario, sol, cache = support.solved(scenario)
     for routine, objective_many in ((lq.greedy_budget, cache.f_many),
                                     (lq.baseline_logdet, cache.logdet_many)):
-        report = routine(scenario, cache)
+        report = routine(cache, scenario.budget)
         _replayed_sweep(scenario.suite, objective_many, report)
         assert report.cost <= scenario.budget
     capped = support.with_feasible_kappa(scenario, sol, cache, seed=seed)
-    _replayed_sweep(scenario.suite, cache.f_many, lq.greedy_mincost(capped, cache))
+    _replayed_sweep(scenario.suite, cache.f_many, lq.greedy_mincost(cache, capped.kappa))

@@ -32,16 +32,16 @@ def _outcome(routine, *args, **kwargs) -> dict:
 def _budget_reports(name: str, scenario: lq.Scenario):
     scenario, sol, cache = support.solved(scenario)
     for routine in (lq.greedy_budget, lq.baseline_logdet, lq.oracle_budget):
-        yield f"{name}/{routine.__name__}", _outcome(routine, scenario, cache)
+        yield f"{name}/{routine.__name__}", _outcome(routine, cache, scenario.budget)
     for seed in (0, 7):
         yield (f"{name}/baseline_random/{seed}",
-               _outcome(lq.baseline_random, scenario, cache, (), seed))
+               _outcome(lq.baseline_random, cache, scenario.budget, (), seed))
 
 
 def _mincost_reports(name: str, scenario: lq.Scenario):
     scenario, sol, cache = support.solved(scenario)
     for routine in (lq.greedy_mincost, lq.oracle_mincost):
-        yield f"{name}/{routine.__name__}", _outcome(routine, scenario, cache)
+        yield f"{name}/{routine.__name__}", _outcome(routine, cache, scenario.kappa)
 
 
 def _scalar_reports():
@@ -64,7 +64,8 @@ def _scalar_reports():
     scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario())
     for ids in ((), (1,), (0, 1)):
         yield (f"scalar/evaluate_set/{ids}",
-               _outcome(lq.evaluate_set, scenario, cache, ids))
+               _outcome(lq.evaluate_set, cache, ids, budget=scenario.budget,
+                        kappa=scenario.kappa))
 
 
 def _random_reports():
@@ -78,7 +79,8 @@ def _random_reports():
         scenario, sol, cache = support.solved(feasible)
         ids = scenario.suite.ids[::2]
         yield (f"random/{seed}/evaluate_set",
-               _outcome(lq.evaluate_set, scenario, cache, ids))
+               _outcome(lq.evaluate_set, cache, ids, budget=scenario.budget,
+                        kappa=scenario.kappa))
 
 
 def reports() -> dict:
