@@ -14,6 +14,7 @@ from .analysis import (
     RatioReport,
     RatioWitness,
     budget_certificate,
+    certify,
     exact_supermodularity_ratio,
     mincost_certificate,
     ratio_lower_bound,
@@ -100,6 +101,7 @@ __all__ = [
     "build_formation_scenario",
     "build_uav_scenario",
     "cascade_identity_residual",
+    "certify",
     "cost_offset",
     "evaluate_set",
     "exact_supermodularity_ratio",

@@ -20,7 +20,8 @@ Provided here:
   set's cost by a multiple of the cheapest feasible cost.
 
 The ratio routines read no constraint, so they take the ``ObjectiveCache``
-alone: its scenario, its Riccati solution (theta) and its memo.
+alone: its scenario, its Riccati solution (theta) and its memo.  ``certify``
+reads the constraint off the greedy report it certifies.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 from ._linalg import symmetrize
 from .kalman import ObjectiveCache, _mask_ids
 from .riccati import _theta_sum_spectrum
-from .selection import SelectionReport, _require_enumerable
+from .selection import (ORACLE_CAP, SelectionReport, _require_enumerable, oracle_budget,
+                        oracle_mincost)
 
 _ZERO = 1e-12
 _PASS_TOL = 1e-9
@@ -84,6 +86,11 @@ class RatioReport:
     lower_bound: float | None
     hypotheses: BoundHypotheses
 
+    @property
+    def gamma_bound(self) -> float | None:
+        """``lower_bound`` when its hypotheses hold, else None: the bound a certificate may use."""
+        return self.lower_bound if self.hypotheses.applicable else None
+
 
 @dataclass(frozen=True)
 class CertificateRecord:
@@ -119,11 +126,12 @@ def exact_supermodularity_ratio(cache: ObjectiveCache,
 def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:
     """Minimum of (f(A) - f(A|x)) / (f(B) - f(B|x)) over A within B, x outside B.
 
-    ``values[mask]`` is f of the sensor set with bit mask ``mask``.  A pair
-    whose superset gain is below 1e-12 contributes nothing, and a subset gain
-    below 1e-12 pins the ratio at 0.  The result is clamped to [0, 1]; with
-    no informative triple at all the objective is vacuously supermodular and
-    the ratio is 1.
+    ``values[mask]`` is f of the sensor set with bit mask ``mask``.  A gain at
+    most 1e-12 times the table's largest magnitude is zero, so scaling f keeps
+    the ratio: a pair whose superset gain is zero contributes nothing, and a
+    zero subset gain pins the ratio at 0.  The result is clamped to [0, 1];
+    with no informative triple at all the objective is vacuously
+    supermodular and the ratio is 1.
 
     For each sensor x the minimum over A within B is a subset-minimum
     (zeta) transform of the clamped subset gains: n - 1 in-place
@@ -134,19 +142,20 @@ def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:
     descending from the superset, the order of the plain enumeration.
     """
     table = np.asarray(values, dtype=float)
+    zero = _ZERO * float(np.abs(table).max())
     best = np.full(1 << count, np.inf)
     best_x = np.zeros(1 << count, dtype=int)
     for x in range(count):
         view = table.reshape(-1, 2, 1 << x)
         # gain[B] = f(B) - f(B|x), indexed by the mask of B with bit x dropped
         gain = view[:, 0, :] - view[:, 1, :]
-        least = np.where(gain < _ZERO, 0.0, gain).reshape(-1)
+        least = np.where(gain <= zero, 0.0, gain).reshape(-1)
         for j in range(count - 1):
             pairs = least.reshape(-1, 2, 1 << j)
             np.minimum(pairs[:, 1, :], pairs[:, 0, :], out=pairs[:, 1, :])
         # A = B is among the subsets, so an informative ratio is at most 1
         ratio = np.full_like(gain, np.inf)
-        np.divide(least.reshape(gain.shape), gain, out=ratio, where=gain >= _ZERO)
+        np.divide(least.reshape(gain.shape), gain, out=ratio, where=gain > zero)
         slot = best.reshape(-1, 2, 1 << x)[:, 0, :]
         slot_x = best_x.reshape(-1, 2, 1 << x)[:, 0, :]
         better = ratio < slot
@@ -162,7 +171,7 @@ def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:
     sub = bmask
     while True:
         num = float(table[sub] - table[sub | bit])
-        ratio = 0.0 if num < _ZERO else num / den
+        ratio = 0.0 if num <= zero else num / den
         if ratio == low:
             break
         sub = (sub - 1) & bmask
@@ -228,9 +237,9 @@ def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypothe
 def ratio_report(cache: ObjectiveCache, max_sensors: int = RATIO_CAP) -> RatioReport:
     """Exact ratio when the ground set is enumerable, plus the spectral bound.
 
-    The one place that decides which ratio a certificate can use: ``exact``
-    and ``witness`` are None above ``max_sensors``, and ``lower_bound``
-    holds only when ``hypotheses.applicable``.
+    ``exact`` and ``witness`` are None above ``max_sensors``, and
+    ``lower_bound`` holds only when ``hypotheses.applicable``; ``certify``
+    picks the ratio a certificate uses.
     """
     if len(cache.scenario.suite) <= max_sensors:
         exact, witness = exact_supermodularity_ratio(cache, max_sensors)
@@ -313,3 +322,22 @@ def mincost_certificate(
         kind="mincost", gamma=gamma, lhs=lhs, rhs=rhs, passed=passed,
         cap_satisfied=cap_ok,
     )
+
+
+def certify(cache: ObjectiveCache, report: SelectionReport, ratio: RatioReport,
+            oracle_cap: int = ORACLE_CAP) -> CertificateRecord | None:
+    """The certificate of a greedy ``report`` by the exact ratio, else ``ratio.gamma_bound``.
+
+    None when neither exists.  Only an exact gamma is checked against the
+    brute-force optimum under the report's constraint, on a suite within ``oracle_cap``.
+    A report with a budget gets ``budget_certificate``, else ``mincost_certificate``.
+    """
+    gamma = ratio.exact if ratio.exact is not None else ratio.gamma_bound
+    if gamma is None:
+        return None
+    checked = ratio.exact is not None and len(cache.scenario.suite) <= oracle_cap
+    if report.budget is not None:
+        f_star = oracle_budget(cache, report.budget, oracle_cap).objective_f if checked else None
+        return budget_certificate(report, gamma, cache.f(()), f_star)
+    b_star = oracle_mincost(cache, report.kappa, oracle_cap).cost if checked else None
+    return mincost_certificate(report, gamma, cache.g(()), b_star)

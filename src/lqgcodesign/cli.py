@@ -19,12 +19,12 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
 from ._linalg import NumericalError
-from .analysis import RATIO_CAP, budget_certificate, mincost_certificate, ratio_report
+from .analysis import RATIO_CAP, certify, ratio_report
 from .kalman import ObjectiveCache
 from .model import ValidationError, constraint, load_scenario, save_scenario
 from .riccati import solve_riccati
@@ -153,32 +153,12 @@ def _solved(scenario) -> ObjectiveCache:
     return ObjectiveCache(scenario, solve_riccati(scenario.system, scenario.weights))
 
 
-def _certify(cache, report: SelectionReport, problem: str, args, ratio=None):
-    """(gamma_exact, gamma_bound, certificate) of a greedy report; all None for other methods.
-
-    ``ratio``, the scenario's ``ratio_report``, is computed when not given.  The
-    certificate uses the exact ratio when there is one, checked against the
-    brute-force optimum under the report's constraint within ``--oracle-cap``;
-    otherwise the spectral bound when its hypotheses hold, without the optimum.
-    """
+def _certify(cache, report: SelectionReport, args, ratio=None):
+    """(gamma_exact, gamma_bound, ``analysis.certify``) of a greedy report; all None otherwise."""
     if report.method != "greedy":
         return None, None, None
     ratio = ratio or ratio_report(cache, args.ratio_cap)
-    gamma_bound = ratio.lower_bound if ratio.hypotheses.applicable else None
-    gamma = ratio.exact if ratio.exact is not None else gamma_bound
-    if gamma is None:
-        return None, None, None
-    reference = None
-    if ratio.exact is not None and len(cache.scenario.suite) <= args.oracle_cap:
-        limit = report.budget if problem == "budget" else report.kappa
-        reference = _run_method(cache, problem, "oracle", limit, args)
-    if problem == "budget":
-        cert = budget_certificate(report, gamma, cache.f(()),
-                                  f_star=None if reference is None else reference.objective_f)
-    else:
-        cert = mincost_certificate(report, gamma, cache.g(()),
-                                   b_star=None if reference is None else reference.cost)
-    return ratio.exact, gamma_bound, cert
+    return ratio.exact, ratio.gamma_bound, certify(cache, report, ratio, args.oracle_cap)
 
 
 def _selection_row(scenario_id, scenario, report: SelectionReport,
@@ -280,7 +260,7 @@ def cmd_select(args) -> int:
     cache = _solved(scenario)
     report = _run_method(cache, args.problem, args.method, limit, args,
                          _parse_ids(getattr(args, "mandatory", None), "--mandatory"))
-    certified = _certify(cache, report, args.problem, args)
+    certified = _certify(cache, report, args)
     row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
     _emit_rows([row], args.format, args.out)
     return 0
@@ -289,6 +269,8 @@ def cmd_select(args) -> int:
 def cmd_simulate(args) -> int:
     if args.set is not None:
         scenario = load_scenario(args.scenario)
+        if args.budget is not None or args.kappa is not None:   # the flag alone, as for --method
+            scenario = replace(scenario, budget=args.budget, kappa=args.kappa)
         cache = _solved(scenario)
         report = evaluate_set(cache, _parse_ids(args.set, "--set"),
                               budget=scenario.budget, kappa=scenario.kappa)
@@ -317,7 +299,7 @@ def cmd_bound(args) -> int:
     scenario, limit = _scenario_with_constraint(args, args.problem)
     cache = _solved(scenario)
     report = _run_method(cache, args.problem, "greedy", limit, args)
-    gamma_exact, gamma_bound, cert = _certify(cache, report, args.problem, args)
+    gamma_exact, gamma_bound, cert = _certify(cache, report, args)
     if cert is None:
         raise ValueError(
             f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "
@@ -383,7 +365,7 @@ def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> l
     for budget in budgets:
         for method in methods:
             report = _run_method(cache, "budget", method, budget, args, mandatory)
-            picked.append((report, _certify(cache, report, "budget", args, ratio)))
+            picked.append((report, _certify(cache, report, args, ratio)))
     summaries = [None] * len(picked)
     if args.runs > 0:
         summaries = monte_carlo_many(cache, [report.chosen for report, _ in picked],

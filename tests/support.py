@@ -697,7 +697,7 @@ def reference_sweep_point(base, scenario_id, mandatory, methods, budgets, args):
             summary = None
             if args.runs > 0:
                 summary = reference_monte_carlo(cache, report.chosen, args.runs, args.seed)
-            certified = cli._certify(cache, report, "budget", args, ratio)
+            certified = cli._certify(cache, report, args, ratio)
             rows.append(cli._selection_row(scenario_id, base, report, summary, certified))
     return rows
 
@@ -711,6 +711,7 @@ def reference_ratio_from_table(values, count: int):
     smaller ratio replaces the running minimum.
     """
     values = [float(v) for v in values]
+    zero = 1e-12 * max(abs(v) for v in values)   # a gain at most this counts as zero
     best_ratio = None
     best_witness = None
     for bmask in range(1 << count):
@@ -719,12 +720,12 @@ def reference_ratio_from_table(values, count: int):
             if bmask & bit:
                 continue
             den = values[bmask] - values[bmask | bit]
-            if den < 1e-12:
+            if den <= zero:
                 continue
             sub = bmask
             while True:
                 num = values[sub] - values[sub | bit]
-                ratio = 0.0 if num < 1e-12 else num / den
+                ratio = 0.0 if num <= zero else num / den
                 if best_ratio is None or ratio < best_ratio:
                     best_ratio = ratio
                     best_witness = lq.RatioWitness(

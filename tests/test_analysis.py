@@ -1,6 +1,7 @@
 """Supermodularity ratio, its spectral bound, and the two certificates."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ def test_ratio_reduction_on_a_single_sensor():
 
 
 def test_ratio_reduction_without_an_informative_triple():
-    # sensing never lowers f by 1e-12 or more: vacuously supermodular
+    # sensing never lowers f by more than 1e-12 of the table's scale: vacuously supermodular
     values = [0.0, -5e-13, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0]
     result = _assert_matches_enumeration(values, 3)
     assert result == (1.0, None)
@@ -150,6 +151,23 @@ def test_ratio_reduction_gain_below_the_threshold_counts_as_zero():
     assert (witness.subset, witness.superset, witness.sensor) == ((), (1,), 0)
     assert 0.0 < witness.subset_gain < 1e-12
     assert witness.ratio == 0.0
+
+
+def test_ratio_reduction_on_an_all_zero_table():
+    # no gain exceeds a zero threshold, and no 0 / 0 is formed
+    assert _assert_matches_enumeration([0.0] * 8, 3) == (1.0, None)
+
+
+@pytest.mark.parametrize("k", [1e-14, 1e10])
+def test_ratio_reduction_threshold_scales_with_the_table(k):
+    # at k = 1e-14 the gains, 0.5 to 1.5 times k, are below an absolute 1e-12 but
+    # not below 1e-12 of the table's scale, so a scaled table keeps its ratio and witness
+    values = [3.0, 2.5, 2.0, 1.0]
+    gamma, witness = _assert_matches_enumeration(values, 2)
+    scaled_gamma, scaled_witness = _assert_matches_enumeration([k * v for v in values], 2)
+    assert gamma == 0.5 and scaled_gamma == pytest.approx(gamma, rel=1e-12)
+    assert ((scaled_witness.subset, scaled_witness.superset, scaled_witness.sensor)
+            == (witness.subset, witness.superset, witness.sensor))
 
 
 def test_ratio_reduction_negative_roundoff_gains():
@@ -364,3 +382,70 @@ def test_mincost_certificate_holds_on_random_instances():
             assert cert.passed, (seed, cert)
             checked += 1
     assert checked >= 8
+
+
+def test_gamma_bound_needs_every_hypothesis():
+    for flags in product([False, True], repeat=3):
+        hypotheses = lq.BoundHypotheses(*flags)
+        ratio = lq.RatioReport(exact=None, witness=None, lower_bound=0.5, hypotheses=hypotheses)
+        assert ratio.gamma_bound == (0.5 if hypotheses.applicable else None), flags
+
+
+def _no_oracle(monkeypatch):
+    """Make any oracle call from ``certify`` fail the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("certify fetched an optimum")
+    for name in ("oracle_budget", "oracle_mincost"):
+        monkeypatch.setattr(f"lqgcodesign.analysis.{name}", refused)
+
+
+def test_certify_with_the_exact_ratio_checks_the_optimum():
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
+    ratio = lq.ratio_report(cache)
+    budget = lq.greedy_budget(cache, scenario.budget)
+    mincost = lq.greedy_mincost(cache, scenario.kappa)
+    f_star = lq.oracle_budget(cache, scenario.budget).objective_f
+    b_star = lq.oracle_mincost(cache, scenario.kappa).cost
+    cert = lq.certify(cache, budget, ratio)
+    assert cert == lq.budget_certificate(budget, ratio.exact, cache.f(()), f_star)
+    assert cert.passed
+    cert = lq.certify(cache, mincost, ratio)
+    assert cert == lq.mincost_certificate(mincost, ratio.exact, cache.g(()), b_star)
+    assert cert.passed
+
+
+def test_certify_above_the_oracle_cap_has_no_optimum(monkeypatch):
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
+    ratio = lq.ratio_report(cache)
+    budget = lq.greedy_budget(cache, scenario.budget)
+    mincost = lq.greedy_mincost(cache, scenario.kappa)
+    _no_oracle(monkeypatch)
+    cert = lq.certify(cache, budget, ratio, oracle_cap=1)
+    assert cert == lq.budget_certificate(budget, ratio.exact, cache.f(()))
+    assert cert.lhs is None and cert.passed is None and cert.rhs > 0.0
+    cert = lq.certify(cache, mincost, ratio, oracle_cap=1)
+    assert cert.gamma == ratio.exact
+    assert cert.passed is None
+    assert cert.note == "no reference optimum supplied"
+
+
+def test_certify_with_the_spectral_bound_only(monkeypatch):
+    # the bound's hypotheses hold, and a ratio cap of 0 rules out the exact ratio
+    scenario, sol, cache = support.solved(support.normalized_bound_scenario(7))
+    ratio = lq.ratio_report(cache, 0)
+    assert ratio.exact is None and ratio.gamma_bound == ratio.lower_bound
+    report = lq.greedy_budget(cache, 2.0)
+    _no_oracle(monkeypatch)
+    cert = lq.certify(cache, report, ratio)
+    assert cert == lq.budget_certificate(report, ratio.gamma_bound, cache.f(()))
+    assert cert.lhs is None and cert.passed is None
+
+
+def test_certify_without_a_ratio_returns_none(monkeypatch):
+    # the scalar pair is not normalized, and a ratio cap of 0 rules out the exact ratio
+    scenario, sol, cache = support.solved(support.scalar_two_sensor_scenario(kappa=0.7))
+    ratio = lq.ratio_report(cache, 0)
+    assert ratio.exact is None and ratio.gamma_bound is None
+    _no_oracle(monkeypatch)
+    assert lq.certify(cache, lq.greedy_budget(cache, scenario.budget), ratio) is None
+    assert lq.certify(cache, lq.greedy_mincost(cache, scenario.kappa), ratio) is None

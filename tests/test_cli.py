@@ -381,6 +381,18 @@ def test_simulate_takes_a_budget_or_a_cost_cap_not_both(tmp_path, capsys):
     assert "argument --kappa: not allowed with argument --budget" in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--budget", "--kappa"])
+def test_simulate_set_takes_the_constraint_flags(tmp_path, flag):
+    # a given flag replaces the file's constraints, as it does for --method
+    uav = tmp_path / "uav.json"
+    assert main(["scenario", "uav", "--landmarks", "2", "--horizon", "5", "--out", str(uav)]) == 0
+    for source, value in ((uav, "3"), (_write_scalar(tmp_path, budget=2.0, kappa=2.0), "0.9")):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", str(source), "--set", "0;1", flag, value,
+                     "--runs", "5", "--out", str(out)]) == 0
+        assert float(_read_rows(out)[0]["budget_or_kappa"]) == float(value), source
+
+
 def test_simulate_has_no_ratio_cap(tmp_path, capsys):
     # simulate never certifies, so only the oracle cap applies to it
     source = _write_scalar(tmp_path)
@@ -609,7 +621,8 @@ def test_bad_list_items_and_seeds_name_the_flag(tmp_path, capsys, command, messa
       "--methods", "all", "--runs", "0"], "budget"),
     (["select", "budget", "--scenario", "SCALAR", "--budget", "-1"], "budget"),
     (["select", "mincost", "--scenario", "SCALAR", "--kappa", "inf"], "kappa"),
-], ids=["sweep-nan-budget", "negative-budget", "infinite-kappa"])
+    (["simulate", "--scenario", "SCALAR", "--set", "0", "--kappa", "nan"], "kappa"),
+], ids=["sweep-nan-budget", "negative-budget", "infinite-kappa", "simulate-set-nan-kappa"])
 def test_an_invalid_constraint_exits_1(tmp_path, capsys, command, name):
     source = str(_write_scalar(tmp_path))
     assert main([source if arg == "SCALAR" else arg for arg in command]) == 1

@@ -217,3 +217,14 @@ def test_small_random_instances_keep_f_and_gamma(seed, k, data):
     moved_table, moved_gamma = _table_and_gamma(support.solved(_relabelled(scenario, new_id))[2])
     np.testing.assert_allclose(moved_table[_mapped(new_id)], table, rtol=F_RTOL, atol=0.0)
     assert moved_gamma == pytest.approx(gamma, rel=GAMMA_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [332, 475, 523])
+def test_a_small_noise_scale_keeps_a_small_gamma(seed):
+    # at k = 1e-6 a subset gain of these instances falls below an absolute 1e-12,
+    # which pinned gamma (0.00094, 0.012 and 0.031) at 0
+    scenario = support.random_scenario(seed, max_sensors=5)
+    gamma = _table_and_gamma(support.solved(scenario)[2])[1]
+    scaled_gamma = _table_and_gamma(support.solved(_noise_scaled(scenario, 1e-6))[2])[1]
+    assert gamma > 0.0
+    assert scaled_gamma == pytest.approx(gamma, rel=GAMMA_RTOL, abs=0.0)
