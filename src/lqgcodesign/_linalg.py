@@ -46,6 +46,17 @@ def block_diag(blocks: list[np.ndarray] | tuple[np.ndarray, ...]) -> np.ndarray:
     return out
 
 
+def constant_over_time(steps) -> bool:
+    """Whether every step of a C-contiguous stack, or of a sequence of matrices, has step 0's
+    shape and bits, compared as int64 so that 0.0 and -0.0 differ."""
+    if not isinstance(steps, np.ndarray):
+        if any(m.shape != steps[0].shape for m in steps):
+            return False
+        steps = np.stack(steps)
+    bits = steps.view(np.int64)
+    return bool((bits == bits[:1]).all())
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """Contiguous float64 copy marked read-only, safe to share across readers."""
     out = np.array(a, dtype=float, order="C", copy=True)

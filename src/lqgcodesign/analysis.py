@@ -272,7 +272,8 @@ def budget_certificate(
     passed = None
     if f_star is not None:
         denom = f_empty - f_star
-        lhs = 1.0 if abs(denom) < _ZERO else (f_empty - report.objective_f) / denom
+        # a reduction within roundoff of f(empty) is no reduction, at any noise scale
+        lhs = 1.0 if abs(denom) <= _ZERO * abs(f_empty) else (f_empty - report.objective_f) / denom
         passed = lhs >= rhs - _PASS_TOL
     return CertificateRecord(kind="budget", gamma=gamma, lhs=lhs, rhs=rhs, passed=passed)
 

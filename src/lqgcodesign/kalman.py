@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import NumericalError, inv_sqrt_pd, symmetrize
+from ._linalg import NumericalError, constant_over_time, inv_sqrt_pd, symmetrize
 from .model import Scenario, Sensor, ValidationError, chosen_ids
 from .riccati import RiccatiSolution
 
@@ -63,14 +63,21 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_FLOATS // (n * n))
 
 
+def _per_step(fn, *stacks) -> np.ndarray:
+    """``fn`` of (T, ., .) stacks; on step 0 alone, repeated, when every stack is constant."""
+    if all(map(constant_over_time, stacks)):
+        return np.repeat(fn(*(s[:1] for s in stacks)), len(stacks[0]), axis=0)
+    return fn(*stacks)
+
+
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
     """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n)."""
-    return inv_sqrt_pd(sensor.V) @ sensor.C
+    return _per_step(lambda C, V: inv_sqrt_pd(V) @ C, sensor.C, sensor.V)
 
 
 def _gram(white: np.ndarray) -> np.ndarray:
     """Per-step information Cbar[t]' Cbar[t] of a (T, p, n) wiring, shape (T, n, n)."""
-    return symmetrize(np.swapaxes(white, -1, -2) @ white)
+    return _per_step(lambda w: symmetrize(np.swapaxes(w, -1, -2) @ w), white)
 
 
 def _information_classes(whitened, horizon: int, n: int):

@@ -3,8 +3,9 @@
 A scenario bundles a linear time-varying plant, quadratic control weights,
 and a bank of candidate sensors, each with a wiring matrix, a noise
 covariance, and a nonnegative selection cost.  All matrix sequences are
-indexed 0-based over ``t = 0..horizon-1``; JSON files may give a
-time-invariant matrix once and it is broadcast over the horizon.  A field
+indexed 0-based over ``t = 0..horizon-1``; a field given as one matrix is
+converted and checked once and broadcast over the horizon, and a field whose
+steps are bit-identical is saved as one matrix.  A field
 whose shape is fixed over the horizon is one read-only stack with a leading
 time axis: the plant's ``A`` and ``W`` and the state weight ``Q`` are
 (T, n, n), a sensor's ``C`` and ``V`` are (T, p, n) and (T, p, p).  ``B``
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import block_diag, frozen, symmetrize
+from ._linalg import block_diag, constant_over_time, frozen, symmetrize
 
 SYMMETRY_TOL = 1e-9
 PSD_EIG_TOL = -1e-9
@@ -117,21 +118,25 @@ def _min_eigenvalues(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(symmetrize(a))[..., 0]
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """A stack whose steps share step 0's bits as step 0 alone, so each check runs once."""
+    return a[:1] if a.ndim == 3 and constant_over_time(a) else a
+
+
 def _require_psd(a: np.ndarray, name: str) -> None:
+    a = _distinct(a)
     _require_symmetric(a, name)
     _fail_first(_min_eigenvalues(a) < PSD_EIG_TOL, name, "not positive semidefinite")
 
 
 def _require_pd(a: np.ndarray, name: str, problem: str) -> None:
+    a = _distinct(a)
     _require_symmetric(a, name)
     _fail_first(_min_eigenvalues(a) <= PD_MIN_EIG, name, problem)
 
 
 def _steps(value, horizon: int, name: str):
-    """A field's ``horizon`` per-step matrices as given, or its one matrix repeated.
-
-    A repeated matrix is converted once here, and its messages name no time index.
-    """
+    """A field's ``horizon`` per-step matrices as given, or its one matrix repeated, unconverted."""
     first = value[0] if isinstance(value, (list, tuple)) and value else None
     if isinstance(value, np.ndarray) and value.ndim in (2, 3):
         per_step = value.ndim == 3
@@ -142,7 +147,7 @@ def _steps(value, horizon: int, name: str):
     else:
         raise ValidationError(f"{name}: expected a matrix or a sequence of matrices")
     if not per_step:
-        return [_as_matrix(value, name)] * horizon
+        return [value] * horizon
     if len(value) != horizon:
         raise ValidationError(
             f"{name}: expected {horizon} matrices, got {len(value)}"
@@ -150,23 +155,31 @@ def _steps(value, horizon: int, name: str):
     return value
 
 
+def _converted(steps, name: str) -> list[np.ndarray]:
+    """Each step as a matrix, or, when every step is one object, that matrix once, no step named."""
+    if all(m is steps[0] for m in steps):
+        return [_as_matrix(steps[0], name)]
+    return [_as_matrix(m, name, t) for t, m in enumerate(steps)]
+
+
 def _matrix_sequence(value, horizon: int, name: str) -> tuple[np.ndarray, ...]:
     """A matrix-per-step field whose shape may change with t, as a tuple of read-only matrices."""
-    return tuple(frozen(_as_matrix(m, name, t)) for t, m in enumerate(_steps(value, horizon, name)))
+    mats = tuple(frozen(m) for m in _converted(_steps(value, horizon, name), name))
+    return mats * (horizon // len(mats))  # one matrix given stays one object
 
 
 def _stack(steps, name: str, shape: tuple[int, int] | None = None,
            cite_step_0: bool = False) -> np.ndarray:
     """A fixed-shape per-step field as one read-only (T, rows, cols) stack.
 
-    Converts each step once and checks it has ``shape``, by default step 0's;
-    with ``cite_step_0`` a mismatch message says the shape is step 0's.
+    Converts each step, or one matrix repeated, once and checks ``shape``, by
+    default step 0's; with ``cite_step_0`` a mismatch message cites step 0.
     """
-    mats = [_as_matrix(m, name, t) for t, m in enumerate(steps)]
+    mats = _converted(steps, name)
     source = " as at time index 0" if cite_step_0 else ""
     for t, m in enumerate(mats):
         _require_shape(m, shape or mats[0].shape, name, t, source)
-    return frozen(np.stack(mats))
+    return frozen(np.broadcast_to(np.stack(mats), (len(steps), *mats[0].shape)))
 
 
 @dataclass(frozen=True)
@@ -204,8 +217,6 @@ class Sensor:
     @classmethod
     def time_invariant(cls, sensor_id: int, C, V, cost: float, horizon: int) -> "Sensor":
         """Build a sensor whose wiring and noise are constant over the horizon."""
-        C = _as_matrix(C, f"sensor {sensor_id} C")
-        V = _as_matrix(V, f"sensor {sensor_id} V")
         return cls(id=sensor_id, C=[C] * horizon, V=[V] * horizon, cost=cost)
 
     @property
@@ -330,7 +341,8 @@ class LqgWeights:
         R = _matrix_sequence(self.R, T, "R")
         _require_psd(Q, "Q")
         for t, m in enumerate(R):
-            _require_pd(m, _fmt("R", t), "not positive definite")
+            if t == 0 or m is not R[t - 1]:  # one matrix repeated is checked once
+                _require_pd(m, _fmt("R", t), "not positive definite")
         object.__setattr__(self, "horizon", T)
         object.__setattr__(self, "Q", Q)
         object.__setattr__(self, "R", R)
@@ -482,24 +494,29 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
+def _field(steps) -> list:
+    """A per-step field as one matrix when its steps are bit-identical, else one per step."""
+    return steps[0].tolist() if constant_over_time(steps) else [m.tolist() for m in steps]
+
+
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Plain-data form of a scenario; matrices written out for every step."""
+    """Plain-data form of a scenario; a field whose steps are bit-identical is one matrix."""
     sys_ = scenario.system
     out = {
         "horizon": sys_.horizon,
         "state_dim": sys_.state_dim,
-        "A": sys_.A.tolist(),
-        "B": [m.tolist() for m in sys_.B],
-        "W": sys_.W.tolist(),
-        "Q": scenario.weights.Q.tolist(),
-        "R": [m.tolist() for m in scenario.weights.R],
+        "A": _field(sys_.A),
+        "B": _field(sys_.B),
+        "W": _field(sys_.W),
+        "Q": _field(scenario.weights.Q),
+        "R": _field(scenario.weights.R),
         "sigma_init": sys_.sigma_init.tolist(),
         "x1_mean": sys_.x1_mean.tolist(),
         "sensors": [
             {
                 "id": s.id,
-                "C": s.C.tolist(),
-                "V": s.V.tolist(),
+                "C": _field(s.C),
+                "V": _field(s.V),
                 "cost": s.cost,
             }
             for s in scenario.suite

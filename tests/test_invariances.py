@@ -135,6 +135,28 @@ def _same_certificate(before, after):
     assert cert.passed == want.passed
 
 
+@pytest.mark.parametrize("k", [1e-10, 1e-6])
+@pytest.mark.parametrize("seed", [35, 37, 94, 142, 297, 312, 348])
+def test_noise_scale_keeps_a_small_reduction_in_the_certificate(seed, k):
+    """Small random instances whose optimum reduces f by less than 1e-12 once scaled.
+
+    The certificate's degenerate case is relative to |f(empty)|, so the left
+    side stays as it was; seed 297 at k = 1e-6 keeps 0.98108 on a reduction
+    of 9.6e-14.
+    """
+    lhs = []
+    for scale in (1.0, k):
+        scenario, _, cache = support.solved(
+            _noise_scaled(support.random_scenario(seed, max_sensors=5, with_budget=True), scale))
+        greedy = lq.greedy_budget(cache, scenario.budget)
+        f_star = lq.oracle_budget(cache, scenario.budget).objective_f
+        lhs.append(lq.budget_certificate(greedy, 0.5, cache.f(()), f_star).lhs)
+    assert lhs[1] == pytest.approx(lhs[0], rel=CERT_LHS_RTOL, abs=0.0)
+    assert lhs[1] < 1.0
+    if seed == 297:
+        assert lhs[1] == pytest.approx(0.98108, abs=1e-5)
+
+
 @pytest.mark.parametrize("k", [1e-10, 1e-9, 1e-6, 1e-3, 1e3])
 def test_noise_scale_scales_f_and_keeps_gamma_and_the_sets(instance, k):
     name, scenario, before = instance

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import lqgcodesign as lq
 from lqgcodesign import kalman
-from lqgcodesign._linalg import symmetrize
+from lqgcodesign._linalg import constant_over_time, symmetrize
 
 import support
 
@@ -90,6 +90,25 @@ def test_stacked_whitening_matches_per_step_reference():
     for scenario in support.differential_scenarios():
         for sensor in scenario.suite:
             assert np.array_equal(lq.whiten_sensor(sensor), support.whiten_sensor(sensor))
+
+
+@pytest.mark.parametrize("build, invariant", [
+    (lambda: lq.build_formation_scenario(3, 20, "heterogeneous", 7), True),
+    (lambda: lq.build_uav_scenario(5, 20, "heterogeneous", 7), True),
+    (lambda: support.per_step_sensor_scenario(5), False),
+], ids=["formation-a3", "uav-a5", "per-step-sensors"])
+def test_whitening_once_matches_per_step_computation(build, invariant):
+    """A time-invariant sensor is whitened once, to the bits of whitening each step."""
+    scenario, _, cache = support.solved(build())
+    for s in scenario.suite:
+        assert (constant_over_time(s.C) and constant_over_time(s.V)) == invariant
+        white = support.whiten_sensor(s)
+        assert white.tobytes() == lq.whiten_sensor(s).tobytes() == cache.whitened(s.id).tobytes()
+    for c in range(len(cache._bank) - 1):
+        white = support.whiten_sensor(scenario.suite.sensor(cache._class.index(c)))
+        info = np.stack([symmetrize(w.T @ w) for w in white])
+        assert info.tobytes() == cache._bank[c].tobytes()
+        assert white.tobytes() == cache._rows[:, cache._row_ids[c]].tobytes()
 
 
 def test_posterior_never_exceeds_prior():

@@ -62,8 +62,75 @@ def test_loading_converts_each_matrix_once(monkeypatch):
     calls = []
     convert = model._as_matrix
     monkeypatch.setattr(model, "_as_matrix", lambda *args: calls.append(args) or convert(*args))
+    checked = []
+    eigenvalues = model._min_eigenvalues
+    monkeypatch.setattr(model, "_min_eigenvalues",
+                        lambda a: checked.append(a.size // a.shape[-1] ** 2) or eigenvalues(a))
     lq.scenario_from_dict(data)
     assert 0 < len(calls) <= matrices
+    # a compact file gives each field once: one conversion and one eigen-check
+    # of W, Q, R, sigma_init and each V, however long the horizon
+    scenario = lq.build_formation_scenario(3, 20, "heterogeneous", 7)
+    data = json.loads(json.dumps(lq.scenario_to_dict(scenario)))
+    calls.clear()
+    checked.clear()
+    lq.scenario_from_dict(data)
+    assert len(calls) <= 5 + 2 * len(scenario.suite) + 1
+    assert sum(checked) == 4 + len(scenario.suite)
+
+
+def _per_step_dict(scenario) -> dict:
+    """The scenario in the older file format, every field written out for every step."""
+    data = lq.scenario_to_dict(scenario)
+    system, weights = scenario.system, scenario.weights
+    for key, steps in (("A", system.A), ("B", system.B), ("W", system.W),
+                       ("Q", weights.Q), ("R", weights.R)):
+        data[key] = [m.tolist() for m in steps]
+    for entry, sensor in zip(data["sensors"], scenario.suite):
+        entry["C"], entry["V"] = sensor.C.tolist(), sensor.V.tolist()
+    return json.loads(json.dumps(data))
+
+
+def _arrays(scenario) -> list:
+    """Every array of a scenario, as shape and bytes."""
+    system, weights = scenario.system, scenario.weights
+    arrays = [system.A, *system.B, system.W, system.sigma_init, system.x1_mean,
+              weights.Q, *weights.R]
+    arrays += [a for s in scenario.suite for a in (s.C, s.V, np.array(s.cost))]
+    return [(a.shape, a.tobytes()) for a in arrays]
+
+
+_FILE_SCENARIOS = {
+    "formation-a3": lambda: lq.build_formation_scenario(3, 20, "heterogeneous", 7),
+    "uav-a5": lambda: lq.build_uav_scenario(5, 20, "heterogeneous", 7),
+    "per-step-sensors": lambda: support.per_step_sensor_scenario(0),
+}
+
+
+@pytest.mark.parametrize("name", list(_FILE_SCENARIOS))
+def test_compact_and_per_step_files_load_to_equal_arrays(name):
+    scenario = _FILE_SCENARIOS[name]()
+    compact = json.loads(json.dumps(lq.scenario_to_dict(scenario)))
+    per_step = _per_step_dict(scenario)
+    assert compact != per_step
+    # the older per-step format still loads, to the same bits as the compact file
+    assert _arrays(lq.scenario_from_dict(compact)) == _arrays(scenario)
+    assert _arrays(lq.scenario_from_dict(per_step)) == _arrays(scenario)
+    assert lq.scenario_to_dict(lq.scenario_from_dict(per_step)) == compact
+
+
+def test_bit_identical_fields_are_saved_once():
+    data = lq.scenario_to_dict(lq.build_formation_scenario(3, 20, "heterogeneous", 7))
+    assert all(np.ndim(data[key]) == 2 for key in ("A", "B", "W", "Q", "R"))
+    assert all(np.ndim(entry["C"]) == np.ndim(entry["V"]) == 2 for entry in data["sensors"])
+    data = lq.scenario_to_dict(support.per_step_sensor_scenario(0))
+    assert all(np.ndim(entry["C"]) == np.ndim(entry["V"]) == 3 for entry in data["sensors"])
+    # 0.0 and -0.0 differ in bits, so a field that holds both is saved per step
+    data = support.scalar_scenario_dict()
+    data.update(horizon=2, A=[[[0.0]], [[-0.0]]], W=[[-0.0]])
+    saved = lq.scenario_to_dict(lq.scenario_from_dict(data))
+    assert json.dumps(saved["A"]) == "[[[0.0]], [[-0.0]]]"
+    assert json.dumps(saved["W"]) == "[[-0.0]]"
 
 
 def test_round_trip_preserves_constraints(tmp_path):
@@ -318,7 +385,13 @@ _ASYMMETRIC = [[1.0, 0.5], [0.0, 1.0]]
     ({"C": [[[1.0]], [[1.0], [2.0, 3.0]], [[1.0]], [[1.0]]]}, "^sensor 1 C at time index 1: "),
     ({"C": [[[1.0]], [[1.0]], [[1.0], [2.0]], [[1.0]]]},
      r"^sensor 1 C at time index 2: expected shape \(1, 1\), got \(2, 1\)$"),
-], ids=["boolean-id", "V-not-pd", "V-asymmetric", "C-columns", "C-ragged", "C-step-shape"])
+    ({"V": [[[1.0]], [[1.0]], [[1.0]], [[0.0]]]},
+     "^sensor 1 V at time index 3: sensor noise not positive definite$"),
+    # a matrix given once is checked once, with the message of its step 0
+    ({"V": [[0.0]]}, "^sensor 1 V at time index 0: sensor noise not positive definite$"),
+    ({"V": [[float("nan")]]}, "^sensor 1 V: entries must be finite$"),
+], ids=["boolean-id", "V-not-pd", "V-asymmetric", "C-columns", "C-ragged", "C-step-shape",
+        "V-not-pd-last-step", "V-once-not-pd", "V-once-not-finite"])
 def test_malformed_sensor_field_names_the_sensor(fields, message):
     """Horizon 4; the message names the sensor, the field and the first failing step."""
     data = support.scalar_scenario_dict()
@@ -356,8 +429,11 @@ _EYE2 = np.eye(2).tolist()
     ("B", [_EYE2, [[1.0, 0.0]], _EYE2],
      r"^B at time index 1: expected 2 rows and at least one column, got \(1, 2\)$"),
     ("sigma_init", [[1.0]], r"^sigma_init: expected shape \(2, 2\), got \(1, 1\)$"),
+    ("W", [[1.0, 0.0], [0.0, -1.0]], r"^W at time index 0: not positive semidefinite$"),
+    ("R", [[1.0, 0.0], [0.0, 0.0]], r"^R at time index 0: not positive definite$"),
 ], ids=["A-step-0", "A-step-2", "A-broadcast", "W-step-0", "W-asymmetric", "Q-every-step",
-        "Q-not-square", "Q-indefinite", "R-step-2", "B-rows", "sigma_init"])
+        "Q-not-square", "Q-indefinite", "R-step-2", "B-rows", "sigma_init", "W-once-indefinite",
+        "R-once-singular"])
 def test_plant_and_weight_messages_name_the_step(field, value, message):
     data = _two_state_dict()
     data[field] = value
