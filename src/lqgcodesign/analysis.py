@@ -217,16 +217,16 @@ def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypothe
         return None, hypotheses
 
     # each sensor's whitened information seen through the full and the empty
-    # posteriors, one (T, p, p) stack per sensor
+    # posteriors, one (sensors, T, p, p) stack per output width p
     sensed_lo = math.inf
     sensed_hi = -math.inf
-    for s in suite:
-        m = cache.whitened(s.id)
+    for p in {s.output_dim for s in suite}:
+        m = np.stack([cache.whitened(s.id) for s in suite if s.output_dim == p])
         mt = np.swapaxes(m, -1, -2)
         on_full = np.linalg.eigvalsh(symmetrize(m @ full.posteriors @ mt))
         on_empty = np.linalg.eigvalsh(symmetrize(m @ empty.posteriors @ mt))
-        sensed_lo = min(sensed_lo, float(on_full[:, 0].min()))
-        sensed_hi = max(sensed_hi, float(on_empty[:, -1].max()))
+        sensed_lo = min(sensed_lo, float(on_full[..., 0].min()))
+        sensed_hi = max(sensed_hi, float(on_empty[..., -1].max()))
 
     value = (theta_lo / theta_hi)
     value *= (full_lo * full_lo) / (empty_peak * empty_peak)
@@ -292,7 +292,8 @@ def mincost_certificate(
     if report.kappa is None:
         raise ValueError("report carries no kappa; certificate applies to cost-capped selections")
     kappa = report.kappa
-    cap_ok = report.lqg_cost_g <= kappa + _PASS_TOL
+    # relative to the cap and the bound: scaling Q and R scales both sides
+    cap_ok = report.lqg_cost_g <= kappa + _PASS_TOL * abs(kappa)
     lhs = report.cost
 
     def without_bound(note: str, passed: bool | None = None) -> CertificateRecord:
@@ -318,7 +319,7 @@ def mincost_certificate(
         return without_bound("cap already met with no sensors; bound undefined")
     rhs_log = math.inf if den <= 0.0 else math.log(num / den)
     rhs = last_cost + (rhs_log / gamma) * b_star
-    passed = cap_ok and (lhs <= rhs + _PASS_TOL)
+    passed = cap_ok and (lhs <= rhs + _PASS_TOL * abs(rhs))
     return CertificateRecord(
         kind="mincost", gamma=gamma, lhs=lhs, rhs=rhs, passed=passed,
         cap_satisfied=cap_ok,

@@ -17,7 +17,9 @@ the prior may be singular.  A nonempty set with fewer rows than states
 Joseph form on the benchmark formations where the information form is 1e-11
 off; every other set, the empty set's J = 0 included, the information form.
 Per-step matrices are stacked along a leading time axis: a sensor's whitened
-wiring is a (T, p, n) array and its information a (T, n, n) array.
+wiring is a (T, p, n) array and its information a (T, n, n) array.  The
+kernels read rows or information from L-step stacks, gathered once per batch
+when L = 1 (every sensor time-invariant, as in the paper's applications), else L = T.
 
 The one recursion, ``_steps``, advances a batch of k sets together on
 (k, n, n) stacks through one update kernel and hands each step to its
@@ -32,7 +34,7 @@ held.  Two scalar functionals of the posteriors drive sensor selection:
   log-determinant baseline.
 
 ``ObjectiveCache`` indexes the sensors by information class: sensors whose
-(T, n, n) information stacks are bit-identical form one class, numbered in
+(L, n, n) information stacks are bit-identical form one class, numbered in
 the order of its smallest id, and a set's filter depends on it only through
 J[t].  It memoizes the functionals under a set's multiset of classes, so
 sweeps, enumerations and ratio scans propagate each distinct multiset once,
@@ -63,21 +65,23 @@ def _batch_size(n: int) -> int:
     return max(1, _BATCH_FLOATS // (n * n))
 
 
-def _per_step(fn, *stacks) -> np.ndarray:
-    """``fn`` of (T, ., .) stacks; on step 0 alone, repeated, when every stack is constant."""
-    if all(map(constant_over_time, stacks)):
-        return np.repeat(fn(*(s[:1] for s in stacks)), len(stacks[0]), axis=0)
-    return fn(*stacks)
-
-
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
-    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n)."""
-    return _per_step(lambda C, V: inv_sqrt_pd(V) @ C, sensor.C, sensor.V)
+    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n); once if constant."""
+    C, V = sensor.C, sensor.V
+    if constant_over_time(C) and constant_over_time(V):
+        return np.repeat(inv_sqrt_pd(V[:1]) @ C[:1], len(C), axis=0)
+    return inv_sqrt_pd(V) @ C
+
+
+def _one_step_if_constant(whitened, horizon: int):
+    """The whitened stacks cut to L steps, and L: 1 when every one is constant, else T."""
+    steps = 1 if all(map(constant_over_time, whitened)) else horizon
+    return [white[:steps] for white in whitened], steps
 
 
 def _gram(white: np.ndarray) -> np.ndarray:
-    """Per-step information Cbar[t]' Cbar[t] of a (T, p, n) wiring, shape (T, n, n)."""
-    return _per_step(lambda w: symmetrize(np.swapaxes(w, -1, -2) @ w), white)
+    """Per-step information Cbar[t]' Cbar[t] of a (L, p, n) wiring, shape (L, n, n)."""
+    return symmetrize(np.swapaxes(white, -1, -2) @ white)
 
 
 def _information_classes(whitened, horizon: int, n: int):
@@ -86,10 +90,12 @@ def _information_classes(whitened, horizon: int, n: int):
     Sensors whose information stacks are bit-identical form one class,
     numbered in the order of its smallest id; candidates share the bytes of
     their first step and are confirmed over the whole stack as integers, so
-    0.0 and -0.0 differ.  Returns each sensor's class number, the (c + 1, T,
-    n, n) bank of the classes' information and a zero pad row, the (T, sum p,
-    n) stack of their smallest ids' whitened rows and each class's row ids.
+    0.0 and -0.0 differ.  Returns each sensor's class number, the (c + 1, L,
+    n, n) bank of the classes' information and a zero pad row, the (L, sum p,
+    n) stack of their smallest ids' whitened rows and each class's row ids,
+    L being 1 when every whitened stack is constant over time, else T.
     """
+    whitened, steps = _one_step_if_constant(whitened, horizon)
     number, infos, rows = [], [], []
     candidates: dict[bytes, list[int]] = {}
     for white in whitened:
@@ -102,10 +108,10 @@ def _information_classes(whitened, horizon: int, n: int):
             infos.append(info)
             rows.append(white)
         number.append(c)
-    bank = np.stack([*infos, np.zeros((horizon, n, n))])
+    bank = np.stack([*infos, np.zeros((steps, n, n))])
     widths = [white.shape[1] for white in rows]
     row_ids = tuple(range(end - p, end) for p, end in zip(widths, np.cumsum(widths)))
-    stack = np.concatenate([np.empty((horizon, 0, n)), *rows], axis=1)
+    stack = np.concatenate([np.empty((steps, 0, n)), *rows], axis=1)
     return tuple(number), bank, stack, row_ids
 
 
@@ -147,14 +153,14 @@ def _measured(size: int, widest: int, n: int) -> bool:
 def _information_update(bank: np.ndarray, sets):
     """Information-form update of a batch of k sets: post = solve(I + prior J, prior).
 
-    ``bank`` stacks (T, n, n) information stacks and a last, zero row.  Each
+    ``bank`` stacks (L, n, n) information stacks and a last, zero row.  Each
     set is a nondecreasing sequence of its rows: a class multiset, or a
     set's own sensors in id order.  A set sums its rows in that order, a
     repeated row once per repeat.  The zero row pads the shorter sets of a
     batch, adding exactly nothing; the empty set gathers only it, so its
-    update is solve(I, P) = P.
+    update is solve(I, P) = P.  A one-step bank (L = 1) is summed once.
     """
-    n = bank.shape[-1]
+    n, steps = bank.shape[-1], bank.shape[1]
     width = max(1, *map(len, sets))
     index = np.full((len(sets), width), len(bank) - 1)
     for r, ids in enumerate(sets):
@@ -168,11 +174,11 @@ def _information_update(bank: np.ndarray, sets):
 
     def update(t: int, prior: np.ndarray) -> np.ndarray:
         nonlocal info, gain
-        if t % block == 0:
+        if t % block == 0 and t < steps:  # a one-step bank is summed at step 0 only
             info = bank[index[:, 0], t:t + block]
             for j in range(1, width):
                 info += bank[index[:, j], t:t + block]
-        np.matmul(prior, info[:, t % block], out=gain)
+        np.matmul(prior, info[:, t % block % steps], out=gain)
         gain += eye
         return np.linalg.solve(gain, prior)
 
@@ -182,16 +188,20 @@ def _information_update(bank: np.ndarray, sets):
 def _measurement_update(rows: np.ndarray, index: np.ndarray):
     """Measurement-form update of a batch of k sets of P rows each.
 
-    ``rows`` is a (T, sum p, n) stack of whitened rows and ``index`` a (k, P)
-    array of row numbers; a set's rows R, shape (P, n), update its prior as
-    post = prior - (R prior)' solve(I_P + R prior R', R prior).
+    ``rows`` is a (L, sum p, n) stack of whitened rows, gathered once if L = 1,
+    and ``index`` a (k, P) array of row numbers; a set's rows R, shape (P, n),
+    update its prior as post = prior - (R prior)' solve(I_P + R prior R', R prior).
     """
     eye = np.eye(index.shape[1])
+    wiring = wiring_t = None
 
     def update(t: int, prior: np.ndarray) -> np.ndarray:
-        wiring = rows[t][index]
+        nonlocal wiring, wiring_t
+        if t < len(rows):  # one-step rows are gathered at step 0 only
+            wiring = rows[t][index]
+            wiring_t = np.swapaxes(wiring, -1, -2)
         sensed = wiring @ prior
-        innovation = sensed @ np.swapaxes(wiring, -1, -2)
+        innovation = sensed @ wiring_t
         innovation += eye
         return prior - np.swapaxes(sensed, -1, -2) @ np.linalg.solve(innovation, sensed)
 
@@ -246,11 +256,12 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     T, n = scenario.horizon, scenario.state_dim
     chosen = chosen_ids(suite, ids)
     whitened = [whiten_sensor(suite.sensor(i)) for i in chosen]
+    whitened, steps = _one_step_if_constant(whitened, T)
     if _measured(len(chosen), max((s.output_dim for s in suite), default=0), n):
         rows = np.concatenate(whitened, axis=1)
         update = _measurement_update(rows, np.arange(rows.shape[1])[None])
     else:
-        bank = np.stack([*map(_gram, whitened), np.zeros((T, n, n))])
+        bank = np.stack([*map(_gram, whitened), np.zeros((steps, n, n))])
         update = _information_update(bank, [range(len(chosen))])
     return _trajectory(scenario.system, update)
 
@@ -304,7 +315,8 @@ class ObjectiveCache:
 
     One pass over the sensors, once per scenario, whitens them and indexes
     them by information class (``_information_classes``): each sensor's
-    class number, the (c + 1, T, n, n) class bank and the classes' rows.
+    class number, the (c + 1, L, n, n) class bank and the (L, sum p, n)
+    classes' rows, L = 1 when every sensor is time-invariant, else T.
     Each functional has one memo, keyed by a set's class multiset, the
     ascending tuple of its members' class numbers, so each distinct multiset
     is propagated at most once per functional.  The multisets one call has

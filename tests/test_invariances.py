@@ -250,3 +250,32 @@ def test_a_small_noise_scale_keeps_a_small_gamma(seed):
     scaled_gamma = _table_and_gamma(support.solved(_noise_scaled(scenario, 1e-6))[2])[1]
     assert gamma > 0.0
     assert scaled_gamma == pytest.approx(gamma, rel=GAMMA_RTOL, abs=0.0)
+
+
+@pytest.mark.parametrize("k", [1.0, 1e-6, 1e-10])
+def test_cost_scale_keeps_a_missed_cap_and_a_missed_cost_bound(k):
+    """A cap 1e-3 below g(S), or a cost bound 1e-3 below the greedy cost, is missed at any k.
+
+    Q and R times k scale g and kappa by k, and sensor costs times k scale
+    both sides of the cost bound.  An absolute 1e-9 slack passed both at
+    k = 1e-10, where g is 2.9e-7 and the greedy cost 4e-10.
+    """
+    base = lq.build_uav_scenario(3, HORIZON, "uniform", seed=7)
+    weights = base.weights
+    scenario = _rebuilt(base, sensors=[replace(s, cost=k * s.cost) for s in base.suite],
+                        weights=replace(weights, Q=k * weights.Q,
+                                        R=tuple(k * r for r in weights.R)))
+    _, _, cache = support.solved(scenario)
+    g_empty, g_all = cache.g(()), cache.g(scenario.suite.ids)
+    missed = lq.evaluate_set(cache, (1,), kappa=cache.g((1,)) * (1.0 - 1e-3))
+    assert lq.mincost_certificate(missed, 0.5, g_empty).cap_satisfied is False
+    greedy = lq.greedy_mincost(cache, g_all + 1e-3 * (g_empty - g_all))
+    assert len(greedy.chosen) > 1
+    # the bound is the last sensor's cost plus a multiple of b_star: aim it below the cost
+    last = lq.mincost_certificate(greedy, 0.5, g_empty, 0.0).rhs
+    per_unit = lq.mincost_certificate(greedy, 0.5, g_empty, 1.0).rhs - last
+    cert = lq.mincost_certificate(greedy, 0.5, g_empty,
+                                  (greedy.cost * (1.0 - 1e-3) - last) / per_unit)
+    assert cert.cap_satisfied is True
+    assert cert.rhs == pytest.approx(greedy.cost * (1.0 - 1e-3), rel=1e-9)
+    assert cert.passed is False

@@ -2,7 +2,7 @@
 
 import re
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -98,17 +98,24 @@ def test_stacked_whitening_matches_per_step_reference():
     (lambda: support.per_step_sensor_scenario(5), False),
 ], ids=["formation-a3", "uav-a5", "per-step-sensors"])
 def test_whitening_once_matches_per_step_computation(build, invariant):
-    """A time-invariant sensor is whitened once, to the bits of whitening each step."""
+    """A time-invariant sensor is whitened once, to the bits of whitening each step.
+
+    A time-invariant suite's class bank and rows hold one step, a per-step
+    suite's every step; either way a stored step is every step it stands for.
+    """
     scenario, _, cache = support.solved(build())
     for s in scenario.suite:
         assert (constant_over_time(s.C) and constant_over_time(s.V)) == invariant
         white = support.whiten_sensor(s)
         assert white.tobytes() == lq.whiten_sensor(s).tobytes() == cache.whitened(s.id).tobytes()
+    steps = 1 if invariant else scenario.horizon
+    assert cache._bank.shape[1] == len(cache._rows) == steps
     for c in range(len(cache._bank) - 1):
         white = support.whiten_sensor(scenario.suite.sensor(cache._class.index(c)))
         info = np.stack([symmetrize(w.T @ w) for w in white])
-        assert info.tobytes() == cache._bank[c].tobytes()
-        assert white.tobytes() == cache._rows[:, cache._row_ids[c]].tobytes()
+        assert info.tobytes() == np.broadcast_to(cache._bank[c], info.shape).tobytes()
+        rows = cache._rows[:, cache._row_ids[c]]
+        assert white.tobytes() == np.broadcast_to(rows, white.shape).tobytes()
 
 
 def test_posterior_never_exceeds_prior():
@@ -301,9 +308,11 @@ def test_masks_past_bit_63_are_python_ints():
 
 
 def test_cache_and_direct_trajectories_identical():
-    # both entry points run the one recursion on the same summed information
-    for seed in range(10):
-        scenario, sol, cache = support.solved(support.random_scenario(seed + 1300))
+    # both entry points run the one recursion on the same summed information,
+    # from one step of it for time-invariant sensors and from T for per-step ones
+    for seed, build in product(range(10), (support.random_scenario,
+                                           support.per_step_sensor_scenario)):
+        scenario, sol, cache = support.solved(build(seed + 1300))
         rng = np.random.default_rng(seed)
         ids = tuple(i for i in scenario.suite.ids if rng.random() < 0.6)
         cached = cache.trajectory(ids)
@@ -312,6 +321,35 @@ def test_cache_and_direct_trajectories_identical():
         assert cached.priors.shape == (scenario.horizon, n, n)
         np.testing.assert_array_equal(cached.priors, direct.priors)
         np.testing.assert_array_equal(cached.posteriors, direct.posteriors)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lq.build_formation_scenario(3, 20, "heterogeneous", 7),
+    lambda: lq.build_uav_scenario(5, 20, "heterogeneous", 7),
+], ids=["formation-a3", "uav-a5"])
+def test_one_per_step_sensor_leaves_the_other_sets_bit_equal(build):
+    """A suite with one per-step sensor evaluates the sets without it as the time-invariant suite.
+
+    The last sensor's noise grows by 1e-3 per step, so the suite holds T steps
+    of class information where the time-invariant suite holds one; every set
+    that leaves that sensor out must get the same bits either way.
+    """
+    scenario = build()
+    *rest, last = scenario.suite.sensors
+    T = scenario.horizon
+    varied = replace(last, V=last.V * (1.0 + 1e-3 * np.arange(T))[:, None, None])
+    mixed = replace(scenario, suite=lq.SensorSuite(sensors=(*rest, varied),
+                                                   state_dim=scenario.state_dim))
+    assert not constant_over_time(varied.V)
+    _, _, steady = support.solved(scenario)
+    _, _, stepped = support.solved(mixed)
+    masks = [int(mask) for mask in np.random.default_rng(3).integers(0, 1 << len(rest), 200)]
+    assert stepped.f_many(masks) == steady.f_many(masks)
+    assert stepped.logdet_many(masks) == steady.logdet_many(masks)
+    for ids in ((), (0,), (0, 2), tuple(range(len(rest)))):
+        got, want = stepped.trajectory(ids), steady.trajectory(ids)
+        assert got.priors.tobytes() == want.priors.tobytes(), ids
+        assert got.posteriors.tobytes() == want.posteriors.tobytes(), ids
 
 
 def test_zero_sensor_suite():
@@ -359,27 +397,32 @@ def test_sensors_equal_only_at_step_0_are_two_classes():
     assert cache.f((0,)) != cache.f((1,))
 
 
-@pytest.mark.parametrize("build, classes", [
-    (lambda: lq.build_formation_scenario(4, 20, "heterogeneous", 7), 10),
-    (lambda: lq.build_formation_scenario(8, 20, "heterogeneous", 7), 36),
-    (lambda: lq.build_uav_scenario(9, 20, "heterogeneous", 7), 11),
-], ids=["formation-a4", "formation-a8", "uav-a9"])
-def test_class_bank_and_rows(build, classes):
+@pytest.mark.parametrize("build, classes, per_step", [
+    (lambda: lq.build_formation_scenario(4, 20, "heterogeneous", 7), 10, False),
+    (lambda: lq.build_formation_scenario(8, 20, "heterogeneous", 7), 36, False),
+    (lambda: lq.build_uav_scenario(9, 20, "heterogeneous", 7), 11, False),
+    (lambda: support.per_step_sensor_scenario(5), 7, True),
+], ids=["formation-a4", "formation-a8", "uav-a9", "per-step"])
+def test_class_bank_and_rows(build, classes, per_step):
     scenario, sol, cache = support.solved(build())
     number = cache._class
-    T, n = scenario.horizon, scenario.state_dim
+    n = scenario.state_dim
+    # a time-invariant suite holds one step of class information, any other T
+    steps = scenario.horizon if per_step else 1
     # classes are numbered in the order of their smallest ids
     first = [number.index(c) for c in range(classes)]
     assert sorted(set(number)) == list(range(classes)) and first == sorted(first)
-    assert cache._bank.shape == (classes + 1, T, n, n)
+    assert cache._bank.shape == (classes + 1, steps, n, n)
     assert not cache._bank[-1].any()
     for i, c in enumerate(number):
         white = cache.whitened(i)
         info = symmetrize(np.swapaxes(white, -1, -2) @ white)
-        assert info.tobytes() == cache._bank[c].tobytes(), i
-    assert cache._rows.shape == (T, sum(cache.whitened(i).shape[1] for i in first), n)
+        assert info.tobytes() == np.broadcast_to(cache._bank[c], info.shape).tobytes(), i
+    assert cache._rows.shape == (steps, sum(cache.whitened(i).shape[1] for i in first), n)
     for c, i in enumerate(first):
-        np.testing.assert_array_equal(cache._rows[:, cache._row_ids[c]], cache.whitened(i))
+        white = cache.whitened(i)
+        np.testing.assert_array_equal(
+            np.broadcast_to(cache._rows[:, cache._row_ids[c]], white.shape), white)
 
 
 def test_bit_walks_match_the_binary_string_walks_on_every_11_bit_mask():
@@ -499,13 +542,14 @@ def test_measurement_form_value_does_not_depend_on_its_batch(monkeypatch):
 def _information_form_trajectory(cache, key):
     """post = solve(I + prior J, prior), J summed in class order, one set and step at a time."""
     system = cache.scenario.system
-    n = system.state_dim
+    T, n = system.horizon, system.state_dim
+    bank = np.broadcast_to(cache._bank, (len(cache._bank), T, n, n))  # one step or T
     prior = system.sigma_init
     priors, posts = [], []
-    for t in range(system.horizon):
+    for t in range(T):
         info = np.zeros((n, n))
         for j, c in enumerate(key):
-            info = cache._bank[c, t] if j == 0 else info + cache._bank[c, t]
+            info = bank[c, t] if j == 0 else info + bank[c, t]
         priors.append(prior)
         posts.append(symmetrize(np.linalg.solve(prior @ info + np.eye(n), prior)))
         prior = symmetrize(system.A[t] @ posts[-1] @ system.A[t].T + system.W[t])
