@@ -26,7 +26,7 @@ from pathlib import Path
 from ._linalg import NumericalError
 from .analysis import RATIO_CAP, certify, ratio_report
 from .kalman import ObjectiveCache
-from .model import ValidationError, constraint, load_scenario, save_scenario
+from .model import ValidationError, load_scenario, save_scenario
 from .riccati import solve_riccati
 from .selection import (
     ORACLE_CAP,
@@ -206,16 +206,32 @@ def _run_method(cache, problem: str, method: str, limit: float, args,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _scenario_with_constraint(args, problem: str):
-    """The scenario file and its budget or cost cap, checked before any solve; flags win."""
-    name = "budget" if problem == "budget" else "kappa"
+def _report(args, problem: str | None, method: str | None):
+    """(scenario, cache, report) of one command on its scenario file.
+
+    A given ``--budget`` or ``--kappa`` replaces the file's constraints.
+    ``--set`` is reported under the constraints that remain; otherwise
+    ``method`` solves ``problem``, which None makes the cost-cap problem when
+    only a kappa remains and the budget problem when not.  A method's missing
+    constraint is named before any Riccati solve.
+    """
     scenario = load_scenario(args.scenario)
-    limit = getattr(args, name)
-    if limit is None:
-        limit = getattr(scenario, name)
+    budget, kappa = getattr(args, "budget", None), getattr(args, "kappa", None)
+    if budget is not None or kappa is not None:
+        scenario = replace(scenario, budget=budget, kappa=kappa)
+    if getattr(args, "set", None) is not None:
+        cache = _solved(scenario)
+        return scenario, cache, evaluate_set(cache, _parse_ids(args.set, "--set"),
+                                             budget=scenario.budget, kappa=scenario.kappa)
+    if problem is None:
+        problem = "mincost" if scenario.budget is None and scenario.kappa is not None else "budget"
+    name = "budget" if problem == "budget" else "kappa"
+    limit = getattr(scenario, name)
     if limit is None:
         raise ValueError(f"no {name} given; pass --{name} or store one in the scenario")
-    return scenario, constraint(limit, name)
+    cache = _solved(scenario)
+    mandatory = _parse_ids(getattr(args, "mandatory", None), "--mandatory")
+    return scenario, cache, _run_method(cache, problem, method, limit, args, mandatory)
 
 
 def _build_scenario(family: str, size: int, horizon: int, mode: str, seed: int):
@@ -247,39 +263,21 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    scenario = load_scenario(args.scenario)
-    report = evaluate_set(_solved(scenario), _parse_ids(args.set, "--set"),
-                          budget=scenario.budget, kappa=scenario.kappa)
-    row = _selection_row(Path(args.scenario).stem, scenario, report)
-    _emit_rows([row], args.format, args.out)
+    scenario, _, report = _report(args, None, None)
+    _emit_rows([_selection_row(Path(args.scenario).stem, scenario, report)], args.format, args.out)
     return 0
 
 
 def cmd_select(args) -> int:
-    scenario, limit = _scenario_with_constraint(args, args.problem)
-    cache = _solved(scenario)
-    report = _run_method(cache, args.problem, args.method, limit, args,
-                         _parse_ids(getattr(args, "mandatory", None), "--mandatory"))
-    certified = _certify(cache, report, args)
-    row = _selection_row(Path(args.scenario).stem, scenario, report, certified=certified)
+    scenario, cache, report = _report(args, args.problem, args.method)
+    row = _selection_row(Path(args.scenario).stem, scenario, report,
+                         certified=_certify(cache, report, args))
     _emit_rows([row], args.format, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    if args.set is not None:
-        scenario = load_scenario(args.scenario)
-        if args.budget is not None or args.kappa is not None:   # the flag alone, as for --method
-            scenario = replace(scenario, budget=args.budget, kappa=args.kappa)
-        cache = _solved(scenario)
-        report = evaluate_set(cache, _parse_ids(args.set, "--set"),
-                              budget=scenario.budget, kappa=scenario.kappa)
-    else:
-        problem = "mincost" if args.kappa is not None else "budget"
-        scenario, limit = _scenario_with_constraint(args, problem)
-        cache = _solved(scenario)
-        report = _run_method(cache, problem, args.method, limit, args,
-                             _parse_ids(args.mandatory, "--mandatory"))
+    scenario, cache, report = _report(args, None, args.method)
     summary = monte_carlo(cache, report.chosen, runs=args.runs, base_seed=args.seed)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
     _emit_rows([row], args.format, args.out)
@@ -296,9 +294,7 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    scenario, limit = _scenario_with_constraint(args, args.problem)
-    cache = _solved(scenario)
-    report = _run_method(cache, args.problem, "greedy", limit, args)
+    scenario, cache, report = _report(args, args.problem, "greedy")
     gamma_exact, gamma_bound, cert = _certify(cache, report, args)
     if cert is None:
         raise ValueError(

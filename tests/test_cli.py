@@ -393,6 +393,70 @@ def test_simulate_set_takes_the_constraint_flags(tmp_path, flag):
         assert float(_read_rows(out)[0]["budget_or_kappa"]) == float(value), source
 
 
+def _write_without(tmp_path, *names):
+    data = support.scalar_scenario_dict()
+    for name in names:
+        del data[name]
+    path = tmp_path / f"without-{'-'.join(names)}.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_simulate_takes_a_stored_kappa_when_no_budget_is_stored(tmp_path):
+    # with only a kappa left after the flags, simulate solves the cost-capped problem
+    data = {**support.scalar_scenario_dict(), "kappa": 0.8}
+    del data["budget"]
+    source = tmp_path / "kappa.json"
+    source.write_text(json.dumps(data))
+    rows = []
+    for flags in ((), ("--kappa", "0.8")):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--scenario", str(source), "--method", "oracle",
+                     "--runs", "5", *flags, "--out", str(out)]) == 0
+        rows.append(_read_rows(out)[0])
+    assert rows[0] == rows[1]
+    assert (rows[0]["budget_or_kappa"], rows[0]["selected_set"]) == ("0.8", "0")
+
+
+def test_a_missing_constraint_is_named_before_any_solve(tmp_path, monkeypatch, capsys):
+    loads, solves = [], []
+
+    def counted(function, calls):
+        def call(*args, **kwargs):
+            calls.append(None)
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("lqgcodesign.cli.load_scenario", counted(lq.load_scenario, loads))
+    monkeypatch.setattr("lqgcodesign.cli.solve_riccati", counted(lq.solve_riccati, solves))
+    for argv, name in ((["select", "budget", "--scenario", _write_without(tmp_path, "budget")],
+                        "budget"),
+                       (["bound", "mincost", "--scenario", _write_without(tmp_path, "kappa")],
+                        "kappa"),
+                       (["simulate", "--scenario", _write_without(tmp_path, "budget", "kappa"),
+                         "--runs", "5"], "budget")):
+        loads.clear()
+        assert main([str(arg) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"lqgcodesign: error: no {name} given; "
+                                f"pass --{name} or store one in the scenario\n")
+        assert (len(loads), len(solves)) == (1, 0), argv
+    scenario = ("--scenario", str(_write_scalar(tmp_path)))
+    for argv in (["cost", *scenario, "--set", "0"],
+                 ["select", "budget", *scenario],
+                 ["select", "mincost", *scenario, "--method", "oracle"],
+                 ["simulate", *scenario, "--set", "0", "--runs", "2"],
+                 ["simulate", *scenario, "--method", "greedy", "--runs", "2"],
+                 ["bound", "budget", *scenario],
+                 ["bound", "mincost", *scenario],
+                 ["ratio", *scenario]):
+        loads.clear()
+        solves.clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert (len(loads), len(solves)) == (1, 1), argv
+
+
 def test_simulate_has_no_ratio_cap(tmp_path, capsys):
     # simulate never certifies, so only the oracle cap applies to it
     source = _write_scalar(tmp_path)

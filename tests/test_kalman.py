@@ -323,6 +323,20 @@ def test_cache_and_direct_trajectories_identical():
         np.testing.assert_array_equal(cached.posteriors, direct.posteriors)
 
 
+def test_cache_and_direct_trajectories_agree_with_duplicate_classes():
+    # formation sensors (i, j) and (j, i) are one class: the cache sums a set's
+    # information in class order and propagate_covariance in id order, so the
+    # last bits may differ (up to about 1e-14 of a step's largest entry here)
+    scenario, sol, cache = support.solved(lq.build_formation_scenario(4, 20, "heterogeneous", 7))
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        ids = tuple(i for i in scenario.suite.ids if rng.random() < 0.5)
+        cached, direct = cache.trajectory(ids), lq.propagate_covariance(scenario, ids)
+        for c, d in ((cached.priors, direct.priors), (cached.posteriors, direct.posteriors)):
+            scale = np.abs(c).max(axis=(1, 2))
+            assert (np.abs(c - d).max(axis=(1, 2)) <= 1e-13 * scale).all(), ids
+
+
 @pytest.mark.parametrize("build", [
     lambda: lq.build_formation_scenario(3, 20, "heterogeneous", 7),
     lambda: lq.build_uav_scenario(5, 20, "heterogeneous", 7),
