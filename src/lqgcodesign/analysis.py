@@ -120,7 +120,7 @@ def exact_supermodularity_ratio(cache: ObjectiveCache,
     building the 2^n value table is the whole cost.
     """
     count = _require_enumerable(cache, max_sensors, "exact ratio")
-    return _ratio_from_table(cache.f_many(range(1 << count)), count)
+    return _ratio_from_table(cache.f_table(np.arange(1 << count)), count)
 
 
 def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:

@@ -153,11 +153,10 @@ def _solved(scenario) -> ObjectiveCache:
     return ObjectiveCache(scenario, solve_riccati(scenario.system, scenario.weights))
 
 
-def _certify(cache, report: SelectionReport, args, ratio=None):
+def _certify(cache, report: SelectionReport, args, ratio):
     """(gamma_exact, gamma_bound, ``analysis.certify``) of a greedy report; all None otherwise."""
     if report.method != "greedy":
         return None, None, None
-    ratio = ratio or ratio_report(cache, args.ratio_cap)
     return ratio.exact, ratio.gamma_bound, certify(cache, report, ratio, args.oracle_cap)
 
 
@@ -187,8 +186,6 @@ def _selection_row(scenario_id, scenario, report: SelectionReport,
 def _run_method(cache, problem: str, method: str, limit: float, args,
                 mandatory=()) -> SelectionReport:
     """``method``'s report on ``problem`` under ``limit``, the budget or the cost cap."""
-    if problem == "mincost" and method not in ("greedy", "oracle"):
-        raise ValueError(f"method {method!r} applies only to budget selection")
     if method == "greedy":
         if problem == "budget":
             return greedy_budget(cache, limit)
@@ -206,32 +203,40 @@ def _run_method(cache, problem: str, method: str, limit: float, args,
     raise ValueError(f"unknown method {method!r}")
 
 
-def _report(args, problem: str | None, method: str | None):
-    """(scenario, cache, report) of one command on its scenario file.
+def _report(args, problem: str | None, method: str | None, certified: bool = False):
+    """(scenario, cache, report, ratio) of one command on its scenario file.
 
     A given ``--budget`` or ``--kappa`` replaces the file's constraints.
     ``--set`` is reported under the constraints that remain; otherwise
     ``method`` solves ``problem``, which None makes the cost-cap problem when
-    only a kappa remains and the budget problem when not.  A method's missing
-    constraint is named before any Riccati solve.
+    only a kappa remains and the budget problem when not.  Every input error
+    that needs no model, a missing constraint, an id list that does not
+    parse or a method the problem does not take, is raised before the
+    Riccati solve.  ``ratio`` is the ratio report of a ``certified`` greedy
+    run, computed before the sweep so that its 2^n table, filled in full
+    batches, serves the sweep and the certificate's oracle; else None.
     """
     scenario = load_scenario(args.scenario)
     budget, kappa = getattr(args, "budget", None), getattr(args, "kappa", None)
     if budget is not None or kappa is not None:
         scenario = replace(scenario, budget=budget, kappa=kappa)
     if getattr(args, "set", None) is not None:
+        ids = _parse_ids(args.set, "--set")
         cache = _solved(scenario)
-        return scenario, cache, evaluate_set(cache, _parse_ids(args.set, "--set"),
-                                             budget=scenario.budget, kappa=scenario.kappa)
+        return scenario, cache, evaluate_set(cache, ids, budget=scenario.budget,
+                                             kappa=scenario.kappa), None
     if problem is None:
         problem = "mincost" if scenario.budget is None and scenario.kappa is not None else "budget"
     name = "budget" if problem == "budget" else "kappa"
     limit = getattr(scenario, name)
     if limit is None:
         raise ValueError(f"no {name} given; pass --{name} or store one in the scenario")
-    cache = _solved(scenario)
     mandatory = _parse_ids(getattr(args, "mandatory", None), "--mandatory")
-    return scenario, cache, _run_method(cache, problem, method, limit, args, mandatory)
+    if problem == "mincost" and method not in ("greedy", "oracle"):
+        raise ValueError(f"method {method!r} applies only to budget selection")
+    cache = _solved(scenario)
+    ratio = ratio_report(cache, args.ratio_cap) if certified and method == "greedy" else None
+    return scenario, cache, _run_method(cache, problem, method, limit, args, mandatory), ratio
 
 
 def _build_scenario(family: str, size: int, horizon: int, mode: str, seed: int):
@@ -263,21 +268,21 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    scenario, _, report = _report(args, None, None)
+    scenario, _, report, _ = _report(args, None, None)
     _emit_rows([_selection_row(Path(args.scenario).stem, scenario, report)], args.format, args.out)
     return 0
 
 
 def cmd_select(args) -> int:
-    scenario, cache, report = _report(args, args.problem, args.method)
+    scenario, cache, report, ratio = _report(args, args.problem, args.method, certified=True)
     row = _selection_row(Path(args.scenario).stem, scenario, report,
-                         certified=_certify(cache, report, args))
+                         certified=_certify(cache, report, args, ratio))
     _emit_rows([row], args.format, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    scenario, cache, report = _report(args, None, args.method)
+    scenario, cache, report, _ = _report(args, None, args.method)
     summary = monte_carlo(cache, report.chosen, runs=args.runs, base_seed=args.seed)
     row = _selection_row(Path(args.scenario).stem, scenario, report, summary=summary)
     _emit_rows([row], args.format, args.out)
@@ -294,8 +299,8 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    scenario, cache, report = _report(args, args.problem, "greedy")
-    gamma_exact, gamma_bound, cert = _certify(cache, report, args)
+    scenario, cache, report, ratio = _report(args, args.problem, "greedy", certified=True)
+    gamma_exact, gamma_bound, cert = _certify(cache, report, args, ratio)
     if cert is None:
         raise ValueError(
             f"ground set of {len(scenario.suite)} sensors exceeds the ratio cap "

@@ -36,11 +36,14 @@ held.  Two scalar functionals of the posteriors drive sensor selection:
 ``ObjectiveCache`` indexes the sensors by information class: sensors whose
 (L, n, n) information stacks are bit-identical form one class, numbered in
 the order of its smallest id, and a set's filter depends on it only through
-J[t].  It memoizes the functionals under a set's multiset of classes, so
-sweeps, enumerations and ratio scans propagate each distinct multiset once,
-on its classes' rows or information in ascending class order, and equal
-multisets give equal bits by construction.  Its batch calls take bit masks,
-Python ints whose bit i selects sensor i; its single-set calls take ids.
+J[t].  It memoizes the functionals under a set's multiset of classes, an
+integer key in mixed radix (Knuth, TAOCP 4A, 7.2.1.1), so sweeps,
+enumerations and ratio scans propagate each distinct multiset once, on its
+classes' rows or information in ascending class order, and equal multisets
+give equal bits by construction.  Its batch calls take bit masks whose bit
+i selects sensor i: ``f_many`` takes Python ints, for scattered calls, and
+``f_table`` an int64 array, for enumerations of at most ``TABLE_BITS``
+sensors, keyed in numpy.  Its single-set calls take ids.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ from .riccati import RiccatiSolution
 # Floats in one (k, n, n) stack of a batch: 2**13 floats are 64 KB, so a
 # batch of any size adds little to the peak memory of a run.
 _BATCH_FLOATS = 1 << 13
+
+# Most sensors a value table indexes: its masks and class keys are int64.
+TABLE_BITS = 62
 
 
 def _batch_size(n: int) -> int:
@@ -136,39 +142,66 @@ def _mask_ids(mask: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def _class_key(mask: int, number) -> tuple[int, ...]:
-    """The class numbers of a nonnegative mask's set bits, ascending: its multiset of classes."""
-    classes = []
+def _mixed_radix(number) -> tuple[list[int], list[int]]:
+    """Weights and bases of the class multiset keys, given each sensor's class number.
+
+    A multiset's key holds its count of class c as digit c, whose base is the
+    class's multiplicity + 1 and whose weight is the product of the bases
+    before it, so distinct multisets have distinct keys, all below the
+    product of the bases, at most 2^m.
+    """
+    bases = [number.count(c) + 1 for c in range(max(number, default=-1) + 1)]
+    return [math.prod(bases[:c]) for c in range(len(bases))], bases
+
+
+def _class_key(mask: int, weight) -> int:
+    """Sum of ``weight[i]`` over a nonnegative mask's set bits.
+
+    With each sensor's class weight (``_mixed_radix``) it is the set's class
+    multiset key; with unit weights its size, with row counts its P.
+    """
+    key = 0
     while mask:
-        classes.append(number[(mask & -mask).bit_length() - 1])
-        mask &= mask - 1
-    return tuple(sorted(classes))
+        low = mask & -mask
+        key += weight[low.bit_length() - 1]
+        mask ^= low
+    return key
 
 
-def _measured(size: int, widest: int, n: int) -> bool:
-    """0 < P < n for a set of ``size`` sensors none wider than ``widest`` rows, counting none."""
-    return 0 < size * widest < n
+def _class_keys(masks: np.ndarray, weight) -> np.ndarray:
+    """``_class_key`` of each int64 mask, summed one sensor bit at a time in O(len(masks)) memory."""
+    keys = np.zeros(len(masks), np.int64)
+    bit = np.empty_like(keys)
+    for i, w in enumerate(weight):
+        np.right_shift(masks, i, out=bit)
+        bit &= 1
+        bit *= w
+        keys += bit
+    return keys
 
 
-def _information_update(bank: np.ndarray, sets):
+def _measured(size, widest: int, n: int):
+    """0 < P < n for sets of ``size`` sensors none wider than ``widest`` rows; elementwise on arrays."""
+    return (0 < size * widest) & (size * widest < n)
+
+
+def _information_update(bank: np.ndarray, index: np.ndarray):
     """Information-form update of a batch of k sets: post = solve(I + prior J, prior).
 
-    ``bank`` stacks (L, n, n) information stacks and a last, zero row.  Each
-    set is a nondecreasing sequence of its rows: a class multiset, or a
-    set's own sensors in id order.  A set sums its rows in that order, a
-    repeated row once per repeat.  The zero row pads the shorter sets of a
-    batch, adding exactly nothing; the empty set gathers only it, so its
-    update is solve(I, P) = P.  A one-step bank (L = 1) is summed once.
+    ``bank`` stacks (L, n, n) information stacks and a last, zero row, and
+    ``index`` is a (k, width) array of bank rows; a set's row lists its
+    classes in ascending order, or its own sensors in id order, a repeated
+    class once per repeat.  A set sums its rows in that order.  The zero row
+    pads the shorter sets of a batch, adding exactly nothing; the empty set
+    gathers only it, so its update is solve(I, P) = P.  A one-step bank
+    (L = 1) is summed once.
     """
     n, steps = bank.shape[-1], bank.shape[1]
-    width = max(1, *map(len, sets))
-    index = np.full((len(sets), width), len(bank) - 1)
-    for r, ids in enumerate(sets):
-        index[r, :len(ids)] = ids
+    k, width = index.shape
     # steps of information summed per gather: a small batch (a trajectory)
     # sums many steps at once and still stays within one batch array
-    block = max(1, _BATCH_FLOATS // (len(sets) * n * n))
-    gain = np.empty((len(sets), n, n))
+    block = max(1, _BATCH_FLOATS // (k * n * n))
+    gain = np.empty((k, n, n))
     eye = np.eye(n)
     info = None
 
@@ -262,7 +295,8 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
         update = _measurement_update(rows, np.arange(rows.shape[1])[None])
     else:
         bank = np.stack([*map(_gram, whitened), np.zeros((steps, n, n))])
-        update = _information_update(bank, [range(len(chosen))])
+        # the empty set gathers the zero row, bank[0]
+        update = _information_update(bank, np.arange(max(1, len(chosen)))[None])
     return _trajectory(scenario.system, update)
 
 
@@ -317,13 +351,14 @@ class ObjectiveCache:
     them by information class (``_information_classes``): each sensor's
     class number, the (c + 1, L, n, n) class bank and the (L, sum p, n)
     classes' rows, L = 1 when every sensor is time-invariant, else T.
-    Each functional has one memo, keyed by a set's class multiset, the
-    ascending tuple of its members' class numbers, so each distinct multiset
-    is propagated at most once per functional.  The multisets one call has
-    not seen yet are propagated in batches of ``_batch_size(n)``, grouped by
-    exact row count P in measurement form and in one stream in information
-    form.  The selection, ratio and Monte Carlo routines take the cache as
-    their one evaluation context: its scenario and solution.
+    Each functional has one memo, keyed by a set's class multiset key
+    (``_mixed_radix``), the sum of its members' weights, so each distinct
+    multiset is propagated at most once per functional, whichever batch
+    call asks.  The multisets one call has not seen yet are propagated in
+    batches of ``_batch_size(n)``, grouped by exact row count P in
+    measurement form and in one stream in information form.  The
+    selection, ratio and Monte Carlo routines take the cache as their one
+    evaluation context: its scenario and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -335,9 +370,17 @@ class ObjectiveCache:
         self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
         self._class, self._bank, self._rows, self._row_ids = _information_classes(
             self._whitened, T, n)
-        self._widest = max((white.shape[1] for white in self._whitened), default=0)
-        self._f: dict[tuple[int, ...], float] = {}
-        self._logdet: dict[tuple[int, ...], float] = {}
+        self._sensor_rows = tuple(white.shape[1] for white in self._whitened)
+        self._widest = max(self._sensor_rows, default=0)
+        radix, bases = _mixed_radix(self._class)
+        self._weight = tuple(radix[c] for c in self._class)
+        # keys past int64 (more than TABLE_BITS sensors) are decoded as Python ints
+        self._radix = np.array(radix, dtype=np.int64 if math.prod(bases) <= 1 << 63 else object)
+        self._base = np.array(bases, dtype=np.intp)
+        self._row_spans = (np.array([ids.start for ids in self._row_ids], dtype=np.intp),
+                           np.array([len(ids) for ids in self._row_ids], dtype=np.intp))
+        self._f: dict[int, float] = {}
+        self._logdet: dict[int, float] = {}
         self.offset = cost_offset(scenario, sol)
 
     def whitened(self, sensor_id: int) -> np.ndarray:
@@ -345,25 +388,64 @@ class ObjectiveCache:
 
     def trajectory(self, ids) -> CovarianceTrajectory:
         """Covariance trajectory of the set, its information summed as ``f`` sums it."""
-        key = _class_key(self._mask(ids), self._class)
-        return _trajectory(self.scenario.system, self._update([key]))
+        key = _class_key(self._mask(ids), self._weight)
+        return _trajectory(self.scenario.system,
+                           self._update(np.array([key], dtype=self._radix.dtype)))
 
-    def _row_count(self, key) -> int | None:
-        """The row count P of a class multiset in measurement form, None in information form."""
-        if _measured(len(key), self._widest, self.scenario.state_dim):
-            return sum(len(self._row_ids[c]) for c in key)
-        return None
+    def _update(self, keys: np.ndarray):
+        """The update kernel of a batch of class multiset keys, all of one form and row count.
 
-    def _update(self, keys):
-        """The update kernel of a batch of class multisets, all of one ``_row_count``."""
-        if self._row_count(keys[0]) is None:
-            return _information_update(self._bank, keys)
-        index = np.array([[j for c in key for j in self._row_ids[c]] for key in keys])
-        return _measurement_update(self._rows, index)
+        Each set's gather index lists its classes in ascending order, each as
+        often as its count: as bank rows, padded with the zero row, in
+        information form, and as each class's whitened rows in measurement form.
+        """
+        counts = (keys[:, None] // self._radix % self._base).astype(np.intp)  # (k, classes)
+        classes = len(self._base)
+        members = np.repeat(np.arange(counts.size) % classes, counts.ravel())  # set by set
+        if _measured(counts[0].sum(), self._widest, self.scenario.state_dim):
+            starts, widths = self._row_spans
+            width = widths[members]
+            # the members' rows run back to back, member j's from starts[members[j]]
+            rows = np.repeat(starts[members] - np.cumsum(width) + width, width)
+            rows += np.arange(len(rows))
+            return _measurement_update(self._rows, rows.reshape(len(keys), -1))
+        sizes = counts.sum(axis=1)
+        index = np.full((len(keys), max(1, sizes.max())), classes)
+        index[np.arange(index.shape[1]) < sizes[:, None]] = members  # row by row, in order
+        return _information_update(self._bank, index)
 
-    @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, values, masks) -> list[float]:
-        """Values of the sets with these masks; multisets not in ``memo`` are propagated."""
+    def _stream(self, mask: int) -> int:
+        """The row count P of a set in measurement form, -1 in information form."""
+        if _measured(mask.bit_count(), self._widest, self.scenario.state_dim):
+            return _class_key(mask, self._sensor_rows)
+        return -1
+
+    def _fill(self, memo: dict, values, keys: np.ndarray, firsts, streams) -> None:
+        """Propagate the class multisets ``keys`` and memoize their values.
+
+        ``keys`` are multisets not in ``memo`` and ``firsts[j]`` the first mask
+        that asked for ``keys[j]``.  ``streams`` are sequences of positions in
+        ``keys``, in order: the information-form multisets, then those of each
+        exact row count P in measurement form, each sorted by size, so a batch
+        gathers few zero pad rows.  They go in batches of ``_batch_size(n)``.
+        A value that is not finite raises ``NumericalError`` naming its first
+        mask, and its batch is not memoized.
+        """
+        size = _batch_size(self.scenario.state_dim)
+        for todo in streams:
+            for start in range(0, len(todo), size):
+                batch = todo[start:start + size]
+                steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
+                got = values(post for _, post in steps)
+                if not np.isfinite(got).all():
+                    j = int(np.argmin(np.isfinite(got)))
+                    named = list(_mask_ids(int(firsts[batch[j]])))
+                    raise NumericalError(f"objective of sensor set {named} is not finite "
+                                         f"({float(got[j])})")
+                memo.update(zip(keys[batch].tolist(), got.tolist()))
+
+    def _masks(self, masks) -> list[int]:
+        """The masks as ints; a negative one or one with a bit past the suite raises."""
         masks = [operator.index(mask) for mask in masks]  # numpy ints become ints; floats raise
         count = len(self._class)
         for mask in masks:
@@ -371,32 +453,64 @@ class ObjectiveCache:
                 raise ValidationError(f"sensor set mask {mask} is negative")
             if mask >> count:  # a bit past the suite names no class
                 self.scenario.suite.sensor(count + _mask_ids(mask >> count)[0])
-        keys = [_class_key(mask, self._class) for mask in masks]
+        return masks
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _memoized(self, memo: dict, values, masks) -> list[float]:
+        """Values of the sets with these masks; multisets not in ``memo`` are propagated."""
+        masks = self._masks(masks)
+        keys = [_class_key(mask, self._weight) for mask in masks]
         asked = {}  # each new multiset and the first mask that asked for it
         for mask, key in zip(masks, keys):
             if key not in memo:
                 asked.setdefault(key, mask)
-        # measurement-form sets batch by exact P; a batch of information-form
-        # sets of near-equal size gathers few zero pad rows
-        streams: dict[int | None, list] = {}
-        for key in sorted(asked, key=len):
-            streams.setdefault(self._row_count(key), []).append(key)
-        size = _batch_size(self.scenario.state_dim)
-        for todo in streams.values():
-            for start in range(0, len(todo), size):
-                batch = todo[start:start + size]
-                steps = _steps(self.scenario.system, self._update(batch), len(batch))
-                for key, value in zip(batch, values(post for _, post in steps).tolist()):
-                    if not math.isfinite(value):
-                        named = list(_mask_ids(asked[key]))
-                        raise NumericalError(f"objective of sensor set {named} is not finite "
-                                             f"({value})")
-                    memo[key] = value
+        if asked:
+            firsts = list(asked.values())
+            streams: dict[int, list[int]] = {}
+            for j in sorted(range(len(firsts)), key=lambda j: firsts[j].bit_count()):
+                streams.setdefault(self._stream(firsts[j]), []).append(j)
+            self._fill(memo, values, np.array(list(asked), dtype=self._radix.dtype), firsts,
+                       [streams[label] for label in sorted(streams)])
         return [memo[key] for key in keys]
+
+    def _sensing(self, posts) -> np.ndarray:
+        return _sensing_values(self.sol, posts)
 
     def f_many(self, masks) -> list[float]:
         """Memoized sensing objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._f, lambda posts: _sensing_values(self.sol, posts), masks)
+        return self._memoized(self._f, self._sensing, masks)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def f_table(self, masks) -> np.ndarray:
+        """``f_many`` of a 1-D array of masks as a float64 array: the enumerations' path.
+
+        The masks are keyed in numpy and only their distinct multisets pass
+        through Python, so a 2^m table makes no Python int per mask.  It
+        shares ``f_many``'s memo and raises as ``f_many`` does; a suite of
+        more than ``TABLE_BITS`` sensors raises ``ValueError``.
+        """
+        count = len(self._class)
+        if count > TABLE_BITS:
+            raise ValueError(f"a value table indexes at most {TABLE_BITS} sensors, not {count}")
+        array = np.asarray(masks)
+        if array.dtype.kind not in "iu" or (array >> count).any():  # raise as f_many does
+            array = np.array(self._masks(masks), dtype=np.int64)
+        masks = array.astype(np.int64, copy=False)
+        keys = _class_keys(masks, self._weight)
+        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        listed = unique.tolist()
+        new = np.fromiter((key not in self._f for key in listed), bool, len(listed))
+        if new.any():
+            asked = np.sort(first[new])
+            keys, masks = keys[asked], masks[asked]
+            # labelled as _stream labels them, and taken in the order f_many takes them
+            sizes = _class_keys(masks, (1,) * count)
+            stream = np.where(_measured(sizes, self._widest, self.scenario.state_dim),
+                              _class_keys(masks, self._sensor_rows), -1)
+            order = np.lexsort((sizes, stream))
+            self._fill(self._f, self._sensing, keys, masks,
+                       np.split(order, np.flatnonzero(np.diff(stream[order])) + 1))
+        return np.fromiter(map(self._f.__getitem__, listed), float, len(listed))[inverse]
 
     def logdet_many(self, masks) -> list[float]:
         """Memoized log-volume objectives of the sets with these bit masks, in the order given."""

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import ObjectiveCache, _mask_ids
+from .kalman import TABLE_BITS, ObjectiveCache, _mask_ids
 from .model import chosen_ids, constraint, set_cost
 
 # Largest ground set the oracles enumerate unless told otherwise (2^20 sets).
@@ -227,6 +227,9 @@ def _require_enumerable(cache: ObjectiveCache, max_sensors: int,
             f"{task} over {count} sensors exceeds the enumeration cap "
             f"{max_sensors}; raise max_sensors explicitly to override"
         )
+    if count > TABLE_BITS:
+        raise ValueError(f"{task} over {count} sensors exceeds the {TABLE_BITS} sensors "
+                         "a value table can index: its masks are int64")
     return count
 
 
@@ -256,7 +259,7 @@ def oracle_budget(cache: ObjectiveCache, budget: float,
     budget = constraint(budget, "budget")
     _require_enumerable(cache, max_sensors)
     affordable = np.flatnonzero(_cost_table(cache.scenario.suite) <= budget)
-    values = np.array(cache.f_many(affordable.tolist()))
+    values = cache.f_table(affordable)
     return _report(cache, "oracle", _least(affordable, values), budget=budget)
 
 
@@ -270,7 +273,7 @@ def oracle_mincost(cache: ObjectiveCache, kappa: float,
     kappa = constraint(kappa, "kappa")
     count = _require_enumerable(cache, max_sensors)
     cap = kappa - cache.offset
-    table = np.array(cache.f_many(range(1 << count)))
+    table = cache.f_table(np.arange(1 << count))
     feasible = np.flatnonzero(table <= cap)
     if not feasible.size:
         raise InfeasibleError(f_all=float(table[-1]), kappa_bar=cap)

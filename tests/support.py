@@ -30,8 +30,17 @@ def mask_ids(mask: int) -> tuple[int, ...]:
 
 
 def class_key(mask: int, number) -> tuple[int, ...]:
-    """The class numbers of a bit mask's set bits, ascending; the reference for ``_class_key``."""
+    """The class numbers of a bit mask's set bits, ascending: the multiset ``_class_key`` encodes."""
     return tuple(sorted([number[i] for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]))
+
+
+def row_count(scenario: lq.Scenario, ids) -> int | None:
+    """The row count P of a set that takes the measurement form, None for the information form."""
+    n = scenario.state_dim
+    widest = max((s.output_dim for s in scenario.suite), default=0)
+    if 0 < len(ids) * widest < n:
+        return sum(scenario.suite.sensor(i).output_dim for i in ids)
+    return None
 
 
 def scalar_system() -> lq.LtvSystem:
@@ -547,8 +556,9 @@ class PerMaskCache(lq.ObjectiveCache):
     Its ``_memoized`` is the one the class memo replaced, without the mask
     checks: ``memo`` is keyed by mask, so every set not memoized is
     propagated, with no value shared between masks, in batches of masks in
-    the order asked.  Each takes the cache's update kernel for its size on
-    its classes' rows or information, as the class memo does.
+    the order asked, grouped by ``row_count``.  Each takes the cache's update
+    kernel for its size on its classes' rows or information, as the class
+    memo does.
     """
 
     @np.errstate(over="ignore", invalid="ignore")
@@ -556,15 +566,15 @@ class PerMaskCache(lq.ObjectiveCache):
         masks = [operator.index(mask) for mask in masks]
         streams: dict = {}
         for mask in dict.fromkeys(mask for mask in masks if mask not in memo):
-            key = class_key(mask, self._class)
-            streams.setdefault(self._row_count(key), []).append((mask, key))
+            streams.setdefault(row_count(self.scenario, mask_ids(mask)), []).append(mask)
         size = kalman._batch_size(self.scenario.state_dim)
         for todo in streams.values():
             for start in range(0, len(todo), size):
                 batch = todo[start:start + size]
-                update = self._update([key for _, key in batch])
-                steps = kalman._steps(self.scenario.system, update, len(batch))
-                for (mask, _), value in zip(batch, values(post for _, post in steps).tolist()):
+                keys = np.array([kalman._class_key(mask, self._weight) for mask in batch],
+                                dtype=self._radix.dtype)
+                steps = kalman._steps(self.scenario.system, self._update(keys), len(batch))
+                for mask, value in zip(batch, values(post for _, post in steps).tolist()):
                     if not math.isfinite(value):
                         named = list(mask_ids(mask))
                         raise lq.NumericalError(f"objective of sensor set {named} is not finite "

@@ -457,6 +457,33 @@ def test_a_missing_constraint_is_named_before_any_solve(tmp_path, monkeypatch, c
         assert (len(loads), len(solves)) == (1, 1), argv
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["cost", "--set", "0,x"], "--set: expected an integer, got 'x'"),
+    (["simulate", "--set", "a", "--runs", "2"], "--set: expected an integer, got 'a'"),
+    (["select", "budget", "--method", "random", "--mandatory", "0;y"],
+     "--mandatory: expected an integer, got 'y'"),
+    (["simulate", "--method", "random", "--mandatory", "z", "--runs", "2"],
+     "--mandatory: expected an integer, got 'z'"),
+    *[(["simulate", "--kappa", "1", "--method", method, "--runs", "2"],
+       f"method {method!r} applies only to budget selection")
+      for method in ("logdet", "random", "all")],
+], ids=["cost-set", "simulate-set", "select-mandatory", "simulate-mandatory",
+        "simulate-kappa-logdet", "simulate-kappa-random", "simulate-kappa-all"])
+def test_malformed_input_is_refused_before_any_solve(tmp_path, monkeypatch, capsys, flags,
+                                                     message):
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(None)
+        return lq.solve_riccati(*args, **kwargs)
+
+    monkeypatch.setattr("lqgcodesign.cli.solve_riccati", counted)
+    assert main([*flags, "--scenario", str(_write_scalar(tmp_path))]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"lqgcodesign: error: {message}\n")
+    assert solves == []
+
+
 def test_simulate_has_no_ratio_cap(tmp_path, capsys):
     # simulate never certifies, so only the oracle cap applies to it
     source = _write_scalar(tmp_path)

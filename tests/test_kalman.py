@@ -266,8 +266,8 @@ def test_fractional_ids_rejected():
         with pytest.raises(lq.ValidationError, match="expected an integer"):
             call([True])
         np.testing.assert_array_equal(call([np.int64(1)]), call([1]))
-    # only the valid calls were memoized, under sensor 1's class multiset
-    assert cache._f == {(1,): cache.f([1])}
+    # only the valid calls were memoized, under sensor 1's class multiset key
+    assert cache._f == {kalman._class_key(0b10, cache._weight): cache.f([1])}
 
 
 def test_batch_calls_reject_masks_outside_the_suite():
@@ -295,8 +295,9 @@ def test_batch_calls_take_numpy_integer_masks_as_ints():
     for masks in (np.flatnonzero(np.ones(4, dtype=bool)), np.arange(4, dtype=np.uint64)):
         assert cache.f_many(masks) == cache.f_many(range(4))
         assert cache.logdet_many(masks) == cache.logdet_many(range(4))
-    assert sorted(cache._f) == sorted(cache._logdet) == [(), (0,), (0, 1), (1,)]
-    assert all(type(c) is int for key in [*cache._f, *cache._logdet] for c in key)
+    # two one-sensor classes: each multiset's key is its mask
+    assert sorted(cache._f) == sorted(cache._logdet) == [0, 1, 2, 3]
+    assert all(type(key) is int for key in [*cache._f, *cache._logdet])
 
 
 def test_masks_past_bit_63_are_python_ints():
@@ -439,20 +440,35 @@ def test_class_bank_and_rows(build, classes, per_step):
             np.broadcast_to(cache._rows[:, cache._row_ids[c]], white.shape), white)
 
 
+def _assert_key_encodes_the_multiset(mask, number):
+    """The bit walks agree with the binary string: ids, and the class multiset in mixed radix."""
+    assert kalman._mask_ids(mask) == support.mask_ids(mask)
+    radix, bases = kalman._mixed_radix(number)
+    key = kalman._class_key(mask, [radix[c] for c in number])
+    multiset = support.class_key(mask, number)
+    assert [key // r % b for r, b in zip(radix, bases)] == [multiset.count(c)
+                                                            for c in range(len(bases))]
+    return key, multiset
+
+
 def test_bit_walks_match_the_binary_string_walks_on_every_11_bit_mask():
     number = (0, 1, 1, 2, 0, 3, 4, 4, 4, 5, 6)
-    for mask in range(1 << 11):
-        assert kalman._mask_ids(mask) == support.mask_ids(mask)
-        assert kalman._class_key(mask, number) == support.class_key(mask, number)
+    pairs = {_assert_key_encodes_the_multiset(mask, number) for mask in range(1 << 11)}
+    # one key per multiset: 3 * 3 * 2 * 2 * 4 * 2 * 2
+    assert len(pairs) == len(dict(pairs)) == len({m for _, m in pairs}) == 576
+    masks = np.arange(1 << 11)
+    weight = [kalman._mixed_radix(number)[0][c] for c in number]
+    assert kalman._class_keys(masks, weight).tolist() == [kalman._class_key(int(mask), weight)
+                                                          for mask in masks]
 
 
 @settings(max_examples=200)
 @given(mask=st.integers(0, (1 << 81) - 1),
        number=st.lists(st.integers(0, 40), min_size=81, max_size=81))
 def test_bit_walks_match_the_binary_string_walks_on_81_bits(mask, number):
-    # 81 sensors as in formation a9, at most 41 classes, so classes repeat
-    assert kalman._mask_ids(mask) == support.mask_ids(mask)
-    assert kalman._class_key(mask, number) == support.class_key(mask, number)
+    # 81 sensors as in formation a9, at most 41 classes, so classes repeat;
+    # an unused class number is a digit of base 1
+    _assert_key_encodes_the_multiset(mask, number)
 
 
 def test_cache_consistent_with_direct_evaluation():
@@ -541,8 +557,8 @@ def test_measurement_form_value_does_not_depend_on_its_batch(monkeypatch):
     rng = np.random.default_rng(2)
     large = [int(mask) for mask in rng.integers(0, 1 << m, size=20)]
     masks = [int(mask) for mask in rng.permutation(small + large + [0, (1 << m) - 1])]
-    keys = [kalman._class_key(mask, batched._class) for mask in masks]
-    assert {batched._row_count(key) for key in keys} >= {None, 2, 6, 14}
+    assert {support.row_count(scenario, kalman._mask_ids(mask)) for mask in masks} >= {
+        None, 2, 6, 14}
     monkeypatch.setattr(kalman, "_BATCH_FLOATS", 5 * scenario.state_dim ** 2)
     values = batched.f_many(masks), batched.logdet_many(masks)
     monkeypatch.undo()
@@ -577,8 +593,8 @@ def _information_form_trajectory(cache, key):
 def test_empty_and_full_sets_keep_the_information_form(build):
     scenario, sol, cache = support.solved(build())
     for ids in ((), scenario.suite.ids):
-        key = kalman._class_key(support.mask_of(ids), cache._class)
-        assert cache._row_count(key) is None
+        key = support.class_key(support.mask_of(ids), cache._class)
+        assert support.row_count(scenario, ids) is None
         want = _information_form_trajectory(cache, key)
         got = cache.trajectory(ids)
         np.testing.assert_array_equal(got.priors, want.priors)
