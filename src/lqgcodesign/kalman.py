@@ -58,25 +58,51 @@ from ._linalg import NumericalError, constant_over_time, inv_sqrt_pd, symmetrize
 from .model import Scenario, Sensor, ValidationError, chosen_ids
 from .riccati import RiccatiSolution
 
-# Floats in one (k, n, n) stack of a batch: 2**13 floats are 64 KB, so a
-# batch of any size adds little to the peak memory of a run.
-_BATCH_FLOATS = 1 << 13
+# A batch holds at most _BATCH_SETS sets and _BATCH_FLOATS floats per (k, n,
+# n) stack, 2**16 floats being 512 KB.  Each step of a batch pays the fixed
+# cost of about a dozen numpy and LAPACK calls, worth several sets'
+# arithmetic at n = 32, so a batch must be large to amortise it; the set cap
+# keeps small states (2**16 // 36 = 1820 sets at n = 6) from raising the peak
+# memory of an enumeration.
+_BATCH_FLOATS = 1 << 16
+_BATCH_SETS = 256
 
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
 
 
 def _batch_size(n: int) -> int:
-    """Sets propagated together at state dimension n."""
-    return max(1, _BATCH_FLOATS // (n * n))
+    """Sets propagated together at state dimension n: at most ``_BATCH_SETS``, and at
+    most ``_BATCH_FLOATS`` floats per (k, n, n) stack unless one set alone exceeds it."""
+    return max(1, min(_BATCH_SETS, _BATCH_FLOATS // (n * n)))
+
+
+def _whiten(sensors) -> list[np.ndarray]:
+    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t] of each sensor, shape (T, p, n).
+
+    A sensor whose C and V are constant over time is whitened once: those of
+    one horizon T and output dimension p share one ``inv_sqrt_pd`` of their
+    (m_p, 1, p, p) noise stack and one matmul, each matrix to the bits of
+    its own.
+    """
+    whitened = [None] * len(sensors)
+    invariant: dict[tuple[int, int], list[int]] = {}
+    for j, sensor in enumerate(sensors):
+        if constant_over_time(sensor.C) and constant_over_time(sensor.V):
+            invariant.setdefault(sensor.C.shape[:2], []).append(j)
+        else:
+            whitened[j] = inv_sqrt_pd(sensor.V) @ sensor.C
+    for (horizon, _), group in invariant.items():
+        V = np.stack([sensors[j].V[:1] for j in group])
+        C = np.stack([sensors[j].C[:1] for j in group])
+        for j, white in zip(group, np.repeat(inv_sqrt_pd(V) @ C, horizon, axis=1)):
+            whitened[j] = white
+    return whitened
 
 
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
     """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n); once if constant."""
-    C, V = sensor.C, sensor.V
-    if constant_over_time(C) and constant_over_time(V):
-        return np.repeat(inv_sqrt_pd(V[:1]) @ C[:1], len(C), axis=0)
-    return inv_sqrt_pd(V) @ C
+    return _whiten((sensor,))[0]
 
 
 def _one_step_if_constant(whitened, horizon: int):
@@ -288,7 +314,7 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     suite = scenario.suite
     T, n = scenario.horizon, scenario.state_dim
     chosen = chosen_ids(suite, ids)
-    whitened = [whiten_sensor(suite.sensor(i)) for i in chosen]
+    whitened = _whiten([suite.sensor(i) for i in chosen])
     whitened, steps = _one_step_if_constant(whitened, T)
     if _measured(len(chosen), max((s.output_dim for s in suite), default=0), n):
         rows = np.concatenate(whitened, axis=1)
@@ -347,7 +373,8 @@ def cost_offset(scenario: Scenario, sol: RiccatiSolution) -> float:
 class ObjectiveCache:
     """Memoized per-set evaluation of the selection objectives.
 
-    One pass over the sensors, once per scenario, whitens them and indexes
+    One pass over the sensors, once per scenario, whitens them (``_whiten``:
+    the time-invariant ones of one output dimension in one call) and indexes
     them by information class (``_information_classes``): each sensor's
     class number, the (c + 1, L, n, n) class bank and the (L, sum p, n)
     classes' rows, L = 1 when every sensor is time-invariant, else T.
@@ -355,10 +382,13 @@ class ObjectiveCache:
     (``_mixed_radix``), the sum of its members' weights, so each distinct
     multiset is propagated at most once per functional, whichever batch
     call asks.  The multisets one call has not seen yet are propagated in
-    batches of ``_batch_size(n)``, grouped by exact row count P in
-    measurement form and in one stream in information form.  The
-    selection, ratio and Monte Carlo routines take the cache as their one
-    evaluation context: its scenario and solution.
+    batches of ``_batch_size(n)`` sets, grouped by exact row count P in
+    measurement form and in one stream in information form.  A batch holds
+    at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS`` (2^16 floats,
+    512 KB) per (k, n, n) stack, so a greedy step over formation a8's 64
+    sensors (n = 32) is one batch.  The selection, ratio and Monte Carlo
+    routines take the cache as their one evaluation context: its scenario
+    and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -367,7 +397,7 @@ class ObjectiveCache:
         self.scenario = scenario
         self.sol = sol
         T, n = scenario.horizon, scenario.state_dim
-        self._whitened = tuple(whiten_sensor(s) for s in scenario.suite)
+        self._whitened = tuple(_whiten(scenario.suite.sensors))
         self._class, self._bank, self._rows, self._row_ids = _information_classes(
             self._whitened, T, n)
         self._sensor_rows = tuple(white.shape[1] for white in self._whitened)
@@ -427,7 +457,8 @@ class ObjectiveCache:
         that asked for ``keys[j]``.  ``streams`` are sequences of positions in
         ``keys``, in order: the information-form multisets, then those of each
         exact row count P in measurement form, each sorted by size, so a batch
-        gathers few zero pad rows.  They go in batches of ``_batch_size(n)``.
+        gathers few zero pad rows.  They go in batches of ``_batch_size(n)``
+        sets, each (k, n, n) stack of a batch at most 512 KB.
         A value that is not finite raises ``NumericalError`` naming its first
         mask, and its batch is not memoized.
         """

@@ -55,11 +55,40 @@ def test_values_match_serial_reference_across_chunks(seed, monkeypatch):
 
 
 def test_values_match_serial_reference_at_default_batch_size():
-    scenario = support.big_random_scenario(5, sensors=9, state_dim=8, horizon=4)
+    scenario = support.big_random_scenario(5, sensors=11, state_dim=8, horizon=4)
     scenario, sol, cache = support.solved(scenario)
-    assert 2 ** 9 > 3 * kalman._batch_size(8)
+    assert 2 ** 11 > 3 * kalman._batch_size(8)
     ref = support.ReferenceCache(scenario, sol)
-    _assert_values_match(cache, ref, _mixed_batch(9, 0))
+    _assert_values_match(cache, ref, _mixed_batch(11, 0))
+
+
+@pytest.mark.parametrize("n, want", [(6, 256), (16, 256), (32, 64), (64, 16), (300, 1)])
+def test_batch_size_caps_sets_and_floats(n, want):
+    k = kalman._batch_size(n)
+    assert k == want
+    assert 1 <= k <= kalman._BATCH_SETS
+    assert k * n * n <= max(kalman._BATCH_FLOATS, n * n)
+
+
+def test_greedy_candidates_on_formation_a8_do_not_depend_on_the_batch(monkeypatch):
+    """The first three greedy steps' candidates, one batch per step against one set per batch."""
+    scenario, sol, cache = support.solved(lq.build_formation_scenario(8, 20, "heterogeneous", 7))
+    n = scenario.state_dim
+    added = [r.added for r in lq.greedy_budget(cache, 8.0).iterations[:3]]
+    masks = []
+    for step in range(3):
+        prefix = support.mask_of(added[:step])
+        masks += [prefix | 1 << i for i in scenario.suite.ids if not prefix >> i & 1]
+    assert len(masks) > 2 * kalman._batch_size(n)
+    default = lq.ObjectiveCache(scenario, sol)
+    want = default.f_many(masks), default.logdet_many(masks)
+    monkeypatch.setattr(kalman, "_BATCH_FLOATS", n * n)
+    assert kalman._batch_size(n) == 1
+    single = lq.ObjectiveCache(scenario, sol)
+    got = single.f_many(masks), single.logdet_many(masks)
+    for values, reference in zip(got, want):
+        assert np.array(values).view(np.int64).tolist() == np.array(reference).view(
+            np.int64).tolist()
 
 
 def test_value_of_a_set_does_not_depend_on_its_batch():

@@ -118,6 +118,33 @@ def test_whitening_once_matches_per_step_computation(build, invariant):
         assert white.tobytes() == np.broadcast_to(rows, white.shape).tobytes()
 
 
+def _mixed_step_scenario(seed):
+    """A ``random_scenario`` whose odd-numbered sensors draw wiring and noise afresh per step."""
+    scenario = support.random_scenario(seed)
+    stepped = support.per_step_sensor_scenario(seed).suite
+    sensors = tuple(stepped.sensor(s.id) if s.id % 2 else s for s in scenario.suite)
+    assert not constant_over_time(sensors[1].V)
+    return replace(scenario, suite=lq.SensorSuite(sensors=sensors, state_dim=scenario.state_dim))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lq.build_formation_scenario(8, 20, "heterogeneous", 7),
+    lambda: lq.build_uav_scenario(9, 20, "heterogeneous", 7),
+    lambda: support.per_step_sensor_scenario(5),
+    lambda: _mixed_step_scenario(5),
+], ids=["formation-a8", "uav-a9", "per-step-sensors", "mixed"])
+def test_suite_whitening_matches_per_sensor_whitening(build):
+    """One whitening of the suite, time-invariant sensors stacked by output
+    dimension, gives each sensor the bits of whitening it alone."""
+    scenario, _, cache = support.solved(build())
+    suite = kalman._whiten(scenario.suite.sensors)
+    for sensor, white in zip(scenario.suite, suite):
+        alone = lq.whiten_sensor(sensor)
+        assert white.shape == alone.shape and white.flags.c_contiguous
+        assert white.tobytes() == alone.tobytes() == cache.whitened(sensor.id).tobytes()
+        assert alone.tobytes() == support.whiten_sensor(sensor).tobytes()
+
+
 def test_posterior_never_exceeds_prior():
     for seed in range(10):
         scenario = support.random_scenario(seed + 950)

@@ -211,14 +211,14 @@ def test_rollouts_agree_with_the_propagate_covariance_gains():
 
 def test_monte_carlo_many_whitens_nothing_on_a_built_cache(monkeypatch):
     scenario, sol, cache = support.solved(lq.build_formation_scenario(3, 6, seed=2))
-    whiten = kalman.whiten_sensor
+    whiten = kalman._whiten
     calls = []
 
-    def counted(sensor):
-        calls.append(sensor.id)
-        return whiten(sensor)
+    def counted(sensors):
+        calls.extend(sensor.id for sensor in sensors)
+        return whiten(sensors)
 
-    monkeypatch.setattr(kalman, "whiten_sensor", counted)
+    monkeypatch.setattr(kalman, "_whiten", counted)
     lq.monte_carlo_many(cache, [(4, 5, 6), (), scenario.suite.ids], runs=3, base_seed=1)
     assert calls == []
 
