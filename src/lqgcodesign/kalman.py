@@ -44,12 +44,26 @@ give equal bits by construction.  Its batch calls take bit masks whose bit
 i selects sensor i: ``f_many`` takes Python ints, for scattered calls, and
 ``f_table`` an int64 array, for enumerations of at most ``TABLE_BITS``
 sensors, keyed in numpy.  Its single-set calls take ids.
+
+A call that propagates at least ``_FORK_SETS`` (2^9) new multisets, in a
+process that may run on more than one CPU (``os.sched_getaffinity``), deals
+its batches to forked workers, one per CPU, and merges their values in the
+one-process order, so the values, the memo and any error are those of a
+fill in one process.  Value tables go parallel; greedy steps, which ask for
+at most a few dozen sets, do not.  There is no switch: ``taskset -c 0``
+pins a run to one core, and a platform without ``os.fork`` or
+``os.sched_getaffinity`` fills in one process.  Python 3.12 and later may
+warn that forking a process with threads (OpenBLAS starts some) can
+deadlock the child; the workers call only numpy and LAPACK, and this is
+tested on Python 3.11 alone.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import os
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +84,12 @@ _BATCH_SETS = 256
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
 
+# New multisets from which a fill deals its batches to forked workers, one
+# per usable CPU.  A fork, its pipe and its reaping cost 2-3.5 ms, and a
+# fill of 2**11 multisets at n = 6 about 60-90 ms; a greedy step asks for at
+# most a few dozen sets and stays in the calling process.
+_FORK_SETS = 1 << 9
+
 
 def _batch_size(n: int) -> int:
     """Sets propagated together at state dimension n: at most ``_BATCH_SETS``, and at
@@ -77,8 +97,9 @@ def _batch_size(n: int) -> int:
     return max(1, min(_BATCH_SETS, _BATCH_FLOATS // (n * n)))
 
 
-def _whiten(sensors) -> list[np.ndarray]:
-    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t] of each sensor, shape (T, p, n).
+def _whiten(sensors) -> tuple[list[np.ndarray], list[bool]]:
+    """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t] of each sensor, shape (T, p, n),
+    and whether each was whitened once.
 
     A sensor whose C and V are constant over time is whitened once: those of
     one horizon T and output dimension p share one ``inv_sqrt_pd`` of their
@@ -86,9 +107,10 @@ def _whiten(sensors) -> list[np.ndarray]:
     its own.
     """
     whitened = [None] * len(sensors)
+    once = [constant_over_time(s.C) and constant_over_time(s.V) for s in sensors]
     invariant: dict[tuple[int, int], list[int]] = {}
     for j, sensor in enumerate(sensors):
-        if constant_over_time(sensor.C) and constant_over_time(sensor.V):
+        if once[j]:
             invariant.setdefault(sensor.C.shape[:2], []).append(j)
         else:
             whitened[j] = inv_sqrt_pd(sensor.V) @ sensor.C
@@ -97,17 +119,21 @@ def _whiten(sensors) -> list[np.ndarray]:
         C = np.stack([sensors[j].C[:1] for j in group])
         for j, white in zip(group, np.repeat(inv_sqrt_pd(V) @ C, horizon, axis=1)):
             whitened[j] = white
-    return whitened
+    return whitened, once
 
 
 def whiten_sensor(sensor: Sensor) -> np.ndarray:
     """Per-step whitened wiring Cbar[t] = V[t]^{-1/2} C[t], shape (T, p, n); once if constant."""
-    return _whiten((sensor,))[0]
+    return _whiten((sensor,))[0][0]
 
 
-def _one_step_if_constant(whitened, horizon: int):
-    """The whitened stacks cut to L steps, and L: 1 when every one is constant, else T."""
-    steps = 1 if all(map(constant_over_time, whitened)) else horizon
+def _one_step_if_constant(whitened, once, horizon: int):
+    """The whitened stacks cut to L steps, and L: 1 when every one is constant, else T.
+
+    A stack whitened once (``_whiten``) is constant; only the others are tested.
+    """
+    constant = all(was or constant_over_time(white) for white, was in zip(whitened, once))
+    steps = 1 if constant else horizon
     return [white[:steps] for white in whitened], steps
 
 
@@ -116,7 +142,7 @@ def _gram(white: np.ndarray) -> np.ndarray:
     return symmetrize(np.swapaxes(white, -1, -2) @ white)
 
 
-def _information_classes(whitened, horizon: int, n: int):
+def _information_classes(whitened, once, horizon: int, n: int):
     """One pass over the sensors: their information classes, the class bank and rows.
 
     Sensors whose information stacks are bit-identical form one class,
@@ -127,7 +153,7 @@ def _information_classes(whitened, horizon: int, n: int):
     n) stack of their smallest ids' whitened rows and each class's row ids,
     L being 1 when every whitened stack is constant over time, else T.
     """
-    whitened, steps = _one_step_if_constant(whitened, horizon)
+    whitened, steps = _one_step_if_constant(whitened, once, horizon)
     number, infos, rows = [], [], []
     candidates: dict[bytes, list[int]] = {}
     for white in whitened:
@@ -267,6 +293,80 @@ def _measurement_update(rows: np.ndarray, index: np.ndarray):
     return update
 
 
+def _cpus() -> int:
+    """CPUs this process may run on: 1 where the platform cannot tell or cannot fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _run(batches, compute) -> list:
+    """``compute`` of each batch in order, up to the first that raises or is not finite.
+
+    A batch's entry is its value array, or the exception it raised; the
+    batches after such a batch are never memoized, so they are not computed.
+    """
+    done = []
+    for batch in batches:
+        try:
+            got = compute(batch)
+        except Exception as exc:  # the merge raises it where one process would
+            done.append(exc)
+            break
+        done.append(got)
+        if not np.isfinite(got).all():
+            break
+    return done
+
+
+def _deal(batches, compute, workers: int) -> list[list]:
+    """``_run`` of batch i in worker i % workers, worker 0 being this process,
+    which forks nothing when it is the only worker.
+
+    Each other worker is a forked child: it sends its list, pickled, through
+    a pipe and leaves with ``os._exit`` on every path, running none of the
+    parent's exit handlers.  Every child is reaped before this returns or
+    raises, and one whose list is not needed any more is killed first.
+    """
+    children = []  # (pid, read end) of each child
+    shares = []
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)  # so a write fails, not blocks, once the parent is gone
+                    with os.fdopen(write, "wb") as pipe:
+                        pickle.dump(_run(batches[w::workers], compute), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read))
+        shares.append(_run(batches[::workers], compute))
+        for pid, read in children:
+            with os.fdopen(read, "rb", closefd=False) as pipe:
+                try:
+                    shares.append(pickle.load(pipe))
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
+    finally:
+        for pid, read in children:
+            os.close(read)
+            if len(shares) < workers:  # leaving early: its values are not needed
+                import signal  # only here, so a fill that succeeds never imports it
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return shares
+
+
 def _steps(system, update, k: int):
     """The covariance recursion for a batch of k sensor sets, one step at a time.
 
@@ -314,8 +414,7 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
     suite = scenario.suite
     T, n = scenario.horizon, scenario.state_dim
     chosen = chosen_ids(suite, ids)
-    whitened = _whiten([suite.sensor(i) for i in chosen])
-    whitened, steps = _one_step_if_constant(whitened, T)
+    whitened, steps = _one_step_if_constant(*_whiten([suite.sensor(i) for i in chosen]), T)
     if _measured(len(chosen), max((s.output_dim for s in suite), default=0), n):
         rows = np.concatenate(whitened, axis=1)
         update = _measurement_update(rows, np.arange(rows.shape[1])[None])
@@ -397,9 +496,10 @@ class ObjectiveCache:
         self.scenario = scenario
         self.sol = sol
         T, n = scenario.horizon, scenario.state_dim
-        self._whitened = tuple(_whiten(scenario.suite.sensors))
+        whitened, once = _whiten(scenario.suite.sensors)
+        self._whitened = tuple(whitened)
         self._class, self._bank, self._rows, self._row_ids = _information_classes(
-            self._whitened, T, n)
+            whitened, once, T, n)
         self._sensor_rows = tuple(white.shape[1] for white in self._whitened)
         self._widest = max(self._sensor_rows, default=0)
         radix, bases = _mixed_radix(self._class)
@@ -461,19 +561,37 @@ class ObjectiveCache:
         sets, each (k, n, n) stack of a batch at most 512 KB.
         A value that is not finite raises ``NumericalError`` naming its first
         mask, and its batch is not memoized.
+
+        A call with at least ``_FORK_SETS`` new multisets, in a process that
+        may run on more than one CPU, deals batch i to worker i % workers
+        (``_deal``), one worker per CPU and at most one per batch; this
+        process is worker 0 and the others are forked.  A set's value does
+        not depend on where its batch ran, and the batches are merged in
+        the order above: the first that raised, or holds a value that is
+        not finite, raises as it would in one process, with exactly the
+        batches before it memoized.  A one-CPU affinity (``taskset -c 0``)
+        or a platform without ``os.fork`` fills in this process alone.
         """
         size = _batch_size(self.scenario.state_dim)
-        for todo in streams:
-            for start in range(0, len(todo), size):
-                batch = todo[start:start + size]
-                steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
-                got = values(post for _, post in steps)
-                if not np.isfinite(got).all():
-                    j = int(np.argmin(np.isfinite(got)))
-                    named = list(_mask_ids(int(firsts[batch[j]])))
-                    raise NumericalError(f"objective of sensor set {named} is not finite "
-                                         f"({float(got[j])})")
-                memo.update(zip(keys[batch].tolist(), got.tolist()))
+        batches = [todo[start:start + size]
+                   for todo in streams for start in range(0, len(todo), size)]
+
+        def compute(batch):
+            steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
+            return values(post for _, post in steps)
+
+        workers = min(_cpus() if len(keys) >= _FORK_SETS else 1, len(batches))
+        shares = _deal(batches, compute, workers)
+        for i, batch in enumerate(batches):
+            got = shares[i % workers][i // workers]
+            if isinstance(got, Exception):
+                raise got
+            if not np.isfinite(got).all():
+                j = int(np.argmin(np.isfinite(got)))
+                named = list(_mask_ids(int(firsts[batch[j]])))
+                raise NumericalError(f"objective of sensor set {named} is not finite "
+                                     f"({float(got[j])})")
+            memo.update(zip(keys[batch].tolist(), got.tolist()))
 
     def _masks(self, masks) -> list[int]:
         """The masks as ints; a negative one or one with a bit past the suite raises."""

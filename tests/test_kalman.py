@@ -137,12 +137,53 @@ def test_suite_whitening_matches_per_sensor_whitening(build):
     """One whitening of the suite, time-invariant sensors stacked by output
     dimension, gives each sensor the bits of whitening it alone."""
     scenario, _, cache = support.solved(build())
-    suite = kalman._whiten(scenario.suite.sensors)
-    for sensor, white in zip(scenario.suite, suite):
+    suite, once = kalman._whiten(scenario.suite.sensors)
+    for sensor, white, was in zip(scenario.suite, suite, once):
+        assert was == (constant_over_time(sensor.C) and constant_over_time(sensor.V))
         alone = lq.whiten_sensor(sensor)
         assert white.shape == alone.shape and white.flags.c_contiguous
         assert white.tobytes() == alone.tobytes() == cache.whitened(sensor.id).tobytes()
         assert alone.tobytes() == support.whiten_sensor(sensor).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: lq.build_formation_scenario(3, 20, "heterogeneous", 7),
+    lambda: support.per_step_sensor_scenario(5),
+    lambda: _mixed_step_scenario(5),
+], ids=["formation-a3", "per-step-sensors", "mixed"])
+def test_stacks_whitened_once_are_not_tested_again(build, monkeypatch):
+    """The one-step test after whitening looks only at the per-step stacks,
+    and the class bank, rows and trajectories keep their layout and bits."""
+    scenario = build()
+    _, _, want = support.solved(scenario)
+    ids = tuple(scenario.suite.ids)[:3]
+    want_trajectory = lq.propagate_covariance(scenario, ids)
+    once = set()
+    for sensor in scenario.suite:
+        if constant_over_time(sensor.C) and constant_over_time(sensor.V):
+            once.add(lq.whiten_sensor(sensor).tobytes())
+    tested = []  # the stacks tested since the last whitening
+    whiten = kalman._whiten
+
+    def whitened(sensors):
+        got = whiten(sensors)
+        tested.clear()
+        return got
+
+    monkeypatch.setattr(kalman, "_whiten", whitened)
+    monkeypatch.setattr(kalman, "constant_over_time",
+                        lambda steps: tested.append(steps.tobytes()) or constant_over_time(steps))
+    _, _, cache = support.solved(scenario)
+    assert once.isdisjoint(tested)
+    got_trajectory = lq.propagate_covariance(scenario, ids)
+    assert once.isdisjoint(tested)
+    assert cache._bank.shape == want._bank.shape and cache._rows.shape == want._rows.shape
+    assert cache._bank.tobytes() == want._bank.tobytes()
+    assert cache._rows.tobytes() == want._rows.tobytes()
+    for got, expected in ((got_trajectory, want_trajectory),
+                          (cache.trajectory(ids), want.trajectory(ids))):
+        assert got.priors.tobytes() == expected.priors.tobytes()
+        assert got.posteriors.tobytes() == expected.posteriors.tobytes()
 
 
 def test_posterior_never_exceeds_prior():
