@@ -45,17 +45,17 @@ i selects sensor i: ``f_many`` takes Python ints, for scattered calls, and
 ``f_table`` an int64 array, for enumerations of at most ``TABLE_BITS``
 sensors, keyed in numpy.  Its single-set calls take ids.
 
-A call that propagates at least ``_FORK_SETS`` (2^9) new multisets, in a
-process that may run on more than one CPU (``os.sched_getaffinity``), deals
-its batches to forked workers, one per CPU, and merges their values in the
-one-process order, so the values, the memo and any error are those of a
-fill in one process.  Value tables go parallel; greedy steps, which ask for
-at most a few dozen sets, do not.  There is no switch: ``taskset -c 0``
-pins a run to one core, and a platform without ``os.fork`` or
-``os.sched_getaffinity`` fills in one process.  Python 3.12 and later may
-warn that forking a process with threads (OpenBLAS starts some) can
-deadlock the child; the workers call only numpy and LAPACK, and this is
-tested on Python 3.11 alone.
+A call whose estimated work, new multisets * T * n^3, reaches ``_FORK_WORK``
+in a process that may run on more than one CPU (``os.sched_getaffinity``)
+deals its batches to forked workers, one per CPU, and merges their values in
+the one-process order, so the values, the memo and any error are those of a
+fill in one process.  Value tables and formation a8's greedy steps (35-37
+sets at n = 32, 11 times the threshold) fork; a formation a4 sweep's calls
+(at most 11 sets at n = 16, 0.43 of it) do not.  There is no switch:
+``taskset -c 0`` pins a run to one core, and a platform without ``os.fork``
+or ``os.sched_getaffinity`` fills in one process.  Python 3.12 and later may
+warn that forking a process with threads (OpenBLAS starts some) can deadlock
+the child; the workers call only numpy and LAPACK, tested on Python 3.11 alone.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ _BATCH_SETS = 256
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
 
-# New multisets from which a fill deals its batches to forked workers, one
-# per usable CPU.  A fork, its pipe and its reaping cost 2-3.5 ms, and a
-# fill of 2**11 multisets at n = 6 about 60-90 ms; a greedy step asks for at
-# most a few dozen sets and stays in the calling process.
-_FORK_SETS = 1 << 9
+# Work, new multisets * T * n**3, from which a fill forks: 486 sets at n = 6, T
+# = 20.  A fork, its pipe and its reaping cost 2-3.5 ms; a 2**11 fill at n = 6
+# takes 60-90 ms, and a greedy step of 35 sets at n = 32 12-35 ms.
+_FORK_WORK = 1 << 21
 
 
 def _batch_size(n: int) -> int:
@@ -295,9 +294,8 @@ def _measurement_update(rows: np.ndarray, index: np.ndarray):
 
 def _cpus() -> int:
     """CPUs this process may run on: 1 where the platform cannot tell or cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if forks else 1
 
 
 def _run(batches, compute) -> list:
@@ -484,8 +482,8 @@ class ObjectiveCache:
     batches of ``_batch_size(n)`` sets, grouped by exact row count P in
     measurement form and in one stream in information form.  A batch holds
     at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS`` (2^16 floats,
-    512 KB) per (k, n, n) stack, so a greedy step over formation a8's 64
-    sensors (n = 32) is one batch.  The selection, ratio and Monte Carlo
+    512 KB) per (k, n, n) stack, and a fill with enough work is dealt to
+    forked workers (``_fill``).  The selection, ratio and Monte Carlo
     routines take the cache as their one evaluation context: its scenario
     and solution.
     """
@@ -562,17 +560,19 @@ class ObjectiveCache:
         A value that is not finite raises ``NumericalError`` naming its first
         mask, and its batch is not memoized.
 
-        A call with at least ``_FORK_SETS`` new multisets, in a process that
-        may run on more than one CPU, deals batch i to worker i % workers
-        (``_deal``), one worker per CPU and at most one per batch; this
-        process is worker 0 and the others are forked.  A set's value does
-        not depend on where its batch ran, and the batches are merged in
-        the order above: the first that raised, or holds a value that is
-        not finite, raises as it would in one process, with exactly the
-        batches before it memoized.  A one-CPU affinity (``taskset -c 0``)
-        or a platform without ``os.fork`` fills in this process alone.
+        A call whose work ``len(keys) * T * n**3`` reaches ``_FORK_WORK``, in a
+        process that may run on more than one CPU, cuts its batches to at most
+        a CPU's share of ``keys`` and deals batch i to worker i % workers
+        (``_deal``), one per CPU and at most one per batch; this process is
+        worker 0 and the others are forked.  A set's value does not depend on
+        where its batch ran or on its batch's size, and the batches are merged
+        in the order above: the first that raised, or holds a value that is not
+        finite, raises as it would in one process, with exactly the batches
+        before it memoized.  Under ``taskset -c 0`` or without ``os.fork`` it fills alone.
         """
-        size = _batch_size(self.scenario.state_dim)
+        T, n = self.scenario.horizon, self.scenario.state_dim
+        cpus = _cpus() if len(keys) * T * n ** 3 >= _FORK_WORK else 1
+        size = min(_batch_size(n), -(-len(keys) // cpus))  # a batch per worker at least
         batches = [todo[start:start + size]
                    for todo in streams for start in range(0, len(todo), size)]
 
@@ -580,7 +580,7 @@ class ObjectiveCache:
             steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
             return values(post for _, post in steps)
 
-        workers = min(_cpus() if len(keys) >= _FORK_SETS else 1, len(batches))
+        workers = min(cpus, len(batches))
         shares = _deal(batches, compute, workers)
         for i, batch in enumerate(batches):
             got = shares[i % workers][i // workers]

@@ -1,12 +1,15 @@
 """The forked fill of the objective cache against the one-process fill.
 
-``ObjectiveCache._fill`` deals batch i to worker i % workers when a call has
-at least ``kalman._FORK_SETS`` new class multisets and the process may run
-on more than one CPU; this process is worker 0 and the others are forked.
-A set's value does not depend on where its batch ran, so a forked fill must
-give the one-process fill's bits and memo, raise what it raises with the
-same batches memoized, and leave no child process behind.  The tests force
-both paths with small batches and a low threshold.
+``ObjectiveCache._fill`` deals batch i to worker i % workers when a call's
+estimated work, new class multisets * T * n^3, is at least
+``kalman._FORK_WORK`` and the process may run on more than one CPU; this
+process is worker 0 and the others are forked, and no batch holds more than
+a worker's share of the multisets.  A set's value does not depend on where
+its batch ran or on its batch's size, so a forked fill must give the
+one-process fill's bits and memo, raise what it raises with the same
+batches memoized, and leave no child process behind.  Most tests force both
+paths with small batches and a low threshold; the greedy-step and sweep-size
+tests keep the real ones.
 """
 
 import os
@@ -20,6 +23,13 @@ from lqgcodesign import kalman
 import support
 
 UAV_A9 = lq.build_uav_scenario(9, 20, "heterogeneous", 7)  # 11 sensors, 11 classes
+FORMATION_A8 = lq.build_formation_scenario(8, 20, "heterogeneous", 7)  # 64 sensors, n = 32
+FORMATION_A4 = lq.build_formation_scenario(4, 20, "heterogeneous", 7)  # 16 sensors, n = 16
+
+
+def _work(scenario, sets: int) -> int:
+    """The work ``_fill`` estimates for ``sets`` new multisets of the scenario."""
+    return sets * scenario.horizon * scenario.state_dim ** 3
 
 
 def _assert_no_child_left():
@@ -36,13 +46,13 @@ def _outcome(call, cache):
     return got, dict(cache._f), dict(cache._logdet)
 
 
-def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3):
+def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3, fork_work=1):
     """The call's outcome on a fresh cache filled in one process, then dealt to ``cpus``
-    workers, with the forks the second made."""
+    workers from ``fork_work``, with the forks the second made."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", batch_sets)
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1 << 62)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1 << 62)
     serial = _outcome(call, support.solved(scenario)[2])
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1)
+    monkeypatch.setattr(kalman, "_FORK_WORK", fork_work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks = []
     fork = os.fork
@@ -52,17 +62,41 @@ def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3):
     return serial, forked, len(forks)
 
 
-@pytest.mark.parametrize("call, forks", [
-    (lambda cache: cache.f_table(np.arange(1 << 11)), 2),
+@pytest.mark.parametrize("call, cpus", [
+    (lambda cache: cache.f_table(np.arange(1 << 11)), 3),
     (lambda cache: cache.logdet_many(
-        np.random.default_rng(5).integers(0, 1 << 11, 600).tolist()), 2),
-    (lambda cache: cache.f_many(np.random.default_rng(6).integers(0, 1 << 11, 100).tolist()), 1),
+        np.random.default_rng(5).integers(0, 1 << 11, 600).tolist()), 3),
+    # under the 64-set cap, cut into a batch per worker
+    (lambda cache: cache.f_many(np.random.default_rng(6).integers(0, 1 << 11, 100).tolist()), 2),
 ], ids=["f_table-2^11", "logdet_many-600", "f_many-two-batches"])
-def test_forked_fill_is_the_serial_fill_bit_for_bit(monkeypatch, call, forks):
-    serial, forked, made = _serial_and_forked(monkeypatch, UAV_A9, call)
+def test_forked_fill_is_the_serial_fill_bit_for_bit(monkeypatch, call, cpus):
+    serial, forked, made = _serial_and_forked(monkeypatch, UAV_A9, call, cpus=cpus)
     assert forked == serial
-    assert made == forks  # three workers, or one per batch when there are fewer
+    assert made == cpus - 1
     assert len(serial[1]) + len(serial[2]) > 64
+
+
+def _greedy_step(scenario, chosen) -> list[int]:
+    """The masks one greedy step from ``chosen`` asks for: the set with each other sensor."""
+    base = support.mask_of(chosen)
+    return [base | 1 << i for i in range(len(scenario.suite.ids)) if not base >> i & 1]
+
+
+@pytest.mark.parametrize("method", ["f_many", "logdet_many"])
+def test_a_greedy_step_on_formation_a8_is_cut_between_two_workers(monkeypatch, method):
+    """At n = 32 a greedy step's few dozen sets are ample work for a fork."""
+    masks = _greedy_step(FORMATION_A8, (3, 17, 40, 52))
+    sizes = []  # the sets of each batch this process propagates
+    update = kalman.ObjectiveCache._update
+    monkeypatch.setattr(kalman.ObjectiveCache, "_update",
+                        lambda self, keys: sizes.append(len(keys)) or update(self, keys))
+    serial, forked, made = _serial_and_forked(
+        monkeypatch, FORMATION_A8, lambda cache: getattr(cache, method)(masks),
+        batch_sets=kalman._BATCH_SETS, cpus=2, fork_work=kalman._FORK_WORK)
+    assert forked == serial and made == 1
+    new = len(serial[1]) + len(serial[2])
+    assert 30 <= new <= 40 and _work(FORMATION_A8, new) > 10 * kalman._FORK_WORK
+    assert sizes == [new, (new + 1) // 2]  # one batch alone, a worker's share forked
 
 
 def _overflowing_singletons():
@@ -98,7 +132,7 @@ def test_a_value_that_is_not_finite_raises_as_in_one_process(monkeypatch, order,
 def _batch_keys(monkeypatch, scenario, call, batch_sets):
     """The class multiset keys of each batch a one-process fill propagates, in order."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", batch_sets)
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1 << 62)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1 << 62)
     batches = []
     update = kalman.ObjectiveCache._update
     monkeypatch.setattr(kalman.ObjectiveCache, "_update",
@@ -139,7 +173,7 @@ def test_an_exception_in_a_batch_is_raised_in_order(monkeypatch, failing):
 @pytest.mark.parametrize("sent", [0.0, 0.5], ids=["nothing", "half"])
 def test_a_child_that_sends_no_values_raises_and_is_reaped(monkeypatch, sent):
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
     dump = kalman.pickle.dump
@@ -161,7 +195,7 @@ def test_a_child_that_sends_no_values_raises_and_is_reaped(monkeypatch, sent):
 
 def test_a_child_is_killed_when_this_process_leaves_early(monkeypatch):
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
     update = kalman.ObjectiveCache._update
@@ -192,27 +226,43 @@ def test_a_fill_forks_nothing_where_it_cannot_gain(monkeypatch, platform):
     elif platform == "no-affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
     if platform != "few-sets":
-        monkeypatch.setattr(kalman, "_FORK_SETS", 1)
+        monkeypatch.setattr(kalman, "_FORK_WORK", 1)
     want = _outcome(lambda cache: cache.f_table(np.arange(1 << 11)), support.solved(UAV_A9)[2])
     if platform == "no-fork":
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", _refuse_fork)
-    # the default threshold keeps a fill of fewer multisets than it in this process
-    masks = np.arange(kalman._FORK_SETS - 1 if platform == "few-sets" else 1 << 11)
+    # the default threshold keeps a fill of work just below it in this process
+    below = (kalman._FORK_WORK - 1) // _work(UAV_A9, 1)
+    assert _work(UAV_A9, below + 1) >= kalman._FORK_WORK
+    masks = np.arange(below if platform == "few-sets" else 1 << 11)
     got = _outcome(lambda cache: cache.f_table(masks), support.solved(UAV_A9)[2])
     assert got[0] == want[0][:len(masks)]
+
+
+def test_a_sweep_size_fill_on_formation_a4_forks_nothing(monkeypatch):
+    """Formation a4's largest sweep fill, 11 sets at n = 16, is under half the threshold."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    masks = [1 << 4, *_greedy_step(FORMATION_A4, (4,))]  # 11 class multisets
+    cache = support.solved(FORMATION_A4)[2]
+    values = [*cache.f_many(masks), *cache.logdet_many(masks)]
+    assert len(cache._f) == len(cache._logdet) == 11 and np.isfinite(values).all()
+    assert 2 * _work(FORMATION_A4, 11) < kalman._FORK_WORK
+    _assert_no_child_left()
 
 
 def test_the_real_affinity_sets_the_workers(monkeypatch):
     """One worker per CPU this process may run on: under ``taskset -c 0`` no fork."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_SETS", 1)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
     cache = support.solved(UAV_A9)[2]
     table = cache.f_table(np.arange(1 << 11))
-    assert len(forks) == min(len(os.sched_getaffinity(0)), (1 << 11) // 64) - 1
+    cpus = len(os.sched_getaffinity(0))
+    batches = -(-(1 << 11) // min(64, -(-(1 << 11) // cpus)))  # a worker's share at most
+    assert len(forks) == min(cpus, batches) - 1
     assert np.isfinite(table).all() and len(cache._f) == 1 << 11
     _assert_no_child_left()
