@@ -45,17 +45,17 @@ i selects sensor i: ``f_many`` takes Python ints, for scattered calls, and
 ``f_table`` an int64 array, for enumerations of at most ``TABLE_BITS``
 sensors, keyed in numpy.  Its single-set calls take ids.
 
-A call whose estimated work, new multisets * T * n^3, reaches ``_FORK_WORK``
-in a process that may run on more than one CPU (``os.sched_getaffinity``)
-deals its batches to forked workers, one per CPU, and merges their values in
-the one-process order, so the values, the memo and any error are those of a
-fill in one process.  Value tables and formation a8's greedy steps (35-37
-sets at n = 32, 11 times the threshold) fork; a formation a4 sweep's calls
-(at most 11 sets at n = 16, 0.43 of it) do not.  There is no switch:
-``taskset -c 0`` pins a run to one core, and a platform without ``os.fork``
-or ``os.sched_getaffinity`` fills in one process.  Python 3.12 and later may
-warn that forking a process with threads (OpenBLAS starts some) can deadlock
-the child; the workers call only numpy and LAPACK, tested on Python 3.11 alone.
+A call whose work, new multisets * T * n^2, is two ``_FORK_WORK`` or more,
+in a process that may run on more than one CPU (``os.sched_getaffinity``),
+deals its batches to forked workers, one per CPU and per ``_FORK_WORK``, and
+merges their values in the one-process order, so the values, the memo and
+any error are those of a fill in one process.  Value tables (from 512 sets
+at n = 6) and formation a8's greedy steps (35-37 sets, from 18 at n = 32)
+fork; a formation a4 sweep's calls (11 sets, from 72 at n = 16) do not.  No
+switch: ``taskset -c 0`` pins a run to one core, and without ``os.fork`` or
+``os.sched_getaffinity`` a fill runs in one process.  Python 3.12 and later
+may warn that forking a process with threads (OpenBLAS starts some) can
+deadlock the child; the workers call only numpy and LAPACK.  Tested on 3.11.
 """
 
 from __future__ import annotations
@@ -72,22 +72,20 @@ from ._linalg import NumericalError, constant_over_time, inv_sqrt_pd, symmetrize
 from .model import Scenario, Sensor, ValidationError, chosen_ids
 from .riccati import RiccatiSolution
 
-# A batch holds at most _BATCH_SETS sets and _BATCH_FLOATS floats per (k, n,
-# n) stack, 2**16 floats being 512 KB.  Each step of a batch pays the fixed
-# cost of about a dozen numpy and LAPACK calls, worth several sets'
-# arithmetic at n = 32, so a batch must be large to amortise it; the set cap
-# keeps small states (2**16 // 36 = 1820 sets at n = 6) from raising the peak
-# memory of an enumeration.
+# Each step of a batch pays about a dozen numpy and LAPACK calls, worth
+# several sets' arithmetic at n = 32, so a batch must be large; the set cap
+# keeps n = 6 (2**16 // 36 = 1820 sets) from raising an enumeration's memory.
 _BATCH_FLOATS = 1 << 16
 _BATCH_SETS = 256
 
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
 
-# Work, new multisets * T * n**3, from which a fill forks: 486 sets at n = 6, T
-# = 20.  A fork, its pipe and its reaping cost 2-3.5 ms; a 2**11 fill at n = 6
-# takes 60-90 ms, and a greedy step of 35 sets at n = 32 12-35 ms.
-_FORK_WORK = 1 << 21
+# Work, new multisets * T * n**2, of each forked worker at least: a full batch
+# at n = 6, T = 20 (a 128-set batch there costs as much), 9 sets at n = 32.  A
+# set costs about n**1.5 (12-16 times n = 6's at n = 32); n**2 forks formation
+# a8's greedy steps, 35-37 sets, with a margin of two.  A fork costs 2-4 ms.
+_FORK_WORK = 256 * 20 * 6 * 6
 
 
 def _batch_size(n: int) -> int:
@@ -294,8 +292,9 @@ def _measurement_update(rows: np.ndarray, index: np.ndarray):
 
 def _cpus() -> int:
     """CPUs this process may run on: 1 where the platform cannot tell or cannot fork."""
-    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    return len(os.sched_getaffinity(0)) if forks else 1
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _run(batches, compute) -> list:
@@ -560,19 +559,20 @@ class ObjectiveCache:
         A value that is not finite raises ``NumericalError`` naming its first
         mask, and its batch is not memoized.
 
-        A call whose work ``len(keys) * T * n**3`` reaches ``_FORK_WORK``, in a
-        process that may run on more than one CPU, cuts its batches to at most
-        a CPU's share of ``keys`` and deals batch i to worker i % workers
-        (``_deal``), one per CPU and at most one per batch; this process is
-        worker 0 and the others are forked.  A set's value does not depend on
-        where its batch ran or on its batch's size, and the batches are merged
-        in the order above: the first that raised, or holds a value that is not
-        finite, raises as it would in one process, with exactly the batches
-        before it memoized.  Under ``taskset -c 0`` or without ``os.fork`` it fills alone.
+        A call with work ``len(keys) * T * n**2`` of ``parts`` (two or more)
+        ``_FORK_WORK``, in a process that may run on more than one CPU, has a
+        worker per CPU and per part, at most one per batch, and cuts batches
+        to a worker's share of ``keys``.  Batch i goes to worker i % workers
+        (``_deal``); this process is worker 0, the others are forked.  A set's
+        value does not depend on where its batch ran or on its size, and the
+        batches are merged in the order above: the first that raised, or holds
+        a value that is not finite, raises as in one process, with exactly the
+        batches before it memoized.  Under ``taskset -c 0`` it fills alone.
         """
         T, n = self.scenario.horizon, self.scenario.state_dim
-        cpus = _cpus() if len(keys) * T * n ** 3 >= _FORK_WORK else 1
-        size = min(_batch_size(n), -(-len(keys) // cpus))  # a batch per worker at least
+        parts = len(keys) * T * n * n // _FORK_WORK
+        workers = min(_cpus(), parts) if parts > 1 else 1
+        size = min(_batch_size(n), -(-len(keys) // workers))
         batches = [todo[start:start + size]
                    for todo in streams for start in range(0, len(todo), size)]
 
@@ -580,7 +580,7 @@ class ObjectiveCache:
             steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
             return values(post for _, post in steps)
 
-        workers = min(cpus, len(batches))
+        workers = min(workers, len(batches))
         shares = _deal(batches, compute, workers)
         for i, batch in enumerate(batches):
             got = shares[i % workers][i // workers]

@@ -1,15 +1,16 @@
 """The forked fill of the objective cache against the one-process fill.
 
 ``ObjectiveCache._fill`` deals batch i to worker i % workers when a call's
-estimated work, new class multisets * T * n^3, is at least
-``kalman._FORK_WORK`` and the process may run on more than one CPU; this
-process is worker 0 and the others are forked, and no batch holds more than
-a worker's share of the multisets.  A set's value does not depend on where
-its batch ran or on its batch's size, so a forked fill must give the
-one-process fill's bits and memo, raise what it raises with the same
-batches memoized, and leave no child process behind.  Most tests force both
-paths with small batches and a low threshold; the greedy-step and sweep-size
-tests keep the real ones.
+estimated work, new class multisets * T * n^2, is at least two
+``kalman._FORK_WORK`` and the process may run on more than one CPU, with a
+worker per CPU and per ``_FORK_WORK``; this process is worker 0 and the
+others are forked, and no batch holds more than a worker's share of the
+multisets.  A set's value does not depend on where its batch ran or on its
+batch's size, so a forked fill must give the one-process fill's bits and
+memo, raise what it raises with the same batches memoized, and leave no
+child process behind.  Most tests force both paths with small batches and a
+low threshold; the greedy-step, many-CPU table and sweep-size tests keep the
+real ones.
 """
 
 import os
@@ -29,7 +30,7 @@ FORMATION_A4 = lq.build_formation_scenario(4, 20, "heterogeneous", 7)  # 16 sens
 
 def _work(scenario, sets: int) -> int:
     """The work ``_fill`` estimates for ``sets`` new multisets of the scenario."""
-    return sets * scenario.horizon * scenario.state_dim ** 3
+    return sets * scenario.horizon * scenario.state_dim ** 2
 
 
 def _assert_no_child_left():
@@ -76,15 +77,26 @@ def test_forked_fill_is_the_serial_fill_bit_for_bit(monkeypatch, call, cpus):
     assert len(serial[1]) + len(serial[2]) > 64
 
 
+def test_a_fill_of_fewer_batches_than_cpus_forks_one_worker_per_batch(monkeypatch):
+    """Five sets of one stream cut for four CPUs make batches of 2, 2 and 1."""
+    full = (1 << len(UAV_A9.suite.ids)) - 1
+    masks = [full ^ 1 << i for i in range(5)]  # ten sensors each: the information form
+    serial, forked, made = _serial_and_forked(
+        monkeypatch, UAV_A9, lambda cache: cache.f_many(masks), cpus=4)
+    assert forked == serial and len(serial[1]) == 5
+    assert made == 2  # three workers, one per batch
+
+
 def _greedy_step(scenario, chosen) -> list[int]:
     """The masks one greedy step from ``chosen`` asks for: the set with each other sensor."""
     base = support.mask_of(chosen)
     return [base | 1 << i for i in range(len(scenario.suite.ids)) if not base >> i & 1]
 
 
+@pytest.mark.parametrize("cpus", [2, 8])
 @pytest.mark.parametrize("method", ["f_many", "logdet_many"])
-def test_a_greedy_step_on_formation_a8_is_cut_between_two_workers(monkeypatch, method):
-    """At n = 32 a greedy step's few dozen sets are ample work for a fork."""
+def test_a_greedy_step_on_formation_a8_is_cut_between_workers(monkeypatch, method, cpus):
+    """At n = 32 a greedy step's few dozen sets are three parts: a worker each, CPUs allowing."""
     masks = _greedy_step(FORMATION_A8, (3, 17, 40, 52))
     sizes = []  # the sets of each batch this process propagates
     update = kalman.ObjectiveCache._update
@@ -92,11 +104,26 @@ def test_a_greedy_step_on_formation_a8_is_cut_between_two_workers(monkeypatch, m
                         lambda self, keys: sizes.append(len(keys)) or update(self, keys))
     serial, forked, made = _serial_and_forked(
         monkeypatch, FORMATION_A8, lambda cache: getattr(cache, method)(masks),
-        batch_sets=kalman._BATCH_SETS, cpus=2, fork_work=kalman._FORK_WORK)
-    assert forked == serial and made == 1
+        batch_sets=kalman._BATCH_SETS, cpus=cpus, fork_work=kalman._FORK_WORK)
     new = len(serial[1]) + len(serial[2])
-    assert 30 <= new <= 40 and _work(FORMATION_A8, new) > 10 * kalman._FORK_WORK
-    assert sizes == [new, (new + 1) // 2]  # one batch alone, a worker's share forked
+    parts = _work(FORMATION_A8, new) // kalman._FORK_WORK
+    assert 30 <= new <= 40 and parts == 3  # not one worker per CPU on eight
+    assert forked == serial and made == min(cpus, parts) - 1
+    assert sizes == [new, -(-new // (made + 1))]  # one batch alone, a worker's share forked
+
+
+def test_a_table_fill_gives_each_worker_a_full_batch_on_many_cpus(monkeypatch):
+    """A 2^11 table at n = 6 is eight parts: eight workers of 256 sets, however many CPUs."""
+    sizes = []
+    update = kalman.ObjectiveCache._update
+    monkeypatch.setattr(kalman.ObjectiveCache, "_update",
+                        lambda self, keys: sizes.append(len(keys)) or update(self, keys))
+    serial, forked, made = _serial_and_forked(
+        monkeypatch, UAV_A9, lambda cache: cache.f_table(np.arange(1 << 11)),
+        batch_sets=kalman._BATCH_SETS, cpus=16, fork_work=kalman._FORK_WORK)
+    assert _work(UAV_A9, 1 << 11) // kalman._FORK_WORK == 8
+    assert forked == serial and made == 7
+    assert max(sizes) == kalman._BATCH_SETS  # the batches of one process, uncut
 
 
 def _overflowing_singletons():
@@ -232,23 +259,24 @@ def test_a_fill_forks_nothing_where_it_cannot_gain(monkeypatch, platform):
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", _refuse_fork)
-    # the default threshold keeps a fill of work just below it in this process
-    below = (kalman._FORK_WORK - 1) // _work(UAV_A9, 1)
-    assert _work(UAV_A9, below + 1) >= kalman._FORK_WORK
+    # the default threshold keeps a fill of work just below two parts in this process
+    below = (2 * kalman._FORK_WORK - 1) // _work(UAV_A9, 1)
+    if platform == "few-sets":
+        assert below == 511 and _work(UAV_A9, below + 1) == 2 * kalman._FORK_WORK
     masks = np.arange(below if platform == "few-sets" else 1 << 11)
     got = _outcome(lambda cache: cache.f_table(masks), support.solved(UAV_A9)[2])
     assert got[0] == want[0][:len(masks)]
 
 
 def test_a_sweep_size_fill_on_formation_a4_forks_nothing(monkeypatch):
-    """Formation a4's largest sweep fill, 11 sets at n = 16, is under half the threshold."""
+    """Formation a4's largest sweep fill, 11 sets at n = 16, is under a third of one part."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(os, "fork", _refuse_fork)
     masks = [1 << 4, *_greedy_step(FORMATION_A4, (4,))]  # 11 class multisets
     cache = support.solved(FORMATION_A4)[2]
     values = [*cache.f_many(masks), *cache.logdet_many(masks)]
     assert len(cache._f) == len(cache._logdet) == 11 and np.isfinite(values).all()
-    assert 2 * _work(FORMATION_A4, 11) < kalman._FORK_WORK
+    assert 3 * _work(FORMATION_A4, 11) < kalman._FORK_WORK
     _assert_no_child_left()
 
 
