@@ -47,11 +47,13 @@ sensors, keyed in numpy.  Its single-set calls take ids.
 
 A call whose work, new multisets * T * n^2, is two ``_FORK_WORK`` or more,
 in a process that may run on more than one CPU (``os.sched_getaffinity``),
-deals its batches to forked workers, one per CPU and per ``_FORK_WORK``, and
+deals its batches to workers, one per CPU and per ``_FORK_WORK``, and
 merges their values in the one-process order, so the values, the memo and
-any error are those of a fill in one process.  Value tables (from 512 sets
-at n = 6) and formation a8's greedy steps (35-37 sets, from 18 at n = 32)
-fork; a formation a4 sweep's calls (11 sets, from 72 at n = 16) do not.  No
+any error are those of a fill in one process.  This process is worker 0;
+the others are the cache's, forked once and fed each call's batches
+through pipes (``_fork_worker``).  Value tables (from 512 sets at n = 6)
+and formation a8's greedy steps (35-37 sets, from 18 at n = 32) are dealt;
+a formation a4 sweep's calls (11 sets, from 72 at n = 16) are not.  No
 switch: ``taskset -c 0`` pins a run to one core, and without ``os.fork`` or
 ``os.sched_getaffinity`` a fill runs in one process.  Python 3.12 and later
 may warn that forking a process with threads (OpenBLAS starts some) can
@@ -64,6 +66,7 @@ import math
 import operator
 import os
 import pickle
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,10 +84,11 @@ _BATCH_SETS = 256
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
 
-# Work, new multisets * T * n**2, of each forked worker at least: a full batch
-# at n = 6, T = 20 (a 128-set batch there costs as much), 9 sets at n = 32.  A
-# set costs about n**1.5 (12-16 times n = 6's at n = 32); n**2 forks formation
-# a8's greedy steps, 35-37 sets, with a margin of two.  A fork costs 2-4 ms.
+# Work, new multisets * T * n**2, of each worker at least: a full batch at
+# n = 6, T = 20 (a 128-set batch there costs as much), 9 sets at n = 32.  A
+# set costs about n**1.5 (12-16 times n = 6's at n = 32); n**2 deals formation
+# a8's greedy steps, 35-37 sets, with a margin of two.  A cache forks a worker
+# once, in 2-4 ms; a later fill's exchange with it costs about 0.1 ms.
 _FORK_WORK = 256 * 20 * 6 * 6
 
 
@@ -297,71 +301,56 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run(batches, compute) -> list:
-    """``compute`` of each batch in order, up to the first that raises or is not finite.
+# This process's ends of its live workers' pipes: a new worker closes them, so
+# that only this process holds a worker's request pipe open.
+_ENDS: set[int] = set()
 
-    A batch's entry is its value array, or the exception it raised; the
-    batches after such a batch are never memoized, so they are not computed.
+
+def _fork_worker(cache) -> tuple[int, int, int]:
+    """Fork a fill worker of ``cache``: its pid and this process's ends of its pipes.
+
+    It answers each request, a functional and the key arrays of its batches,
+    with their ``_answer``, pickled, reading only state frozen in ``__init__``.
+    It leaves by ``os._exit``, running no exit handler: at EOF, or on an error.
     """
-    done = []
-    for batch in batches:
-        try:
-            got = compute(batch)
-        except Exception as exc:  # the merge raises it where one process would
-            done.append(exc)
-            break
-        done.append(got)
-        if not np.isfinite(got).all():
-            break
-    return done
-
-
-def _deal(batches, compute, workers: int) -> list[list]:
-    """``_run`` of batch i in worker i % workers, worker 0 being this process,
-    which forks nothing when it is the only worker.
-
-    Each other worker is a forked child: it sends its list, pickled, through
-    a pipe and leaves with ``os._exit`` on every path, running none of the
-    parent's exit handlers.  Every child is reaped before this returns or
-    raises, and one whose list is not needed any more is killed first.
-    """
-    children = []  # (pid, read end) of each child
-    shares = []
+    request, reply = os.pipe(), os.pipe()
     try:
-        for w in range(1, workers):
-            read, write = os.pipe()
-            try:
-                pid = os.fork()
-            except BaseException:
-                os.close(read)
-                os.close(write)
-                raise
-            if pid == 0:
-                code = 1
-                try:
-                    os.close(read)  # so a write fails, not blocks, once the parent is gone
-                    with os.fdopen(write, "wb") as pipe:
-                        pickle.dump(_run(batches[w::workers], compute), pipe)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write)
-            children.append((pid, read))
-        shares.append(_run(batches[::workers], compute))
-        for pid, read in children:
-            with os.fdopen(read, "rb", closefd=False) as pipe:
-                try:
-                    shares.append(pickle.load(pipe))
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
-    finally:
-        for pid, read in children:
-            os.close(read)
-            if len(shares) < workers:  # leaving early: its values are not needed
-                import signal  # only here, so a fill that succeeds never imports it
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return shares
+        pid = os.fork()
+    except BaseException:
+        for end in (*request, *reply):
+            os.close(end)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            import signal
+            signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's ^C is this process's
+            for end in (*_ENDS, request[1], reply[0]):
+                os.close(end)  # a write fails, not blocks, once this process is gone
+            with os.fdopen(request[0], "rb") as asked, os.fdopen(reply[1], "wb") as answers:
+                while asked.peek(1):  # empty at EOF: the cache let this worker go
+                    pickle.dump(cache._answer(*pickle.load(asked)), answers)
+                    answers.flush()
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(request[0])
+    os.close(reply[1])
+    _ENDS.update((request[1], reply[0]))
+    return pid, request[1], reply[0]
+
+
+def _stop(workers: list, kill: bool = False) -> None:
+    """Close this process's ends of each worker's pipes, so it leaves, or ``kill`` it; reap it."""
+    while workers:
+        pid, *ends = workers.pop()
+        for end in ends:
+            _ENDS.discard(end)
+            os.close(end)
+        if kill:
+            import signal  # here and in a worker only: importing it costs about 0.7 ms
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _steps(system, update, k: int):
@@ -482,9 +471,10 @@ class ObjectiveCache:
     measurement form and in one stream in information form.  A batch holds
     at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS`` (2^16 floats,
     512 KB) per (k, n, n) stack, and a fill with enough work is dealt to
-    forked workers (``_fill``).  The selection, ratio and Monte Carlo
-    routines take the cache as their one evaluation context: its scenario
-    and solution.
+    workers (``_fill``), at most one fewer than the CPUs, forked once and
+    reaped when the cache is released or the interpreter exits; one thread
+    at a time may fill.  The selection, ratio and Monte Carlo routines take
+    the cache as their one evaluation context: its scenario and solution.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -509,6 +499,8 @@ class ObjectiveCache:
         self._f: dict[int, float] = {}
         self._logdet: dict[int, float] = {}
         self.offset = cost_offset(scenario, sol)
+        self._workers: list[tuple[int, int, int]] = []  # (pid, request end, reply end)
+        weakref.finalize(self, _stop, self._workers)  # holds the list, not the cache
 
     def whitened(self, sensor_id: int) -> np.ndarray:
         return self._whitened[sensor_id]
@@ -547,7 +539,31 @@ class ObjectiveCache:
             return _class_key(mask, self._sensor_rows)
         return -1
 
-    def _fill(self, memo: dict, values, keys: np.ndarray, firsts, streams) -> None:
+    def _values(self, functional: str, keys: np.ndarray) -> np.ndarray:
+        """``f`` or ``logdet`` values of a batch of class multiset keys, propagated together."""
+        posts = (post for _, post in _steps(self.scenario.system, self._update(keys), len(keys)))
+        if functional == "logdet":
+            return _logdet_values(posts, self.scenario.horizon)
+        return _sensing_values(self.sol, posts)
+
+    def _answer(self, functional: str, batches) -> list:
+        """``_values`` of each batch in order, up to the first that raises or is not finite.
+
+        A batch's entry is its value array, or the exception it raised; the
+        batches after such a batch are never memoized, so they are not computed.
+        """
+        done = []
+        for keys in batches:
+            try:
+                got = self._values(functional, keys)
+            except Exception as exc:  # the merge raises it where one process would; not held
+                return [*done, exc]  # in this frame, which its traceback holds: no cycle
+            done.append(got)
+            if not np.isfinite(got).all():
+                break
+        return done
+
+    def _fill(self, memo: dict, functional: str, keys: np.ndarray, firsts, streams) -> None:
         """Propagate the class multisets ``keys`` and memoize their values.
 
         ``keys`` are multisets not in ``memo`` and ``firsts[j]`` the first mask
@@ -562,12 +578,14 @@ class ObjectiveCache:
         A call with work ``len(keys) * T * n**2`` of ``parts`` (two or more)
         ``_FORK_WORK``, in a process that may run on more than one CPU, has a
         worker per CPU and per part, at most one per batch, and cuts batches
-        to a worker's share of ``keys``.  Batch i goes to worker i % workers
-        (``_deal``); this process is worker 0, the others are forked.  A set's
+        to a worker's share of ``keys``.  Batch i goes to worker i % workers;
+        this process is worker 0, the others the cache's (``_fork_worker``,
+        forked when it has fewer), sent their batches' keys first.  A set's
         value does not depend on where its batch ran or on its size, and the
         batches are merged in the order above: the first that raised, or holds
         a value that is not finite, raises as in one process, with exactly the
-        batches before it memoized.  Under ``taskset -c 0`` it fills alone.
+        batches before it memoized.  Under ``taskset -c 0`` it fills alone.  A
+        call that leaves early or reads an answer short kills every worker.
         """
         T, n = self.scenario.horizon, self.scenario.state_dim
         parts = len(keys) * T * n * n // _FORK_WORK
@@ -575,17 +593,30 @@ class ObjectiveCache:
         size = min(_batch_size(n), -(-len(keys) // workers))
         batches = [todo[start:start + size]
                    for todo in streams for start in range(0, len(todo), size)]
-
-        def compute(batch):
-            steps = _steps(self.scenario.system, self._update(keys[batch]), len(batch))
-            return values(post for _, post in steps)
-
         workers = min(workers, len(batches))
-        shares = _deal(batches, compute, workers)
+        try:
+            while len(self._workers) < workers - 1:
+                self._workers.append(_fork_worker(self))
+            for w, (_, request, _) in enumerate(self._workers[:workers - 1], 1):
+                with os.fdopen(request, "wb", closefd=False) as asked:  # written whole
+                    pickle.dump((functional, [keys[b] for b in batches[w::workers]]), asked)
+            shares = [self._answer(functional, [keys[b] for b in batches[::workers]])]
+            for pid, _, reply in self._workers[:workers - 1]:
+                try:
+                    with os.fdopen(reply, "rb", closefd=False) as answers:
+                        shares.append(pickle.load(answers))
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
+        except BaseException:
+            _stop(self._workers, kill=True)
+            raise
         for i, batch in enumerate(batches):
             got = shares[i % workers][i // workers]
             if isinstance(got, Exception):
-                raise got
+                try:
+                    raise got
+                finally:  # nor in this one: the cache goes with its last reference
+                    del got, shares
             if not np.isfinite(got).all():
                 j = int(np.argmin(np.isfinite(got)))
                 named = list(_mask_ids(int(firsts[batch[j]])))
@@ -605,7 +636,7 @@ class ObjectiveCache:
         return masks
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, values, masks) -> list[float]:
+    def _memoized(self, memo: dict, functional: str, masks) -> list[float]:
         """Values of the sets with these masks; multisets not in ``memo`` are propagated."""
         masks = self._masks(masks)
         keys = [_class_key(mask, self._weight) for mask in masks]
@@ -618,16 +649,13 @@ class ObjectiveCache:
             streams: dict[int, list[int]] = {}
             for j in sorted(range(len(firsts)), key=lambda j: firsts[j].bit_count()):
                 streams.setdefault(self._stream(firsts[j]), []).append(j)
-            self._fill(memo, values, np.array(list(asked), dtype=self._radix.dtype), firsts,
+            self._fill(memo, functional, np.array(list(asked), dtype=self._radix.dtype), firsts,
                        [streams[label] for label in sorted(streams)])
         return [memo[key] for key in keys]
 
-    def _sensing(self, posts) -> np.ndarray:
-        return _sensing_values(self.sol, posts)
-
     def f_many(self, masks) -> list[float]:
         """Memoized sensing objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._f, self._sensing, masks)
+        return self._memoized(self._f, "f", masks)
 
     @np.errstate(over="ignore", invalid="ignore")
     def f_table(self, masks) -> np.ndarray:
@@ -657,15 +685,13 @@ class ObjectiveCache:
             stream = np.where(_measured(sizes, self._widest, self.scenario.state_dim),
                               _class_keys(masks, self._sensor_rows), -1)
             order = np.lexsort((sizes, stream))
-            self._fill(self._f, self._sensing, keys, masks,
+            self._fill(self._f, "f", keys, masks,
                        np.split(order, np.flatnonzero(np.diff(stream[order])) + 1))
         return np.fromiter(map(self._f.__getitem__, listed), float, len(listed))[inverse]
 
     def logdet_many(self, masks) -> list[float]:
         """Memoized log-volume objectives of the sets with these bit masks, in the order given."""
-        horizon = self.scenario.horizon
-        return self._memoized(self._logdet, lambda posts: _logdet_values(posts, horizon),
-                              masks)
+        return self._memoized(self._logdet, "logdet", masks)
 
     def _mask(self, ids) -> int:
         """Bit mask of a sensor set given by ids; an unknown id raises ``ValidationError``."""

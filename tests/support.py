@@ -562,7 +562,7 @@ class PerMaskCache(lq.ObjectiveCache):
     """
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, values, masks) -> list[float]:
+    def _memoized(self, memo: dict, functional: str, masks) -> list[float]:
         masks = [operator.index(mask) for mask in masks]
         streams: dict = {}
         for mask in dict.fromkeys(mask for mask in masks if mask not in memo):
@@ -573,8 +573,7 @@ class PerMaskCache(lq.ObjectiveCache):
                 batch = todo[start:start + size]
                 keys = np.array([kalman._class_key(mask, self._weight) for mask in batch],
                                 dtype=self._radix.dtype)
-                steps = kalman._steps(self.scenario.system, self._update(keys), len(batch))
-                for mask, value in zip(batch, values(post for _, post in steps).tolist()):
+                for mask, value in zip(batch, self._values(functional, keys).tolist()):
                     if not math.isfinite(value):
                         named = list(mask_ids(mask))
                         raise lq.NumericalError(f"objective of sensor set {named} is not finite "

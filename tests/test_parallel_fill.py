@@ -4,16 +4,22 @@
 estimated work, new class multisets * T * n^2, is at least two
 ``kalman._FORK_WORK`` and the process may run on more than one CPU, with a
 worker per CPU and per ``_FORK_WORK``; this process is worker 0 and the
-others are forked, and no batch holds more than a worker's share of the
-multisets.  A set's value does not depend on where its batch ran or on its
-batch's size, so a forked fill must give the one-process fill's bits and
-memo, raise what it raises with the same batches memoized, and leave no
-child process behind.  Most tests force both paths with small batches and a
-low threshold; the greedy-step, many-CPU table and sweep-size tests keep the
-real ones.
+others are the cache's, forked by its first such fill and kept for the
+later ones, and no batch holds more than a worker's share of the multisets.
+A set's value does not depend on where its batch ran or on its batch's
+size, so a forked fill must give the one-process fill's bits and memo,
+raise what it raises with the same batches memoized, and leave no child
+process behind once its cache is released, or at once when it leaves
+early.  Most tests force both paths with small batches and a low threshold;
+the greedy-step, many-CPU table and sweep-size tests keep the real ones.
 """
 
 import os
+import select
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,12 +61,20 @@ def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3, fork_
     serial = _outcome(call, support.solved(scenario)[2])
     monkeypatch.setattr(kalman, "_FORK_WORK", fork_work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks = _count_forks(monkeypatch)
+    cache = support.solved(scenario)[2]
+    forked = _outcome(call, cache)
+    del cache  # its workers are reaped with it
+    _assert_no_child_left()
+    return serial, forked, len(forks)
+
+
+def _count_forks(monkeypatch) -> list:
+    """A list that gains an entry at each ``os.fork`` from now on."""
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-    forked = _outcome(call, support.solved(scenario)[2])
-    _assert_no_child_left()
-    return serial, forked, len(forks)
+    return forks
 
 
 @pytest.mark.parametrize("call, cpus", [
@@ -232,11 +246,21 @@ def test_a_child_is_killed_when_this_process_leaves_early(monkeypatch):
             raise KeyboardInterrupt
         return update(self, keys)
 
+    def call(cache):
+        return cache.f_table(np.arange(1 << 11))
+
+    serial = _outcome(call, support.solved(UAV_A9)[2])
     monkeypatch.setattr(kalman.ObjectiveCache, "_update", interrupted)
+    forks = _count_forks(monkeypatch)
     cache = support.solved(UAV_A9)[2]
     with pytest.raises(KeyboardInterrupt):
-        cache.f_table(np.arange(1 << 11))
-    assert cache._f == {}
+        call(cache)
+    assert cache._f == {} and cache._workers == []
+    _assert_no_child_left()
+    # the next fill of the same cache forks afresh and reads no stale answer
+    monkeypatch.setattr(kalman.ObjectiveCache, "_update", update)
+    assert _outcome(call, cache) == serial and len(forks) == 2
+    del cache
     _assert_no_child_left()
 
 
@@ -284,13 +308,144 @@ def test_the_real_affinity_sets_the_workers(monkeypatch):
     """One worker per CPU this process may run on: under ``taskset -c 0`` no fork."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
     monkeypatch.setattr(kalman, "_FORK_WORK", 1)
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forks = _count_forks(monkeypatch)
     cache = support.solved(UAV_A9)[2]
     table = cache.f_table(np.arange(1 << 11))
     cpus = len(os.sched_getaffinity(0))
     batches = -(-(1 << 11) // min(64, -(-(1 << 11) // cpus)))  # a worker's share at most
     assert len(forks) == min(cpus, batches) - 1
     assert np.isfinite(table).all() and len(cache._f) == 1 << 11
+    del cache
     _assert_no_child_left()
+
+
+def test_one_cache_forks_its_workers_once_over_many_greedy_steps(monkeypatch):
+    """Every greedy step on formation a8 is dealt to three workers, the same two forked."""
+    budget = 8.0
+
+    def call(cache):
+        report = lq.greedy_budget(cache, budget)
+        return [report.objective_f, *(step.objective_after for step in report.iterations)]
+
+    serial, forked, made = _serial_and_forked(
+        monkeypatch, FORMATION_A8, call, batch_sets=kalman._BATCH_SETS, cpus=3,
+        fork_work=kalman._FORK_WORK)
+    assert forked == serial and made == 2
+    assert len(serial[0]) > 6  # a step per sensor chosen
+
+
+def test_releasing_one_of_two_forked_caches_reaps_its_worker(monkeypatch):
+    """The second cache's worker closes the first's pipe ends, so the first's sees EOF."""
+    monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    first, second = support.solved(UAV_A9)[2], support.solved(UAV_A9)[2]
+    first.f_table(np.arange(1 << 11))
+    second.f_table(np.arange(1 << 11))
+    [(gone, *_)], [(kept, *_)] = first._workers, second._workers
+
+    def hung(signum, frame):
+        raise TimeoutError("the released cache's worker did not leave")
+
+    handler = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(10)
+    try:
+        del first  # reaped here, or the alarm ends the wait and the worker stays
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(gone, os.WNOHANG)
+    assert os.waitpid(kept, os.WNOHANG) == (0, 0)  # still serving the second cache
+    assert np.isfinite(second.f_table(np.arange(1 << 11))).all()
+    del second
+    _assert_no_child_left()
+
+
+def test_a_worker_outlives_an_interrupt_from_the_terminal(monkeypatch):
+    """^C reaches the whole foreground process group; a worker leaves it to this process."""
+    monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = _count_forks(monkeypatch)
+    cache = support.solved(UAV_A9)[2]
+    table = cache.f_table(np.arange(1 << 11))
+    os.kill(cache._workers[0][0], signal.SIGINT)
+    cache._f.clear()
+    assert cache.f_table(np.arange(1 << 11)).tolist() == table.tolist() and len(forks) == 1
+    del cache
+    _assert_no_child_left()
+
+
+def _python(*args, **kwargs) -> subprocess.Popen:
+    """A fresh interpreter that imports this tree's package, in a session of its own."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lq.__file__).parents[1])}
+    return subprocess.Popen([sys.executable, *args], env=env, start_new_session=True,
+                            stdout=subprocess.PIPE, **kwargs)
+
+
+# ``python -m lqgcodesign`` on two CPUs whatever the host's, printing its forks to stderr
+_CLI_ON_TWO_CPUS = """
+import os, runpy, sys
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+os.sched_getaffinity = lambda pid: {0, 1}
+try:
+    runpy.run_module("lqgcodesign", run_name="__main__", alter_sys=True)
+finally:
+    print(len(forks), file=sys.stderr)
+"""
+
+
+def test_a_cli_command_leaves_its_process_group_empty(tmp_path):
+    path = tmp_path / "formation_a8.json"
+    lq.save_scenario(FORMATION_A8, path)
+    proc = _python("-c", _CLI_ON_TWO_CPUS, "select", "budget", "--method", "greedy",
+                   "--budget", "8", "--scenario", str(path), stderr=subprocess.PIPE)
+    try:
+        out, err = proc.communicate(timeout=120)  # a worker left alive would hold both open
+        assert proc.returncode == 0 and out.startswith(b"scenario_id,method,")
+        assert err.splitlines() == [b"1"]  # one worker, for the whole command
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        _kill_group(proc)
+
+
+# forks a worker, names it, then waits to be killed
+_HOLDER = """
+import os, time
+import numpy as np
+import lqgcodesign as lq
+from lqgcodesign import kalman
+kalman._FORK_WORK = 1
+os.sched_getaffinity = lambda pid: {0, 1}
+scenario = lq.build_uav_scenario(9, 20, "heterogeneous", 7)
+cache = lq.ObjectiveCache(scenario, lq.solve_riccati(scenario.system, scenario.weights))
+cache.f_table(np.arange(1 << 11))
+print(cache._workers[0][0], flush=True)
+time.sleep(120)
+"""
+
+
+def test_a_worker_leaves_when_its_process_is_killed():
+    """Killed outright, the process runs no finalizer; its idle worker sees EOF and leaves."""
+    proc = _python("-c", _HOLDER)
+    try:
+        assert int(proc.stdout.readline()) > 0
+        proc.kill()
+        proc.wait()
+        # the worker holds the holder's stdout: its end reads EOF once the worker is gone
+        assert select.select([proc.stdout], [], [], 1.0)[0] == [proc.stdout]
+        assert proc.stdout.read() == b""
+    finally:
+        _kill_group(proc)
+
+
+def _kill_group(proc):
+    """Kill whatever is left of the fresh interpreter's session and close its pipes."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.communicate()
