@@ -357,15 +357,24 @@ def cmd_sweep(args) -> int:
 def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> list[ResultRow]:
     """The rows of one sweep grid point, budget-major, each method in turn.
 
-    Every row is selected and certified first; then one ``monte_carlo_many``
-    call rolls out the rows' distinct sets on the shared seeds.
+    Every method's column of reports is selected (``_columns``), then each
+    row is certified in row order; an exception a column raised is raised at
+    its row, so the first in row order wins, as in the per-row loop.  One
+    ``monte_carlo_many`` call then rolls out the rows' distinct sets on the
+    shared seeds.
     """
     cache = _solved(base)
     ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
+    columns = _columns(cache, methods, budgets, args, mandatory)
     picked = []
-    for budget in budgets:
+    for i in range(len(budgets)):
         for method in methods:
-            report = _run_method(cache, "budget", method, budget, args, mandatory)
+            report = columns[method][i]
+            if isinstance(report, Exception):
+                try:
+                    raise report
+                finally:  # held in no frame its traceback holds: no cycle keeps the cache
+                    del report, columns
             picked.append((report, _certify(cache, report, args, ratio)))
     summaries = [None] * len(picked)
     if args.runs > 0:
@@ -373,6 +382,49 @@ def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> l
                                      runs=args.runs, base_seed=args.seed)
     return [_selection_row(scenario_id, base, report, summary, certified)
             for (report, certified), summary in zip(picked, summaries)]
+
+
+def _columns(cache, methods, budgets, args, mandatory) -> dict:
+    """Each method's reports over the budgets, in order, up to the first exception raised.
+
+    An ``oracle`` column runs here, where its table fills are dealt.  The
+    others go whole (their budgets share a memo) to this process and the
+    cache's workers (``ObjectiveCache._deal``), the heaviest first to the
+    least loaded: a greedy sweep counts m**2 sets of the m sensors, a
+    log-det sweep, which also factors each posterior, 3/2 of that (formation
+    a4: 22 against 15 ms), another method a set per budget.
+    """
+    system = cache.scenario.system
+    sweeps = {"greedy": 1.0, "logdet": 1.5}
+    weight = {method: sweeps[method] * len(cache.scenario.suite) ** 2 if method in sweeps
+              else len(budgets) for method in dict.fromkeys(methods) if method != "oracle"}
+    work = int(sum(weight.values())) * system.horizon * system.state_dim ** 2
+    shares = [[] for _ in range(max(1, min(cache._processes(work), len(weight))))]
+    loads = [0] * len(shares)
+    for method in sorted(weight, key=weight.get, reverse=True):
+        least = loads.index(min(loads))
+        shares[least].append(method)
+        loads[least] += weight[method]
+    columns = _column_reports(cache, ["oracle"] if "oracle" in methods else [], budgets, args,
+                              mandatory)
+    for share in cache._deal([(_column_reports, (share, budgets, args, mandatory))
+                              for share in shares]):
+        columns.update(share)
+    return columns
+
+
+def _column_reports(cache, methods, budgets, args, mandatory) -> dict:
+    """Each method's report at each budget in turn; the first exception raised ends its list."""
+    columns = {}
+    for method in methods:
+        columns[method] = reports = []
+        for budget in budgets:
+            try:
+                reports.append(_run_method(cache, "budget", method, budget, args, mandatory))
+            except Exception as exc:  # raised at its row; its traceback's frames would
+                reports.append(exc.with_traceback(None))  # hold it in a cycle
+                break
+    return columns
 
 
 def _add_common_output(parser) -> None:

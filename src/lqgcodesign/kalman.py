@@ -50,18 +50,22 @@ in a process that may run on more than one CPU (``os.sched_getaffinity``),
 deals its batches to workers, one per CPU and per ``_FORK_WORK``, and
 merges their values in the one-process order, so the values, the memo and
 any error are those of a fill in one process.  This process is worker 0;
-the others are the cache's, forked once and fed each call's batches
-through pipes (``_fork_worker``).  Value tables (from 512 sets at n = 6)
-and formation a8's greedy steps (35-37 sets, from 18 at n = 32) are dealt;
-a formation a4 sweep's calls (11 sets, from 72 at n = 16) are not.  No
-switch: ``taskset -c 0`` pins a run to one core, and without ``os.fork`` or
-``os.sched_getaffinity`` a fill runs in one process.  Python 3.12 and later
-may warn that forking a process with threads (OpenBLAS starts some) can
-deadlock the child; the workers call only numpy and LAPACK.  Tested on 3.11.
+the others are the cache's, forked once (``_fork_worker``) and sent any
+module-level function to run on their copy of the cache (``_deal``): a
+fill's batches, a sweep's method columns or Monte Carlo shares.  Value
+tables (from 512 sets at n = 6) and formation a8's greedy steps (35-37
+sets, from 18 at n = 32) are dealt as fills; a formation a4 sweep's fills
+(11 sets, from 72 at n = 16) are not, but its columns and Monte Carlo sets
+are.  No switch: ``taskset -c 0`` pins a run to one core; without
+``os.fork`` or ``os.sched_getaffinity``, and in any forked child, everything
+runs in one process.  Python 3.12 and later may warn that forking a
+process with threads (OpenBLAS starts some) can deadlock the child; the
+workers call only numpy and LAPACK.  Tested on 3.11.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import os
@@ -301,17 +305,47 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# This process's ends of its live workers' pipes: a new worker closes them, so
-# that only this process holds a worker's request pipe open.
-_ENDS: set[int] = set()
+class _Pool(list):
+    """A cache's workers, (pid, request end, reply end) each; ``busy`` while a deal waits
+    on them, and for good in a forked child: a call there runs in one process."""
+
+    busy = False
+
+
+_POOLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # by id
+
+
+def _disown_pools() -> None:
+    """In a forked child, close the inherited workers' pipe ends and empty their pools, so
+    only its cache holds a worker's request pipe open and reaps it."""
+    for pool in _POOLS.values():
+        for _, *ends in pool:
+            for end in ends:
+                os.close(end)
+        pool.clear()
+        pool.busy = True
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_disown_pools)
+
+
+def _outcome(cache, function, args):
+    """``function(cache, *args)``, or the exception it raised."""
+    try:
+        return function(cache, *args)
+    except Exception as exc:  # raised by ``_deal`` without the frames that would
+        return exc.with_traceback(None)  # hold it in a cycle
 
 
 def _fork_worker(cache) -> tuple[int, int, int]:
-    """Fork a fill worker of ``cache``: its pid and this process's ends of its pipes.
+    """Fork a worker of ``cache``: its pid and this process's ends of its pipes.
 
-    It answers each request, a functional and the key arrays of its batches,
-    with their ``_answer``, pickled, reading only state frozen in ``__init__``.
-    It leaves by ``os._exit``, running no exit handler: at EOF, or on an error.
+    It answers each request, a module-level function and its arguments, with
+    the ``_outcome`` of the function on the worker's copy of the cache, whose
+    memo is the owner's at the fork plus what its own calls added, and the
+    ``f`` and ``logdet`` memo entries the call added.  It leaves by
+    ``os._exit``, running no exit handler: at EOF, or on an error.
     """
     request, reply = os.pipe(), os.pipe()
     try:
@@ -325,18 +359,21 @@ def _fork_worker(cache) -> tuple[int, int, int]:
         try:
             import signal
             signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's ^C is this process's
-            for end in (*_ENDS, request[1], reply[0]):
+            for end in (request[1], reply[0]):
                 os.close(end)  # a write fails, not blocks, once this process is gone
             with os.fdopen(request[0], "rb") as asked, os.fdopen(reply[1], "wb") as answers:
+                memos = cache._f, cache._logdet
                 while asked.peek(1):  # empty at EOF: the cache let this worker go
-                    pickle.dump(cache._answer(*pickle.load(asked)), answers)
+                    sizes = [len(memo) for memo in memos]
+                    outcome = _outcome(cache, *pickle.load(asked))
+                    pickle.dump((outcome, *(list(itertools.islice(memo.items(), size, None))
+                                            for memo, size in zip(memos, sizes))), answers)
                     answers.flush()
             code = 0
         finally:
             os._exit(code)
     os.close(request[0])
     os.close(reply[1])
-    _ENDS.update((request[1], reply[0]))
     return pid, request[1], reply[0]
 
 
@@ -345,7 +382,6 @@ def _stop(workers: list, kill: bool = False) -> None:
     while workers:
         pid, *ends = workers.pop()
         for end in ends:
-            _ENDS.discard(end)
             os.close(end)
         if kill:
             import signal  # here and in a worker only: importing it costs about 0.7 ms
@@ -471,9 +507,9 @@ class ObjectiveCache:
     measurement form and in one stream in information form.  A batch holds
     at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS`` (2^16 floats,
     512 KB) per (k, n, n) stack, and a fill with enough work is dealt to
-    workers (``_fill``), at most one fewer than the CPUs, forked once and
-    reaped when the cache is released or the interpreter exits; one thread
-    at a time may fill.  The selection, ratio and Monte Carlo routines take
+    workers (``_fill``, ``_deal``), at most one fewer than the CPUs, forked
+    once and reaped when the cache is released or the interpreter exits;
+    one thread at a time may fill.  The selection, ratio and Monte Carlo routines take
     the cache as their one evaluation context: its scenario and solution.
     """
 
@@ -499,8 +535,9 @@ class ObjectiveCache:
         self._f: dict[int, float] = {}
         self._logdet: dict[int, float] = {}
         self.offset = cost_offset(scenario, sol)
-        self._workers: list[tuple[int, int, int]] = []  # (pid, request end, reply end)
-        weakref.finalize(self, _stop, self._workers)  # holds the list, not the cache
+        self._workers = _Pool()
+        _POOLS[id(self._workers)] = self._workers
+        weakref.finalize(self, _stop, self._workers)  # holds the pool, not the cache
 
     def whitened(self, sensor_id: int) -> np.ndarray:
         return self._whitened[sensor_id]
@@ -556,12 +593,61 @@ class ObjectiveCache:
         for keys in batches:
             try:
                 got = self._values(functional, keys)
-            except Exception as exc:  # the merge raises it where one process would; not held
-                return [*done, exc]  # in this frame, which its traceback holds: no cycle
+            except Exception as exc:  # raised by the merge where one process would
+                return [*done, exc.with_traceback(None)]
             done.append(got)
             if not np.isfinite(got).all():
                 break
         return done
+
+    def _processes(self, work: int) -> int:
+        """Processes for a call of ``work`` set-steps times n**2: from two ``_FORK_WORK``
+        parts, one per part and per CPU, unless the pool is busy; else one."""
+        parts = work // _FORK_WORK
+        return min(_cpus(), parts) if parts > 1 and not self._workers.busy else 1
+
+    def _deal(self, calls: list) -> list:
+        """The results of ``calls``, (module-level function, args) pairs, each run on a cache.
+
+        One call runs here.  Of more, call 0 runs here and call i in worker i,
+        forked when the pool has fewer, on its copy of the cache; the memo
+        entries it adds are merged here, and the first call that raised
+        raises once all have answered.  A deal that leaves early or reads an
+        answer short kills every worker, and the next forks afresh.
+        """
+        if len(calls) == 1:
+            function, args = calls[0]
+            return [function(self, *args)]
+        pool = self._workers
+        try:
+            while len(pool) < len(calls) - 1:
+                pool.append(_fork_worker(self))
+            pool.busy = True
+            for call, (_, request, _) in zip(calls[1:], pool):
+                with os.fdopen(request, "wb", closefd=False) as asked:  # written whole
+                    pickle.dump(call, asked)
+            outcomes = [_outcome(self, *calls[0])]
+            for pid, _, reply in pool[:len(calls) - 1]:
+                try:
+                    with os.fdopen(reply, "rb", closefd=False) as answers:
+                        outcome, f, logdet = pickle.load(answers)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
+                self._f.update(f)
+                self._logdet.update(logdet)
+                outcomes.append(outcome)
+        except BaseException:
+            _stop(pool, kill=True)
+            raise
+        finally:
+            pool.busy = False
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                try:
+                    raise outcome
+                finally:  # held in no frame its traceback holds: no cycle keeps the cache
+                    del outcome, outcomes
+        return outcomes
 
     def _fill(self, memo: dict, functional: str, keys: np.ndarray, firsts, streams) -> None:
         """Propagate the class multisets ``keys`` and memoize their values.
@@ -575,41 +661,24 @@ class ObjectiveCache:
         A value that is not finite raises ``NumericalError`` naming its first
         mask, and its batch is not memoized.
 
-        A call with work ``len(keys) * T * n**2`` of ``parts`` (two or more)
-        ``_FORK_WORK``, in a process that may run on more than one CPU, has a
-        worker per CPU and per part, at most one per batch, and cuts batches
-        to a worker's share of ``keys``.  Batch i goes to worker i % workers;
-        this process is worker 0, the others the cache's (``_fork_worker``,
-        forked when it has fewer), sent their batches' keys first.  A set's
-        value does not depend on where its batch ran or on its size, and the
-        batches are merged in the order above: the first that raised, or holds
-        a value that is not finite, raises as in one process, with exactly the
-        batches before it memoized.  Under ``taskset -c 0`` it fills alone.  A
-        call that leaves early or reads an answer short kills every worker.
+        A call with work ``len(keys) * T * n**2`` that ``_processes`` gives
+        more than one process cuts its batches to a worker's share of
+        ``keys``, at most one worker per batch, and deals batch i to worker i %
+        workers (``_deal``; this process is worker 0).  A set's value does not
+        depend on where its batch ran or on its size, and the batches are
+        merged in the order above: the first that raised, or holds a value
+        that is not finite, raises as in one process, with exactly the batches
+        before it memoized.
         """
         T, n = self.scenario.horizon, self.scenario.state_dim
-        parts = len(keys) * T * n * n // _FORK_WORK
-        workers = min(_cpus(), parts) if parts > 1 else 1
+        workers = self._processes(len(keys) * T * n * n)
         size = min(_batch_size(n), -(-len(keys) // workers))
         batches = [todo[start:start + size]
                    for todo in streams for start in range(0, len(todo), size)]
         workers = min(workers, len(batches))
-        try:
-            while len(self._workers) < workers - 1:
-                self._workers.append(_fork_worker(self))
-            for w, (_, request, _) in enumerate(self._workers[:workers - 1], 1):
-                with os.fdopen(request, "wb", closefd=False) as asked:  # written whole
-                    pickle.dump((functional, [keys[b] for b in batches[w::workers]]), asked)
-            shares = [self._answer(functional, [keys[b] for b in batches[::workers]])]
-            for pid, _, reply in self._workers[:workers - 1]:
-                try:
-                    with os.fdopen(reply, "rb", closefd=False) as answers:
-                        shares.append(pickle.load(answers))
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
-        except BaseException:
-            _stop(self._workers, kill=True)
-            raise
+        shares = self._deal([(ObjectiveCache._answer,
+                              (functional, [keys[b] for b in batches[w::workers]]))
+                             for w in range(workers)])
         for i, batch in enumerate(batches):
             got = shares[i % workers][i // workers]
             if isinstance(got, Exception):

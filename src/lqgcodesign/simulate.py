@@ -28,6 +28,7 @@ landing task with GPS, an altimeter, and noisy landmark fixes.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,14 @@ from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_
 
 # Normals one batch of runs draws at most (512 KB), so memory stays flat in the run count.
 _DRAW_FLOATS = 1 << 16
+
+# Each cache's ``_noise_roots``
+_ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# A run's rollout step costs about a quarter of a set's propagation step at the
+# same n (formation a4: about 6 against 24 ns per n**2), so dealt Monte Carlo
+# work counts a run as a quarter of a set.
+_RUN_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -66,8 +75,8 @@ class ClosedLoopSimulator:
 
     The filter runs on ``cache.trajectory(ids)``, the covariances ``cache.f``
     scores.  Stacked once: the set's wiring (T, P, n), noise Cholesky factors
-    (T, P, P), transposed filter gains G' (T, P, n) and process-noise roots
-    (T, n, n).
+    (T, P, P) and transposed filter gains G' (T, P, n), beside the
+    cache's noise roots (``_noise_roots``).
     """
 
     def __init__(self, cache: ObjectiveCache, ids):
@@ -75,14 +84,12 @@ class ClosedLoopSimulator:
         self.sol = cache.sol
         self.chosen = chosen_ids(scenario.suite, ids)
         sys_ = scenario.system
-        T, n = sys_.horizon, sys_.state_dim
         self._C, noise = stack_sensors(scenario, self.chosen)
         self._noise_factor = np.linalg.cholesky(noise)
         posteriors = cache.trajectory(self.chosen).posteriors
         self._gain_t = np.linalg.solve(noise, self._C @ posteriors)
-        self._x1_sqrt = psd_sqrt(sys_.sigma_init)
-        self._w_sqrt = psd_sqrt(sys_.W)
-        self._draws = n + T * (self._C.shape[1] + n)
+        self._x1_sqrt, self._w_sqrt = _noise_roots(cache)
+        self._draws = _draw_count(sys_, self._C.shape[1])
 
     def _rollouts(self, draws):
         """Per-step (k, n) states, estimates and controls, and the costs, of k runs.
@@ -110,6 +117,22 @@ class ClosedLoopSimulator:
             estimates.append(xhat)
             controls.append(u)
         return states, estimates, controls, costs
+
+
+def _noise_roots(cache: ObjectiveCache) -> tuple[np.ndarray, np.ndarray]:
+    """The PSD square roots of the initial covariance (n, n) and of the process noise
+    (T, n, n) of the cache's scenario, computed once per cache."""
+    roots = _ROOTS.get(cache)
+    if roots is None:
+        system = cache.scenario.system
+        roots = _ROOTS[cache] = psd_sqrt(system.sigma_init), psd_sqrt(system.W)
+    return roots
+
+
+def _draw_count(system, rows: int) -> int:
+    """Normals a run of a set of ``rows`` sensor rows draws: the initial state, then per
+    step the sensor noise and the process noise."""
+    return system.state_dim + system.horizon * (rows + system.state_dim)
 
 
 def run_closed_loop(cache: ObjectiveCache, ids, seeds) -> tuple[SimulationRecord, ...]:
@@ -151,24 +174,31 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
     ``runs`` with the same base seed reuses the first half of the draws
     exactly.  The standard error is the sample standard deviation over
     sqrt(runs), 0 for a single run.
+
+    With enough work, distinct sets * runs * T * n**2 / ``_RUN_SHARE`` (as
+    ``ObjectiveCache._processes`` counts it), the distinct sets are dealt in
+    contiguous shares to this process and the cache's workers, every share
+    on the call's batches of runs, so each rollout cost is the one-process
+    value bit for bit.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
-    keys = [chosen_ids(cache.scenario.suite, ids) for ids in id_sets]
-    sims = {key: ClosedLoopSimulator(cache, key) for key in dict.fromkeys(keys)}
-    if not sims:
+    suite, system = cache.scenario.suite, cache.scenario.system
+    keys = [chosen_ids(suite, ids) for ids in id_sets]
+    distinct = list(dict.fromkeys(keys))
+    if not distinct:
         return []
-    longest = max(sim._draws for sim in sims.values())
+    longest = max(_draw_count(system, sum(suite.sensors[i].output_dim for i in key))
+                  for key in distinct)
     batches = math.ceil(runs / max(1, _DRAW_FLOATS // longest))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
-    costs = {key: [] for key in sims}
-    for start, stop in zip(ends, ends[1:]):
-        draws = _normals(range(start, stop), longest)
-        for key, sim in sims.items():
-            costs[key].append(sim._rollouts(draws[:, :sim._draws])[3])
+    work = len(distinct) * runs * system.horizon * system.state_dim ** 2 // _RUN_SHARE
+    processes = min(cache._processes(work), len(distinct))
+    cuts = [len(distinct) * w // processes for w in range(processes + 1)]
+    shares = cache._deal([(_rollout_costs, (distinct[a:b], longest, ends))
+                          for a, b in zip(cuts, cuts[1:])])
     summaries = {}
-    for key, parts in costs.items():
-        values = np.concatenate(parts)
+    for key, values in zip(distinct, (values for share in shares for values in share)):
         summaries[key] = MonteCarloSummary(
             mean_cost=float(np.mean(values)),
             std_error=float(np.std(values, ddof=1) / math.sqrt(runs)) if runs > 1 else 0.0,
@@ -176,6 +206,18 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
             analytical_g=cache.g(key),
         )
     return [summaries[key] for key in keys]
+
+
+def _rollout_costs(cache: ObjectiveCache, keys, longest: int, ends) -> list[np.ndarray]:
+    """The realized costs of each set's runs, batch by batch of ``ends``, each batch's
+    normals drawn ``longest`` wide."""
+    sims = [ClosedLoopSimulator(cache, key) for key in keys]
+    costs = [[] for _ in sims]
+    for start, stop in zip(ends, ends[1:]):
+        draws = _normals(range(start, stop), longest)
+        for sim, parts in zip(sims, costs):
+            parts.append(sim._rollouts(draws[:, :sim._draws])[3])
+    return [np.concatenate(parts) for parts in costs]
 
 
 def build_formation_scenario(agents: int, horizon: int, mode: str = "homogeneous",
