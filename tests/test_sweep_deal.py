@@ -110,7 +110,8 @@ def test_a_small_sweep_forks_nothing(monkeypatch, argv):
     assert code == 0 and out and not err
 
 
-def _distinct(summaries) -> list:
+def _bits(summaries) -> list:
+    """Each summary's floats as int64 bits, and its run count."""
     return [np.array([s.mean_cost, s.std_error, s.analytical_g]).view(np.int64).tolist() + [
         s.run_count] for s in summaries]
 
@@ -121,7 +122,7 @@ def _distinct(summaries) -> list:
     [(), (3,)],
 ], ids=["longest-in-the-worker", "longest-here", "two-sets"])
 def test_monte_carlo_shares_are_the_one_process_summaries(monkeypatch, sets):
-    # 150 runs of the full set are three batches of runs
+    # 150 runs at the full set's width are three batches of runs
     monkeypatch.setattr(kalman, "_FORK_WORK", 1)
     _on_cpus(monkeypatch, 1)
     alone = simulate.monte_carlo_many(support.solved(FORMATION_A4)[2], sets, 150, 4)
@@ -138,7 +139,7 @@ def test_monte_carlo_shares_are_the_one_process_summaries(monkeypatch, sets):
     monkeypatch.setattr(simulate, "_rollout_costs", recorded)
     cache = support.solved(FORMATION_A4)[2]
     dealt = simulate.monte_carlo_many(cache, sets, 150, 4)
-    assert _distinct(dealt) == _distinct(alone)
+    assert _bits(dealt) == _bits(alone)
     distinct = list(dict.fromkeys(sets))
     assert len(forks) == 1 and shares == [distinct[:len(distinct) // 2]]  # only this one's
     del cache
