@@ -62,12 +62,13 @@ class BoundHypotheses:
     """Applicability flags of the spectral ratio bound.
 
     Its fields, plus ``applicable``, are the keys of ``hypotheses`` in the
-    ``ratio`` command's JSON.
+    ``ratio`` command's JSON.  A flag is None when a certifying check
+    (``ratio_lower_bound``) stopped at an earlier one that failed.
     """
 
     theta_sum_pd: bool
-    normalized_sensors: bool
-    trace_dominated: bool
+    normalized_sensors: bool | None
+    trace_dominated: bool | None
 
     @property
     def applicable(self) -> bool:
@@ -180,7 +181,8 @@ def _ratio_from_table(values, count: int) -> tuple[float, RatioWitness | None]:
     return min(max(float(low), 0.0), 1.0), witness
 
 
-def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypotheses]:
+def ratio_lower_bound(cache: ObjectiveCache,
+                      certifying: bool = False) -> tuple[float | None, BoundHypotheses]:
     """Spectral lower bound on the supermodularity ratio.
 
     Needs only the covariance trajectories of the full and the empty
@@ -189,28 +191,36 @@ def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypothe
     every whitened sensor carries unit total gain (trace of Cbar Cbar' is
     1), and each no-sensing covariance has trace at most the square of its
     largest eigenvalue.
+
+    ``certifying`` computes only what a certificate reads (``RatioReport.
+    gamma_bound``): the flags in the order above, the cheapest first, up to
+    the first that fails, the rest left None; the bound, with the full
+    selection's trajectory and the eigenvalue stacks, only when all three
+    hold.  Else every flag and the bound are computed, as ``ratio`` prints
+    them.
     """
     suite = cache.scenario.suite
     flag_theta, theta_eigs = _theta_sum_spectrum(cache.sol)
     theta_lo, theta_hi = float(theta_eigs[0]), float(theta_eigs[-1])
-
-    flag_norm = not any(
-        (np.abs(np.sum(cache.whitened(s.id) ** 2, axis=(1, 2)) - 1.0) > _PASS_TOL).any()
-        for s in suite
-    )
-
-    full = cache.trajectory(suite.ids)
-    empty = cache.trajectory(())
-    empty_hi = np.linalg.eigvalsh(empty.posteriors)[:, -1]
-    empty_trace = np.trace(empty.posteriors, axis1=1, axis2=2)
-    hypotheses = BoundHypotheses(
-        theta_sum_pd=flag_theta,
-        normalized_sensors=flag_norm,
-        trace_dominated=not (empty_trace > empty_hi * empty_hi + _PASS_TOL).any(),
-    )
-    if len(suite) == 0 or theta_hi <= 0.0:
+    flags = [flag_theta]
+    if flags[-1] or not certifying:
+        flags.append(not any(
+            (np.abs(np.sum(cache.whitened(s.id) ** 2, axis=(1, 2)) - 1.0) > _PASS_TOL).any()
+            for s in suite
+        ))
+    # uncertified, the full trajectory goes first, so an overflow names its step
+    full = None if certifying else cache.trajectory(suite.ids)
+    if flags[-1] or not certifying:
+        empty = cache.trajectory(())
+        empty_hi = np.linalg.eigvalsh(empty.posteriors)[:, -1]
+        empty_trace = np.trace(empty.posteriors, axis1=1, axis2=2)
+        flags.append(not (empty_trace > empty_hi * empty_hi + _PASS_TOL).any())
+    hypotheses = BoundHypotheses(*flags, *[None] * (3 - len(flags)))
+    if (certifying and not hypotheses.applicable) or len(suite) == 0 or theta_hi <= 0.0:
         return None, hypotheses
 
+    if full is None:
+        full = cache.trajectory(suite.ids)
     full_lo = float(np.linalg.eigvalsh(full.posteriors)[:, 0].min())
     empty_peak = float(empty_hi.max())
     if empty_peak <= 0.0:
@@ -234,18 +244,20 @@ def ratio_lower_bound(cache: ObjectiveCache) -> tuple[float | None, BoundHypothe
     return min(max(value, 0.0), 1.0), hypotheses
 
 
-def ratio_report(cache: ObjectiveCache, max_sensors: int = RATIO_CAP) -> RatioReport:
+def ratio_report(cache: ObjectiveCache, max_sensors: int = RATIO_CAP,
+                 certifying: bool = False) -> RatioReport:
     """Exact ratio when the ground set is enumerable, plus the spectral bound.
 
     ``exact`` and ``witness`` are None above ``max_sensors``, and
     ``lower_bound`` holds only when ``hypotheses.applicable``; ``certify``
-    picks the ratio a certificate uses.
+    picks the ratio a certificate uses.  ``certifying`` is passed to
+    ``ratio_lower_bound``: the certified commands pass it, ``ratio`` does not.
     """
     if len(cache.scenario.suite) <= max_sensors:
         exact, witness = exact_supermodularity_ratio(cache, max_sensors)
     else:
         exact, witness = None, None
-    bound, hypotheses = ratio_lower_bound(cache)
+    bound, hypotheses = ratio_lower_bound(cache, certifying)
     return RatioReport(exact=exact, witness=witness, lower_bound=bound, hypotheses=hypotheses)
 
 

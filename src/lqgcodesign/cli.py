@@ -20,6 +20,7 @@ import io
 import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -140,8 +141,50 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+class _Commands(argparse._SubParsersAction):
+    """Subcommands, each with a function that adds its arguments to its parser.
+
+    A whole parser makes every subcommand's parser at once.  A ``lazy`` one
+    registers each subcommand's name and help text, which are all that its
+    help and errors print, and makes a subcommand's parser only once
+    argparse dispatches to it, so a command line builds only the parsers it
+    runs.
+    """
+
+    def __init__(self, *args, lazy: bool, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lazy = lazy
+
+    def add_parser(self, name, build, **kwargs):
+        if not self._lazy:
+            parser = super().add_parser(name, **kwargs)
+            build(parser)
+            return parser
+        if "help" in kwargs:
+            self._choices_actions.append(self._ChoicesPseudoAction(name, (), kwargs["help"]))
+        self._name_parser_map[name] = build  # replaced by its parser when invoked
+        return None
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        build = self._name_parser_map[values[0]]
+        if not isinstance(build, argparse.ArgumentParser):
+            # the prog argparse's add_parser gives it
+            made = self._parser_class(prog=f"{self._prog_prefix} {values[0]}", lazy=True)
+            build(made)
+            self._name_parser_map[values[0]] = made
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors mapped to exit code 1."""
+    """argparse with usage errors mapped to exit code 1, and subcommands (``_Commands``)
+    whose arguments are added ``lazy``, or at once."""
+
+    def __init__(self, *args, lazy: bool = False, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._lazy = lazy
+
+    def add_subparsers(self, **kwargs):
+        return super().add_subparsers(action=_Commands, lazy=self._lazy, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -235,7 +278,8 @@ def _report(args, problem: str | None, method: str | None, certified: bool = Fal
     if problem == "mincost" and method not in ("greedy", "oracle"):
         raise ValueError(f"method {method!r} applies only to budget selection")
     cache = _solved(scenario)
-    ratio = ratio_report(cache, args.ratio_cap) if certified and method == "greedy" else None
+    ratio = (ratio_report(cache, args.ratio_cap, certifying=True)
+             if certified and method == "greedy" else None)
     return scenario, cache, _run_method(cache, problem, method, limit, args, mandatory), ratio
 
 
@@ -364,7 +408,7 @@ def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> l
     shared seeds.
     """
     cache = _solved(base)
-    ratio = ratio_report(cache, args.ratio_cap) if "greedy" in methods else None
+    ratio = ratio_report(cache, args.ratio_cap, certifying=True) if "greedy" in methods else None
     columns = _columns(cache, methods, budgets, args, mandatory)
     picked = []
     for i in range(len(budgets)):
@@ -443,114 +487,135 @@ def _add_caps(parser) -> None:
     _add_oracle_cap(parser)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lqgcodesign",
-                     description="Sensor selection and LQG control co-design")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _family_args(family: str, p) -> None:
+    if family == "formation":
+        p.add_argument("--agents", type=int, default=4)
+    else:
+        p.add_argument("--landmarks", type=int, default=3)
+    p.add_argument("--horizon", type=int, default=20)
+    mode = "homogeneous" if family == "formation" else "uniform"
+    p.add_argument("--mode", choices=(mode, "heterogeneous"), default=mode)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_scenario, family=family)
 
-    p_scn = sub.add_parser("scenario", help="build a benchmark scenario file")
-    scn_sub = p_scn.add_subparsers(dest="family", required=True)
-    p_form = scn_sub.add_parser("formation", help="planar formation benchmark")
-    p_form.add_argument("--agents", type=int, default=4)
-    p_form.add_argument("--horizon", type=int, default=20)
-    p_form.add_argument("--mode", choices=("homogeneous", "heterogeneous"),
-                        default="homogeneous")
-    p_form.add_argument("--seed", type=_seed, default=0)
-    p_form.add_argument("--out", required=True)
-    p_form.set_defaults(func=cmd_scenario, family="formation")
-    p_uav = scn_sub.add_parser("uav", help="UAV landing benchmark")
-    p_uav.add_argument("--landmarks", type=int, default=3)
-    p_uav.add_argument("--horizon", type=int, default=20)
-    p_uav.add_argument("--mode", choices=("uniform", "heterogeneous"), default="uniform")
-    p_uav.add_argument("--seed", type=_seed, default=0)
-    p_uav.add_argument("--out", required=True)
-    p_uav.set_defaults(func=cmd_scenario, family="uav")
 
-    p_ric = sub.add_parser("riccati", help="dump the regulator recursion matrices")
-    p_ric.add_argument("--scenario", required=True)
-    p_ric.add_argument("--out", default=None)
-    p_ric.set_defaults(func=cmd_riccati)
+def _scenario_args(p) -> None:
+    sub = p.add_subparsers(dest="family", required=True)
+    for family, text in (("formation", "planar formation benchmark"),
+                         ("uav", "UAV landing benchmark")):
+        sub.add_parser(family, partial(_family_args, family), help=text)
 
-    p_cost = sub.add_parser("cost", help="objectives of an explicit sensor set")
-    p_cost.add_argument("--scenario", required=True)
-    p_cost.add_argument("--set", required=True, help="semicolon-separated sensor ids")
-    _add_common_output(p_cost)
-    p_cost.set_defaults(func=cmd_cost)
 
-    p_sel = sub.add_parser("select", help="choose a sensor set")
-    sel_sub = p_sel.add_subparsers(dest="problem", required=True)
+def _riccati_args(p) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_riccati)
+
+
+def _cost_args(p) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--set", required=True, help="semicolon-separated sensor ids")
+    _add_common_output(p)
+    p.set_defaults(func=cmd_cost)
+
+
+def _select_problem_args(problem: str, p) -> None:
+    p.add_argument("--scenario", required=True)
+    if problem == "budget":
+        p.add_argument("--budget", type=float, default=None)
+        p.add_argument("--method", default="greedy", choices=METHODS)
+        p.add_argument("--mandatory", default="",
+                       help="ids always included by the random baseline")
+        p.add_argument("--seed", type=_seed, default=0)
+    else:
+        p.add_argument("--kappa", type=float, default=None)
+        p.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
+    _add_caps(p)
+    _add_common_output(p)
+    p.set_defaults(func=cmd_select, problem=problem)
+
+
+def _select_args(p) -> None:
+    sub = p.add_subparsers(dest="problem", required=True)
     for problem in ("budget", "mincost"):
-        p = sel_sub.add_parser(problem)
-        p.add_argument("--scenario", required=True)
-        if problem == "budget":
-            p.add_argument("--budget", type=float, default=None)
-            p.add_argument("--method", default="greedy", choices=METHODS)
-            p.add_argument("--mandatory", default="",
-                           help="ids always included by the random baseline")
-            p.add_argument("--seed", type=_seed, default=0)
-        else:
-            p.add_argument("--kappa", type=float, default=None)
-            p.add_argument("--method", default="greedy", choices=("greedy", "oracle"))
-        _add_caps(p)
-        _add_common_output(p)
-        p.set_defaults(func=cmd_select, problem=problem)
+        sub.add_parser(problem, partial(_select_problem_args, problem))
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo closed-loop cost of a set")
-    p_sim.add_argument("--scenario", required=True)
-    p_sim.add_argument("--set", default=None, help="explicit sensor ids; overrides --method")
-    p_sim.add_argument("--method", default="greedy", choices=METHODS)
-    limits = p_sim.add_mutually_exclusive_group()
+
+def _simulate_args(p) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--set", default=None, help="explicit sensor ids; overrides --method")
+    p.add_argument("--method", default="greedy", choices=METHODS)
+    limits = p.add_mutually_exclusive_group()
     limits.add_argument("--budget", type=float, default=None)
     limits.add_argument("--kappa", type=float, default=None)
-    p_sim.add_argument("--mandatory", default="")
-    p_sim.add_argument("--runs", type=int, default=100)
-    p_sim.add_argument("--seed", type=_seed, default=0)
-    _add_oracle_cap(p_sim)
-    _add_common_output(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+    p.add_argument("--mandatory", default="")
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
+    _add_oracle_cap(p)
+    _add_common_output(p)
+    p.set_defaults(func=cmd_simulate)
 
-    p_ratio = sub.add_parser("ratio", help="supermodularity ratio and spectral bound")
-    p_ratio.add_argument("--scenario", required=True)
-    p_ratio.add_argument("--ratio-cap", type=int, default=RATIO_CAP)
-    p_ratio.add_argument("--out", default=None)
-    p_ratio.set_defaults(func=cmd_ratio)
 
-    p_bound = sub.add_parser("bound", help="greedy run plus its certificate")
-    bound_sub = p_bound.add_subparsers(dest="problem", required=True)
+def _ratio_args(p) -> None:
+    p.add_argument("--scenario", required=True)
+    p.add_argument("--ratio-cap", type=int, default=RATIO_CAP)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_ratio)
+
+
+def _bound_problem_args(problem: str, p) -> None:
+    p.add_argument("--scenario", required=True)
+    if problem == "budget":
+        p.add_argument("--budget", type=float, default=None)
+    else:
+        p.add_argument("--kappa", type=float, default=None)
+    _add_caps(p)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cmd_bound, problem=problem)
+
+
+def _bound_args(p) -> None:
+    sub = p.add_subparsers(dest="problem", required=True)
     for problem in ("budget", "mincost"):
-        p = bound_sub.add_parser(problem)
-        p.add_argument("--scenario", required=True)
-        if problem == "budget":
-            p.add_argument("--budget", type=float, default=None)
-        else:
-            p.add_argument("--kappa", type=float, default=None)
-        _add_caps(p)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=cmd_bound, problem=problem)
+        sub.add_parser(problem, partial(_bound_problem_args, problem))
 
-    p_sweep = sub.add_parser("sweep", help="method-by-method grid, one CSV")
-    p_sweep.add_argument("--scenario", dest="family", required=True,
-                         choices=("formation", "uav"))
-    p_sweep.add_argument("--agents", default="4",
-                         help="comma-separated agent counts (formation)")
-    p_sweep.add_argument("--landmarks", type=int, default=3)
-    p_sweep.add_argument("--horizon", default="20", help="comma-separated horizons")
-    p_sweep.add_argument("--budgets", required=True, help="comma-separated budgets")
-    p_sweep.add_argument("--mode", default=None,
-                         choices=("homogeneous", "heterogeneous", "uniform"),
-                         help="weight mode (formation) or cost mode (uav)")
-    p_sweep.add_argument("--methods", default="greedy,logdet,random,all")
-    p_sweep.add_argument("--runs", type=int, default=100)
-    p_sweep.add_argument("--seed", type=_seed, default=0)
-    _add_caps(p_sweep)
-    _add_common_output(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
+def _sweep_args(p) -> None:
+    p.add_argument("--scenario", dest="family", required=True, choices=("formation", "uav"))
+    p.add_argument("--agents", default="4", help="comma-separated agent counts (formation)")
+    p.add_argument("--landmarks", type=int, default=3)
+    p.add_argument("--horizon", default="20", help="comma-separated horizons")
+    p.add_argument("--budgets", required=True, help="comma-separated budgets")
+    p.add_argument("--mode", default=None, choices=("homogeneous", "heterogeneous", "uniform"),
+                   help="weight mode (formation) or cost mode (uav)")
+    p.add_argument("--methods", default="greedy,logdet,random,all")
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--seed", type=_seed, default=0)
+    _add_caps(p)
+    _add_common_output(p)
+    p.set_defaults(func=cmd_sweep)
+
+
+def build_parser(lazy: bool = False) -> argparse.ArgumentParser:
+    """The command-line parser, every subcommand's arguments added at once or, ``lazy``
+    (as ``main`` builds it), only the invoked subcommands'."""
+    parser = _Parser(prog="lqgcodesign", description="Sensor selection and LQG control co-design",
+                     lazy=lazy)
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("scenario", _scenario_args, help="build a benchmark scenario file")
+    sub.add_parser("riccati", _riccati_args, help="dump the regulator recursion matrices")
+    sub.add_parser("cost", _cost_args, help="objectives of an explicit sensor set")
+    sub.add_parser("select", _select_args, help="choose a sensor set")
+    sub.add_parser("simulate", _simulate_args, help="Monte Carlo closed-loop cost of a set")
+    sub.add_parser("ratio", _ratio_args, help="supermodularity ratio and spectral bound")
+    sub.add_parser("bound", _bound_args, help="greedy run plus its certificate")
+    sub.add_parser("sweep", _sweep_args, help="method-by-method grid, one CSV")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = build_parser(lazy=True)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -414,15 +414,15 @@ def _steps(system, update, k: int):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _trajectory(system, update) -> CovarianceTrajectory:
-    """Stacked priors and posteriors of one set, updated by ``update``."""
+def _trajectories(system, update, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (k, T, n, n) priors and posteriors of a batch of k sets, updated by ``update``."""
     T, n = system.horizon, system.state_dim
-    priors = np.empty((T, n, n))
-    posts = np.empty((T, n, n))
-    for t, (prior, post) in enumerate(_steps(system, update, 1)):
-        priors[t] = prior[0]
-        posts[t] = post[0]
-    return CovarianceTrajectory(priors=priors, posteriors=posts)
+    priors = np.empty((k, T, n, n))
+    posts = np.empty((k, T, n, n))
+    for t, (prior, post) in enumerate(_steps(system, update, k)):
+        priors[:, t] = prior
+        posts[:, t] = post
+    return priors, posts
 
 
 def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
@@ -444,7 +444,8 @@ def propagate_covariance(scenario: Scenario, ids) -> CovarianceTrajectory:
         bank = np.stack([*map(_gram, whitened), np.zeros((steps, n, n))])
         # the empty set gathers the zero row, bank[0]
         update = _information_update(bank, np.arange(max(1, len(chosen)))[None])
-    return _trajectory(scenario.system, update)
+    priors, posts = _trajectories(scenario.system, update, 1)
+    return CovarianceTrajectory(priors=priors[0], posteriors=posts[0])
 
 
 def _sensing_values(sol: RiccatiSolution, posts) -> np.ndarray:
@@ -543,10 +544,28 @@ class ObjectiveCache:
         return self._whitened[sensor_id]
 
     def trajectory(self, ids) -> CovarianceTrajectory:
-        """Covariance trajectory of the set, its information summed as ``f`` sums it."""
-        key = _class_key(self._mask(ids), self._weight)
-        return _trajectory(self.scenario.system,
-                           self._update(np.array([key], dtype=self._radix.dtype)))
+        """Covariance trajectory of the set, its information summed as ``f`` sums it: the
+        one-set case of ``trajectories``."""
+        (_, priors, posts), = self.trajectories((self._mask(ids),))
+        return CovarianceTrajectory(priors=priors[0], posteriors=posts[0])
+
+    def trajectories(self, masks):
+        """Covariance trajectories of the sets with these masks, one batch at a time.
+
+        Yields each batch's positions in ``masks`` and its (k, T, n, n) priors
+        and posteriors, so at most one batch is held.  The sets are batched
+        as ``_fill`` batches its multisets: by update form and row count P,
+        each stream sorted by size, ``_batch_size(n)`` sets at most.  A set's
+        trajectory is the bits of its own, whatever its batch.
+        """
+        masks = self._masks(masks)
+        keys = np.array([_class_key(mask, self._weight) for mask in masks], dtype=self._radix.dtype)
+        size = _batch_size(self.scenario.state_dim)
+        for stream in self._streams(masks):
+            for start in range(0, len(stream), size):
+                batch = stream[start:start + size]
+                yield (batch, *_trajectories(self.scenario.system, self._update(keys[batch]),
+                                             len(batch)))
 
     def _update(self, keys: np.ndarray):
         """The update kernel of a batch of class multiset keys, all of one form and row count.
@@ -570,11 +589,15 @@ class ObjectiveCache:
         index[np.arange(index.shape[1]) < sizes[:, None]] = members  # row by row, in order
         return _information_update(self._bank, index)
 
-    def _stream(self, mask: int) -> int:
-        """The row count P of a set in measurement form, -1 in information form."""
-        if _measured(mask.bit_count(), self._widest, self.scenario.state_dim):
-            return _class_key(mask, self._sensor_rows)
-        return -1
+    def _streams(self, masks: list[int]) -> list[list[int]]:
+        """Positions of the masks grouped by update form, each group sorted by set size: the
+        information form first, then each row count P of the measurement form, ascending."""
+        streams: dict[int, list[int]] = {}
+        for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
+            measured = _measured(masks[j].bit_count(), self._widest, self.scenario.state_dim)
+            label = _class_key(masks[j], self._sensor_rows) if measured else -1
+            streams.setdefault(label, []).append(j)
+        return [streams[label] for label in sorted(streams)]
 
     def _values(self, functional: str, keys: np.ndarray) -> np.ndarray:
         """``f`` or ``logdet`` values of a batch of class multiset keys, propagated together."""
@@ -715,11 +738,8 @@ class ObjectiveCache:
                 asked.setdefault(key, mask)
         if asked:
             firsts = list(asked.values())
-            streams: dict[int, list[int]] = {}
-            for j in sorted(range(len(firsts)), key=lambda j: firsts[j].bit_count()):
-                streams.setdefault(self._stream(firsts[j]), []).append(j)
             self._fill(memo, functional, np.array(list(asked), dtype=self._radix.dtype), firsts,
-                       [streams[label] for label in sorted(streams)])
+                       self._streams(firsts))
         return [memo[key] for key in keys]
 
     def f_many(self, masks) -> list[float]:
@@ -749,7 +769,7 @@ class ObjectiveCache:
         if new.any():
             asked = np.sort(first[new])
             keys, masks = keys[asked], masks[asked]
-            # labelled as _stream labels them, and taken in the order f_many takes them
+            # labelled as _streams labels them, and taken in the order f_many takes them
             sizes = _class_keys(masks, (1,) * count)
             stream = np.where(_measured(sizes, self._widest, self.scenario.state_dim),
                               _class_keys(masks, self._sensor_rows), -1)

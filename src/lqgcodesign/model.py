@@ -174,12 +174,20 @@ def _stack(steps, name: str, shape: tuple[int, int] | None = None,
 
     Converts each step, or one matrix repeated, once and checks ``shape``, by
     default step 0's; with ``cite_step_0`` a mismatch message cites step 0.
+    One matrix is written into every step of the stack, with no stack of it
+    first.
     """
     mats = _converted(steps, name)
     source = " as at time index 0" if cite_step_0 else ""
     for t, m in enumerate(mats):
         _require_shape(m, shape or mats[0].shape, name, t, source)
-    return frozen(np.broadcast_to(np.stack(mats), (len(steps), *mats[0].shape)))
+    out = np.empty((len(steps), *mats[0].shape))
+    if len(mats) == 1:
+        out[:] = mats[0]
+    else:
+        np.stack(mats, out=out)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)

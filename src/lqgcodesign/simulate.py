@@ -18,7 +18,10 @@ Several sets estimated with the same seeds, as the rows of one sweep grid
 point are, roll out together: each distinct set once, in batches sized by
 the longest set's draws.  Each seed's normals are drawn once per batch, and
 every set reads its own prefix of them; Philox is counter-based, so that
-prefix is bit for bit the draw the set would make alone.
+prefix is bit for bit the draw the set would make alone.  The sets' filter
+trajectories are propagated together too, in the cache's batches by update
+form and row count (``ObjectiveCache.trajectories``), each bit for bit the
+set's own.
 
 Two scenario families mirror common co-design benchmarks: a planar
 formation with GPS and pairwise relative-position sensing, and a UAV
@@ -73,20 +76,22 @@ class MonteCarloSummary:
 class ClosedLoopSimulator:
     """Reusable rollout engine for one sensor set, on the cache's scenario and solution.
 
-    The filter runs on ``cache.trajectory(ids)``, the covariances ``cache.f``
-    scores.  Stacked once: the set's wiring (T, P, n), noise Cholesky factors
-    (T, P, P) and transposed filter gains G' (T, P, n), beside the
-    cache's noise roots (``_noise_roots``).
+    The filter runs on the set's (T, n, n) ``posteriors`` from
+    ``cache.trajectories``, by default ``cache.trajectory(ids)``'s, the
+    covariances ``cache.f`` scores.  Stacked once: the set's wiring (T, P,
+    n), noise Cholesky factors (T, P, P) and transposed filter gains G' (T,
+    P, n), beside the cache's noise roots (``_noise_roots``).
     """
 
-    def __init__(self, cache: ObjectiveCache, ids):
+    def __init__(self, cache: ObjectiveCache, ids, posteriors=None):
         self.scenario = scenario = cache.scenario
         self.sol = cache.sol
         self.chosen = chosen_ids(scenario.suite, ids)
         sys_ = scenario.system
         self._C, noise = stack_sensors(scenario, self.chosen)
         self._noise_factor = np.linalg.cholesky(noise)
-        posteriors = cache.trajectory(self.chosen).posteriors
+        if posteriors is None:
+            posteriors = cache.trajectory(self.chosen).posteriors
         self._gain_t = np.linalg.solve(noise, self._C @ posteriors)
         self._x1_sqrt, self._w_sqrt = _noise_roots(cache)
         self._draws = _draw_count(sys_, self._C.shape[1])
@@ -210,8 +215,13 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
 
 def _rollout_costs(cache: ObjectiveCache, keys, longest: int, ends) -> list[np.ndarray]:
     """The realized costs of each set's runs, batch by batch of ``ends``, each batch's
-    normals drawn ``longest`` wide."""
-    sims = [ClosedLoopSimulator(cache, key) for key in keys]
+    normals drawn ``longest`` wide.  The sets' filter trajectories are propagated in the
+    cache's batches (``ObjectiveCache.trajectories``), each batch's posteriors dropped once
+    its sets' simulators hold their gains."""
+    sims = [None] * len(keys)
+    for batch, _, posteriors in cache.trajectories([cache._mask(key) for key in keys]):
+        for j, posts in zip(batch, posteriors):
+            sims[j] = ClosedLoopSimulator(cache, keys[j], posts)
     costs = [[] for _ in sims]
     for start, stop in zip(ends, ends[1:]):
         draws = _normals(range(start, stop), longest)

@@ -222,6 +222,23 @@ def per_step_sensor_scenario(seed: int) -> lq.Scenario:
     return replace(scenario, suite=lq.SensorSuite(sensors=sensors, state_dim=n))
 
 
+def mixed_form_scenario(seed: int) -> lq.Scenario:
+    """Formation a2 (n = 8, four 2-row sensors) whose sensor 1's wiring changes at every step.
+
+    Its sets of one to three sensors take the measurement form, each row
+    count P in 2, 4, 6 its own stream, and the empty and the full set the
+    information form; with a per-step sensor its stacks keep T steps.
+    """
+    scenario = lq.build_formation_scenario(2, 6, "heterogeneous", seed)
+    rng = np.random.default_rng(seed + 9000)
+    sensors = list(scenario.suite)
+    moved = sensors[1]
+    sensors[1] = lq.Sensor(id=1, C=moved.C + 0.2 * rng.normal(size=moved.C.shape), V=moved.V,
+                           cost=moved.cost)
+    return replace(scenario, suite=lq.SensorSuite(sensors=tuple(sensors),
+                                                  state_dim=scenario.state_dim))
+
+
 def differential_scenarios() -> list[lq.Scenario]:
     """The instances on which a stacked path must equal its per-step reference exactly."""
     return ([random_scenario(seed) for seed in range(40)]

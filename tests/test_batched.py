@@ -255,3 +255,34 @@ def test_trajectory_sums_information_as_the_objective_does():
             ids = kalman._mask_ids(mask)
             traj = cache.trajectory(ids)
             assert lq.sensing_objective(cache.sol, traj) == cache.f(ids), (seed, ids)
+
+
+def _bits(array) -> list:
+    return np.ascontiguousarray(array).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("batch_sets", [256, 2])
+def test_batched_trajectories_are_each_sets_own(monkeypatch, batch_sets):
+    # every subset, the empty set included, in batches by update form and row
+    # count; a cap of two sets cuts each stream into several batches
+    monkeypatch.setattr(kalman, "_BATCH_SETS", batch_sets)
+    scenarios = [support.mixed_form_scenario(seed) for seed in range(3)]
+    scenarios += [support.per_step_sensor_scenario(seed) for seed in range(4)]
+    scenarios += [lq.build_uav_scenario(2, 5, "heterogeneous", 1)]
+    for scenario in scenarios:
+        cache = support.solved(scenario)[2]
+        masks = list(range(1 << len(scenario.suite)))[::-1]
+        seen, sizes = [], []
+        for batch, priors, posts in cache.trajectories(masks):
+            for j, prior, post in zip(batch, priors, posts):
+                want = cache.trajectory(support.mask_ids(masks[j]))
+                assert _bits(prior) == _bits(want.priors), masks[j]
+                assert _bits(post) == _bits(want.posteriors), masks[j]
+            seen.extend(batch)
+            sizes.append(len(batch))
+        assert sorted(seen) == list(range(len(masks)))
+        assert 1 < max(sizes) <= batch_sets  # sets share batches, up to the cap
+    # the mixed suite's streams: the information form, then P = 2, 4 and 6
+    cache = support.solved(scenarios[0])[2]
+    streams = cache._streams(list(range(16)))
+    assert [len(stream) for stream in streams] == [2, 4, 6, 4]

@@ -1,6 +1,8 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,6 +14,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
+from lqgcodesign import cli, kalman
 from lqgcodesign.cli import COLUMNS, main
 
 import support
@@ -765,3 +768,132 @@ def test_select_certifies_with_the_spectral_bound_as_bound_does(tmp_path, capsys
     assert float(row["gamma_bound"]) == payload["gamma_bound"]
     assert float(row["cert_rhs"]) == payload["certificate"]["rhs"]
     assert row["cert_lhs"] == "" and row["cert_pass"] == ""
+
+
+def _propagated(monkeypatch) -> list:
+    """The masks of every covariance trajectory the caches propagate from now on, in
+    this process: a single CPU keeps every sweep column and rollout share here."""
+    masks = []
+    trajectories = kalman.ObjectiveCache.trajectories
+
+    def recorded(cache, asked):
+        asked = list(asked)
+        masks.extend(asked)
+        yield from trajectories(cache, asked)
+
+    monkeypatch.setattr(kalman, "_cpus", lambda: 1)
+    monkeypatch.setattr(kalman.ObjectiveCache, "trajectories", recorded)
+    return masks
+
+
+def test_certified_commands_skip_a_bound_whose_hypotheses_fail(tmp_path, monkeypatch, capsys):
+    # formation a2's relative sensors are not normalized, so no certificate can
+    # use the spectral bound: select, bound and sweep propagate neither its
+    # full-set nor its empty-set trajectory, while ratio still prints the bound
+    scenario = lq.build_formation_scenario(2, 6, "heterogeneous", 7)
+    source = tmp_path / "a2.json"
+    lq.save_scenario(scenario, source)
+    bound, hypotheses = lq.ratio_lower_bound(support.solved(scenario)[2])
+    assert hypotheses.theta_sum_pd and not hypotheses.normalized_sensors and bound is not None
+    full = (1 << len(scenario.suite)) - 1
+    masks = _propagated(monkeypatch)
+    for caps in ((), ("--ratio-cap", "0")):
+        for argv in (["select", "budget", "--budget", "2"], ["bound", "budget", "--budget", "2"]):
+            code = main([*argv, "--scenario", str(source), *caps])
+            assert code == (1 if caps and argv[0] == "bound" else 0)  # bound needs a gamma
+            assert masks == [], argv
+    capsys.readouterr()
+    sweep = ["sweep", "--scenario", "formation", "--agents", "2", "--horizon", "6",
+             "--mode", "heterogeneous", "--seed", "7", "--budgets", "2,3",
+             "--methods", "greedy,logdet,random", "--runs", "5"]
+    assert main(sweep) == 0
+    assert masks and full not in masks  # the rollouts' sets only
+    masks.clear()
+    capsys.readouterr()
+    payload = _json_of(capsys, ["ratio", "--scenario", str(source), "--ratio-cap", "0"])
+    assert payload["lower_bound"] == bound and masks == [full, 0]
+
+
+def test_certified_commands_still_print_an_applicable_bound(tmp_path, monkeypatch, capsys):
+    scenario = support.normalized_bound_scenario(7)
+    source = tmp_path / "normalized.json"
+    lq.save_scenario(replace(scenario, budget=2.0), source)
+    bound, hypotheses = lq.ratio_lower_bound(support.solved(scenario)[2])
+    assert hypotheses.applicable and bound > 0.0
+    full = (1 << len(scenario.suite)) - 1
+    masks = _propagated(monkeypatch)
+    row = _select_row(tmp_path, source, "budget", "greedy", extra=("--ratio-cap", "0"))
+    assert float(row["gamma_bound"]) == bound and masks == [0, full]
+    masks.clear()
+    payload = _json_of(capsys, ["bound", "budget", "--scenario", str(source), "--ratio-cap", "0"])
+    assert payload["gamma_bound"] == payload["certificate"]["gamma"] == bound
+    assert masks == [0, full]
+
+
+def test_a_certifying_bound_stops_at_the_first_failed_hypothesis():
+    scenarios = support.differential_scenarios()[::3] + [support.normalized_bound_scenario(1)]
+    scenarios.append(lq.build_formation_scenario(2, 6, "heterogeneous", 7))
+    for scenario in scenarios:
+        cache = support.solved(scenario)[2]
+        bound, flags = lq.ratio_lower_bound(cache)
+        certified, checked = lq.ratio_lower_bound(cache, certifying=True)
+        every = [flags.theta_sum_pd, flags.normalized_sensors, flags.trace_dominated]
+        asked = every.index(False) + 1 if False in every else 3
+        assert [checked.theta_sum_pd, checked.normalized_sensors,
+                checked.trace_dominated] == every[:asked] + [None] * (3 - asked)
+        assert checked.applicable == flags.applicable
+        assert certified == (bound if flags.applicable else None)
+        report = lq.ratio_report(cache, 0, certifying=True)
+        assert report.gamma_bound == lq.ratio_report(cache, 0).gamma_bound
+
+
+def _parsed(parser, argv) -> tuple:
+    """Exit code, stdout and stderr of parsing ``argv``; a parse that succeeds exits None."""
+    out, err = io.StringIO(), io.StringIO()
+    code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+PARSED = [[], ["--help"], ["-h"], ["frobnicate"], ["-x", "select"], ["select"],
+          ["select", "nope"], ["sweep"], ["select", "budget", "--scenario", "x", "--frob"],
+          ["sweep", "--scenario", "formation", "--budgets", "1", "--seed", "-1"]]
+PARSED += [[*command, "--help"] for command in (
+    ["scenario"], ["scenario", "formation"], ["scenario", "uav"], ["riccati"], ["cost"],
+    ["select"], ["select", "budget"], ["select", "mincost"], ["simulate"], ["ratio"],
+    ["bound"], ["bound", "budget"], ["bound", "mincost"], ["sweep"])]
+
+
+@pytest.mark.parametrize("argv", PARSED, ids=" ".join)
+def test_main_parses_as_a_parser_built_whole(argv):
+    code, out, err = _parsed(cli.build_parser(), argv)
+    assert code is not None
+    assert _parsed(cli.build_parser(lazy=True), argv) == (code, out, err)
+    with contextlib.redirect_stdout(io.StringIO()) as got, \
+            contextlib.redirect_stderr(io.StringIO()) as got_err:
+        assert main(argv) == code
+    assert (got.getvalue(), got_err.getvalue()) == (out, err)
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["sweep", "--help"], ["sweep"]),
+    (["select", "budget", "--help"], ["select", "select budget"]),
+    (["bound", "mincost", "--help"], ["bound", "bound mincost"]),
+    (["scenario", "uav", "--help"], ["scenario", "scenario uav"]),
+    (["--help"], []),
+])
+def test_main_builds_only_the_invoked_parsers(monkeypatch, argv, built):
+    made = []
+    for name in ("_scenario_args", "_riccati_args", "_cost_args", "_select_args",
+                 "_simulate_args", "_ratio_args", "_bound_args", "_sweep_args",
+                 "_family_args", "_select_problem_args", "_bound_problem_args"):
+        build = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *args, build=build: made.append(args[-1].prog) or build(*args))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    assert made == [f"lqgcodesign {name}" for name in built]

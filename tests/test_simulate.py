@@ -327,19 +327,33 @@ def test_monte_carlo_many_batches_agree_with_per_set_batches(monkeypatch):
             assert summary.analytical_g == reference.analytical_g
 
 
+def test_monte_carlo_many_equals_one_call_per_set_across_update_forms():
+    # the sets' trajectories share batches by form and row count; each summary is
+    # the one-set call's, bit for bit, on a suite with a per-step sensor
+    sets = [(0, 1, 2, 3), (), (1,), (0, 2), (1, 2, 3), (3,), (0, 1), (2, 1)]
+    for seed in range(3):
+        cache = support.solved(support.mixed_form_scenario(seed))[2]
+        for runs, base_seed in ((1, 4), (30, 9)):
+            many = lq.monte_carlo_many(cache, sets, runs=runs, base_seed=base_seed)
+            for ids, summary in zip(sets, many):
+                assert summary == lq.monte_carlo(cache, ids, runs=runs, base_seed=base_seed)
+
+
 def test_a_repeated_set_builds_one_simulator(monkeypatch):
     built = []
 
     class Counted(simulate.ClosedLoopSimulator):
-        def __init__(self, cache, ids):
-            super().__init__(cache, ids)
+        def __init__(self, cache, ids, *posteriors):  # the batched trajectory, if given
+            super().__init__(cache, ids, *posteriors)
             built.append(self.chosen)
 
     monkeypatch.setattr(simulate, "ClosedLoopSimulator", Counted)
     scenario, sol, cache = support.solved(lq.build_formation_scenario(agents=2, horizon=4, seed=1))
     many = lq.monte_carlo_many(cache, [(0, 1), (1, 0), [1, 1, 0], (), (0, 1, 2)], runs=6,
                                base_seed=2)
-    assert built == [(0, 1), (), (0, 1, 2)]
+    # one per distinct set, in the trajectories' batch order: the information
+    # form (the empty set), then the measurement form by row count, 4 and 6
+    assert built == [(), (0, 1), (0, 1, 2)]
     assert many[0] == many[1] == many[2] != many[3]
     assert lq.monte_carlo_many(cache, [], runs=6, base_seed=2) == []
 
