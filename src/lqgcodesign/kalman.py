@@ -36,14 +36,14 @@ held.  Two scalar functionals of the posteriors drive sensor selection:
 ``ObjectiveCache`` indexes the sensors by information class: sensors whose
 (L, n, n) information stacks are bit-identical form one class, numbered in
 the order of its smallest id, and a set's filter depends on it only through
-J[t].  It memoizes the functionals under a set's multiset of classes, an
-integer key in mixed radix (Knuth, TAOCP 4A, 7.2.1.1), so sweeps,
-enumerations and ratio scans propagate each distinct multiset once, on its
-classes' rows or information in ascending class order, and equal multisets
-give equal bits by construction.  Its batch calls take bit masks whose bit
-i selects sensor i: ``f_many`` takes Python ints, for scattered calls, and
-``f_table`` an int64 array, for enumerations of at most ``TABLE_BITS``
-sensors, keyed in numpy.  Its single-set calls take ids.
+J[t].  It memoizes each functional as a sorted array of class multiset
+keys, integers in mixed radix (Knuth, TAOCP 4A, 7.2.1.1), and their values,
+so sweeps, enumerations and ratio scans propagate each distinct multiset
+once, on its classes' rows or information in ascending class order, and
+equal multisets give equal bits by construction.  Its batch calls take bit
+masks whose bit i selects sensor i: ``f_many`` Python ints and ``f_table``
+an int64 array of at most ``TABLE_BITS`` sensors, keyed in numpy; both then
+take one lookup path.  Its single-set calls take ids.
 
 A call whose work, new multisets * T * n^2, is two ``_FORK_WORK`` or more,
 in a process that may run on more than one CPU (``os.sched_getaffinity``),
@@ -52,20 +52,18 @@ merges their values in the one-process order, so the values, the memo and
 any error are those of a fill in one process.  This process is worker 0;
 the others are the cache's, forked once (``_fork_worker``) and sent any
 module-level function to run on their copy of the cache (``_deal``): a
-fill's batches, a sweep's method columns or Monte Carlo shares.  Value
-tables (from 512 sets at n = 6) and formation a8's greedy steps (35-37
-sets, from 18 at n = 32) are dealt as fills; a formation a4 sweep's fills
-(11 sets, from 72 at n = 16) are not, but its columns and Monte Carlo sets
-are.  No switch: ``taskset -c 0`` pins a run to one core; without
-``os.fork`` or ``os.sched_getaffinity``, and in any forked child, everything
-runs in one process.  Python 3.12 and later may warn that forking a
-process with threads (OpenBLAS starts some) can deadlock the child; the
-workers call only numpy and LAPACK.  Tested on 3.11.
+fill's batches, a sweep's method columns or Monte Carlo shares.  A call
+that gets no worker, as ``os.fork`` or ``os.pipe`` failed, runs here.  No
+switch: ``taskset -c 0`` pins a run to one core; without ``os.fork`` or
+``os.sched_getaffinity``, and in any forked child, everything runs in one
+process.  Python 3.12 and later may warn that forking a process with
+threads (OpenBLAS starts some) can deadlock the child; the workers call
+only numpy and LAPACK.  Tested on 3.11.
 """
 
 from __future__ import annotations
 
-import itertools
+import contextlib
 import math
 import operator
 import os
@@ -212,11 +210,8 @@ def _mixed_radix(number) -> tuple[list[int], list[int]]:
 
 
 def _class_key(mask: int, weight) -> int:
-    """Sum of ``weight[i]`` over a nonnegative mask's set bits.
-
-    With each sensor's class weight (``_mixed_radix``) it is the set's class
-    multiset key; with unit weights its size, with row counts its P.
-    """
+    """Sum of ``weight[i]`` over a nonnegative mask's set bits: with each sensor's class weight
+    (``_mixed_radix``), the set's class multiset key."""
     key = 0
     while mask:
         low = mask & -mask
@@ -338,22 +333,34 @@ def _outcome(cache, function, args):
         return exc.with_traceback(None)  # hold it in a cycle
 
 
+def _find(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each key is, or would go, in the sorted distinct ``known``; and whether it is."""
+    at = np.searchsorted(known, keys)
+    found = at < len(known)
+    found[found] = known[at[found]] == keys[found]
+    return at, found
+
+
 def _fork_worker(cache) -> tuple[int, int, int]:
     """Fork a worker of ``cache``: its pid and this process's ends of its pipes.
 
     It answers each request, a module-level function and its arguments, with
     the ``_outcome`` of the function on the worker's copy of the cache, whose
     memo is the owner's at the fork plus what its own calls added, and the
-    ``f`` and ``logdet`` memo entries the call added.  It leaves by
-    ``os._exit``, running no exit handler: at EOF, or on an error.
+    memo entries the call added, a key and a value array per functional.  It
+    leaves by ``os._exit``, running no exit handler: at EOF, or on an error.
+    If ``os.pipe`` or ``os.fork`` raises, no pipe end is left open.
     """
-    request, reply = os.pipe(), os.pipe()
+    ends = []
     try:
+        for _ in range(2):
+            ends.extend(os.pipe())
         pid = os.fork()
     except BaseException:
-        for end in (*request, *reply):
+        for end in ends:
             os.close(end)
         raise
+    request, reply = ends[:2], ends[2:]
     if pid == 0:
         code = 1
         try:
@@ -362,12 +369,14 @@ def _fork_worker(cache) -> tuple[int, int, int]:
             for end in (request[1], reply[0]):
                 os.close(end)  # a write fails, not blocks, once this process is gone
             with os.fdopen(request[0], "rb") as asked, os.fdopen(reply[1], "wb") as answers:
-                memos = cache._f, cache._logdet
                 while asked.peek(1):  # empty at EOF: the cache let this worker go
-                    sizes = [len(memo) for memo in memos]
+                    before = dict(cache._memo)  # a merge replaces a memo's arrays
                     outcome = _outcome(cache, *pickle.load(asked))
-                    pickle.dump((outcome, *(list(itertools.islice(memo.items(), size, None))
-                                            for memo, size in zip(memos, sizes))), answers)
+                    added = {}
+                    for name, (keys, values) in cache._memo.items():
+                        new = ~_find(before[name][0], keys)[1]
+                        added[name] = keys[new], values[new]
+                    pickle.dump((outcome, added), answers)
                     answers.flush()
             code = 0
         finally:
@@ -500,18 +509,16 @@ class ObjectiveCache:
     them by information class (``_information_classes``): each sensor's
     class number, the (c + 1, L, n, n) class bank and the (L, sum p, n)
     classes' rows, L = 1 when every sensor is time-invariant, else T.
-    Each functional has one memo, keyed by a set's class multiset key
-    (``_mixed_radix``), the sum of its members' weights, so each distinct
-    multiset is propagated at most once per functional, whichever batch
-    call asks.  The multisets one call has not seen yet are propagated in
-    batches of ``_batch_size(n)`` sets, grouped by exact row count P in
-    measurement form and in one stream in information form.  A batch holds
-    at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS`` (2^16 floats,
-    512 KB) per (k, n, n) stack, and a fill with enough work is dealt to
-    workers (``_fill``, ``_deal``), at most one fewer than the CPUs, forked
-    once and reaped when the cache is released or the interpreter exits;
-    one thread at a time may fill.  The selection, ratio and Monte Carlo routines take
-    the cache as their one evaluation context: its scenario and solution.
+    Each functional's memo is a sorted array of class multiset keys
+    (``_mixed_radix``: a set's key sums its members' weights) and a float64
+    array of their values, 16 bytes a multiset.  A batch call keys its masks
+    and looks them up (``_lookup``); the multisets not memoized are propagated
+    in ``_batches`` of at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS``
+    (512 KB) per (k, n, n) stack, and merged once.  A fill with enough work
+    is dealt to workers (``_fill``, ``_deal``), at most one fewer than the
+    CPUs, forked once and reaped when the cache is released or the
+    interpreter exits; one thread at a time may fill.  The selection, ratio
+    and Monte Carlo routines take the cache as their one evaluation context.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -524,8 +531,7 @@ class ObjectiveCache:
         self._whitened = tuple(whitened)
         self._class, self._bank, self._rows, self._row_ids = _information_classes(
             whitened, once, T, n)
-        self._sensor_rows = tuple(white.shape[1] for white in self._whitened)
-        self._widest = max(self._sensor_rows, default=0)
+        self._widest = max((white.shape[1] for white in self._whitened), default=0)
         radix, bases = _mixed_radix(self._class)
         self._weight = tuple(radix[c] for c in self._class)
         # keys past int64 (more than TABLE_BITS sensors) are decoded as Python ints
@@ -533,8 +539,9 @@ class ObjectiveCache:
         self._base = np.array(bases, dtype=np.intp)
         self._row_spans = (np.array([ids.start for ids in self._row_ids], dtype=np.intp),
                            np.array([len(ids) for ids in self._row_ids], dtype=np.intp))
-        self._f: dict[int, float] = {}
-        self._logdet: dict[int, float] = {}
+        # each functional's memo: sorted distinct multiset keys and their values
+        self._memo = {name: (np.empty(0, self._radix.dtype), np.empty(0))
+                      for name in ("f", "logdet")}
         self.offset = cost_offset(scenario, sol)
         self._workers = _Pool()
         _POOLS[id(self._workers)] = self._workers
@@ -553,19 +560,14 @@ class ObjectiveCache:
         """Covariance trajectories of the sets with these masks, one batch at a time.
 
         Yields each batch's positions in ``masks`` and its (k, T, n, n) priors
-        and posteriors, so at most one batch is held.  The sets are batched
-        as ``_fill`` batches its multisets: by update form and row count P,
-        each stream sorted by size, ``_batch_size(n)`` sets at most.  A set's
-        trajectory is the bits of its own, whatever its batch.
+        and posteriors, so at most one batch is held.  The sets go in
+        ``_batches`` of ``_batch_size(n)``, as ``_fill``'s multisets do; a
+        set's trajectory is the bits of its own, whatever its batch.
         """
-        masks = self._masks(masks)
-        keys = np.array([_class_key(mask, self._weight) for mask in masks], dtype=self._radix.dtype)
-        size = _batch_size(self.scenario.state_dim)
-        for stream in self._streams(masks):
-            for start in range(0, len(stream), size):
-                batch = stream[start:start + size]
-                yield (batch, *_trajectories(self.scenario.system, self._update(keys[batch]),
-                                             len(batch)))
+        keys = self._keyed(masks)[1]
+        for batch in self._batches(keys, _batch_size(self.scenario.state_dim)):
+            yield (batch, *_trajectories(self.scenario.system, self._update(keys[batch]),
+                                         len(batch)))
 
     def _update(self, keys: np.ndarray):
         """The update kernel of a batch of class multiset keys, all of one form and row count.
@@ -589,15 +591,20 @@ class ObjectiveCache:
         index[np.arange(index.shape[1]) < sizes[:, None]] = members  # row by row, in order
         return _information_update(self._bank, index)
 
-    def _streams(self, masks: list[int]) -> list[list[int]]:
-        """Positions of the masks grouped by update form, each group sorted by set size: the
-        information form first, then each row count P of the measurement form, ascending."""
-        streams: dict[int, list[int]] = {}
-        for j in sorted(range(len(masks)), key=lambda j: masks[j].bit_count()):
-            measured = _measured(masks[j].bit_count(), self._widest, self.scenario.state_dim)
-            label = _class_key(masks[j], self._sensor_rows) if measured else -1
-            streams.setdefault(label, []).append(j)
-        return [streams[label] for label in sorted(streams)]
+    def _batches(self, keys: np.ndarray, size: int) -> list[np.ndarray]:
+        """Positions of the class multiset keys in batches of at most ``size``: the information
+        form first, then each row count P of the measurement form, each stream sorted by set
+        size, so a batch gathers few zero pad rows, and by position within a size."""
+        sizes, rows = np.zeros((2, len(keys)), dtype=np.intp)
+        for radix, base, width in zip(self._radix, self._base, self._row_spans[1]):
+            count = (keys // radix % base).astype(np.intp)
+            sizes += count
+            rows += count * width
+        label = np.where(_measured(sizes, self._widest, self.scenario.state_dim), rows, -1)
+        order = np.lexsort((sizes, label))
+        streams = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+        return [todo[start:start + size]
+                for todo in streams for start in range(0, len(todo), size)]
 
     def _values(self, functional: str, keys: np.ndarray) -> np.ndarray:
         """``f`` or ``logdet`` values of a batch of class multiset keys, propagated together."""
@@ -635,30 +642,35 @@ class ObjectiveCache:
         One call runs here.  Of more, call 0 runs here and call i in worker i,
         forked when the pool has fewer, on its copy of the cache; the memo
         entries it adds are merged here, and the first call that raised
-        raises once all have answered.  A deal that leaves early or reads an
-        answer short kills every worker, and the next forks afresh.
+        raises once all have answered.  The calls left without a worker, as
+        ``os.pipe`` or ``os.fork`` raised ``OSError``, run here last, in order;
+        the next deal tries to fork again.  A deal that leaves early or reads
+        an answer short kills every worker, and the next forks afresh.
         """
         if len(calls) == 1:
             function, args = calls[0]
             return [function(self, *args)]
         pool = self._workers
         try:
-            while len(pool) < len(calls) - 1:
-                pool.append(_fork_worker(self))
+            with contextlib.suppress(OSError):  # the calls left without a worker run here
+                while len(pool) < len(calls) - 1:
+                    pool.append(_fork_worker(self))
+            dealt = min(len(pool), len(calls) - 1)
             pool.busy = True
-            for call, (_, request, _) in zip(calls[1:], pool):
+            for call, (_, request, _) in zip(calls[1:dealt + 1], pool):
                 with os.fdopen(request, "wb", closefd=False) as asked:  # written whole
                     pickle.dump(call, asked)
             outcomes = [_outcome(self, *calls[0])]
-            for pid, _, reply in pool[:len(calls) - 1]:
+            for pid, _, reply in pool[:dealt]:
                 try:
                     with os.fdopen(reply, "rb", closefd=False) as answers:
-                        outcome, f, logdet = pickle.load(answers)
+                        outcome, added = pickle.load(answers)
                 except (EOFError, pickle.UnpicklingError):
                     raise RuntimeError(f"fill worker {pid} exited without its values") from None
-                self._f.update(f)
-                self._logdet.update(logdet)
+                for name, (keys, values) in added.items():
+                    self._merge(name, keys, values)
                 outcomes.append(outcome)
+            outcomes += [_outcome(self, *call) for call in calls[dealt + 1:]]
         except BaseException:
             _stop(pool, kill=True)
             raise
@@ -672,52 +684,57 @@ class ObjectiveCache:
                     del outcome, outcomes
         return outcomes
 
-    def _fill(self, memo: dict, functional: str, keys: np.ndarray, firsts, streams) -> None:
-        """Propagate the class multisets ``keys`` and memoize their values.
+    def _merge(self, functional: str, keys: np.ndarray, values: np.ndarray) -> None:
+        """Memoize the distinct multisets ``keys`` with their values; a memoized one keeps its."""
+        known, memo = self._memo[functional]
+        at, found = _find(known, keys)
+        new = np.flatnonzero(~found)
+        if len(new):  # a call that adds nothing copies nothing
+            new = new[np.argsort(keys[new])]
+            self._memo[functional] = (np.insert(known, at[new], keys[new]),
+                                      np.insert(memo, at[new], values[new]))
 
-        ``keys`` are multisets not in ``memo`` and ``firsts[j]`` the first mask
-        that asked for ``keys[j]``.  ``streams`` are sequences of positions in
-        ``keys``, in order: the information-form multisets, then those of each
-        exact row count P in measurement form, each sorted by size, so a batch
-        gathers few zero pad rows.  They go in batches of ``_batch_size(n)``
-        sets, each (k, n, n) stack of a batch at most 512 KB.
-        A value that is not finite raises ``NumericalError`` naming its first
-        mask, and its batch is not memoized.
+    def _fill(self, functional: str, keys: np.ndarray, masks, asked: np.ndarray) -> None:
+        """Propagate the distinct class multisets ``keys``, none memoized, and memoize them.
 
-        A call with work ``len(keys) * T * n**2`` that ``_processes`` gives
-        more than one process cuts its batches to a worker's share of
-        ``keys``, at most one worker per batch, and deals batch i to worker i %
-        workers (``_deal``; this process is worker 0).  A set's value does not
-        depend on where its batch ran or on its size, and the batches are
-        merged in the order above: the first that raised, or holds a value
-        that is not finite, raises as in one process, with exactly the batches
-        before it memoized.
+        ``masks[asked[j]]`` is the first mask that asked for ``keys[j]``.  With
+        work ``len(keys) * T * n**2`` that ``_processes`` gives more than one
+        process, batch i, cut to a worker's share, goes to worker i % workers
+        (``_deal``; this process is worker 0).  A set's value does not depend
+        on where its batch ran or on its size.  The first batch that raised,
+        or holds a value that is not finite (``NumericalError`` naming its first
+        mask), raises as in one process, the batches before it memoized.
         """
         T, n = self.scenario.horizon, self.scenario.state_dim
         workers = self._processes(len(keys) * T * n * n)
-        size = min(_batch_size(n), -(-len(keys) // workers))
-        batches = [todo[start:start + size]
-                   for todo in streams for start in range(0, len(todo), size)]
+        batches = self._batches(keys, min(_batch_size(n), -(-len(keys) // workers)))
         workers = min(workers, len(batches))
         shares = self._deal([(ObjectiveCache._answer,
                               (functional, [keys[b] for b in batches[w::workers]]))
                              for w in range(workers)])
-        for i, batch in enumerate(batches):
-            got = shares[i % workers][i // workers]
-            if isinstance(got, Exception):
-                try:
-                    raise got
-                finally:  # nor in this one: the cache goes with its last reference
-                    del got, shares
-            if not np.isfinite(got).all():
-                j = int(np.argmin(np.isfinite(got)))
-                named = list(_mask_ids(int(firsts[batch[j]])))
-                raise NumericalError(f"objective of sensor set {named} is not finite "
-                                     f"({float(got[j])})")
-            memo.update(zip(keys[batch].tolist(), got.tolist()))
+        done = []
+        try:
+            for i, batch in enumerate(batches):
+                got = shares[i % workers][i // workers]
+                if isinstance(got, Exception):
+                    try:
+                        raise got
+                    finally:  # nor in this one: the cache goes with its last reference
+                        del got, shares
+                if not np.isfinite(got).all():
+                    j = int(np.argmin(np.isfinite(got)))
+                    named = list(_mask_ids(int(masks[asked[batch[j]]])))
+                    raise NumericalError(f"objective of sensor set {named} is not finite "
+                                         f"({float(got[j])})")
+                done.append((batch, got))
+        finally:
+            if done:
+                batch, got = (np.concatenate(part) for part in zip(*done))
+                self._merge(functional, keys[batch], got)
 
-    def _masks(self, masks) -> list[int]:
-        """The masks as ints; a negative one or one with a bit past the suite raises."""
+    def _keyed(self, masks) -> tuple[list[int], np.ndarray]:
+        """The masks as ints and their class multiset keys, in the radix's dtype; a negative
+        mask or one with a bit past the suite raises."""
         masks = [operator.index(mask) for mask in masks]  # numpy ints become ints; floats raise
         count = len(self._class)
         for mask in masks:
@@ -725,62 +742,43 @@ class ObjectiveCache:
                 raise ValidationError(f"sensor set mask {mask} is negative")
             if mask >> count:  # a bit past the suite names no class
                 self.scenario.suite.sensor(count + _mask_ids(mask >> count)[0])
-        return masks
+        return masks, np.array([_class_key(mask, self._weight) for mask in masks],
+                               dtype=self._radix.dtype)
 
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, functional: str, masks) -> list[float]:
-        """Values of the sets with these masks; multisets not in ``memo`` are propagated."""
-        masks = self._masks(masks)
-        keys = [_class_key(mask, self._weight) for mask in masks]
-        asked = {}  # each new multiset and the first mask that asked for it
-        for mask, key in zip(masks, keys):
-            if key not in memo:
-                asked.setdefault(key, mask)
-        if asked:
-            firsts = list(asked.values())
-            self._fill(memo, functional, np.array(list(asked), dtype=self._radix.dtype), firsts,
-                       self._streams(firsts))
-        return [memo[key] for key in keys]
+    def _lookup(self, functional: str, masks, keys: np.ndarray) -> np.ndarray:
+        """Values of the sets with these masks and class multiset keys, as a float64 array; the
+        multisets not memoized are filled, in the order their first masks come."""
+        at, found = _find(self._memo[functional][0], keys)
+        if not found.all():
+            missing = np.flatnonzero(~found)
+            asked = missing[np.sort(np.unique(keys[missing], return_index=True)[1])]
+            self._fill(functional, keys[asked], masks, asked)
+            at = np.searchsorted(self._memo[functional][0], keys)
+        return self._memo[functional][1][at]
 
     def f_many(self, masks) -> list[float]:
         """Memoized sensing objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._f, "f", masks)
+        return self._lookup("f", *self._keyed(masks)).tolist()
 
-    @np.errstate(over="ignore", invalid="ignore")
     def f_table(self, masks) -> np.ndarray:
         """``f_many`` of a 1-D array of masks as a float64 array: the enumerations' path.
 
-        The masks are keyed in numpy and only their distinct multisets pass
-        through Python, so a 2^m table makes no Python int per mask.  It
-        shares ``f_many``'s memo and raises as ``f_many`` does; a suite of
-        more than ``TABLE_BITS`` sensors raises ``ValueError``.
+        The masks are keyed in numpy, so a 2^m table makes no Python int per
+        mask; a suite of more than ``TABLE_BITS`` sensors raises ``ValueError``.
         """
         count = len(self._class)
         if count > TABLE_BITS:
             raise ValueError(f"a value table indexes at most {TABLE_BITS} sensors, not {count}")
         array = np.asarray(masks)
         if array.dtype.kind not in "iu" or (array >> count).any():  # raise as f_many does
-            array = np.array(self._masks(masks), dtype=np.int64)
+            array = np.array(self._keyed(masks)[0], dtype=np.int64)
         masks = array.astype(np.int64, copy=False)
-        keys = _class_keys(masks, self._weight)
-        unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        listed = unique.tolist()
-        new = np.fromiter((key not in self._f for key in listed), bool, len(listed))
-        if new.any():
-            asked = np.sort(first[new])
-            keys, masks = keys[asked], masks[asked]
-            # labelled as _streams labels them, and taken in the order f_many takes them
-            sizes = _class_keys(masks, (1,) * count)
-            stream = np.where(_measured(sizes, self._widest, self.scenario.state_dim),
-                              _class_keys(masks, self._sensor_rows), -1)
-            order = np.lexsort((sizes, stream))
-            self._fill(self._f, "f", keys, masks,
-                       np.split(order, np.flatnonzero(np.diff(stream[order])) + 1))
-        return np.fromiter(map(self._f.__getitem__, listed), float, len(listed))[inverse]
+        return self._lookup("f", masks, _class_keys(masks, self._weight))
 
     def logdet_many(self, masks) -> list[float]:
         """Memoized log-volume objectives of the sets with these bit masks, in the order given."""
-        return self._memoized(self._logdet, "logdet", masks)
+        return self._lookup("logdet", *self._keyed(masks)).tolist()
 
     def _mask(self, ids) -> int:
         """Bit mask of a sensor set given by ids; an unknown id raises ``ValidationError``."""

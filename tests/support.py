@@ -381,6 +381,24 @@ def duplicated_sensor_scenario(seed: int, copies: int) -> tuple[lq.Scenario, tup
     return replace(base, suite=lq.SensorSuite(sensors=sensors, state_dim=n)), twins
 
 
+def row_padded_twin_scenario(seed: int) -> lq.Scenario:
+    """Formation a2's plant (n = 8) with three sensors: a random row, the same row with a zero
+    row under it, and two random rows.
+
+    Sensors 0 and 1 have bit-identical information, so they are one class,
+    whose rows are sensor 0's single row; every nonempty set takes the
+    measurement form.
+    """
+    base = lq.build_formation_scenario(2, 6, "heterogeneous", seed)
+    rng = np.random.default_rng(seed + 9100)
+    T, n = base.horizon, base.state_dim
+    row = rng.normal(size=(1, n))
+    sensors = (lq.Sensor.time_invariant(0, row, np.eye(1), 1.0, T),
+               lq.Sensor.time_invariant(1, np.vstack([row, 0.0 * row]), np.eye(2), 1.0, T),
+               lq.Sensor.time_invariant(2, rng.normal(size=(2, n)), np.eye(2), 1.0, T))
+    return replace(base, suite=lq.SensorSuite(sensors=sensors, state_dim=n))
+
+
 def random_cost_suite(seed: int) -> lq.SensorSuite:
     """A ``random_scenario``'s suite repriced with unrounded costs, one of them 0."""
     suite = random_scenario(seed + 1950, max_sensors=9).suite
@@ -553,7 +571,7 @@ class ReferenceCache(lq.ObjectiveCache):
         return total / self.scenario.horizon
 
     @staticmethod
-    def _memo(memo: dict, one, masks) -> list[float]:
+    def _by_mask(memo: dict, one, masks) -> list[float]:
         keys = list(masks)
         for key in keys:
             if key not in memo:
@@ -561,25 +579,31 @@ class ReferenceCache(lq.ObjectiveCache):
         return [memo[key] for key in keys]
 
     def f_many(self, masks) -> list[float]:
-        return self._memo(self._ref_f, self._f_one, masks)
+        return self._by_mask(self._ref_f, self._f_one, masks)
 
     def logdet_many(self, masks) -> list[float]:
-        return self._memo(self._ref_logdet, self._logdet_one, masks)
+        return self._by_mask(self._ref_logdet, self._logdet_one, masks)
 
 
 class PerMaskCache(lq.ObjectiveCache):
     """ObjectiveCache memoized by mask alone, as before the information classes.
 
-    Its ``_memoized`` is the one the class memo replaced, without the mask
-    checks: ``memo`` is keyed by mask, so every set not memoized is
-    propagated, with no value shared between masks, in batches of masks in
-    the order asked, grouped by ``row_count``.  Each takes the cache's update
-    kernel for its size on its classes' rows or information, as the class
-    memo does.
+    It re-hooks ``_lookup``, the one path ``f_many``, ``logdet_many`` and
+    ``f_table`` take once their masks are checked and keyed, with the dict
+    memo the class memo replaced: ``by_mask[functional]`` is keyed by mask,
+    so every set not memoized is propagated, with no value shared between
+    masks, in batches of masks in the order asked, grouped by ``row_count``.
+    Each takes the cache's update kernel for its size on its classes' rows or
+    information, as the class memo does.
     """
 
+    def __init__(self, scenario: lq.Scenario, sol):
+        super().__init__(scenario, sol)
+        self.by_mask: dict[str, dict[int, float]] = {"f": {}, "logdet": {}}
+
     @np.errstate(over="ignore", invalid="ignore")
-    def _memoized(self, memo: dict, functional: str, masks) -> list[float]:
+    def _lookup(self, functional: str, masks, keys) -> np.ndarray:
+        memo = self.by_mask[functional]
         masks = [operator.index(mask) for mask in masks]
         streams: dict = {}
         for mask in dict.fromkeys(mask for mask in masks if mask not in memo):
@@ -596,7 +620,24 @@ class PerMaskCache(lq.ObjectiveCache):
                         raise lq.NumericalError(f"objective of sensor set {named} is not finite "
                                                 f"({value})")
                     memo[mask] = value
-        return [memo[mask] for mask in masks]
+        return np.array([memo[mask] for mask in masks], dtype=np.float64)
+
+
+def memo(cache, functional: str = "f") -> dict:
+    """An ``ObjectiveCache``'s memo of ``functional`` as a dict, class multiset key to value.
+
+    The memo is a key and a value array; the keys must be distinct and sorted.
+    """
+    keys, values = cache._memo[functional]
+    assert keys.shape == values.shape and values.dtype == np.float64
+    listed = keys.tolist()
+    assert listed == sorted(set(listed))
+    return dict(zip(listed, values.tolist()))
+
+
+def forget(cache) -> None:
+    """Empty every memo of an ``ObjectiveCache``."""
+    cache._memo = {name: (keys[:0], values[:0]) for name, (keys, values) in cache._memo.items()}
 
 
 def reference_ratio_lower_bound(scenario: lq.Scenario, sol, cache):

@@ -182,14 +182,14 @@ def test_memo_hit_does_not_propagate(monkeypatch):
     first = cache.f_many(masks)
     first_logdet = cache.logdet_many(masks)
     assert calls
-    entries = len(cache._f), len(cache._logdet)
+    entries = len(support.memo(cache, "f")), len(support.memo(cache, "logdet"))
     calls.clear()
     assert cache.f_many(masks[::-1]) == first[::-1]
     # the single-set calls take ids in any order and hit the same memo
     again = [cache.f(tuple(sorted(s, reverse=True))) for s in reversed(sets)]
     again_logdet = [cache.logdet(tuple(sorted(s, reverse=True))) for s in reversed(sets)]
     assert calls == []
-    assert (len(cache._f), len(cache._logdet)) == entries
+    assert (len(support.memo(cache, "f")), len(support.memo(cache, "logdet"))) == entries
     assert again == first[::-1]
     assert again_logdet == first_logdet[::-1]
 
@@ -201,7 +201,7 @@ def _assert_same_bits_as_per_mask(scenario, masks):
     assert cache.logdet_many(masks) == ref.logdet_many(masks)
     # the reference holds a value per mask; the relative sensors (i, j) and
     # (j, i) share one class, so the cache holds fewer
-    assert len(cache._f) < len(ref._f) == len(set(masks))
+    assert len(support.memo(cache)) < len(ref.by_mask["f"]) == len(set(masks))
 
 
 @pytest.mark.parametrize("mode", ["homogeneous", "heterogeneous"])
@@ -215,6 +215,113 @@ def test_class_memo_matches_the_per_mask_memo_on_formation_a4():
     small = [mask for mask in range(1 << 16) if mask.bit_count() <= 3]
     sample = np.random.default_rng(12).integers(0, 1 << 16, size=1024).tolist()
     _assert_same_bits_as_per_mask(scenario, small + sample)
+
+
+def _values_or_error(call, masks):
+    """The call's values as int64 bits, or its exception's type and message."""
+    try:
+        return np.asarray(call(masks), dtype=np.float64).view(np.int64).tolist()
+    except Exception as exc:  # the outcome compared is the exception itself
+        return type(exc), str(exc)
+
+
+def _assert_array_memo_is_per_mask(scenario, calls, table=True):
+    """Each list of masks asked in turn of one cache and one ``PerMaskCache``: the same bits
+    from ``f_many``, ``logdet_many`` and ``f_table``, and from ``f_table`` as ``f_many``."""
+    _, sol, cache = support.solved(scenario)
+    ref = support.PerMaskCache(scenario, sol)
+    _, _, listed = support.solved(scenario)
+    outcomes = []
+    for masks in calls:
+        for name in ("f_many", "logdet_many"):
+            outcomes.append(_values_or_error(getattr(ref, name), masks))
+            assert _values_or_error(getattr(cache, name), masks) == outcomes[-1], name
+        if table:
+            array = np.array(masks, dtype=np.int64)
+            assert (_values_or_error(cache.f_table, array)
+                    == _values_or_error(ref.f_table, array)
+                    == _values_or_error(listed.f_many, masks))
+    if all(isinstance(got, list) for got in outcomes):  # a batch that raised is not memoized
+        for name in ("f", "logdet"):
+            by_class = {kalman._class_key(mask, cache._weight): value
+                        for mask, value in ref.by_mask[name].items()}
+            assert support.memo(cache, name) == by_class
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_the_array_memo_matches_the_per_mask_memo_on_random_lists(data):
+    build = data.draw(st.sampled_from([
+        lambda seed: support.random_scenario(seed),
+        lambda seed: support.duplicated_sensor_scenario(seed, 3)[0],
+        support.mixed_form_scenario,
+        support.per_step_sensor_scenario,
+    ]))
+    scenario = build(data.draw(st.integers(0, 10 ** 4)))
+    full = (1 << len(scenario.suite)) - 1
+    masks = st.lists(st.integers(0, full), max_size=30)
+    calls = [data.draw(masks) for _ in range(3)]
+    calls[0] += [0, *calls[0][:5]]  # the empty set, and repeats within a call
+    _assert_array_memo_is_per_mask(scenario, calls)
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_the_array_memo_matches_the_per_mask_memo_past_bit_63(data):
+    # 70 sensors: the keys are Python ints in object arrays; no table indexes them
+    scenario = support.big_random_scenario(3, sensors=70, state_dim=2, horizon=2)
+    masks = st.lists(st.integers(0, (1 << 70) - 1), max_size=12)
+    calls = [data.draw(masks) + [0, 1 << 69, 1 << 69 | 1 << 63 | 1] for _ in range(2)]
+    _assert_array_memo_is_per_mask(scenario, calls, table=False)
+
+
+def _overflowing_singletons():
+    """Scalar sensors on a plant growing by 1e10 per step, each its own class: the first
+    four have finite objectives alone and the last two overflow."""
+    data = support.overflowing_scenario_dict()
+    wirings = [1.0, 2.0, 3.0, 4.0, 1e-160, 2e-160]
+    data.update(horizon=16, sensors=[{"id": i, "C": [[c]], "V": [[1.0]], "cost": 1.0}
+                                     for i, c in enumerate(wirings)])
+    return lq.scenario_from_dict(data)
+
+
+@settings(max_examples=30)
+@given(order=st.lists(st.integers(0, 5), min_size=1, max_size=12),
+       batch_sets=st.sampled_from([1, 2, 256]))
+def test_a_value_that_is_not_finite_is_named_and_memoized_as_per_mask(order, batch_sets):
+    # one-sensor sets, one stream in ask order: both caches batch them alike, and a key
+    # is its mask, so the memos compare entry by entry; the reference memoizes a failing
+    # batch's sets before the one that failed, the class memo none of that batch
+    scenario = _overflowing_singletons()
+    masks = [1 << i for i in order]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kalman, "_BATCH_SETS", batch_sets)
+        _, sol, cache = support.solved(scenario)
+        ref = support.PerMaskCache(scenario, sol)
+        _, _, table = support.solved(scenario)
+        got = _values_or_error(cache.f_many, masks)
+        assert got == _values_or_error(ref.f_many, masks)
+        assert got == _values_or_error(table.f_table, np.array(masks))
+    memo = support.memo(cache)
+    assert memo == support.memo(table)
+    assert memo == ref.by_mask["f"] if batch_sets == 1 else memo.items() <= ref.by_mask["f"].items()
+    assert (got[0] is lq.NumericalError) == (4 in order or 5 in order)
+
+
+def test_a_class_of_two_row_counts_is_batched_by_its_rows():
+    # sensors 0 and 1 are one class, of sensor 0's one row: a set with sensor 1 takes
+    # P = 1 and never shares a batch with a set of two rows
+    for seed in range(3):
+        scenario = support.row_padded_twin_scenario(seed)
+        masks = [0b010, 0b100, 0b001, 0b110, 0b011, 0b101, 0b111, 0]
+        alone = [support.solved(scenario)[2].f(kalman._mask_ids(mask)) for mask in masks]
+        cache = support.solved(scenario)[2]
+        assert cache.f_many(masks) == alone
+        assert support.solved(scenario)[2].f_table(np.array(masks)).tolist() == alone
+        for batch, _, posts in cache.trajectories(masks):
+            for j, post in zip(batch, posts):
+                assert lq.sensing_objective(cache.sol, lq.CovarianceTrajectory(
+                    priors=post, posteriors=post)) == alone[j]
 
 
 @settings(max_examples=20)
@@ -284,5 +391,5 @@ def test_batched_trajectories_are_each_sets_own(monkeypatch, batch_sets):
         assert 1 < max(sizes) <= batch_sets  # sets share batches, up to the cap
     # the mixed suite's streams: the information form, then P = 2, 4 and 6
     cache = support.solved(scenarios[0])[2]
-    streams = cache._streams(list(range(16)))
+    streams = cache._batches(cache._keyed(range(16))[1], 16)  # no stream cut
     assert [len(stream) for stream in streams] == [2, 4, 6, 4]

@@ -335,7 +335,7 @@ def test_fractional_ids_rejected():
             call([True])
         np.testing.assert_array_equal(call([np.int64(1)]), call([1]))
     # only the valid calls were memoized, under sensor 1's class multiset key
-    assert cache._f == {kalman._class_key(0b10, cache._weight): cache.f([1])}
+    assert support.memo(cache) == {kalman._class_key(0b10, cache._weight): cache.f([1])}
 
 
 def test_batch_calls_reject_masks_outside_the_suite():
@@ -354,7 +354,7 @@ def test_batch_calls_reject_masks_outside_the_suite():
             many([np.int64(0b100)])
         with pytest.raises(TypeError, match="'float' object cannot be interpreted"):
             many([1.0])
-    assert cache._f == {} and cache._logdet == {}
+    assert support.memo(cache, "f") == support.memo(cache, "logdet") == {}
 
 
 def test_batch_calls_take_numpy_integer_masks_as_ints():
@@ -364,8 +364,8 @@ def test_batch_calls_take_numpy_integer_masks_as_ints():
         assert cache.f_many(masks) == cache.f_many(range(4))
         assert cache.logdet_many(masks) == cache.logdet_many(range(4))
     # two one-sensor classes: each multiset's key is its mask
-    assert sorted(cache._f) == sorted(cache._logdet) == [0, 1, 2, 3]
-    assert all(type(key) is int for key in [*cache._f, *cache._logdet])
+    assert list(support.memo(cache, "f")) == list(support.memo(cache, "logdet")) == [0, 1, 2, 3]
+    assert all(keys.dtype == np.int64 for keys, _ in cache._memo.values())
 
 
 def test_masks_past_bit_63_are_python_ints():
@@ -374,6 +374,11 @@ def test_masks_past_bit_63_are_python_ints():
     masks = [1 << 69, 1 << 69 | 1 << 63 | 1]
     assert cache.f_many(masks) == [cache.f((69,)), cache.f((0, 63, 69))]
     assert cache.logdet_many(masks) == [cache.logdet((69,)), cache.logdet((69, 63, 0))]
+    # the memo keys past int64 are Python ints in an object array
+    for name in ("f", "logdet"):
+        keys = cache._memo[name][0]
+        assert keys.dtype == object and all(type(key) is int for key in keys)
+        assert len(support.memo(cache, name)) == 2
 
 
 def test_cache_and_direct_trajectories_identical():
@@ -463,7 +468,7 @@ def test_overflow_names_the_set_asked_for():
     for masks, named in (([0b010], "[1]"), ([0b100, 0b010], "[2]"), ([0b110, 0b011], "[1, 2]")):
         with pytest.raises(lq.NumericalError, match=re.escape(f"set {named} is not finite (inf)")):
             cache.f_many(masks)
-    assert cache._f == {}
+    assert support.memo(cache) == {}
 
 
 def test_sensors_equal_only_at_step_0_are_two_classes():

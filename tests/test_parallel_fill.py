@@ -14,6 +14,9 @@ early.  Most tests force both paths with small batches and a low threshold;
 the greedy-step, many-CPU table and sweep-size tests keep the real ones.
 """
 
+import contextlib
+import errno
+import io
 import os
 import select
 import signal
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
-from lqgcodesign import kalman
+from lqgcodesign import cli, kalman
 
 import support
 
@@ -50,7 +53,7 @@ def _outcome(call, cache):
         got = np.asarray(call(cache), dtype=np.float64).view(np.int64).tolist()
     except Exception as exc:  # the outcome compared is the exception itself
         got = (type(exc), str(exc))
-    return got, dict(cache._f), dict(cache._logdet)
+    return got, support.memo(cache, "f"), support.memo(cache, "logdet")
 
 
 def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3, fork_work=1):
@@ -167,7 +170,7 @@ def test_a_value_that_is_not_finite_raises_as_in_one_process(monkeypatch, order,
     # exactly the batches before the failing one are memoized
     cache = support.solved(scenario)[2]
     cache.f_many(masks[:memoized])
-    assert forked[1] == cache._f and len(cache._f) == memoized
+    assert forked[1] == support.memo(cache) and len(forked[1]) == memoized
 
 
 def _batch_keys(monkeypatch, scenario, call, batch_sets):
@@ -230,7 +233,7 @@ def test_a_child_that_sends_no_values_raises_and_is_reaped(monkeypatch, sent):
     cache = support.solved(UAV_A9)[2]
     with pytest.raises(RuntimeError, match="exited without its values"):
         cache.f_table(np.arange(1 << 11))
-    assert cache._f == {}
+    assert support.memo(cache) == {}
     _assert_no_child_left()
 
 
@@ -255,13 +258,93 @@ def test_a_child_is_killed_when_this_process_leaves_early(monkeypatch):
     cache = support.solved(UAV_A9)[2]
     with pytest.raises(KeyboardInterrupt):
         call(cache)
-    assert cache._f == {} and cache._workers == []
+    assert support.memo(cache) == {} and cache._workers == []
     _assert_no_child_left()
     # the next fill of the same cache forks afresh and reads no stale answer
     monkeypatch.setattr(kalman.ObjectiveCache, "_update", update)
     assert _outcome(call, cache) == serial and len(forks) == 2
     del cache
     _assert_no_child_left()
+
+
+def _failing_os(monkeypatch, name: str, start: int, stop: int | None = None) -> list:
+    """``os.fork`` or ``os.pipe`` (``name``) raising EAGAIN at its calls ``start`` to ``stop``,
+    counted from 0, as under a process or file limit; a list that gains an entry at each call."""
+    calls = []
+    real = getattr(os, name)
+
+    def failing():
+        calls.append(1)
+        if start < len(calls) and (stop is None or len(calls) <= stop):
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real()
+
+    monkeypatch.setattr(os, name, failing)
+    return calls
+
+
+def _open_fds() -> set[str]:
+    return set(os.listdir("/proc/self/fd"))
+
+
+FAILURES = [("fork", 0), ("fork", 1), ("pipe", 0), ("pipe", 1), ("pipe", 2)]
+FAILURE_IDS = ["first-fork", "second-fork", "first-pipe", "second-pipe", "second-worker-pipe"]
+
+
+@pytest.mark.parametrize("name, start", FAILURES, ids=FAILURE_IDS)
+def test_a_fill_whose_fork_fails_runs_its_other_batches_here(monkeypatch, name, start):
+    """A table dealt to three processes keeps the workers forked before ``os.fork`` or
+    ``os.pipe`` raised and computes the batches left without one in this process."""
+    fds = _open_fds()
+    _failing_os(monkeypatch, name, start)
+    serial, forked, made = _serial_and_forked(
+        monkeypatch, UAV_A9, lambda cache: cache.f_table(np.arange(1 << 11)), cpus=3)
+    assert forked == serial and len(serial[1]) == 1 << 11
+    workers = start // 2 if name == "pipe" else start
+    assert made == workers + (name == "fork")  # the forks tried, a failed one included
+    assert _open_fds() == fds
+
+
+def test_the_deal_after_a_failed_fork_forks_again(monkeypatch):
+    """A fork that failed once is tried again at the cache's next deal."""
+    monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
+    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks = _failing_os(monkeypatch, "fork", 0, 1)
+    cache = support.solved(UAV_A9)[2]
+    first = cache.f_table(np.arange(1 << 11))
+    assert len(forks) == 1 and cache._workers == []
+    support.forget(cache)
+    assert cache.f_table(np.arange(1 << 11)).tobytes() == first.tobytes()
+    assert len(forks) == 3 and len(cache._workers) == 2
+    del cache
+    _assert_no_child_left()
+
+
+def _cli(*argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``lqgcodesign`` in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name, start", FAILURES, ids=FAILURE_IDS)
+def test_a_bound_whose_fork_fails_prints_the_one_process_bytes(monkeypatch, tmp_path, name,
+                                                              start):
+    """``bound budget`` on UAV a9 deals its 2^11 ratio table to three processes."""
+    path = tmp_path / "uav_a9.json"
+    lq.save_scenario(UAV_A9, path)
+    argv = ("bound", "budget", "--scenario", str(path), "--budget", "6.0", "--ratio-cap", "11")
+    monkeypatch.setattr(kalman, "_cpus", lambda: 1)
+    alone = _cli(*argv)
+    monkeypatch.setattr(kalman, "_cpus", lambda: 3)
+    fds = _open_fds()
+    calls = _failing_os(monkeypatch, name, start)
+    assert _cli(*argv) == alone and alone[0] == 0 and alone[1]
+    assert len(calls) > start
+    _assert_no_child_left()
+    assert _open_fds() == fds
 
 
 def _refuse_fork():
@@ -299,7 +382,8 @@ def test_a_sweep_size_fill_on_formation_a4_forks_nothing(monkeypatch):
     masks = [1 << 4, *_greedy_step(FORMATION_A4, (4,))]  # 11 class multisets
     cache = support.solved(FORMATION_A4)[2]
     values = [*cache.f_many(masks), *cache.logdet_many(masks)]
-    assert len(cache._f) == len(cache._logdet) == 11 and np.isfinite(values).all()
+    assert len(support.memo(cache, "f")) == len(support.memo(cache, "logdet")) == 11
+    assert np.isfinite(values).all()
     assert 3 * _work(FORMATION_A4, 11) < kalman._FORK_WORK
     _assert_no_child_left()
 
@@ -314,7 +398,7 @@ def test_the_real_affinity_sets_the_workers(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     batches = -(-(1 << 11) // min(64, -(-(1 << 11) // cpus)))  # a worker's share at most
     assert len(forks) == min(cpus, batches) - 1
-    assert np.isfinite(table).all() and len(cache._f) == 1 << 11
+    assert np.isfinite(table).all() and len(support.memo(cache)) == 1 << 11
     del cache
     _assert_no_child_left()
 
@@ -371,7 +455,7 @@ def test_a_worker_outlives_an_interrupt_from_the_terminal(monkeypatch):
     cache = support.solved(UAV_A9)[2]
     table = cache.f_table(np.arange(1 << 11))
     os.kill(cache._workers[0][0], signal.SIGINT)
-    cache._f.clear()
+    support.forget(cache)
     assert cache.f_table(np.arange(1 << 11)).tolist() == table.tolist() and len(forks) == 1
     del cache
     _assert_no_child_left()

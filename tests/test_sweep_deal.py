@@ -24,7 +24,7 @@ from lqgcodesign import cli, kalman, simulate
 
 import support
 from test_parallel_fill import (FORMATION_A4, UAV_A9, _assert_no_child_left, _count_forks,
-                                _refuse_fork)
+                                _failing_os, _open_fds, _refuse_fork)
 
 TIER1_GRIDS = (
     ("--scenario", "formation", "--agents", "2,3", "--horizon", "4,5", "--budgets", "3,4,5",
@@ -100,6 +100,25 @@ def test_the_formation_a4_sweep_forks_one_worker_a_point_on_two_cpus(monkeypatch
         monkeypatch, (*FORMATION_A4_GRID[:5], "20,19", *FORMATION_A4_GRID[6:], "--seed", "7"),
         fork_work=kalman._FORK_WORK)
     assert dealt == alone and forks == 2
+
+
+@pytest.mark.parametrize("name, start", [("fork", 0), ("pipe", 1)], ids=["fork", "pipe"])
+@pytest.mark.parametrize("argv", [
+    (*FORMATION_A4_GRID[:-2], "--runs", "0", "--seed", "7"),
+    (*FORMATION_A4_GRID[:-3], "greedy", "--runs", "100", "--seed", "11"),
+], ids=["columns", "monte-carlo"])
+def test_a_sweep_whose_fork_fails_prints_the_one_cpu_bytes(monkeypatch, argv, name, start):
+    """A grid point's method columns, or a greedy column's Monte Carlo shares, left without
+    a worker run in this process."""
+    _on_cpus(monkeypatch, 1)
+    alone = _sweep(*argv)
+    _on_cpus(monkeypatch, 2)
+    fds = _open_fds()
+    calls = _failing_os(monkeypatch, name, start)
+    assert _sweep(*argv) == alone and alone[0] == 0 and alone[1]
+    assert len(calls) > start
+    _assert_no_child_left()
+    assert _open_fds() == fds
 
 
 @pytest.mark.parametrize("argv", SMALL_GRIDS)
@@ -212,7 +231,7 @@ def test_a_forked_child_neither_deals_nor_holds_the_workers(monkeypatch):
     cache = support.solved(UAV_A9)[2]
     cache.f_table(np.arange(1 << 10))
     assert len(cache._workers) == 1
-    cache._f.clear()
+    support.forget(cache)
     bits, done = os.pipe()
     release, hold = os.pipe()
     pid = os.fork()

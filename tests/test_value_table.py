@@ -35,9 +35,9 @@ def _counting_propagation(monkeypatch):
     filled = []
     fill = kalman.ObjectiveCache._fill
 
-    def counted(self, memo, values, keys, firsts, streams):
+    def counted(self, functional, keys, *asked):
         filled.append(keys.tolist())
-        return fill(self, memo, values, keys, firsts, streams)
+        return fill(self, functional, keys, *asked)
 
     monkeypatch.setattr(kalman.ObjectiveCache, "_fill", counted)
     return filled
@@ -55,7 +55,8 @@ def _assert_table_is_f_many(scenario, masks, monkeypatch):
     assert by_table.f_many(masks.tolist()) == listed
     assert by_list.f_table(masks).tobytes() == table.tobytes()
     assert filled == []
-    assert by_table._f == by_list._f and len(by_table._f) == len(_multisets(by_table, masks))
+    assert support.memo(by_table) == support.memo(by_list)
+    assert len(support.memo(by_table)) == len(_multisets(by_table, masks))
 
 
 @pytest.mark.parametrize("build, sample", [
@@ -108,7 +109,7 @@ def test_table_refuses_a_mask_as_f_many_does(masks):
     got = _refusal(by_table.f_table, masks)
     assert got == _refusal(by_list.f_many, masks)
     assert got[0] in (lq.ValidationError, TypeError)
-    assert by_table._f == by_list._f == {}
+    assert support.memo(by_table) == support.memo(by_list) == {}
 
 
 @pytest.mark.parametrize("masks, named", [
@@ -126,7 +127,7 @@ def test_table_names_the_first_mask_of_a_set_that_is_not_finite(masks, named):
         cache = support.solved(lq.scenario_from_dict(data))[2]
         with pytest.raises(lq.NumericalError, match=re.escape(message)):
             getattr(cache, call)(np.array(masks) if call == "f_table" else masks)
-        assert cache._f == {}
+        assert support.memo(cache) == {}
 
 
 def _bound_argv(tmp_path, scenario, problem):
@@ -160,7 +161,7 @@ def test_bound_propagates_each_multiset_once(tmp_path, monkeypatch, build, probl
     (cache,) = caches
     distinct = _multisets(cache, range(1 << len(scenario.suite)))
     (keys,) = filled
-    assert len(keys) == len(set(keys)) == len(distinct) == len(cache._f)
+    assert len(keys) == len(set(keys)) == len(distinct) == len(support.memo(cache))
 
 
 @pytest.mark.parametrize("call, task", [
@@ -177,7 +178,7 @@ def test_an_enumeration_past_62_sensors_is_refused(call, task):
         call(cache)
     with pytest.raises(ValueError, match="a value table indexes at most 62 sensors, not 64"):
         cache.f_table(np.arange(4))
-    assert cache._f == {}
+    assert support.memo(cache) == {}
 
 
 @pytest.mark.parametrize("flags", [
