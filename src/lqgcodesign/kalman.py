@@ -596,10 +596,11 @@ class ObjectiveCache:
         form first, then each row count P of the measurement form, each stream sorted by set
         size, so a batch gathers few zero pad rows, and by position within a size."""
         sizes, rows = np.zeros((2, len(keys)), dtype=np.intp)
-        for radix, base, width in zip(self._radix, self._base, self._row_spans[1]):
-            count = (keys // radix % base).astype(np.intp)
-            sizes += count
-            rows += count * width
+        step = max(1, _BATCH_FLOATS // max(1, len(self._base)))  # keys decoded at a time
+        for start in range(0, len(keys), step):
+            counts = (keys[start:start + step, None] // self._radix % self._base).astype(np.intp)
+            sizes[start:start + step] = counts.sum(axis=1)
+            rows[start:start + step] = counts @ self._row_spans[1]
         label = np.where(_measured(sizes, self._widest, self.scenario.state_dim), rows, -1)
         order = np.lexsort((sizes, label))
         streams = np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
