@@ -41,9 +41,9 @@ keys, integers in mixed radix (Knuth, TAOCP 4A, 7.2.1.1), and their values,
 so sweeps, enumerations and ratio scans propagate each distinct multiset
 once, on its classes' rows or information in ascending class order, and
 equal multisets give equal bits by construction.  Its batch calls take bit
-masks whose bit i selects sensor i: ``f_many`` Python ints and ``f_table``
-an int64 array of at most ``TABLE_BITS`` sensors, keyed in numpy; both then
-take one lookup path.  Its single-set calls take ids.
+masks whose bit i selects sensor i: ``f_many`` and ``logdet_many`` Python
+ints, ``f_table`` an int64 array of at most ``TABLE_BITS`` sensors, keyed
+in numpy; all then take one lookup path.  Its single-set calls take ids.
 
 A call whose work, new multisets * T * n^2, is two ``_FORK_WORK`` or more,
 in a process that may run on more than one CPU (``os.sched_getaffinity``),
@@ -688,12 +688,11 @@ class ObjectiveCache:
     def _merge(self, functional: str, keys: np.ndarray, values: np.ndarray) -> None:
         """Memoize the distinct multisets ``keys`` with their values; a memoized one keeps its."""
         known, memo = self._memo[functional]
-        at, found = _find(known, keys)
-        new = np.flatnonzero(~found)
-        if len(new):  # a call that adds nothing copies nothing
-            new = new[np.argsort(keys[new])]
-            self._memo[functional] = (np.insert(known, at[new], keys[new]),
-                                      np.insert(memo, at[new], values[new]))
+        new = ~_find(known, keys)[1]
+        if new.any():  # a call that adds nothing copies nothing
+            keys = np.concatenate((known, keys[new]))
+            order = np.argsort(keys, kind="stable")  # timsort: the memo is one sorted run
+            self._memo[functional] = keys[order], np.concatenate((memo, values[new]))[order]
 
     def _fill(self, functional: str, keys: np.ndarray, masks, asked: np.ndarray) -> None:
         """Propagate the distinct class multisets ``keys``, none memoized, and memoize them.
