@@ -24,6 +24,7 @@ from functools import partial
 from itertools import product
 from pathlib import Path
 
+from . import _parallel
 from ._linalg import NumericalError
 from .analysis import RATIO_CAP, certify, ratio_report
 from .kalman import ObjectiveCache
@@ -413,12 +414,7 @@ def _sweep_point(base, scenario_id: str, mandatory, methods, budgets, args) -> l
     picked = []
     for i in range(len(budgets)):
         for method in methods:
-            report = columns[method][i]
-            if isinstance(report, Exception):
-                try:
-                    raise report
-                finally:  # held in no frame its traceback holds: no cycle keeps the cache
-                    del report, columns
+            report = _parallel.taken(columns[method], i)
             picked.append((report, _certify(cache, report, args, ratio)))
     summaries = [None] * len(picked)
     if args.runs > 0:
@@ -433,17 +429,16 @@ def _columns(cache, methods, budgets, args, mandatory) -> dict:
 
     An ``oracle`` column runs here, where its table fills are dealt.  The
     others go whole (their budgets share a memo) to this process and the
-    cache's workers (``ObjectiveCache._deal``), the heaviest first to the
-    least loaded: a greedy sweep counts m**2 sets of the m sensors, a
-    log-det sweep, which also factors each posterior, 3/2 of that (formation
-    a4: 22 against 15 ms), another method a set per budget.
+    cache's workers (``_parallel.deal``), the heaviest first to the least
+    loaded: a greedy sweep counts m**2 sets of the m sensors, a log-det
+    sweep, which also factors each posterior, 3/2 of that (formation a4: 22
+    against 15 ms), another method a set per budget.
     """
-    system = cache.scenario.system
     sweeps = {"greedy": 1.0, "logdet": 1.5}
     weight = {method: sweeps[method] * len(cache.scenario.suite) ** 2 if method in sweeps
               else len(budgets) for method in dict.fromkeys(methods) if method != "oracle"}
-    work = int(sum(weight.values())) * system.horizon * system.state_dim ** 2
-    shares = [[] for _ in range(max(1, min(cache._processes(work), len(weight))))]
+    processes = _parallel.processes(sum(weight.values()), cache.scenario.system)
+    shares = [[] for _ in range(max(1, min(processes, len(weight))))]
     loads = [0] * len(shares)
     for method in sorted(weight, key=weight.get, reverse=True):
         least = loads.index(min(loads))
@@ -451,8 +446,8 @@ def _columns(cache, methods, budgets, args, mandatory) -> dict:
         loads[least] += weight[method]
     columns = _column_reports(cache, ["oracle"] if "oracle" in methods else [], budgets, args,
                               mandatory)
-    for share in cache._deal([(_column_reports, (share, budgets, args, mandatory))
-                              for share in shares]):
+    for share in _parallel.deal(cache, [(_column_reports, (share, budgets, args, mandatory))
+                                        for share in shares]):
         columns.update(share)
     return columns
 
@@ -463,10 +458,9 @@ def _column_reports(cache, methods, budgets, args, mandatory) -> dict:
     for method in methods:
         columns[method] = reports = []
         for budget in budgets:
-            try:
-                reports.append(_run_method(cache, "budget", method, budget, args, mandatory))
-            except Exception as exc:  # raised at its row; its traceback's frames would
-                reports.append(exc.with_traceback(None))  # hold it in a cycle
+            reports.append(_parallel.kept(_run_method, cache, "budget", method, budget, args,
+                                          mandatory))
+            if isinstance(reports[-1], Exception):  # raised at its row
                 break
     return columns
 

@@ -44,35 +44,17 @@ equal multisets give equal bits by construction.  Its batch calls take bit
 masks whose bit i selects sensor i: ``f_many`` and ``logdet_many`` Python
 ints, ``f_table`` an int64 array of at most ``TABLE_BITS`` sensors, keyed
 in numpy; all then take one lookup path.  Its single-set calls take ids.
-
-A call whose work, new multisets * T * n^2, is two ``_FORK_WORK`` or more,
-in a process that may run on more than one CPU (``os.sched_getaffinity``),
-deals its batches to workers, one per CPU and per ``_FORK_WORK``, and
-merges their values in the one-process order, so the values, the memo and
-any error are those of a fill in one process.  This process is worker 0;
-the others are the cache's, forked once (``_fork_worker``) and sent any
-module-level function to run on their copy of the cache (``_deal``): a
-fill's batches, a sweep's method columns or Monte Carlo shares.  A call
-that gets no worker, as ``os.fork`` or ``os.pipe`` failed, runs here.  No
-switch: ``taskset -c 0`` pins a run to one core; without ``os.fork`` or
-``os.sched_getaffinity``, and in any forked child, everything runs in one
-process.  Python 3.12 and later may warn that forking a process with
-threads (OpenBLAS starts some) can deadlock the child; the workers call
-only numpy and LAPACK.  Tested on 3.11.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import operator
-import os
-import pickle
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from ._linalg import NumericalError, constant_over_time, inv_sqrt_pd, symmetrize
 from .model import Scenario, Sensor, ValidationError, chosen_ids
 from .riccati import RiccatiSolution
@@ -85,14 +67,6 @@ _BATCH_SETS = 256
 
 # Most sensors a value table indexes: its masks and class keys are int64.
 TABLE_BITS = 62
-
-# Work, new multisets * T * n**2, of each worker at least: a full batch at
-# n = 6, T = 20 (a 128-set batch there costs as much), 9 sets at n = 32.  A
-# set costs about n**1.5 (12-16 times n = 6's at n = 32); n**2 deals formation
-# a8's greedy steps, 35-37 sets, with a margin of two.  A cache forks a worker
-# once, in 2-4 ms; a later fill's exchange with it costs about 0.1 ms.
-_FORK_WORK = 256 * 20 * 6 * 6
-
 
 def _batch_size(n: int) -> int:
     """Sets propagated together at state dimension n: at most ``_BATCH_SETS``, and at
@@ -293,109 +267,12 @@ def _measurement_update(rows: np.ndarray, index: np.ndarray):
     return update
 
 
-def _cpus() -> int:
-    """CPUs this process may run on: 1 where the platform cannot tell or cannot fork."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-class _Pool(list):
-    """A cache's workers, (pid, request end, reply end) each; ``busy`` while a deal waits
-    on them, and for good in a forked child: a call there runs in one process."""
-
-    busy = False
-
-
-_POOLS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # by id
-
-
-def _disown_pools() -> None:
-    """In a forked child, close the inherited workers' pipe ends and empty their pools, so
-    only its cache holds a worker's request pipe open and reaps it."""
-    for pool in _POOLS.values():
-        for _, *ends in pool:
-            for end in ends:
-                os.close(end)
-        pool.clear()
-        pool.busy = True
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_disown_pools)
-
-
-def _outcome(cache, function, args):
-    """``function(cache, *args)``, or the exception it raised."""
-    try:
-        return function(cache, *args)
-    except Exception as exc:  # raised by ``_deal`` without the frames that would
-        return exc.with_traceback(None)  # hold it in a cycle
-
-
 def _find(known: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each key is, or would go, in the sorted distinct ``known``; and whether it is."""
     at = np.searchsorted(known, keys)
     found = at < len(known)
     found[found] = known[at[found]] == keys[found]
     return at, found
-
-
-def _fork_worker(cache) -> tuple[int, int, int]:
-    """Fork a worker of ``cache``: its pid and this process's ends of its pipes.
-
-    It answers each request, a module-level function and its arguments, with
-    the ``_outcome`` of the function on the worker's copy of the cache, whose
-    memo is the owner's at the fork plus what its own calls added, and the
-    memo entries the call added, a key and a value array per functional.  It
-    leaves by ``os._exit``, running no exit handler: at EOF, or on an error.
-    If ``os.pipe`` or ``os.fork`` raises, no pipe end is left open.
-    """
-    ends = []
-    try:
-        for _ in range(2):
-            ends.extend(os.pipe())
-        pid = os.fork()
-    except BaseException:
-        for end in ends:
-            os.close(end)
-        raise
-    request, reply = ends[:2], ends[2:]
-    if pid == 0:
-        code = 1
-        try:
-            import signal
-            signal.signal(signal.SIGINT, signal.SIG_IGN)  # a terminal's ^C is this process's
-            for end in (request[1], reply[0]):
-                os.close(end)  # a write fails, not blocks, once this process is gone
-            with os.fdopen(request[0], "rb") as asked, os.fdopen(reply[1], "wb") as answers:
-                while asked.peek(1):  # empty at EOF: the cache let this worker go
-                    before = dict(cache._memo)  # a merge replaces a memo's arrays
-                    outcome = _outcome(cache, *pickle.load(asked))
-                    added = {}
-                    for name, (keys, values) in cache._memo.items():
-                        new = ~_find(before[name][0], keys)[1]
-                        added[name] = keys[new], values[new]
-                    pickle.dump((outcome, added), answers)
-                    answers.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(request[0])
-    os.close(reply[1])
-    return pid, request[1], reply[0]
-
-
-def _stop(workers: list, kill: bool = False) -> None:
-    """Close this process's ends of each worker's pipes, so it leaves, or ``kill`` it; reap it."""
-    while workers:
-        pid, *ends = workers.pop()
-        for end in ends:
-            os.close(end)
-        if kill:
-            import signal  # here and in a worker only: importing it costs about 0.7 ms
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
 
 
 def _steps(system, update, k: int):
@@ -514,11 +391,9 @@ class ObjectiveCache:
     array of their values, 16 bytes a multiset.  A batch call keys its masks
     and looks them up (``_lookup``); the multisets not memoized are propagated
     in ``_batches`` of at most ``_BATCH_SETS`` (256) sets and ``_BATCH_FLOATS``
-    (512 KB) per (k, n, n) stack, and merged once.  A fill with enough work
-    is dealt to workers (``_fill``, ``_deal``), at most one fewer than the
-    CPUs, forked once and reaped when the cache is released or the
-    interpreter exits; one thread at a time may fill.  The selection, ratio
-    and Monte Carlo routines take the cache as their one evaluation context.
+    (512 KB) per (k, n, n) stack, and merged once, here or from a worker
+    (``_parallel``, ``_recorded``).  The selection, ratio and Monte Carlo
+    routines take the cache as their one evaluation context.
     """
 
     def __init__(self, scenario: Scenario, sol: RiccatiSolution):
@@ -543,9 +418,6 @@ class ObjectiveCache:
         self._memo = {name: (np.empty(0, self._radix.dtype), np.empty(0))
                       for name in ("f", "logdet")}
         self.offset = cost_offset(scenario, sol)
-        self._workers = _Pool()
-        _POOLS[id(self._workers)] = self._workers
-        weakref.finalize(self, _stop, self._workers)  # holds the pool, not the cache
 
     def whitened(self, sensor_id: int) -> np.ndarray:
         return self._whitened[sensor_id]
@@ -622,105 +494,55 @@ class ObjectiveCache:
         """
         done = []
         for keys in batches:
-            try:
-                got = self._values(functional, keys)
-            except Exception as exc:  # raised by the merge where one process would
-                return [*done, exc.with_traceback(None)]
-            done.append(got)
-            if not np.isfinite(got).all():
+            done.append(_parallel.kept(self._values, functional, keys))  # raised by ``_fill``
+            if isinstance(done[-1], Exception) or not np.isfinite(done[-1]).all():
                 break
         return done
 
-    def _processes(self, work: int) -> int:
-        """Processes for a call of ``work`` set-steps times n**2: from two ``_FORK_WORK``
-        parts, one per part and per CPU, unless the pool is busy; else one."""
-        parts = work // _FORK_WORK
-        return min(_cpus(), parts) if parts > 1 and not self._workers.busy else 1
+    def _recorded(self, function, args) -> tuple:
+        """The ``kept`` outcome of ``function(self, *args)`` and the memo entries it added, a
+        key and a value array per functional: a worker's answer, merged by ``_merge``."""
+        before = dict(self._memo)  # a merge replaces a memo's arrays
+        outcome = _parallel.kept(function, self, *args)
+        added = {}
+        for name, (keys, values) in self._memo.items():
+            new = ~_find(before[name][0], keys)[1]
+            added[name] = keys[new], values[new]
+        return outcome, added
 
-    def _deal(self, calls: list) -> list:
-        """The results of ``calls``, (module-level function, args) pairs, each run on a cache.
-
-        One call runs here.  Of more, call 0 runs here and call i in worker i,
-        forked when the pool has fewer, on its copy of the cache; the memo
-        entries it adds are merged here, and the first call that raised
-        raises once all have answered.  The calls left without a worker, as
-        ``os.pipe`` or ``os.fork`` raised ``OSError``, run here last, in order;
-        the next deal tries to fork again.  A deal that leaves early or reads
-        an answer short kills every worker, and the next forks afresh.
-        """
-        if len(calls) == 1:
-            function, args = calls[0]
-            return [function(self, *args)]
-        pool = self._workers
-        try:
-            with contextlib.suppress(OSError):  # the calls left without a worker run here
-                while len(pool) < len(calls) - 1:
-                    pool.append(_fork_worker(self))
-            dealt = min(len(pool), len(calls) - 1)
-            pool.busy = True
-            for call, (_, request, _) in zip(calls[1:dealt + 1], pool):
-                with os.fdopen(request, "wb", closefd=False) as asked:  # written whole
-                    pickle.dump(call, asked)
-            outcomes = [_outcome(self, *calls[0])]
-            for pid, _, reply in pool[:dealt]:
-                try:
-                    with os.fdopen(reply, "rb", closefd=False) as answers:
-                        outcome, added = pickle.load(answers)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError(f"fill worker {pid} exited without its values") from None
-                for name, (keys, values) in added.items():
-                    self._merge(name, keys, values)
-                outcomes.append(outcome)
-            outcomes += [_outcome(self, *call) for call in calls[dealt + 1:]]
-        except BaseException:
-            _stop(pool, kill=True)
-            raise
-        finally:
-            pool.busy = False
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                try:
-                    raise outcome
-                finally:  # held in no frame its traceback holds: no cycle keeps the cache
-                    del outcome, outcomes
-        return outcomes
-
-    def _merge(self, functional: str, keys: np.ndarray, values: np.ndarray) -> None:
-        """Memoize the distinct multisets ``keys`` with their values; a memoized one keeps its."""
-        known, memo = self._memo[functional]
-        new = ~_find(known, keys)[1]
-        if new.any():  # a call that adds nothing copies nothing
-            keys = np.concatenate((known, keys[new]))
-            order = np.argsort(keys, kind="stable")  # timsort: the memo is one sorted run
-            self._memo[functional] = keys[order], np.concatenate((memo, values[new]))[order]
+    def _merge(self, added: dict) -> None:
+        """Memoize each functional's distinct multisets ``keys`` with their values, given as
+        ``{functional: (keys, values)}``; a memoized one keeps its."""
+        for functional, (keys, values) in added.items():
+            known, memo = self._memo[functional]
+            new = ~_find(known, keys)[1]
+            if new.any():  # a call that adds nothing copies nothing
+                keys = np.concatenate((known, keys[new]))
+                order = np.argsort(keys, kind="stable")  # timsort: the memo is one sorted run
+                self._memo[functional] = keys[order], np.concatenate((memo, values[new]))[order]
 
     def _fill(self, functional: str, keys: np.ndarray, masks, asked: np.ndarray) -> None:
         """Propagate the distinct class multisets ``keys``, none memoized, and memoize them.
 
         ``masks[asked[j]]`` is the first mask that asked for ``keys[j]``.  With
-        work ``len(keys) * T * n**2`` that ``_processes`` gives more than one
-        process, batch i, cut to a worker's share, goes to worker i % workers
-        (``_deal``; this process is worker 0).  A set's value does not depend
-        on where its batch ran or on its size.  The first batch that raised,
+        ``len(keys)`` sets of work that ``_parallel.processes`` gives more than
+        one process, batch i, cut to a worker's share, goes to worker i % workers
+        (``_parallel.deal``; this process is worker 0).  A set's value does not
+        depend on where its batch ran or on its size.  The first batch that raised,
         or holds a value that is not finite (``NumericalError`` naming its first
         mask), raises as in one process, the batches before it memoized.
         """
-        T, n = self.scenario.horizon, self.scenario.state_dim
-        workers = self._processes(len(keys) * T * n * n)
+        n = self.scenario.state_dim
+        workers = _parallel.processes(len(keys), self.scenario.system)
         batches = self._batches(keys, min(_batch_size(n), -(-len(keys) // workers)))
         workers = min(workers, len(batches))
-        shares = self._deal([(ObjectiveCache._answer,
-                              (functional, [keys[b] for b in batches[w::workers]]))
-                             for w in range(workers)])
+        shares = _parallel.deal(self, [(ObjectiveCache._answer,
+                                        (functional, [keys[b] for b in batches[w::workers]]))
+                                       for w in range(workers)])
         done = []
         try:
             for i, batch in enumerate(batches):
-                got = shares[i % workers][i // workers]
-                if isinstance(got, Exception):
-                    try:
-                        raise got
-                    finally:  # nor in this one: the cache goes with its last reference
-                        del got, shares
+                got = _parallel.taken(shares[i % workers], i // workers)
                 if not np.isfinite(got).all():
                     j = int(np.argmin(np.isfinite(got)))
                     named = list(_mask_ids(int(masks[asked[batch[j]]])))
@@ -730,7 +552,7 @@ class ObjectiveCache:
         finally:
             if done:
                 batch, got = (np.concatenate(part) for part in zip(*done))
-                self._merge(functional, keys[batch], got)
+                self._merge({functional: (keys[batch], got)})
 
     def _keyed(self, masks) -> tuple[list[int], np.ndarray]:
         """The masks as ints and their class multiset keys, in the radix's dtype; a negative

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _parallel
 from ._linalg import block_diag, frozen, psd_sqrt
 from .kalman import ObjectiveCache
 from .model import LqgWeights, LtvSystem, Scenario, Sensor, SensorSuite, chosen_ids, stack_sensors
@@ -45,11 +46,6 @@ _DRAW_FLOATS = 1 << 16
 
 # Each cache's ``_noise_roots``
 _ROOTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# A run's rollout step costs about a quarter of a set's propagation step at the
-# same n (formation a4: about 6 against 24 ns per n**2), so dealt Monte Carlo
-# work counts a run as a quarter of a set.
-_RUN_SHARE = 4
 
 
 @dataclass(frozen=True)
@@ -180,11 +176,11 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
     exactly.  The standard error is the sample standard deviation over
     sqrt(runs), 0 for a single run.
 
-    With enough work, distinct sets * runs * T * n**2 / ``_RUN_SHARE`` (as
-    ``ObjectiveCache._processes`` counts it), the distinct sets are dealt in
-    contiguous shares to this process and the cache's workers, every share
-    on the call's batches of runs, so each rollout cost is the one-process
-    value bit for bit.
+    With enough work (``_parallel.processes``: a run's rollout step costs about
+    a quarter of a set's propagation step, formation a4 6 against 24 ns per
+    n**2), the distinct sets are dealt in contiguous shares to this process
+    and the cache's workers, every share on the call's batches of runs, so
+    each rollout cost is the one-process value bit for bit.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
@@ -197,11 +193,10 @@ def monte_carlo_many(cache: ObjectiveCache, id_sets, runs: int,
                   for key in distinct)
     batches = math.ceil(runs / max(1, _DRAW_FLOATS // longest))
     ends = [base_seed + runs * b // batches for b in range(batches + 1)]
-    work = len(distinct) * runs * system.horizon * system.state_dim ** 2 // _RUN_SHARE
-    processes = min(cache._processes(work), len(distinct))
+    processes = min(_parallel.processes(len(distinct) * runs / 4, system), len(distinct))
     cuts = [len(distinct) * w // processes for w in range(processes + 1)]
-    shares = cache._deal([(_rollout_costs, (distinct[a:b], longest, ends))
-                          for a, b in zip(cuts, cuts[1:])])
+    shares = _parallel.deal(cache, [(_rollout_costs, (distinct[a:b], longest, ends))
+                                    for a, b in zip(cuts, cuts[1:])])
     summaries = {}
     for key, values in zip(distinct, (values for share in shares for values in share)):
         summaries[key] = MonteCarloSummary(

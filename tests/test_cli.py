@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
-from lqgcodesign import cli, kalman
+from lqgcodesign import _parallel, cli, kalman
 from lqgcodesign.cli import COLUMNS, main
 
 import support
@@ -781,7 +781,7 @@ def _propagated(monkeypatch) -> list:
         masks.extend(asked)
         yield from trajectories(cache, asked)
 
-    monkeypatch.setattr(kalman, "_cpus", lambda: 1)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
     monkeypatch.setattr(kalman.ObjectiveCache, "trajectories", recorded)
     return masks
 

@@ -2,7 +2,7 @@
 
 ``ObjectiveCache._fill`` deals batch i to worker i % workers when a call's
 estimated work, new class multisets * T * n^2, is at least two
-``kalman._FORK_WORK`` and the process may run on more than one CPU, with a
+``_parallel._FORK_WORK`` and the process may run on more than one CPU, with a
 worker per CPU and per ``_FORK_WORK``; this process is worker 0 and the
 others are the cache's, forked by its first such fill and kept for the
 later ones, and no batch holds more than a worker's share of the multisets.
@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
-from lqgcodesign import cli, kalman
+from lqgcodesign import _parallel, cli, kalman
 
 import support
 
@@ -40,6 +40,11 @@ FORMATION_A4 = lq.build_formation_scenario(4, 20, "heterogeneous", 7)  # 16 sens
 def _work(scenario, sets: int) -> int:
     """The work ``_fill`` estimates for ``sets`` new multisets of the scenario."""
     return sets * scenario.horizon * scenario.state_dim ** 2
+
+
+def _pool(cache) -> list:
+    """The cache's workers, (pid, request end, reply end) each; none before its first deal."""
+    return _parallel._POOLS.get(cache, [])
 
 
 def _assert_no_child_left():
@@ -60,9 +65,9 @@ def _serial_and_forked(monkeypatch, scenario, call, batch_sets=64, cpus=3, fork_
     """The call's outcome on a fresh cache filled in one process, then dealt to ``cpus``
     workers from ``fork_work``, with the forks the second made."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", batch_sets)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1 << 62)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1 << 62)
     serial = _outcome(call, support.solved(scenario)[2])
-    monkeypatch.setattr(kalman, "_FORK_WORK", fork_work)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", fork_work)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     forks = _count_forks(monkeypatch)
     cache = support.solved(scenario)[2]
@@ -121,9 +126,9 @@ def test_a_greedy_step_on_formation_a8_is_cut_between_workers(monkeypatch, metho
                         lambda self, keys: sizes.append(len(keys)) or update(self, keys))
     serial, forked, made = _serial_and_forked(
         monkeypatch, FORMATION_A8, lambda cache: getattr(cache, method)(masks),
-        batch_sets=kalman._BATCH_SETS, cpus=cpus, fork_work=kalman._FORK_WORK)
+        batch_sets=kalman._BATCH_SETS, cpus=cpus, fork_work=_parallel._FORK_WORK)
     new = len(serial[1]) + len(serial[2])
-    parts = _work(FORMATION_A8, new) // kalman._FORK_WORK
+    parts = _work(FORMATION_A8, new) // _parallel._FORK_WORK
     assert 30 <= new <= 40 and parts == 3  # not one worker per CPU on eight
     assert forked == serial and made == min(cpus, parts) - 1
     assert sizes == [new, -(-new // (made + 1))]  # one batch alone, a worker's share forked
@@ -137,8 +142,8 @@ def test_a_table_fill_gives_each_worker_a_full_batch_on_many_cpus(monkeypatch):
                         lambda self, keys: sizes.append(len(keys)) or update(self, keys))
     serial, forked, made = _serial_and_forked(
         monkeypatch, UAV_A9, lambda cache: cache.f_table(np.arange(1 << 11)),
-        batch_sets=kalman._BATCH_SETS, cpus=16, fork_work=kalman._FORK_WORK)
-    assert _work(UAV_A9, 1 << 11) // kalman._FORK_WORK == 8
+        batch_sets=kalman._BATCH_SETS, cpus=16, fork_work=_parallel._FORK_WORK)
+    assert _work(UAV_A9, 1 << 11) // _parallel._FORK_WORK == 8
     assert forked == serial and made == 7
     assert max(sizes) == kalman._BATCH_SETS  # the batches of one process, uncut
 
@@ -176,7 +181,7 @@ def test_a_value_that_is_not_finite_raises_as_in_one_process(monkeypatch, order,
 def _batch_keys(monkeypatch, scenario, call, batch_sets):
     """The class multiset keys of each batch a one-process fill propagates, in order."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", batch_sets)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1 << 62)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1 << 62)
     batches = []
     update = kalman.ObjectiveCache._update
     monkeypatch.setattr(kalman.ObjectiveCache, "_update",
@@ -215,31 +220,62 @@ def test_an_exception_in_a_batch_is_raised_in_order(monkeypatch, failing):
 
 
 @pytest.mark.parametrize("sent", [0.0, 0.5], ids=["nothing", "half"])
-def test_a_child_that_sends_no_values_raises_and_is_reaped(monkeypatch, sent):
-    monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def test_a_child_that_sends_no_values_is_reaped_and_its_batches_run_here(monkeypatch, sent):
+    """A worker that dies before its answer is whole is reaped and dropped; its call runs in
+    this process, so the fill gives the one-process bits and memo, and the next deal forks
+    a fresh worker."""
     parent = os.getpid()
-    dump = kalman.pickle.dump
+    dump = _parallel.pickle.dump
 
     def child_fails(value, file):
         if os.getpid() != parent:
-            data = kalman.pickle.dumps(value)
+            data = _parallel.pickle.dumps(value)
             file.write(data[:int(sent * len(data))])
             raise TypeError("cannot pickle")
         return dump(value, file)
 
-    monkeypatch.setattr(kalman.pickle, "dump", child_fails)
+    def call(cache):
+        return cache.f_table(np.arange(1 << 11))
+
+    monkeypatch.setattr(_parallel.pickle, "dump", child_fails)
+    serial, forked, made = _serial_and_forked(monkeypatch, UAV_A9, call, cpus=2)
+    assert forked == serial and len(serial[1]) == 1 << 11
+    assert made == 1
+    forks = _count_forks(monkeypatch)
     cache = support.solved(UAV_A9)[2]
-    with pytest.raises(RuntimeError, match="exited without its values"):
-        cache.f_table(np.arange(1 << 11))
-    assert support.memo(cache) == {}
+    assert _outcome(call, cache) == serial and len(forks) == 1
+    _assert_no_child_left()  # the worker that died is reaped, and none is left in the pool
+    assert _pool(cache) == []
+    support.forget(cache)
+    assert _outcome(call, cache) == serial and len(forks) == 2  # the next deal forks afresh
+    del cache
+    _assert_no_child_left()
+
+
+def test_a_worker_killed_while_idle_is_dropped_and_its_batches_run_here(monkeypatch):
+    """The request to a worker that is gone cannot be written; its answer reads short."""
+    def call(cache):
+        return cache.f_table(np.arange(1 << 11))
+
+    serial = _serial_and_forked(monkeypatch, UAV_A9, call, cpus=2)[0]
+    forks = _count_forks(monkeypatch)
+    cache = support.solved(UAV_A9)[2]
+    assert _outcome(call, cache) == serial and len(forks) == 1
+    [(pid, *_)] = _pool(cache)
+    os.kill(pid, signal.SIGKILL)
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # gone, and left for the deal to reap
+    support.forget(cache)
+    assert _outcome(call, cache) == serial and len(forks) == 1 and _pool(cache) == []
+    _assert_no_child_left()
+    support.forget(cache)
+    assert _outcome(call, cache) == serial and len(forks) == 2
+    del cache
     _assert_no_child_left()
 
 
 def test_a_child_is_killed_when_this_process_leaves_early(monkeypatch):
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     parent = os.getpid()
     update = kalman.ObjectiveCache._update
@@ -258,7 +294,7 @@ def test_a_child_is_killed_when_this_process_leaves_early(monkeypatch):
     cache = support.solved(UAV_A9)[2]
     with pytest.raises(KeyboardInterrupt):
         call(cache)
-    assert support.memo(cache) == {} and cache._workers == []
+    assert support.memo(cache) == {} and _pool(cache) == []
     _assert_no_child_left()
     # the next fill of the same cache forks afresh and reads no stale answer
     monkeypatch.setattr(kalman.ObjectiveCache, "_update", update)
@@ -308,15 +344,15 @@ def test_a_fill_whose_fork_fails_runs_its_other_batches_here(monkeypatch, name, 
 def test_the_deal_after_a_failed_fork_forks_again(monkeypatch):
     """A fork that failed once is tried again at the cache's next deal."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     forks = _failing_os(monkeypatch, "fork", 0, 1)
     cache = support.solved(UAV_A9)[2]
     first = cache.f_table(np.arange(1 << 11))
-    assert len(forks) == 1 and cache._workers == []
+    assert len(forks) == 1 and _pool(cache) == []
     support.forget(cache)
     assert cache.f_table(np.arange(1 << 11)).tobytes() == first.tobytes()
-    assert len(forks) == 3 and len(cache._workers) == 2
+    assert len(forks) == 3 and len(_pool(cache)) == 2
     del cache
     _assert_no_child_left()
 
@@ -336,9 +372,9 @@ def test_a_bound_whose_fork_fails_prints_the_one_process_bytes(monkeypatch, tmp_
     path = tmp_path / "uav_a9.json"
     lq.save_scenario(UAV_A9, path)
     argv = ("bound", "budget", "--scenario", str(path), "--budget", "6.0", "--ratio-cap", "11")
-    monkeypatch.setattr(kalman, "_cpus", lambda: 1)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 1)
     alone = _cli(*argv)
-    monkeypatch.setattr(kalman, "_cpus", lambda: 3)
+    monkeypatch.setattr(_parallel, "_cpus", lambda: 3)
     fds = _open_fds()
     calls = _failing_os(monkeypatch, name, start)
     assert _cli(*argv) == alone and alone[0] == 0 and alone[1]
@@ -360,16 +396,16 @@ def test_a_fill_forks_nothing_where_it_cannot_gain(monkeypatch, platform):
     elif platform == "no-affinity":
         monkeypatch.delattr(os, "sched_getaffinity")
     if platform != "few-sets":
-        monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+        monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     want = _outcome(lambda cache: cache.f_table(np.arange(1 << 11)), support.solved(UAV_A9)[2])
     if platform == "no-fork":
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", _refuse_fork)
     # the default threshold keeps a fill of work just below two parts in this process
-    below = (2 * kalman._FORK_WORK - 1) // _work(UAV_A9, 1)
+    below = (2 * _parallel._FORK_WORK - 1) // _work(UAV_A9, 1)
     if platform == "few-sets":
-        assert below == 511 and _work(UAV_A9, below + 1) == 2 * kalman._FORK_WORK
+        assert below == 511 and _work(UAV_A9, below + 1) == 2 * _parallel._FORK_WORK
     masks = np.arange(below if platform == "few-sets" else 1 << 11)
     got = _outcome(lambda cache: cache.f_table(masks), support.solved(UAV_A9)[2])
     assert got[0] == want[0][:len(masks)]
@@ -384,14 +420,14 @@ def test_a_sweep_size_fill_on_formation_a4_forks_nothing(monkeypatch):
     values = [*cache.f_many(masks), *cache.logdet_many(masks)]
     assert len(support.memo(cache, "f")) == len(support.memo(cache, "logdet")) == 11
     assert np.isfinite(values).all()
-    assert 3 * _work(FORMATION_A4, 11) < kalman._FORK_WORK
+    assert 3 * _work(FORMATION_A4, 11) < _parallel._FORK_WORK
     _assert_no_child_left()
 
 
 def test_the_real_affinity_sets_the_workers(monkeypatch):
     """One worker per CPU this process may run on: under ``taskset -c 0`` no fork."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     forks = _count_forks(monkeypatch)
     cache = support.solved(UAV_A9)[2]
     table = cache.f_table(np.arange(1 << 11))
@@ -413,7 +449,7 @@ def test_one_cache_forks_its_workers_once_over_many_greedy_steps(monkeypatch):
 
     serial, forked, made = _serial_and_forked(
         monkeypatch, FORMATION_A8, call, batch_sets=kalman._BATCH_SETS, cpus=3,
-        fork_work=kalman._FORK_WORK)
+        fork_work=_parallel._FORK_WORK)
     assert forked == serial and made == 2
     assert len(serial[0]) > 6  # a step per sensor chosen
 
@@ -421,12 +457,12 @@ def test_one_cache_forks_its_workers_once_over_many_greedy_steps(monkeypatch):
 def test_releasing_one_of_two_forked_caches_reaps_its_worker(monkeypatch):
     """The second cache's worker closes the first's pipe ends, so the first's sees EOF."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     first, second = support.solved(UAV_A9)[2], support.solved(UAV_A9)[2]
     first.f_table(np.arange(1 << 11))
     second.f_table(np.arange(1 << 11))
-    [(gone, *_)], [(kept, *_)] = first._workers, second._workers
+    [(gone, *_)], [(kept, *_)] = _pool(first), _pool(second)
 
     def hung(signum, frame):
         raise TimeoutError("the released cache's worker did not leave")
@@ -449,12 +485,12 @@ def test_releasing_one_of_two_forked_caches_reaps_its_worker(monkeypatch):
 def test_a_worker_outlives_an_interrupt_from_the_terminal(monkeypatch):
     """^C reaches the whole foreground process group; a worker leaves it to this process."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = _count_forks(monkeypatch)
     cache = support.solved(UAV_A9)[2]
     table = cache.f_table(np.arange(1 << 11))
-    os.kill(cache._workers[0][0], signal.SIGINT)
+    os.kill(_pool(cache)[0][0], signal.SIGINT)
     support.forget(cache)
     assert cache.f_table(np.arange(1 << 11)).tolist() == table.tolist() and len(forks) == 1
     del cache
@@ -501,13 +537,13 @@ _HOLDER = """
 import os, time
 import numpy as np
 import lqgcodesign as lq
-from lqgcodesign import kalman
-kalman._FORK_WORK = 1
+from lqgcodesign import _parallel
+_parallel._FORK_WORK = 1
 os.sched_getaffinity = lambda pid: {0, 1}
 scenario = lq.build_uav_scenario(9, 20, "heterogeneous", 7)
 cache = lq.ObjectiveCache(scenario, lq.solve_riccati(scenario.system, scenario.weights))
 cache.f_table(np.arange(1 << 11))
-print(cache._workers[0][0], flush=True)
+print(_parallel._POOLS[cache][0][0], flush=True)
 time.sleep(120)
 """
 

@@ -3,7 +3,7 @@
 ``cli._sweep_point`` deals its method columns that do not enumerate (greedy,
 logdet, random, all), each column whole, and ``simulate.monte_carlo_many``
 its distinct sets in contiguous shares, between this process and the
-cache's worker when their estimated work is two ``kalman._FORK_WORK`` parts
+cache's worker when their estimated work is two ``_parallel._FORK_WORK`` parts
 or more and the process may run on more than one CPU.  A dealt sweep must
 print the one-process bytes, raise the one-process error, fork one worker
 per grid point and leave no child behind; a forked child of a process that
@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 import lqgcodesign as lq
-from lqgcodesign import cli, kalman, simulate
+from lqgcodesign import _parallel, cli, kalman, simulate
 
 import support
 from test_parallel_fill import (FORMATION_A4, UAV_A9, _assert_no_child_left, _count_forks,
-                                _failing_os, _open_fds, _refuse_fork)
+                                _failing_os, _open_fds, _pool, _refuse_fork)
 
 TIER1_GRIDS = (
     ("--scenario", "formation", "--agents", "2,3", "--horizon", "4,5", "--budgets", "3,4,5",
@@ -68,12 +68,12 @@ def _on_cpus(monkeypatch, cpus: int):
 def _one_cpu_and_dealt(monkeypatch, argv, fork_work=1):
     """``_sweep(*argv)`` on one CPU, then dealt on two from ``fork_work``, with the forks the
     second made; no child is left after either."""
-    monkeypatch.setattr(kalman, "_FORK_WORK", fork_work)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", fork_work)
     _on_cpus(monkeypatch, 1)
     monkeypatch.setattr(os, "fork", _refuse_fork)
     alone = _sweep(*argv)
     monkeypatch.undo()
-    monkeypatch.setattr(kalman, "_FORK_WORK", fork_work)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", fork_work)
     _on_cpus(monkeypatch, 2)
     forks = _count_forks(monkeypatch)
     dealt = _sweep(*argv)
@@ -98,7 +98,7 @@ def test_a_dealt_sweep_prints_the_one_cpu_bytes(monkeypatch, argv, fmt):
 def test_the_formation_a4_sweep_forks_one_worker_a_point_on_two_cpus(monkeypatch):
     alone, dealt, forks = _one_cpu_and_dealt(
         monkeypatch, (*FORMATION_A4_GRID[:5], "20,19", *FORMATION_A4_GRID[6:], "--seed", "7"),
-        fork_work=kalman._FORK_WORK)
+        fork_work=_parallel._FORK_WORK)
     assert dealt == alone and forks == 2
 
 
@@ -142,7 +142,7 @@ def _bits(summaries) -> list:
 ], ids=["longest-in-the-worker", "longest-here", "two-sets"])
 def test_monte_carlo_shares_are_the_one_process_summaries(monkeypatch, sets):
     # 150 runs at the full set's width are three batches of runs
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     _on_cpus(monkeypatch, 1)
     alone = simulate.monte_carlo_many(support.solved(FORMATION_A4)[2], sets, 150, 4)
     _on_cpus(monkeypatch, 2)
@@ -207,7 +207,7 @@ def test_a_column_error_is_the_one_process_error(monkeypatch, failures, message)
     argv = (*FORMATION_A4_GRID[:-1], "20", "--seed", "7")
     for method, budget in failures.items():
         monkeypatch.setattr(cli, method, _failing(method, budget, os.getpid()))
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     _on_cpus(monkeypatch, 1)
     alone = _sweep(*argv)
     _on_cpus(monkeypatch, 2)
@@ -224,13 +224,13 @@ def test_a_forked_child_neither_deals_nor_holds_the_workers(monkeypatch):
     """Released while a forked child holds a copy, a cache reaps its worker at once; the
     child's own fill runs alone and gives the one-process bits."""
     monkeypatch.setattr(kalman, "_BATCH_SETS", 64)
-    monkeypatch.setattr(kalman, "_FORK_WORK", 1)
+    monkeypatch.setattr(_parallel, "_FORK_WORK", 1)
     _on_cpus(monkeypatch, 1)
     want = support.solved(UAV_A9)[2].f_table(np.arange(1 << 11)).tobytes()
     _on_cpus(monkeypatch, 2)
     cache = support.solved(UAV_A9)[2]
     cache.f_table(np.arange(1 << 10))
-    assert len(cache._workers) == 1
+    assert len(_pool(cache)) == 1
     support.forget(cache)
     bits, done = os.pipe()
     release, hold = os.pipe()
@@ -241,7 +241,7 @@ def test_a_forked_child_neither_deals_nor_holds_the_workers(monkeypatch):
             os.close(bits)
             os.close(hold)
             os.fork = _refuse_fork
-            assert cache._workers == []
+            assert _pool(cache) == []
             table = cache.f_table(np.arange(1 << 11)).tobytes()
             with os.fdopen(done, "wb") as out:
                 out.write(table)
